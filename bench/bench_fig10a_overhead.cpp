@@ -1,22 +1,32 @@
 // Figure 10(a) reproduction: computation overhead of the fair-share
-// evaluator vs number of users, with 10 GPU types (google-benchmark).
+// evaluator vs number of users, with 10 GPU types.
 // Paper shape: cooperative OEF costs more than non-cooperative (O(n^2) vs
 // O(n) fairness rows) and both stay well below the five-minute round length.
 //
-// The cooperative sweep is reported twice: Cold re-solves the LP from
-// scratch on every lazy envy-separation round (reference tableau solver,
-// the pre-warm-start behaviour), Warm keeps one stateful LpSolver alive so
-// rounds >= 2 are dual-simplex resolves from the previous optimal basis and
-// successive allocate() calls reuse the recycled active envy rows. Both
-// arms cross-check their objective against the other's within solver
-// tolerance, and the warm arm exports warm-start counters.
-#include <benchmark/benchmark.h>
-
+// Four sweeps, one timed allocate() per point:
+//   * non-cooperative OEF on the LP (fast path off) and on the water-filling
+//     fast path, n = 50..300;
+//   * cooperative OEF, Cold: every lazy envy-separation round re-solved from
+//     scratch by the reference tableau (the pre-warm-start behaviour), scoped
+//     to n <= 40 — its dense tableau grows to O(n * rounds) rows;
+//   * cooperative OEF, Warm: one stateful LpSolver, so rounds >= 2 are
+//     dual-simplex resolves from the previous optimal basis, n <= 60.
+// Every cooperative n is cross-checked against the cold tableau's objective
+// (computed untimed at n = 60, where the Cold sweep does not run). The table
+// carries the lazy-loop and warm-start counters of each call.
+//
+// Usage: bench_fig10a_overhead
+// Exit code: number of failed checks (0 = healthy).
 #include <cmath>
-#include <limits>
+#include <cstdio>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "bench_common.h"
+#include "common/clock.h"
 #include "common/rng.h"
+#include "common/table.h"
 #include "core/oef.h"
 #include "core/speedup_matrix.h"
 
@@ -50,127 +60,86 @@ core::OefOptions cold_options() {
   return options;
 }
 
-/// Reference objective for the cooperative instance, computed once per size
-/// with the cold reference solver. NaN when the reference solve itself fails,
-/// which the arms report as such instead of as an objective deviation.
-double coop_reference_objective(std::size_t n) {
-  const core::AllocationResult result =
-      core::make_cooperative_oef(cold_options()).allocate(make_matrix(n), make_capacities());
-  return result.ok() ? result.total_efficiency
-                     : std::numeric_limits<double>::quiet_NaN();
-}
+struct Timed {
+  core::AllocationResult result;
+  double ms = 0.0;
+};
 
-void BM_NonCooperativeOef(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
+Timed timed_allocate(const core::OefAllocator& allocator, std::size_t n) {
   const core::SpeedupMatrix w = make_matrix(n);
   const std::vector<double> m = make_capacities();
-  core::OefOptions options;
-  options.use_fast_path = false;  // this sweep measures the LP
-  const core::OefAllocator allocator = core::make_non_cooperative_oef(options);
-  for (auto _ : state) {
-    const core::AllocationResult result = allocator.allocate(w, m);
-    benchmark::DoNotOptimize(result.total_efficiency);
-    if (!result.ok()) state.SkipWithError("LP failed");
-  }
-}
-
-void BM_NonCooperativeOefFastPath(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const core::SpeedupMatrix w = make_matrix(n);
-  const std::vector<double> m = make_capacities();
-  const core::OefAllocator allocator = core::make_non_cooperative_oef();
-  for (auto _ : state) {
-    const core::AllocationResult result = allocator.allocate(w, m);
-    benchmark::DoNotOptimize(result.total_efficiency);
-    if (!result.ok()) state.SkipWithError("allocation failed");
-  }
-}
-
-void BM_CooperativeOefCold(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const core::SpeedupMatrix w = make_matrix(n);
-  const std::vector<double> m = make_capacities();
-  const double reference = coop_reference_objective(n);
-  if (std::isnan(reference)) {
-    state.SkipWithError("cold reference solve failed");
-    return;
-  }
-  const core::OefAllocator allocator = core::make_cooperative_oef(cold_options());
-  double rounds = 0.0;
-  double iterations = 0.0;
-  for (auto _ : state) {
-    const core::AllocationResult result = allocator.allocate(w, m);
-    benchmark::DoNotOptimize(result.total_efficiency);
-    if (!result.ok()) state.SkipWithError("LP failed");
-    if (std::abs(result.total_efficiency - reference) > 1e-5 * (1.0 + reference)) {
-      state.SkipWithError("cold objective deviates from reference");
-    }
-    rounds += static_cast<double>(result.lazy_rounds);
-    iterations += static_cast<double>(result.lp_iterations);
-  }
-  state.counters["lazy_rounds"] =
-      benchmark::Counter(rounds, benchmark::Counter::kAvgIterations);
-  state.counters["lp_iters"] =
-      benchmark::Counter(iterations, benchmark::Counter::kAvgIterations);
-}
-
-void BM_CooperativeOefWarm(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const core::SpeedupMatrix w = make_matrix(n);
-  const std::vector<double> m = make_capacities();
-  const double reference = coop_reference_objective(n);
-  if (std::isnan(reference)) {
-    state.SkipWithError("cold reference solve failed");
-    return;
-  }
-  // The allocator persists across iterations, so iteration 2 onwards also
-  // exercises the cross-call warm start (recycled envy rows + basis reuse) —
-  // the simulator's round-over-round pattern.
-  const core::OefAllocator allocator = core::make_cooperative_oef();
-  double rounds = 0.0;
-  double warm_rounds = 0.0;
-  double iterations = 0.0;
-  for (auto _ : state) {
-    const core::AllocationResult result = allocator.allocate(w, m);
-    benchmark::DoNotOptimize(result.total_efficiency);
-    if (!result.ok()) state.SkipWithError("LP failed");
-    if (std::abs(result.total_efficiency - reference) > 1e-5 * (1.0 + reference)) {
-      state.SkipWithError("warm objective deviates from cold reference");
-    }
-    rounds += static_cast<double>(result.lazy_rounds);
-    warm_rounds += static_cast<double>(result.warm_rounds);
-    iterations += static_cast<double>(result.lp_iterations);
-  }
-  state.counters["lazy_rounds"] =
-      benchmark::Counter(rounds, benchmark::Counter::kAvgIterations);
-  state.counters["warm_rounds"] =
-      benchmark::Counter(warm_rounds, benchmark::Counter::kAvgIterations);
-  state.counters["lp_iters"] =
-      benchmark::Counter(iterations, benchmark::Counter::kAvgIterations);
-  const solver::LpSolverStats stats = allocator.solver_stats();
-  state.counters["warm_resolves"] = static_cast<double>(stats.warm_resolves);
-  state.counters["basis_reuse_hits"] = static_cast<double>(stats.warm_start_hits);
-  state.counters["tableau_fallbacks"] = static_cast<double>(stats.tableau_fallbacks);
+  const double start = common::monotonic_seconds();
+  Timed timed{allocator.allocate(w, m), 0.0};
+  timed.ms = 1e3 * (common::monotonic_seconds() - start);
+  return timed;
 }
 
 }  // namespace
 
-// The paper sweeps 100-300 users at 10 GPU types with ECOS (sparse interior
-// point). The non-cooperative sweep reproduces at full scale on the dense
-// simplex (O(n) fairness rows). The cooperative sweep compares the cold
-// reference (full tableau re-solve per lazy round, scoped to n <= 40 — its
-// dense tableau grows to O(n * rounds) rows) against the warm-started
-// revised/dual-simplex path, which both cuts the per-round cost and extends
-// the reachable n. The paper's qualitative claims reproduce: cooperative
-// costs more than non-cooperative at equal n, both grow polynomially, and
-// the overhead stays far below the 5-minute round length.
-BENCHMARK(BM_NonCooperativeOef)->Arg(50)->Arg(100)->Arg(200)->Arg(300)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK(BM_CooperativeOefCold)->Arg(10)->Arg(20)->Arg(30)->Arg(40)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK(BM_CooperativeOefWarm)->Arg(10)->Arg(20)->Arg(30)->Arg(40)->Arg(60)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK(BM_NonCooperativeOefFastPath)->Arg(50)->Arg(100)->Arg(200)->Arg(300)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
+int main() {
+  bench::print_header(
+      "Fig. 10(a): allocator overhead vs users, 10 GPU types",
+      "cooperative costs more than non-cooperative; both stay far below the "
+      "5-minute round");
 
-BENCHMARK_MAIN();
+  // Checks are printed after the table, in the order they were made.
+  std::vector<std::pair<std::string, bool>> checks;
+  const auto check = [&checks](const std::string& label, bool ok) {
+    checks.emplace_back(label, ok);
+  };
+  common::Table table({"sweep", "n", "ms", "lazy rounds", "warm rounds", "pivots",
+                       "tableau fb", "objective"});
+  const auto add_row = [&table](const char* sweep, std::size_t n, const Timed& t) {
+    table.add_row({sweep, std::to_string(n), common::format_double(t.ms, 2),
+                   std::to_string(t.result.lazy_rounds),
+                   std::to_string(t.result.warm_rounds),
+                   std::to_string(t.result.lp_iterations),
+                   std::to_string(t.result.tableau_fallbacks),
+                   common::format_double(t.result.total_efficiency, 6)});
+  };
+
+  // The paper sweeps 100-300 users with ECOS (sparse interior point); the
+  // non-cooperative LP has O(n) fairness rows and reproduces at full scale.
+  for (const std::size_t n : {50, 100, 200, 300}) {
+    core::OefOptions options;
+    options.use_fast_path = false;  // this sweep measures the LP
+    const Timed lp = timed_allocate(core::make_non_cooperative_oef(options), n);
+    add_row("noncoop_lp", n, lp);
+    check("noncoop LP n=" + std::to_string(n) + " optimal", lp.result.ok());
+  }
+  for (const std::size_t n : {50, 100, 200, 300}) {
+    const Timed fast = timed_allocate(core::make_non_cooperative_oef(), n);
+    add_row("noncoop_fast_path", n, fast);
+    check("noncoop fast path n=" + std::to_string(n) + " optimal", fast.result.ok());
+  }
+
+  // Cooperative: the cold tableau run is both the Cold sweep point and the
+  // reference objective the Warm sweep is checked against.
+  const std::vector<std::size_t> coop_sweep = {10, 20, 30, 40, 60};
+  std::vector<double> reference(coop_sweep.size(), std::nan(""));
+  for (std::size_t i = 0; i < coop_sweep.size(); ++i) {
+    const std::size_t n = coop_sweep[i];
+    const Timed cold = timed_allocate(core::make_cooperative_oef(cold_options()), n);
+    if (n <= 40) add_row("coop_cold", n, cold);
+    check("coop cold tableau reference n=" + std::to_string(n) + " optimal",
+          cold.result.ok());
+    if (cold.result.ok()) reference[i] = cold.result.total_efficiency;
+  }
+  for (std::size_t i = 0; i < coop_sweep.size(); ++i) {
+    const std::size_t n = coop_sweep[i];
+    const Timed warm = timed_allocate(core::make_cooperative_oef(), n);
+    add_row("coop_warm", n, warm);
+    check("coop warm n=" + std::to_string(n) + " optimal", warm.result.ok());
+    check("coop warm n=" + std::to_string(n) +
+              " objective matches the cold tableau within 1e-5",
+          std::abs(warm.result.total_efficiency - reference[i]) <=
+              1e-5 * (1.0 + reference[i]));
+  }
+  table.print();
+  int failures = 0;
+  for (const auto& [label, ok] : checks) {
+    bench::print_check(label, ok);
+    if (!ok) ++failures;
+  }
+  return failures;
+}

@@ -145,10 +145,11 @@ struct AllocationResult {
   /// Cooperative lazy mode: OefOptions::solve_deadline_seconds expired and
   /// the last relaxation optimum was returned (outcome == kDegraded).
   bool deadline_expired = false;
-  /// Degradation-ladder counters for this call (deltas of the solver's
-  /// cumulative stats): factored→dense cold retries, tableau fallbacks, and
-  /// deficient basis positions repaired.
+  /// Always 0; kept for the benchmark's load generator.
   std::size_t dense_fallbacks = 0;
+  /// Degradation-ladder counters for this call (deltas of the solver's
+  /// cumulative stats): tableau fallbacks and deficient basis positions
+  /// repaired.
   std::size_t tableau_fallbacks = 0;
   std::size_t basis_repairs = 0;
 

@@ -1,9 +1,9 @@
 // Deterministic fault injection for the revised simplex.
 //
-// The degradation ladder (warm resolve → cold factored → cold dense →
-// tableau) and the basis-repair path exist to survive numerical breakdown —
-// but genuine breakdown only shows up at n ~ 1000, which makes the recovery
-// code untestable at unit scale. A FaultInjector manufactures the breakdowns
+// The degradation ladder (warm resolve → basis repair → tableau →
+// last-feasible) exists to survive numerical breakdown — but genuine
+// breakdown only shows up at n ~ 1000, which makes the recovery code
+// untestable at unit scale. A FaultInjector manufactures the breakdowns
 // on demand, from a seeded stream so every run is reproducible:
 //
 //   * eta corruption — after a pivot, the newest product-form eta's pivot
@@ -30,8 +30,7 @@ namespace oef::solver {
 
 struct FaultInjectorConfig {
   std::uint64_t seed = 0x5eedULL;
-  /// Per-pivot probability of corrupting the newest eta (factored basis only;
-  /// the dense reference arm has no eta file and ignores the roll).
+  /// Per-pivot probability of corrupting the newest eta.
   double eta_corruption_rate = 0.0;
   /// Per-refactorisation probability of duplicating a basic column.
   double basis_fault_rate = 0.0;
@@ -40,7 +39,7 @@ struct FaultInjectorConfig {
 };
 
 struct FaultInjectorStats {
-  /// Faults actually landed (a roll that hits a dense basis does not count).
+  /// Faults actually landed (counted by the solver, not by the rolls).
   std::size_t eta_corruptions = 0;
   std::size_t basis_faults = 0;
 };
@@ -54,8 +53,7 @@ class FaultInjector {
   /// True when this refactorisation should duplicate a basic column.
   [[nodiscard]] bool roll_basis_fault();
 
-  /// Record a fault that actually landed (the roll alone does not count:
-  /// e.g. an eta roll against a dense basis has nothing to corrupt).
+  /// Record a fault that actually landed.
   void note_eta_corruption() { ++stats_.eta_corruptions; }
   void note_basis_fault() { ++stats_.basis_faults; }
 

@@ -19,17 +19,13 @@
 //     the previous basis is refactorised against the new coefficients and
 //     reoptimised with primal or dual pivots instead of starting cold.
 //
-// The engine is a bounded-variable revised simplex. The basis representation
-// is selected by SolverOptions::basis_kind (see basis.h): a sparse LU with a
-// product-form eta file by default — O(nnz) solves/updates, which carries the
-// cooperative sweep to n ~ 1000 — or the explicit dense B^-1 kept as the
-// pivot-identical reference arm. The constraint matrix is stored
+// The engine is a bounded-variable revised simplex on a sparse LU basis with
+// a product-form eta file (basis.h) — O(nnz) solves/updates, which carries
+// the cooperative sweep to n ~ 1000. The constraint matrix is stored
 // column-sparse (sparse_matrix.h) so pricing passes iterate nonzeros only,
 // finite variable upper bounds live in the basis as nonbasic-at-upper
 // statuses and bound flips instead of synthetic rows, and entering/leaving
-// choices use devex reference weights (SolverOptions::pricing; Dantzig kept
-// as the reference rule, SolverOptions::sparse_pricing keeps the dense
-// sweeps as a bench arm).
+// choices use devex reference weights (Bland's rule on stalling).
 // SolverOptions::algorithm == LpAlgorithm::kTableau degrades every call to
 // the reference full-tableau SimplexSolver (no warm starts), and the revised
 // path falls back to the tableau automatically whenever it fails to reach a
@@ -67,12 +63,8 @@ struct LpSolverStats {
   std::size_t warm_resolves = 0;
   /// solve() calls completed by reusing the previous basis.
   std::size_t warm_start_hits = 0;
-  /// Cold factored-basis failures retried with the exact dense B^-1 — the
-  /// middle rung of the degradation ladder (warm resolve → cold factored →
-  /// cold dense → tableau).
-  std::size_t dense_fallbacks = 0;
   /// Revised-path failures answered by the reference tableau solver (the
-  /// ladder's final rung).
+  /// ladder's final rung: warm resolve → basis repair → tableau).
   std::size_t tableau_fallbacks = 0;
   /// Deficient basis positions patched with unit columns during
   /// refactorisation (the singular-basis repair path; see Core::refactor).
@@ -145,8 +137,8 @@ class LpSolver {
   class Core;
 
   /// Cold-solves the currently loaded model_ down the degradation ladder
-  /// (revised with the configured basis, then the exact dense basis, then the
-  /// reference tableau), updating stats. Does not attempt any warm start.
+  /// (revised simplex, then the reference tableau), updating stats. Does not
+  /// attempt any warm start.
   [[nodiscard]] LpSolution solve_loaded_cold();
 
   SolverOptions options_;

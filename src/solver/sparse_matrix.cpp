@@ -32,11 +32,6 @@ void SparseMatrix::set_rows(std::size_t rows) {
   rows_ = rows;
 }
 
-void SparseMatrix::gather_column(std::size_t col, std::vector<double>& out) const {
-  out.assign(rows_, 0.0);
-  for (const SparseEntry& entry : columns_[col]) out[entry.row] = entry.value;
-}
-
 double SparseMatrix::dot_column(std::size_t col, const std::vector<double>& x) const {
   double acc = 0.0;
   for (const SparseEntry& entry : columns_[col]) acc += entry.value * x[entry.row];

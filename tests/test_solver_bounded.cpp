@@ -1,12 +1,11 @@
-// Bounded-variable revised simplex and pricing-arm agreement.
+// Bounded-variable revised simplex against the tableau reference.
 //
 // The revised engine handles finite variable upper bounds natively (nonbasic
 // at-upper statuses and bound flips) while the tableau reference models them
 // as synthetic rows — so agreement between the two on random upper-bounded
 // LPs pins the bounded-variable machinery against an independent
-// implementation. The sparse/dense and devex/Dantzig arms of the revised
-// engine must agree with each other too (identical objectives, solution
-// values within tolerance): storage and pricing are pure optimisations.
+// implementation, both on single LPs and through the cooperative OEF lazy
+// loop.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -63,9 +62,9 @@ TEST(SparseMatrix, BasicOperations) {
   a.add_entry(1, 1, 5.0);
   EXPECT_EQ(a.nonzeros(), 3u);
 
-  std::vector<double> dense;
-  a.gather_column(0, dense);
-  EXPECT_EQ(dense, (std::vector<double>{2.0, 0.0, -1.0}));
+  ASSERT_EQ(a.column(0).size(), 2u);
+  EXPECT_EQ(a.column(0)[1].row, 2u);
+  EXPECT_DOUBLE_EQ(a.column(0)[1].value, -1.0);
 
   const std::vector<double> x = {1.0, 2.0, 3.0};
   EXPECT_DOUBLE_EQ(a.dot_column(0, x), 2.0 - 3.0);
@@ -197,50 +196,23 @@ TEST(BoundedSimplex, WarmStartSurvivesBoundWidenedToInfinity) {
   EXPECT_TRUE(second.is_feasible(b.values, 1e-6));
 }
 
-/// Shared harness: solve the same model under every {storage} x {pricing}
-/// arm and require matching status and objective.
-void expect_arms_agree(const LpModel& model, const char* label) {
-  struct Arm {
-    const char* name;
-    bool sparse;
-    PricingRule pricing;
-  };
-  const Arm arms[] = {
-      {"sparse+devex", true, PricingRule::kDevex},
-      {"sparse+dantzig", true, PricingRule::kDantzig},
-      {"dense+devex", false, PricingRule::kDevex},
-      {"dense+dantzig", false, PricingRule::kDantzig},
-  };
-  LpSolution reference;
-  bool have_reference = false;
-  for (const Arm& arm : arms) {
-    SolverOptions options;
-    options.sparse_pricing = arm.sparse;
-    options.pricing = arm.pricing;
-    LpSolver solver(options);
-    const LpSolution solution = solver.solve(model);
-    if (!have_reference) {
-      reference = solution;
-      have_reference = true;
-      continue;
-    }
-    ASSERT_EQ(solution.status, reference.status) << label << " arm " << arm.name;
-    if (solution.optimal()) {
-      EXPECT_NEAR(solution.objective, reference.objective,
-                  kTol * (1.0 + std::abs(reference.objective)))
-          << label << " arm " << arm.name;
-      ASSERT_EQ(solution.values.size(), reference.values.size());
-      for (std::size_t v = 0; v < solution.values.size(); ++v) {
-        EXPECT_NEAR(solution.values[v], reference.values[v], 1e-5)
-            << label << " arm " << arm.name << " variable " << v;
-      }
-    }
-  }
+/// Solves `model` with the revised engine and the tableau reference and
+/// requires matching status, matching objective and a feasible revised point.
+void expect_matches_tableau(const LpModel& model, const char* label, int trial) {
+  LpSolver solver;
+  const LpSolution revised = solver.solve(model);
+  const LpSolution reference = SimplexSolver().solve(model);
+  ASSERT_EQ(revised.status, reference.status) << label << " trial " << trial;
+  if (!revised.optimal()) return;
+  EXPECT_NEAR(revised.objective, reference.objective,
+              kTol * (1.0 + std::abs(reference.objective)))
+      << label << " trial " << trial;
+  EXPECT_TRUE(model.is_feasible(revised.values, 1e-6)) << label << " trial " << trial;
 }
 
-TEST(PricingArms, AgreeOnMixedRelationLps) {
-  // The warm-start suite's mixed-relation generator, run under all four
-  // storage/pricing arms: identical objectives and solution values.
+TEST(TableauReference, AgreesOnMixedRelationLps) {
+  // The warm-start suite's mixed-relation generator: the revised engine and
+  // the tableau reach the same status and objective.
   common::Rng rng(4711);
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t nvars = static_cast<std::size_t>(rng.uniform_int(2, 8));
@@ -261,13 +233,14 @@ TEST(PricingArms, AgreeOnMixedRelationLps) {
                                         : Relation::kEqual;
       model.add_constraint(std::move(expr), rel, rng.uniform(-2.0, 8.0));
     }
-    expect_arms_agree(model, "mixed-relation");
+    expect_matches_tableau(model, "mixed-relation", trial);
   }
 }
 
-TEST(PricingArms, AgreeOnCooperativeOefInstances) {
-  // End-to-end: the cooperative lazy loop run under each arm returns the
-  // same total efficiency.
+TEST(TableauReference, AgreesOnCooperativeOefInstances) {
+  // End-to-end: the cooperative lazy loop on the revised engine (warm
+  // resolves, compaction) returns the total efficiency the same loop reaches
+  // with every LP handed to the tableau.
   common::Rng rng(9090);
   for (int trial = 0; trial < 4; ++trial) {
     const std::size_t n = static_cast<std::size_t>(rng.uniform_int(6, 14));
@@ -282,26 +255,17 @@ TEST(PricingArms, AgreeOnCooperativeOefInstances) {
     std::vector<double> caps(k);
     for (double& c : caps) c = static_cast<double>(rng.uniform_int(2, 9));
 
-    double reference = 0.0;
-    bool have_reference = false;
-    for (const bool sparse : {true, false}) {
-      for (const PricingRule pricing : {PricingRule::kDevex, PricingRule::kDantzig}) {
-        core::OefOptions options;
-        options.solver.sparse_pricing = sparse;
-        options.solver.pricing = pricing;
-        const core::AllocationResult result =
-            core::make_cooperative_oef(options).allocate(w, caps);
-        ASSERT_TRUE(result.ok()) << "trial " << trial;
-        if (!have_reference) {
-          reference = result.total_efficiency;
-          have_reference = true;
-        } else {
-          EXPECT_NEAR(result.total_efficiency, reference, kTol * (1.0 + reference))
-              << "trial " << trial << " sparse=" << sparse
-              << " devex=" << (pricing == PricingRule::kDevex);
-        }
-      }
-    }
+    const core::AllocationResult revised = core::make_cooperative_oef().allocate(w, caps);
+    core::OefOptions tableau_options;
+    tableau_options.solver.algorithm = LpAlgorithm::kTableau;
+    const core::AllocationResult reference =
+        core::make_cooperative_oef(tableau_options).allocate(w, caps);
+    ASSERT_TRUE(revised.ok()) << "trial " << trial;
+    ASSERT_TRUE(reference.ok()) << "trial " << trial;
+    EXPECT_NEAR(revised.total_efficiency, reference.total_efficiency,
+                kTol * (1.0 + reference.total_efficiency))
+        << "trial " << trial;
+    EXPECT_TRUE(revised.allocation.respects_capacity(caps, 1e-6)) << "trial " << trial;
   }
 }
 

@@ -1,6 +1,6 @@
 // Property-based validation of the simplex: random small LPs are solved both
 // by the simplex and by brute-force vertex enumeration, and the optima must
-// agree. Also exercises the dense matrix kernel.
+// agree.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "solver/dense_matrix.h"
 #include "solver/lp_model.h"
 #include "solver/simplex.h"
 
@@ -164,35 +163,6 @@ TEST(SimplexProperty, RandomEqualityLpsStayFeasible) {
     EXPECT_TRUE(model.is_feasible(solution.values, 1e-6)) << "trial " << trial;
     EXPECT_GE(solution.objective, model.objective_value(feasible_point) - 1e-6);
   }
-}
-
-TEST(DenseMatrix, MultiplyAndTranspose) {
-  DenseMatrix m(2, 3);
-  m.at(0, 0) = 1.0;
-  m.at(0, 1) = 2.0;
-  m.at(0, 2) = 3.0;
-  m.at(1, 0) = 4.0;
-  m.at(1, 1) = 5.0;
-  m.at(1, 2) = 6.0;
-  const std::vector<double> x = {1.0, 0.0, -1.0};
-  const std::vector<double> y = m.multiply(x);
-  ASSERT_EQ(y.size(), 2u);
-  EXPECT_DOUBLE_EQ(y[0], -2.0);
-  EXPECT_DOUBLE_EQ(y[1], -2.0);
-  const std::vector<double> z = m.multiply_transposed({1.0, 1.0});
-  ASSERT_EQ(z.size(), 3u);
-  EXPECT_DOUBLE_EQ(z[0], 5.0);
-  EXPECT_DOUBLE_EQ(z[1], 7.0);
-  EXPECT_DOUBLE_EQ(z[2], 9.0);
-}
-
-TEST(DenseMatrix, AppendRowDefinesShape) {
-  DenseMatrix m;
-  m.append_row({1.0, 2.0});
-  m.append_row({3.0, 4.0});
-  EXPECT_EQ(m.rows(), 2u);
-  EXPECT_EQ(m.cols(), 2u);
-  EXPECT_DOUBLE_EQ(m.at(1, 0), 3.0);
 }
 
 }  // namespace
