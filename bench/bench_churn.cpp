@@ -193,8 +193,8 @@ int main(int argc, char** argv) {
   options.scheduler = "OEF-coop";
   options.max_rounds = rounds;
   options.events = events;
-  options.fault_eta_corruption_rate = 0.02;
-  options.fault_basis_fault_rate = 0.25;
+  options.faults.eta_corruption_rate = 0.02;
+  options.faults.basis_fault_rate = 0.25;
 
   std::vector<ArmRecord> records;
   records.push_back(

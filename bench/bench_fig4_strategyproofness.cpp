@@ -59,7 +59,11 @@ int main() {
   sim::SimOptions base;
   base.scheduler = "OEF-noncoop";
   base.max_rounds = horizon;
-  base.forced_exit_round[3] = exit_round;
+  sim::ClusterEvent user4_exit;
+  user4_exit.round = exit_round;
+  user4_exit.kind = sim::ClusterEventKind::kTenantDeparture;
+  user4_exit.tenant = 3;
+  base.events.push_back(user4_exit);
 
   bench::print_header("Figure 4(a): honest users, non-cooperative OEF",
                       "four near-identical lines; user-4 exits at minute 40");
@@ -92,10 +96,12 @@ int main() {
   bench::print_header("Figure 4(b): user-1 inflates his speedup vector",
                       "cheater penalised; honest users improve; total drops ~10%");
   sim::SimOptions cheating = base;
-  sim::CheatSpec cheat;
+  sim::ClusterEvent cheat;
+  cheat.round = 0;
+  cheat.kind = sim::ClusterEventKind::kMisreport;
   cheat.tenant = 0;
   cheat.factor = 1.35;
-  cheating.cheats.push_back(cheat);
+  cheating.events.push_back(cheat);
   const sim::SimResult lied =
       sim::run_simulation(fixture.cluster, fixture.catalog, fixture.gpu_names,
                           fixture.zoo, make_fig4_trace(fixture.zoo), cheating);

@@ -1,15 +1,13 @@
 #include "sim/engine.h"
 
 #include <algorithm>
-#include "common/clock.h"
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <iterator>
-#include <set>
+#include <map>
 
 #include "common/check.h"
+#include "common/clock.h"
 #include "common/logging.h"
 #include "core/speedup_matrix.h"
 #include "sched/registry.h"
@@ -58,31 +56,15 @@ SimResult SimulationEngine::run() {
   SimResult result;
   const std::size_t k = cluster_->num_gpu_types();
 
-  // Unified churn stream: explicit events plus the legacy knobs (forced
-  // exits, misreports) folded into the same ordered sequence.
+  // Events apply in round order; same-round events keep their given order.
   std::vector<ClusterEvent> events = options_.events;
-  for (const auto& [tenant_id, exit_round] : options_.forced_exit_round) {
-    ClusterEvent event;
-    event.round = exit_round;
-    event.kind = ClusterEventKind::kTenantDeparture;
-    event.tenant = tenant_id;
-    events.push_back(event);
-  }
-  for (const CheatSpec& cheat : options_.cheats) {
-    ClusterEvent event;
-    event.round = cheat.from_round;
-    event.kind = ClusterEventKind::kMisreport;
-    event.tenant = cheat.tenant;
-    event.factor = cheat.factor;
-    events.push_back(event);
-  }
   std::stable_sort(events.begin(), events.end(),
                    [](const ClusterEvent& a, const ClusterEvent& b) {
                      return a.round < b.round;
                    });
   std::size_t next_event = 0;
 
-  active_cheats_.clear();
+  misreports_.clear();
   type_drift_.assign(k, 1.0);
   std::vector<char> device_up(cluster_->total_devices(), 1);
   /// Active demand bursts: tenant -> (weight factor, expiry round).
@@ -90,14 +72,9 @@ SimResult SimulationEngine::run() {
 
   // Solver-fault injection, threaded into the OEF schedulers' LP engine.
   // The injector outlives the scheduler (which holds a raw pointer to it).
-  solver::FaultInjectorConfig fault_config;
-  fault_config.seed = options_.fault_seed;
-  fault_config.eta_corruption_rate = options_.fault_eta_corruption_rate;
-  fault_config.basis_fault_rate = options_.fault_basis_fault_rate;
-  fault_config.corruption_factor = options_.fault_corruption_factor;
-  solver::FaultInjector injector(fault_config);
+  solver::FaultInjector injector(options_.faults);
   core::OefOptions oef_options = options_.oef;
-  if (fault_config.eta_corruption_rate > 0.0 || fault_config.basis_fault_rate > 0.0) {
+  if (options_.faults.eta_corruption_rate > 0.0 || options_.faults.basis_fault_rate > 0.0) {
     oef_options.solver.fault_injector = &injector;
   }
 
@@ -173,14 +150,9 @@ SimResult SimulationEngine::run() {
                 std::clamp(type_drift_[event.gpu_type] * event.factor, 0.05, 20.0);
           }
           break;
-        case ClusterEventKind::kMisreport: {
-          CheatSpec cheat;
-          cheat.tenant = event.tenant;
-          cheat.factor = event.factor;
-          cheat.from_round = round;
-          active_cheats_.push_back(cheat);
+        case ClusterEventKind::kMisreport:
+          misreports_.push_back({event.tenant, event.factor});
           break;
-        }
       }
     }
     // Expire finished bursts.
@@ -250,7 +222,7 @@ SimResult SimulationEngine::run() {
                             [](const workload::Job* a, const workload::Job* b) {
                               return a->id < b->id;
                             });
-      reported_rows.push_back(reported_speedups(*representative, round));
+      reported_rows.push_back(reported_speedups(*representative));
       multiplicities.push_back(trace_.tenants[key.tenant].weight /
                                static_cast<double>(types_per_tenant[key.tenant]));
     }
@@ -285,18 +257,6 @@ SimResult SimulationEngine::run() {
     const double solve_seconds =
         common::monotonic_seconds() - solve_start;
     const sched::SchedulerTelemetry telemetry_after = scheduler->telemetry();
-    if (std::getenv("OEF_TRACE_ROUNDS") != nullptr) {
-      std::fprintf(stderr,
-                   "round=%zu events=%zu n=%zu pivots=%zu cold=%zu warm=%zu "
-                   "repairs=%zu\n",
-                   round, events_applied, keys.size(),
-                   telemetry_after.lp_iterations - telemetry_before.lp_iterations,
-                   telemetry_after.lp_cold_solves - telemetry_before.lp_cold_solves,
-                   telemetry_after.lp_warm_resolves + telemetry_after.lp_warm_start_hits -
-                       telemetry_before.lp_warm_resolves -
-                       telemetry_before.lp_warm_start_hits,
-                   telemetry_after.lp_basis_repairs - telemetry_before.lp_basis_repairs);
-    }
     const double oracle_seconds =
         telemetry_after.oracle_seconds - telemetry_before.oracle_seconds;
     result.total_solve_seconds += solve_seconds;
@@ -432,8 +392,7 @@ SimResult SimulationEngine::run() {
   return result;
 }
 
-std::vector<double> SimulationEngine::reported_speedups(const workload::Job& job,
-                                                        std::size_t round) const {
+std::vector<double> SimulationEngine::reported_speedups(const workload::Job& job) const {
   // Profiling uses a mutable profiler per call site; recreate deterministic
   // noise from the engine seed + job identity so reports are stable across
   // rounds (a tenant profiles each job type once, §4.1).
@@ -452,12 +411,11 @@ std::vector<double> SimulationEngine::reported_speedups(const workload::Job& job
     }
   }
 
-  // Misreports in effect (fed from the unified event stream; SimOptions::
-  // cheats entries arrive here as kMisreport events).
-  for (const CheatSpec& cheat : active_cheats_) {
-    if (cheat.tenant != job.tenant || round < cheat.from_round) continue;
+  // Misreports in effect (from their kMisreport event's round on).
+  for (const auto& [tenant, factor] : misreports_) {
+    if (tenant != job.tenant) continue;
     for (std::size_t j = 1; j < speeds.size(); ++j) {
-      speeds[j] = std::max(1.0, speeds[j] * cheat.factor);
+      speeds[j] = std::max(1.0, speeds[j] * factor);
     }
   }
   return speeds;

@@ -13,9 +13,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -24,21 +24,13 @@
 #include "placement/rounding.h"
 #include "sim/events.h"
 #include "sim/metrics.h"
+#include "solver/fault_injector.h"
 #include "workload/dl_models.h"
 #include "workload/gpu_catalog.h"
 #include "workload/job.h"
 #include "workload/trace.h"
 
 namespace oef::sim {
-
-struct CheatSpec {
-  workload::TenantId tenant = 0;
-  /// Multiplier applied to the tenant's reported speedups on every non-base
-  /// GPU type (the §2.3.1 misreport model; values > 1 exaggerate).
-  double factor = 1.0;
-  /// Round index from which the misreport applies.
-  std::size_t from_round = 0;
-};
 
 struct SimOptions {
   std::string scheduler = "OEF-coop";
@@ -60,26 +52,18 @@ struct SimOptions {
   double multi_gpu_scaling = 0.95;
   double migration_seconds = 30.0;
 
-  /// Misreporting tenants (Fig. 4b). Folded into the unified event stream at
-  /// run() start (one kMisreport event per entry); kept for compatibility.
-  std::vector<CheatSpec> cheats;
-  /// Tenants forced to leave (round index); their unfinished jobs are
-  /// cancelled (Fig. 4's user-4 exit). Folded into the event stream as
-  /// kTenantDeparture events; kept for compatibility.
-  std::map<workload::TenantId, std::size_t> forced_exit_round;
-
-  /// Dynamic-cluster mode: churn events applied at the top of their round
-  /// (see sim/events.h; generate_event_schedule builds seeded schedules).
+  /// Churn events applied at the top of their round (see sim/events.h):
+  /// forced exits (Fig. 4a) are kTenantDeparture events, misreporting tenants
+  /// (Fig. 4b) kMisreport events, and generate_event_schedule builds seeded
+  /// dynamic-cluster schedules.
   std::vector<ClusterEvent> events;
   /// Options threaded into the OEF schedulers (solve deadline, solver knobs);
   /// baselines ignore them.
   core::OefOptions oef;
   /// Deterministic solver-fault injection (eta corruption / forced basis
-  /// deficiencies inside the LP engine); zero rates disable it.
-  double fault_eta_corruption_rate = 0.0;
-  double fault_basis_fault_rate = 0.0;
-  double fault_corruption_factor = 1e3;
-  std::uint64_t fault_seed = 0x5eedULL;
+  /// deficiencies inside the LP engine), one seeded stream shared by every
+  /// solver of the run; zero rates (the default) disable it.
+  solver::FaultInjectorConfig faults;
   /// Bench arm: tear the scheduler down and rebuild it every round, so every
   /// solve runs cold (no warm basis, no recycled envy rows). Telemetry is
   /// accumulated across the per-round instances.
@@ -105,8 +89,7 @@ class SimulationEngine {
   };
 
   [[nodiscard]] double job_reference_rate(const workload::Job& job) const;
-  [[nodiscard]] std::vector<double> reported_speedups(const workload::Job& job,
-                                                      std::size_t round) const;
+  [[nodiscard]] std::vector<double> reported_speedups(const workload::Job& job) const;
 
   const cluster::Cluster* cluster_;
   const workload::GpuCatalog* catalog_;
@@ -114,10 +97,11 @@ class SimulationEngine {
   const workload::ModelZoo* zoo_;
   workload::Trace trace_;
   SimOptions options_;
-  /// Churn state mutated by events during run(): misreports in effect (the
-  /// unified stream's kMisreport entries) and per-type mix-drift multipliers
-  /// applied to every reported speedup row.
-  std::vector<CheatSpec> active_cheats_;
+  /// Churn state mutated by events during run(): misreports in effect
+  /// (tenant, factor on every non-base GPU type; the §2.3.1 misreport model,
+  /// values > 1 exaggerate) and per-type mix-drift multipliers applied to
+  /// every reported speedup row.
+  std::vector<std::pair<workload::TenantId, double>> misreports_;
   std::vector<double> type_drift_;
 };
 

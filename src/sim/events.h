@@ -1,10 +1,10 @@
 // Dynamic-cluster events: the seeded churn schedule the robustness
 // experiments replay against the simulator (docs/SCENARIOS.md).
 //
-// One ClusterEvent stream unifies everything that used to be scattered,
-// hard-coded knobs (SimOptions::forced_exit_round, SimOptions::cheats) with
-// the new churn sources: tenant arrival/departure, per-tenant demand bursts,
-// GPU/host failure and recovery, and heterogeneity-mix drift. The engine
+// One ClusterEvent stream (SimOptions::events) carries every change to the
+// cluster or its tenants: tenant arrival/departure (incl. the Fig. 4 forced
+// exit), misreports (Fig. 4b), per-tenant demand bursts, GPU/host failure
+// and recovery, and heterogeneity-mix drift. The engine
 // applies the events due at the top of each round, before the scheduler runs,
 // so a failure shrinks that very round's capacity vector and a departure
 // frees its tenant's devices immediately.
@@ -42,7 +42,8 @@ enum class ClusterEventKind {
   /// allocator optimises over).
   kMixDrift,
   /// The tenant starts misreporting: speedups on non-base types are scaled
-  /// by `factor` from this round on (absorbs SimOptions::cheats).
+  /// by `factor` from this round on (the §2.3.1 misreport model; values > 1
+  /// exaggerate).
   kMisreport,
 };
 

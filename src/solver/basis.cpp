@@ -41,9 +41,15 @@ bool Basis::refactor_due() const {
   return static_cast<double>(eta_nnz_) > kMaxFillGrowth * fresh;
 }
 
+void Basis::check_factored() const {
+  OEF_CHECK_MSG(udiag_.size() == basic_.size(),
+                "append_row() left the factor short: refactor() before solving");
+}
+
 std::vector<double> Basis::ftran(const std::vector<double>& a) const {
   const std::size_t m = basic_.size();
   OEF_CHECK(a.size() == m);
+  check_factored();
   std::vector<double> z(m, 0.0);
   for (std::size_t k = 0; k < m; ++k) z[k] = a[row_of_[k]];
   return ftran_factor_space(std::move(z));
@@ -51,6 +57,7 @@ std::vector<double> Basis::ftran(const std::vector<double>& a) const {
 
 std::vector<double> Basis::ftran(const std::vector<SparseEntry>& a) const {
   const std::size_t m = basic_.size();
+  check_factored();
   std::vector<double> z(m, 0.0);
   // += so duplicate-row entries accumulate.
   for (const SparseEntry& entry : a) z[factor_of_row_[entry.row]] += entry.value;
@@ -87,57 +94,6 @@ void Basis::pivot(std::size_t leave_row, std::size_t enter_col,
   etas_.push_back(std::move(eta));
   basic_[leave_row] = enter_col;
   ++pivots_since_refactor_;
-}
-
-void Basis::append_row(const std::vector<double>& row_basic_coeffs, std::size_t slack_col) {
-  const std::size_t m = basic_.size();
-  OEF_CHECK(row_basic_coeffs.size() == m);
-  // Bordered update: B' = [[B, 0], [a^T, 1]]. With B = P_r^T L U P_c^T E,
-  // the extension only needs the new L row h solving h^T U = (P_c^T E^-T a)^T
-  // — one eta pass plus one sparse U^T solve; L, U and the eta file are
-  // otherwise untouched.
-  std::vector<double> b = row_basic_coeffs;
-  apply_eta_transposes(b);
-  std::vector<double> h(m + 1, 0.0);
-  for (std::size_t k = 0; k < m; ++k) h[k] = b[col_order_[k]];
-  solve_ut(h, m);
-  std::vector<Entry> lrow;
-  for (std::size_t k = 0; k < m; ++k) {
-    if (h[k] == 0.0) continue;
-    lcols_[k].push_back({m, h[k]});
-    lrow.push_back({k, h[k]});
-  }
-  lu_nnz_ += lrow.size() + 1;
-  lrows_.push_back(std::move(lrow));
-  lcols_.emplace_back();
-  ucols_.emplace_back();
-  urows_.emplace_back();
-  udiag_.push_back(1.0);
-  row_of_.push_back(m);
-  factor_of_row_.push_back(m);
-  col_order_.push_back(m);
-  basic_.push_back(slack_col);
-}
-
-void Basis::delete_rows(const std::vector<std::size_t>& positions,
-                        const std::vector<std::size_t>& col_remap) {
-  // The vertex survives deletion (the dropped rows carried basic unit
-  // columns), but patching a permuted sparse LU in place does not pay:
-  // shrink the basic set and let the caller refactorise.
-  std::vector<std::size_t> kept;
-  kept.reserve(basic_.size() - positions.size());
-  std::size_t next = 0;
-  for (std::size_t p = 0; p < basic_.size(); ++p) {
-    if (next < positions.size() && positions[next] == p) {
-      ++next;
-      continue;
-    }
-    OEF_CHECK(basic_[p] < col_remap.size() && col_remap[basic_[p]] != SIZE_MAX);
-    kept.push_back(col_remap[basic_[p]]);
-  }
-  OEF_CHECK(next == positions.size());
-  basic_ = std::move(kept);
-  install_identity();
 }
 
 bool Basis::corrupt_last_eta(double factor) {
@@ -194,10 +150,22 @@ std::vector<double> Basis::ftran_factor_space(std::vector<double> z) const {
 
 std::vector<double> Basis::btran_position_space(std::vector<double> c) const {
   const std::size_t m = basic_.size();
-  apply_eta_transposes(c);
+  check_factored();
+  // Eta transposes in reverse order: c <- E^-T c.
+  for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
+    double acc = c[it->pos];
+    for (const Entry& e : it->others) acc -= e.value * c[e.idx];
+    c[it->pos] = acc / it->pivot;
+  }
   std::vector<double> g(m, 0.0);
   for (std::size_t k = 0; k < m; ++k) g[k] = c[col_order_[k]];
-  solve_ut(g, m);
+  // U^T z = g, forward scatter over U rows; zero intermediates skip their row.
+  for (std::size_t j = 0; j < m; ++j) {
+    const double zj = g[j] / udiag_[j];
+    g[j] = zj;
+    if (zj == 0.0) continue;
+    for (const Entry& e : urows_[j]) g[e.idx] -= e.value * zj;
+  }
   // L^T v = z, backward scatter over L rows.
   for (std::size_t i = m; i-- > 0;) {
     const double vi = g[i];
@@ -207,24 +175,6 @@ std::vector<double> Basis::btran_position_space(std::vector<double> c) const {
   std::vector<double> y(m, 0.0);
   for (std::size_t k = 0; k < m; ++k) y[row_of_[k]] = g[k];
   return y;
-}
-
-void Basis::apply_eta_transposes(std::vector<double>& c) const {
-  for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
-    double acc = c[it->pos];
-    for (const Entry& e : it->others) acc -= e.value * c[e.idx];
-    c[it->pos] = acc / it->pivot;
-  }
-}
-
-void Basis::solve_ut(std::vector<double>& g, std::size_t n) const {
-  // Forward scatter over U rows; zero intermediates skip their row.
-  for (std::size_t j = 0; j < n; ++j) {
-    const double zj = g[j] / udiag_[j];
-    g[j] = zj;
-    if (zj == 0.0) continue;
-    for (const Entry& e : urows_[j]) g[e.idx] -= e.value * zj;
-  }
 }
 
 bool Basis::refactor(const SparseMatrix& columns) {

@@ -3,20 +3,19 @@
 //
 // The revised simplex in lp_solver.cpp keeps the constraint matrix A fixed
 // and represents the current vertex entirely through this object: solves with
-// B^-1 (ftran/btran), per-pivot updates, periodic refactorisation to bound
-// numerical drift, cheap expansion when a constraint row is appended, and
-// warm row deletion — the operations that make warm-started row generation
-// (and relaxation compaction) cheap.
+// B^-1 (ftran/btran), per-pivot updates and refactorisation to bound
+// numerical drift. Changing the row set changes only the basic set: an
+// appended row's slack joins it and the solver refactorises before the next
+// solve; for deleted rows the solver installs the renumbered survivors with
+// set_basic() and refactorises.
 //
 // The factorisation is a left-looking Gilbert–Peierls elimination with
 // threshold partial pivoting and a static Markowitz-style sparsest-row
 // tie-break; each pivot appends one eta. ftran/btran are sparse triangular +
 // eta solves that skip zero intermediates, so the per-pivot cost is O(nnz)
-// rather than O(m^2); appending a row is a bordered update (one sparse U^T
-// solve) rather than an O(m^2) inverse extension. Refactorisation is
-// triggered by eta-file length / fill growth rather than a fixed pivot
-// count. This is what carries the cooperative sweep to n ~ 1000 (m ~ 16k
-// envy rows).
+// rather than O(m^2). Refactorisation is triggered by eta-file length / fill
+// growth rather than a fixed pivot count. This is what carries the
+// cooperative sweep to n ~ 1000 (m ~ 16k envy rows).
 #pragma once
 
 #include <cstddef>
@@ -76,21 +75,11 @@ class Basis {
   void pivot(std::size_t leave_row, std::size_t enter_col,
              const std::vector<double>& ftran_col);
 
-  /// Extends the basis for one appended constraint row whose slack column
-  /// (index `slack_col`) becomes basic in the new row. `row_basic_coeffs`
-  /// holds the new row's coefficient on each current basic column, in
-  /// position order. Keeps the factorisation exact: a bordered L row (one
-  /// sparse U^T solve); L, U and the eta file are otherwise untouched.
-  void append_row(const std::vector<double>& row_basic_coeffs, std::size_t slack_col);
-
-  /// Warm row deletion: removes the basic `positions` (sorted ascending;
-  /// each must hold a unit column of a deleted constraint row so B stays
-  /// nonsingular — the caller verifies this) and renumbers the surviving
-  /// basic columns through `col_remap`. The factorisation is reset; the
-  /// caller must refactor() against the reduced matrix before the next
-  /// solve (a fresh sparse factorisation of the reduced basis is O(fill)).
-  void delete_rows(const std::vector<std::size_t>& positions,
-                   const std::vector<std::size_t>& col_remap);
+  /// Extends the basic set for one appended constraint row whose slack column
+  /// (index `slack_col`) becomes basic in the new row. The factorisation is
+  /// left one row short: refactor() against the extended matrix before the
+  /// next solve.
+  void append_row(std::size_t slack_col) { basic_.push_back(slack_col); }
 
   [[nodiscard]] std::size_t pivots_since_refactor() const { return pivots_since_refactor_; }
 
@@ -125,15 +114,14 @@ class Basis {
   };
 
   void install_identity();
+  /// Fails the check when append_row() grew the basic set since the last
+  /// factorisation (solving then would read past the factor).
+  void check_factored() const;
   /// L then U solve plus the eta file, input/output in factor/position space.
   [[nodiscard]] std::vector<double> ftran_factor_space(std::vector<double> z) const;
   /// Eta transposes (reverse order) then U^T, L^T solves; input in basis
   /// position space, output in constraint-row space.
   [[nodiscard]] std::vector<double> btran_position_space(std::vector<double> c) const;
-  /// c <- E^-T c, applied for the whole eta file in reverse order.
-  void apply_eta_transposes(std::vector<double>& c) const;
-  /// U^T z = g solved in place over the first `n` factor indices.
-  void solve_ut(std::vector<double>& g, std::size_t n) const;
 
   std::vector<std::size_t> basic_;
   std::size_t pivots_since_refactor_ = 0;

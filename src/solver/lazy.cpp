@@ -43,7 +43,6 @@ LazySolveResult LazyConstraintSolver::solve(LpSolver& solver, LpModel& model,
   if (deadline_seconds_ > 0.0) {
     deadline = common::Deadline::earlier(deadline, common::Deadline::after(deadline_seconds_));
   }
-  bool cold_reload = false;
   for (result.rounds = 1; result.rounds <= max_rounds_; ++result.rounds) {
     // Anytime behaviour: once a relaxation optimum exists, an expired
     // deadline hands it back instead of separating further. Round 1 always
@@ -57,11 +56,10 @@ LazySolveResult LazyConstraintSolver::solve(LpSolver& solver, LpModel& model,
       return result;
     }
     // Round 1 loads the model (possibly reusing the basis of a previous
-    // same-shaped session); later rounds repair the basis incrementally,
-    // except right after a compaction, which changed the model's shape.
-    result.solution =
-        (result.rounds == 1 || cold_reload) ? solver.solve(model) : solver.resolve();
-    cold_reload = false;
+    // same-shaped session); later rounds repair the basis incrementally —
+    // or, when a refused compaction dropped it, solve the solver's copy of
+    // the model cold.
+    result.solution = result.rounds == 1 ? solver.solve(model) : solver.resolve();
     result.total_iterations += result.solution.iterations;
     if (result.rounds > 1 && result.solution.warm_started) {
       ++result.warm_rounds;
@@ -83,10 +81,10 @@ LazySolveResult LazyConstraintSolver::solve(LpSolver& solver, LpModel& model,
         model.num_constraints() + violated.size() > max_rows_) {
       // Shrink the relaxation: drop every row past the permanent prefix that
       // is loose at the current optimum. A loose row's slack is basic, so
-      // the solver can excise the rows while the factorised basis, vertex
-      // and duals survive — the new violations then append onto the warm
-      // basis as usual. If the in-place excision is refused the loop falls
-      // back to the original behaviour: reload the shrunken model cold.
+      // the solver can excise the rows while the basic set, vertex and
+      // duals survive — the new violations then append onto the warm basis
+      // as usual. If the in-place excision is refused the solver drops its
+      // warm identity and the next resolve() solves the shrunken model cold.
       // A permanent prefix longer than the model is caller misconfiguration
       // of enable_compaction — recoverable, so throw instead of aborting.
       OEF_REQUIRE_MSG(permanent_rows_ <= model.num_constraints(),
@@ -103,11 +101,7 @@ LazySolveResult LazyConstraintSolver::solve(LpSolver& solver, LpModel& model,
         ++result.compactions;
         const bool warm = solver.delete_rows(drop);
         model.remove_constraints(drop);
-        if (warm) {
-          ++result.warm_compactions;
-        } else {
-          cold_reload = true;
-        }
+        if (warm) ++result.warm_compactions;
         result.rows_dropped += drop.size();
         common::log_debug("lazy solver: round " + std::to_string(result.rounds) +
                           " compacted relaxation (" + (warm ? "warm" : "cold") +

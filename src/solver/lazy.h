@@ -6,12 +6,14 @@
 // separation oracle for rows violated by the current optimum, adds them, and
 // re-solves until the oracle is satisfied.
 //
-// Round 1 is a full solve; every later round reoptimises incrementally: the
-// violated rows are appended to the stateful LpSolver via add_rows() and the
-// previous optimal basis is repaired with dual-simplex pivots (resolve())
-// instead of a cold two-phase re-solve. With SolverOptions::algorithm ==
-// LpAlgorithm::kTableau every round degrades to the original cold re-solve,
-// which serves as the reference behaviour.
+// Round 1 is a solve() (warm when the persistent solver holds a same-shaped
+// basis); every later round is a resolve(): the violated rows are appended
+// to the stateful LpSolver via add_rows() and the previous optimal basis is
+// repaired with dual-simplex pivots instead of a cold two-phase re-solve.
+// Whenever the solver holds no warm identity (tableau mode, a refused
+// compaction, an equality row) resolve() itself solves cold, so with
+// SolverOptions::algorithm == LpAlgorithm::kTableau every round is the
+// original cold re-solve, which serves as the reference behaviour.
 #pragma once
 
 #include <functional>
@@ -40,7 +42,7 @@ struct LazySolveResult {
   std::size_t rows_dropped = 0;
   /// Relaxation compactions performed, and how many of them kept the basis
   /// warm (rows excised in place via LpSolver::delete_rows) instead of
-  /// forcing a cold reload of the shrunken model.
+  /// forcing a cold solve of the shrunken model.
   std::size_t compactions = 0;
   std::size_t warm_compactions = 0;
   /// True when the final solution satisfies the oracle.
@@ -74,8 +76,8 @@ class LazyConstraintSolver {
   /// `permanent_rows` whose slack at the current optimum exceeds `slack_tol`
   /// is dropped. A loose row's slack is basic, so LpSolver::delete_rows can
   /// excise the rows while the basis and vertex survive — the loop continues
-  /// with a warm dual-simplex resolve instead of the cold re-solve that
-  /// compaction used to force (the cold reload remains as the fallback).
+  /// with a warm dual-simplex resolve instead of a cold re-solve (which
+  /// remains the fallback when the excision is refused).
   /// Dropped rows that become violated again are simply re-separated by the
   /// oracle.
   void enable_compaction(std::size_t permanent_rows, std::size_t max_rows,

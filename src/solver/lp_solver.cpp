@@ -39,9 +39,9 @@ double seconds_since(double start) { return common::monotonic_seconds() - start;
 }  // namespace
 
 // Revised-simplex state: standard form (scaled, column-sparse), Basis, and
-// the current basic solution. One Core corresponds to one loaded model; warm
-// starts copy the Basis and the nonbasic bound statuses from the previous
-// Core into the next.
+// the current basic solution. One Core corresponds to one loaded model; a
+// warm identity (basic set + nonbasic bound statuses) installed on it is
+// reoptimised by reoptimize(), the one warm entry.
 //
 // Variable upper bounds are handled natively (bounded-variable simplex): a
 // nonbasic column rests at its lower bound (value 0) or, when at_upper_ is
@@ -57,22 +57,23 @@ class LpSolver::Core {
   /// Two-phase cold solve from the all-slack/artificial basis.
   [[nodiscard]] SolveStatus run_cold(const SolverOptions& options);
 
-  /// Attempts to reoptimise starting from `prior`'s basis and bound statuses.
-  /// Returns kIterationLimit (without consuming iterations) when the basis
-  /// cannot be reused, so the caller falls back to a cold solve.
-  [[nodiscard]] SolveStatus run_warm_from(const Core& prior, const SolverOptions& options);
+  /// Installs a warm identity (basic set + at-upper flags, e.g. another
+  /// core's or a checkpoint's) onto this freshly load()ed core. Returns false
+  /// on a size mismatch, an out-of-range or a duplicate basic column.
+  [[nodiscard]] bool install(const std::vector<std::size_t>& basic,
+                             const std::vector<char>& at_upper);
 
-  /// Converts a model constraint into a standard-form row against this
-  /// core's column layout (inequalities normalised to <=).
-  [[nodiscard]] internal::StandardRow standard_row(const Constraint& constraint,
-                                                   std::size_t constraint_index) const {
-    return internal::build_standard_row(skel_, constraint, constraint_index,
-                                        /*normalize_rhs=*/false);
-  }
+  /// The warm entry: refactorises the installed basic set, then reoptimises
+  /// with primal pivots if it is primal-feasible, dual then primal pivots if
+  /// it is dual-feasible (assumed, not tested, when `dual_feasible` is set),
+  /// and the cost-shifting dual phase 1 otherwise. kIterationLimit means the
+  /// basis could not be reused and the caller should solve cold.
+  [[nodiscard]] SolveStatus reoptimize(const SolverOptions& options, bool dual_feasible);
 
-  /// Appends one inequality row (already <=-normalised by build_standard_row)
-  /// with a fresh basic slack. Keeps the basis representation exact.
-  void append_row(const internal::StandardRow& row, const SolverOptions& options);
+  /// Appends one inequality constraint (model index `index`) with a fresh
+  /// slack that joins the basic set; the next reoptimize() refactorises.
+  void append_row(const Constraint& constraint, std::size_t index,
+                  const SolverOptions& options);
 
   /// Warm row deletion: excises the given standard rows (== model constraint
   /// indices, sorted ascending) together with their slack/artificial columns
@@ -85,28 +86,16 @@ class LpSolver::Core {
   [[nodiscard]] bool delete_rows(const std::vector<std::size_t>& rows,
                                  const SolverOptions& options);
 
-  /// Dual-simplex reoptimisation from the current basis (after append_row).
-  [[nodiscard]] SolveStatus run_resolve(const SolverOptions& options);
-
   /// Extracts the solution at the current basis into `out` (values, duals,
   /// iteration counters). `model` must be the loaded model.
   void extract(const LpModel& model, LpSolution& out) const;
 
   [[nodiscard]] bool shape_matches(const Core& other) const;
 
-  /// Warm identity for checkpointing: the basic set and the at-upper flags.
-  /// Together with the loaded model these determine the next warm start
-  /// completely (run_warm_from reads nothing else from the prior core).
-  void export_warm(std::vector<std::size_t>& basic, std::vector<char>& at_upper) const {
-    basic = basis_.basic();
-    at_upper.assign(at_upper_.begin(), at_upper_.end());
-  }
-
-  /// Installs a checkpointed warm identity onto a freshly load()ed core and
-  /// refactorises. Returns false (core unusable) on shape mismatch, a
-  /// duplicate basic column, or a singular restored basis.
-  [[nodiscard]] bool restore_warm(const std::vector<std::size_t>& basic,
-                                  const std::vector<char>& at_upper);
+  /// The warm identity: with the loaded model, the basic set and the at-upper
+  /// flags determine the next reoptimize() completely.
+  [[nodiscard]] const std::vector<std::size_t>& basic() const { return basis_.basic(); }
+  [[nodiscard]] const std::vector<char>& at_upper() const { return at_upper_; }
 
   [[nodiscard]] std::size_t iterations() const { return iterations_; }
   [[nodiscard]] std::size_t phase1_iterations() const { return phase1_iterations_; }
@@ -134,6 +123,8 @@ class LpSolver::Core {
   void inject_basis_fault();
   void maybe_corrupt_eta();
   void refresh_xb();
+  /// Every basic value within its bounds (to kFeasTol).
+  [[nodiscard]] bool primal_feasible() const;
   void rebuild_basis_flags();
   void set_at_upper(std::size_t col, bool value);
   [[nodiscard]] std::vector<double> basic_costs(bool phase1) const;
@@ -393,6 +384,14 @@ void LpSolver::Core::refresh_xb() {
     if (at_upper_[j]) cols_.axpy_column(j, -upper_[j], rhs);
   }
   xb_ = basis_.ftran(rhs);
+}
+
+bool LpSolver::Core::primal_feasible() const {
+  const auto& basic = basis_.basic();
+  for (std::size_t i = 0; i < m_; ++i) {
+    if (xb_[i] < -kFeasTol || xb_[i] > upper_[basic[i]] + kFeasTol) return false;
+  }
+  return true;
 }
 
 void LpSolver::Core::rebuild_basis_flags() {
@@ -806,12 +805,7 @@ SolveStatus LpSolver::Core::finish_perturbed(const SolverOptions& options) {
   // only the basic values move. refactor_if_due still bounds drift.
   if (!refactor_if_due()) return SolveStatus::kIterationLimit;
   refresh_xb();
-  bool feasible = true;
-  const auto& basic = basis_.basic();
-  for (std::size_t i = 0; i < m_; ++i) {
-    if (xb_[i] < -kFeasTol || xb_[i] > upper_[basic[i]] + kFeasTol) feasible = false;
-  }
-  if (feasible) return SolveStatus::kOptimal;
+  if (primal_feasible()) return SolveStatus::kOptimal;
   // Restoring the exact rhs tightened the relaxed <= rows: the basis stays
   // dual-feasible, so a few dual pivots repair primal feasibility.
   return run_dual(options);
@@ -840,50 +834,58 @@ SolveStatus LpSolver::Core::run_cold(const SolverOptions& options) {
   return finish_perturbed(options);
 }
 
-SolveStatus LpSolver::Core::run_warm_from(const Core& prior, const SolverOptions& options) {
-  basis_ = prior.basis_;
+bool LpSolver::Core::install(const std::vector<std::size_t>& basic,
+                             const std::vector<char>& at_upper) {
+  if (basic.size() != m_ || at_upper.size() != num_cols_) return false;
+  std::vector<char> seen(num_cols_, 0);
+  for (const std::size_t col : basic) {
+    if (col >= num_cols_ || seen[col]) return false;
+    seen[col] = 1;
+  }
+  basis_.set_basic(basic);
   rebuild_basis_flags();
   // The nonbasic bound statuses are part of the vertex; restore them and
   // re-establish the invariants that basic columns carry no at-upper flag
   // and that at-upper columns still have a finite bound (a same-shaped model
   // may have widened a bound to infinity — resting there would poison xb
   // with non-finite values).
-  at_upper_ = prior.at_upper_;
+  at_upper_ = at_upper;
   num_at_upper_ = 0;
   for (std::size_t j = 0; j < num_cols_; ++j) {
     if (in_basis_[j] || !std::isfinite(upper_[j])) at_upper_[j] = 0;
     if (at_upper_[j]) ++num_at_upper_;
   }
+  return true;
+}
+
+SolveStatus LpSolver::Core::reoptimize(const SolverOptions& options, bool dual_feasible) {
+  iterations_ = phase1_iterations_ = dual_iterations_ = 0;
   // The perturbation exists to help cold starts through degenerate phase-1
   // vertices; a warm start lands near the optimum, so reoptimise exactly.
   b_ = b_exact_;
   perturbed_ = false;
+  // Always refactorise, even where an eta file could be extended: the
+  // continuation is then a pure function of (model, basic set, at-upper
+  // flags) — exactly the checkpoint identity — so a restored solver pivots
+  // bit-identically to the uninterrupted one. An accumulated eta file and a
+  // fresh factorisation of the same basis differ in low bits; one sparse LU
+  // per reoptimisation buys determinism across restarts.
   if (!refactor()) return SolveStatus::kIterationLimit;
   refresh_xb();
+  if (primal_feasible()) return run_primal(/*phase1=*/false, options);
 
-  bool primal_feasible = true;
-  const auto& basic = basis_.basic();
-  for (std::size_t i = 0; i < m_; ++i) {
-    if (xb_[i] < -kFeasTol || xb_[i] > upper_[basic[i]] + kFeasTol) primal_feasible = false;
-  }
-  if (primal_feasible) return run_primal(/*phase1=*/false, options);
-
-  const std::vector<double> y = basis_.btran(basic_costs(/*phase1=*/false));
-  const std::vector<double> d = reduced_costs(y, /*phase1=*/false);
-  bool dual_feasible = true;
-  for (std::size_t j = 0; j < num_cols_; ++j) {
-    if (in_basis_[j] || artificial_[j]) continue;
-    if (at_upper_[j] ? d[j] > 1e-7 : d[j] < -1e-7) dual_feasible = false;
-  }
+  std::vector<std::pair<std::size_t, double>> shifts;
   if (!dual_feasible) {
-    // Neither feasible: simultaneous cost/coefficient and activity drift
-    // (e.g. a demand burst rescaling both the objective and the envy rows).
-    // Classic cost-shifting rescue (dual phase 1): temporarily shift each
-    // offending nonbasic cost so the restored basis IS dual feasible, let
-    // the dual simplex restore primal feasibility, then drop the shifts and
-    // polish with primal pivots from the now-feasible vertex. Far cheaper
-    // than discarding the basis: the vertex is near-optimal already.
-    std::vector<std::pair<std::size_t, double>> shifts;
+    // A basis that is neither primal- nor dual-feasible comes from
+    // simultaneous cost/coefficient and activity drift (e.g. a demand burst
+    // rescaling both the objective and the envy rows). Classic cost-shifting
+    // rescue (dual phase 1): temporarily shift each offending nonbasic cost
+    // so the installed basis IS dual feasible, let the dual simplex restore
+    // primal feasibility, then drop the shifts and polish with primal pivots
+    // from the now-feasible vertex. Far cheaper than discarding the basis:
+    // the vertex is near-optimal already.
+    const std::vector<double> y = basis_.btran(basic_costs(/*phase1=*/false));
+    const std::vector<double> d = reduced_costs(y, /*phase1=*/false);
     for (std::size_t j = 0; j < num_cols_; ++j) {
       if (in_basis_[j] || artificial_[j]) continue;
       if (at_upper_[j] ? d[j] > 1e-7 : d[j] < -1e-7) {
@@ -891,39 +893,37 @@ SolveStatus LpSolver::Core::run_warm_from(const Core& prior, const SolverOptions
         cost_[j] -= d[j];
       }
     }
-    const SolveStatus shifted = run_dual(options);
-    for (const auto& [j, delta] : shifts) cost_[j] += delta;
-    // Non-optimal here says nothing definite about the true problem (the
-    // costs were shifted); report iteration-limit so the caller cold-solves.
-    if (shifted != SolveStatus::kOptimal) return SolveStatus::kIterationLimit;
-    return run_primal(/*phase1=*/false, options);
   }
   const SolveStatus status = run_dual(options);
-  if (status != SolveStatus::kOptimal) return status;
+  for (const auto& [j, delta] : shifts) cost_[j] += delta;
+  if (status != SolveStatus::kOptimal) {
+    // Under shifted costs a non-optimal outcome says nothing definite about
+    // the true problem; report iteration-limit so the caller cold-solves.
+    return shifts.empty() ? status : SolveStatus::kIterationLimit;
+  }
   // Dual pivots restored primal feasibility; polish any remaining reduced
-  // costs (coefficient changes can leave the vertex slightly suboptimal).
+  // costs (shifts, coefficient changes or tolerance drift can leave the
+  // vertex slightly suboptimal).
   return run_primal(/*phase1=*/false, options);
 }
 
-void LpSolver::Core::append_row(const internal::StandardRow& row,
+void LpSolver::Core::append_row(const Constraint& constraint, std::size_t index,
                                 const SolverOptions& options) {
+  const internal::StandardRow row = internal::build_standard_row(skel_, constraint, index);
   OEF_CHECK(row.relation == Relation::kLessEqual);
-  std::vector<double> coeffs(num_cols_ + 1, 0.0);
   double biggest = 0.0;
   for (std::size_t j = 0; j < n_struct_; ++j) {
-    coeffs[j] = row.coeffs[j] * col_scale_[j];
-    biggest = std::max(biggest, std::abs(coeffs[j]));
+    biggest = std::max(biggest, std::abs(row.coeffs[j] * col_scale_[j]));
   }
   const double rscale = (scaling_ && biggest > 0.0) ? 1.0 / biggest : 1.0;
-  for (std::size_t j = 0; j < n_struct_; ++j) coeffs[j] *= rscale;
   const double rhs = row.rhs * rscale;
 
   // New slack column, basic in the new row.
-  const std::size_t slack_col = num_cols_;
-  coeffs[slack_col] = 1.0;
   cols_.set_rows(m_ + 1);
-  for (std::size_t j = 0; j < n_struct_; ++j) cols_.add_entry(j, m_, coeffs[j]);
-  cols_.add_column();
+  for (std::size_t j = 0; j < n_struct_; ++j) {
+    cols_.add_entry(j, m_, row.coeffs[j] * col_scale_[j] * rscale);
+  }
+  const std::size_t slack_col = cols_.add_column();
   cols_.add_entry(slack_col, m_, 1.0);
   cost_.push_back(0.0);
   upper_.push_back(kInf);
@@ -933,11 +933,7 @@ void LpSolver::Core::append_row(const internal::StandardRow& row,
   primal_weights_.push_back(1.0);
   dual_weights_.push_back(1.0);
   ++num_cols_;
-
-  std::vector<double> row_basic(m_, 0.0);
-  const auto& basic = basis_.basic();
-  for (std::size_t i = 0; i < m_; ++i) row_basic[i] = coeffs[basic[i]];
-  basis_.append_row(row_basic, slack_col);
+  basis_.append_row(slack_col);
 
   relations_.push_back(Relation::kLessEqual);
   row_refs_.push_back(row.ref);
@@ -945,7 +941,7 @@ void LpSolver::Core::append_row(const internal::StandardRow& row,
   b_.push_back(rhs);
   b_exact_.push_back(rhs);
   row_scale_.push_back(rscale);
-  xb_.push_back(0.0);  // refreshed in run_resolve
+  xb_.push_back(0.0);  // refreshed by reoptimize()
   ++m_;
   max_iterations_ = options.max_iterations != 0 ? options.max_iterations
                                                 : 200 * (m_ + num_cols_) + 10000;
@@ -967,8 +963,7 @@ bool LpSolver::Core::delete_rows(const std::vector<std::size_t>& rows,
   }
   std::vector<char> drop_row(m_, 0);
   std::vector<char> drop_col(num_cols_, 0);
-  std::vector<std::size_t> positions;
-  positions.reserve(rows.size());
+  std::vector<char> drop_pos(m_, 0);
   for (const std::size_t r : rows) {
     OEF_CHECK(r < m_);
     std::size_t covering = SIZE_MAX;
@@ -979,11 +974,10 @@ bool LpSolver::Core::delete_rows(const std::vector<std::size_t>& rows,
       }
     }
     if (covering == SIZE_MAX) return false;
-    positions.push_back(covering);
+    drop_pos[covering] = 1;
     drop_row[r] = 1;
     for (const std::size_t c : row_units_[r]) drop_col[c] = 1;
   }
-  std::sort(positions.begin(), positions.end());
 
   std::vector<std::size_t> col_remap(num_cols_, SIZE_MAX);
   std::vector<std::size_t> row_remap(m_, SIZE_MAX);
@@ -996,7 +990,23 @@ bool LpSolver::Core::delete_rows(const std::vector<std::size_t>& rows,
     if (!drop_row[i]) row_remap[i] = new_rows++;
   }
 
-  basis_.delete_rows(positions, col_remap);
+  // The basic set loses the covering positions and renumbers the survivors.
+  // Dual devex weights are indexed by basis position (the leaving-row
+  // candidates), so they shrink by the same positions, not by the deleted
+  // constraint rows.
+  std::vector<std::size_t> kept_basic;
+  std::vector<double> kept_weights;
+  kept_basic.reserve(new_rows);
+  kept_weights.reserve(new_rows);
+  for (std::size_t p = 0; p < m_; ++p) {
+    if (drop_pos[p]) continue;
+    const std::size_t col = col_remap[basis_.basic()[p]];
+    OEF_CHECK(col != SIZE_MAX);
+    kept_basic.push_back(col);
+    kept_weights.push_back(dual_weights_[p]);
+  }
+  basis_.set_basic(std::move(kept_basic));
+  dual_weights_ = std::move(kept_weights);
 
   // Renumber the constraint matrix and every per-row / per-column array.
   SparseMatrix reduced;
@@ -1041,19 +1051,6 @@ bool LpSolver::Core::delete_rows(const std::vector<std::size_t>& rows,
   filter_rows(b_);
   filter_rows(b_exact_);
   filter_rows(row_scale_);
-  {
-    // Dual devex weights are indexed by basis position (the leaving-row
-    // candidates), so they shrink by the excised positions, not by the
-    // deleted constraint rows.
-    std::vector<char> drop_pos(m_, 0);
-    for (const std::size_t p : positions) drop_pos[p] = 1;
-    std::vector<double> kept;
-    kept.reserve(new_rows);
-    for (std::size_t p = 0; p < m_; ++p) {
-      if (!drop_pos[p]) kept.push_back(dual_weights_[p]);
-    }
-    dual_weights_ = std::move(kept);
-  }
   filter_cols(cost_);
   filter_cols(upper_);
   filter_cols(artificial_);
@@ -1074,31 +1071,13 @@ bool LpSolver::Core::delete_rows(const std::vector<std::size_t>& rows,
   max_iterations_ = options.max_iterations != 0 ? options.max_iterations
                                                 : 200 * (m_ + num_cols_) + 10000;
 
-  // A fresh (cheap, sparse) factorisation of the reduced basis; the
-  // surviving basic values are recomputed from the reduced rhs — the vertex
-  // itself is unchanged (the deleted rows carried basic slacks).
+  // A fresh (cheap, sparse) factorisation of the reduced basis, so one that
+  // fails to factor is refused here rather than at the next reoptimize();
+  // the surviving basic values are recomputed from the reduced rhs — the
+  // vertex itself is unchanged (the deleted rows carried basic slacks).
   if (!refactor()) return false;
   refresh_xb();
   return true;
-}
-
-SolveStatus LpSolver::Core::run_resolve(const SolverOptions& options) {
-  iterations_ = phase1_iterations_ = dual_iterations_ = 0;
-  // append_row() kept the factorisation exact (bordered update), but a
-  // resolve refactorises unconditionally anyway —
-  // same rationale as run_warm_from: continuation is then a pure function of
-  // (model, basic set, at-upper flags), which is exactly the checkpoint
-  // identity, so a solver restored from a checkpoint pivots bit-identically
-  // to the uninterrupted one. An accumulated eta file and a fresh
-  // factorisation of the same basis differ in low bits; one bounded LU per
-  // resolve buys determinism across restarts.
-  if (!refactor()) return SolveStatus::kIterationLimit;
-  refresh_xb();
-  const SolveStatus status = run_dual(options);
-  if (status != SolveStatus::kOptimal) return status;
-  // The previous optimum was dual-feasible, so dual pivots suffice; a final
-  // primal pass guards against tolerance drift re-opening reduced costs.
-  return run_primal(/*phase1=*/false, options);
 }
 
 void LpSolver::Core::extract(const LpModel& model, LpSolution& out) const {
@@ -1139,31 +1118,6 @@ void LpSolver::Core::extract(const LpModel& model, LpSolution& out) const {
   out.dual_iterations = dual_iterations_;
 }
 
-bool LpSolver::Core::restore_warm(const std::vector<std::size_t>& basic,
-                                  const std::vector<char>& at_upper) {
-  if (basic.size() != m_ || at_upper.size() != num_cols_) return false;
-  std::vector<char> seen(num_cols_, 0);
-  for (const std::size_t col : basic) {
-    if (col >= num_cols_ || seen[col]) return false;
-    seen[col] = 1;
-  }
-  basis_.set_basic(basic);
-  rebuild_basis_flags();
-  // Mirror run_warm_from's status invariants: basic columns carry no at-upper
-  // flag and at-upper columns must still have a finite bound.
-  at_upper_ = at_upper;
-  num_at_upper_ = 0;
-  for (std::size_t j = 0; j < num_cols_; ++j) {
-    if (in_basis_[j] || !std::isfinite(upper_[j])) at_upper_[j] = 0;
-    if (at_upper_[j]) ++num_at_upper_;
-  }
-  b_ = b_exact_;
-  perturbed_ = false;
-  if (!refactor()) return false;
-  refresh_xb();
-  return true;
-}
-
 bool LpSolver::Core::shape_matches(const Core& other) const {
   return m_ == other.m_ && num_cols_ == other.num_cols_ &&
          n_struct_ == other.n_struct_ && relations_ == other.relations_ &&
@@ -1183,8 +1137,7 @@ LpSolver::LpSolver(const LpSolver& other)
     : options_(other.options_),
       model_(other.model_),
       core_(other.core_ ? std::make_unique<Core>(*other.core_) : nullptr),
-      stats_(other.stats_),
-      incremental_ok_(other.incremental_ok_) {}
+      stats_(other.stats_) {}
 
 LpSolver& LpSolver::operator=(const LpSolver& other) {
   if (this != &other) {
@@ -1192,32 +1145,40 @@ LpSolver& LpSolver::operator=(const LpSolver& other) {
     model_ = other.model_;
     core_ = other.core_ ? std::make_unique<Core>(*other.core_) : nullptr;
     stats_ = other.stats_;
-    incremental_ok_ = other.incremental_ok_;
   }
   return *this;
 }
 
-bool LpSolver::has_basis() const { return core_ != nullptr && incremental_ok_; }
+bool LpSolver::has_basis() const { return core_ != nullptr; }
 
 std::optional<LpWarmState> LpSolver::export_warm_state() const {
-  if (!has_basis()) return std::nullopt;
-  LpWarmState state;
-  state.model = model_;
-  core_->export_warm(state.basic, state.at_upper);
-  return state;
+  if (!core_) return std::nullopt;
+  return LpWarmState{model_, core_->basic(), core_->at_upper()};
 }
 
 bool LpSolver::import_warm_state(const LpWarmState& state) {
   model_ = state.model;
   core_.reset();
-  incremental_ok_ = false;
   if (options_.algorithm == LpAlgorithm::kTableau) return false;
   auto core = std::make_unique<Core>();
   core->load(model_, options_);
-  if (!core->restore_warm(state.basic, state.at_upper)) return false;
+  if (!core->install(state.basic, state.at_upper)) return false;
+  // An exported optimum reoptimises in zero pivots, leaving the same
+  // identity the exporting instance holds.
+  const SolveStatus status = core->reoptimize(options_, /*dual_feasible=*/false);
+  LpSolution discarded;
+  return keep_if_optimal(std::move(core), status, discarded);
+}
+
+bool LpSolver::keep_if_optimal(std::unique_ptr<Core> core, SolveStatus status,
+                               LpSolution& solution) {
+  stats_.total_iterations += core->iterations();
   stats_.basis_repairs += core->take_basis_repairs();
+  solution.status = status;
+  if (status != SolveStatus::kOptimal) return false;
+  core->extract(model_, solution);
+  if (!model_.is_feasible(solution.values, 1e-6)) return false;
   core_ = std::move(core);
-  incremental_ok_ = true;
   return true;
 }
 
@@ -1227,75 +1188,55 @@ LpSolution LpSolver::solve_loaded_cold() {
   // simplex (whose refactorisations repair deficient bases in place); (2)
   // the reference full-tableau solver, which shares no basis machinery at
   // all — and never consults the fault injector — so it terminates the
-  // ladder.
+  // ladder. Tableau mode starts on rung (2) and never holds a warm identity.
   ++stats_.cold_solves;
-  auto core = std::make_unique<Core>();
-  core->load(model_, options_);
   LpSolution solution;
-  solution.status = core->run_cold(options_);
-  stats_.total_iterations += core->iterations();
-  stats_.basis_repairs += core->take_basis_repairs();
-  if (solution.status == SolveStatus::kOptimal) {
-    core->extract(model_, solution);
-    if (model_.is_feasible(solution.values, 1e-6)) {
-      core_ = std::move(core);
-      incremental_ok_ = true;
-      return solution;
-    }
+  if (options_.algorithm != LpAlgorithm::kTableau) {
+    auto core = std::make_unique<Core>();
+    core->load(model_, options_);
+    const SolveStatus status = core->run_cold(options_);
+    if (keep_if_optimal(std::move(core), status, solution)) return solution;
+    // The revised solve failed or produced an unverifiable point. The
+    // tableau is dramatically slower on large models, so its trigger is
+    // worth a log line (to_string names the revised outcome).
+    common::log_debug("lp_solver: revised cold solve failed (" + to_string(solution.status) +
+                      "); falling back to the reference tableau");
+    ++stats_.tableau_fallbacks;
   }
-  // The revised solve failed or produced an unverifiable point: reference
-  // tableau. Dramatically slower on large models, so its trigger is worth a
-  // log line (to_string names the revised outcome).
-  common::log_debug("lp_solver: revised cold solve failed (" + to_string(solution.status) +
-                    "); falling back to the reference tableau");
-  ++stats_.tableau_fallbacks;
-  core_.reset();
-  incremental_ok_ = false;
   solution = SimplexSolver(options_).solve(model_);
   stats_.total_iterations += solution.iterations;
   return solution;
 }
 
-LpSolution LpSolver::solve(const LpModel& model) {
-  const double start = common::monotonic_seconds();
-  std::unique_ptr<Core> previous = std::move(core_);
-  const bool had_basis = previous != nullptr && incremental_ok_;
-  model_ = model;
-  core_.reset();
-  incremental_ok_ = false;
-
-  if (options_.algorithm == LpAlgorithm::kTableau) {
-    LpSolution solution = SimplexSolver(options_).solve(model_);
-    ++stats_.cold_solves;
-    stats_.total_iterations += solution.iterations;
-    stats_.solve_seconds += seconds_since(start);
-    return solution;
-  }
-
-  if (had_basis) {
-    auto core = std::make_unique<Core>();
-    core->load(model_, options_);
-    if (core->shape_matches(*previous)) {
-      LpSolution solution;
-      solution.status = core->run_warm_from(*previous, options_);
-      stats_.total_iterations += core->iterations();
-      stats_.basis_repairs += core->take_basis_repairs();
-      if (solution.status == SolveStatus::kOptimal) {
-        core->extract(model_, solution);
-        if (model_.is_feasible(solution.values, 1e-6)) {
-          solution.warm_started = true;
-          ++stats_.warm_start_hits;
-          core_ = std::move(core);
-          incremental_ok_ = true;
-          stats_.solve_seconds += seconds_since(start);
-          return solution;
-        }
-      }
-      // Warm attempt failed; fall through to a cold solve.
+LpSolution LpSolver::reoptimize_or_cold(std::unique_ptr<Core> core, bool dual_feasible) {
+  if (core) {
+    const SolveStatus status = core->reoptimize(options_, dual_feasible);
+    LpSolution solution;
+    if (keep_if_optimal(std::move(core), status, solution)) {
+      solution.warm_started = true;
+      return solution;
     }
   }
+  return solve_loaded_cold();
+}
 
-  LpSolution solution = solve_loaded_cold();
+LpSolution LpSolver::solve(const LpModel& model) {
+  const double start = common::monotonic_seconds();
+  const std::unique_ptr<Core> previous = std::move(core_);
+  model_ = model;
+  // Basis reuse: a model of exactly the previous shape (only coefficients
+  // moved) starts from the previous optimum's basic set and bound statuses.
+  std::unique_ptr<Core> core;
+  if (previous) {
+    core = std::make_unique<Core>();
+    core->load(model_, options_);
+    if (!core->shape_matches(*previous) ||
+        !core->install(previous->basic(), previous->at_upper())) {
+      core.reset();
+    }
+  }
+  LpSolution solution = reoptimize_or_cold(std::move(core), /*dual_feasible=*/false);
+  if (solution.warm_started) ++stats_.warm_start_hits;
   stats_.solve_seconds += seconds_since(start);
   return solution;
 }
@@ -1313,73 +1254,42 @@ bool LpSolver::delete_rows(const std::vector<std::size_t>& row_indices) {
                     "delete_rows index past the loaded model's constraints");
   }
 
-  bool warm = false;
-  if (options_.algorithm != LpAlgorithm::kTableau && core_ && incremental_ok_) {
-    warm = core_->delete_rows(sorted, options_);
+  if (core_) {
+    const bool warm = core_->delete_rows(sorted, options_);
     stats_.basis_repairs += core_->take_basis_repairs();
-    if (!warm) {
-      // Either some row had no basic unit column (so the excision would
-      // leave a singular basis) or the reduced refactorisation failed; the
-      // core may be part-mutated, so drop it and let the next solve/resolve
-      // rebuild cold from the shrunken model.
-      core_.reset();
-      incremental_ok_ = false;
-    }
+    // Either some row had no basic unit column (so the excision would leave
+    // a singular basis) or the reduced refactorisation failed; the core may
+    // be part-mutated, so drop it and let the next solve/resolve rebuild
+    // cold from the shrunken model.
+    if (!warm) core_.reset();
   }
   model_.remove_constraints(sorted);
-  return warm;
+  return has_basis();
 }
 
 std::size_t LpSolver::add_rows(const std::vector<Constraint>& rows) {
-  std::size_t accepted = 0;
   for (const Constraint& constraint : rows) {
     const std::size_t index = model_.add_constraint(constraint);
-    ++accepted;
-    if (options_.algorithm == LpAlgorithm::kTableau) continue;
-    if (!core_ || !incremental_ok_) continue;
+    if (!core_) continue;
     if (constraint.relation == Relation::kEqual) {
-      // Equality rows are not dual-warm-startable from a slack basis; degrade
-      // this resolve to a cold solve of the extended model.
-      incremental_ok_ = false;
+      // Equality rows are not dual-warm-startable from a slack basis; drop
+      // the warm identity so the next resolve() solves the extended model
+      // cold.
+      core_.reset();
       continue;
     }
-    core_->append_row(core_->standard_row(constraint, index), options_);
+    core_->append_row(constraint, index, options_);
   }
-  return accepted;
+  return rows.size();
 }
 
 LpSolution LpSolver::resolve() {
   const double start = common::monotonic_seconds();
-  if (options_.algorithm == LpAlgorithm::kTableau || !core_ || !incremental_ok_) {
-    LpSolution solution;
-    if (options_.algorithm == LpAlgorithm::kTableau) {
-      solution = SimplexSolver(options_).solve(model_);
-      ++stats_.cold_solves;
-      stats_.total_iterations += solution.iterations;
-    } else {
-      solution = solve_loaded_cold();
-    }
-    stats_.solve_seconds += seconds_since(start);
-    return solution;
-  }
-
-  LpSolution solution;
-  solution.status = core_->run_resolve(options_);
-  stats_.total_iterations += core_->iterations();
-  stats_.basis_repairs += core_->take_basis_repairs();
-  if (solution.status == SolveStatus::kOptimal) {
-    core_->extract(model_, solution);
-    if (model_.is_feasible(solution.values, 1e-6)) {
-      solution.warm_started = true;
-      ++stats_.warm_resolves;
-      stats_.solve_seconds += seconds_since(start);
-      return solution;
-    }
-  }
-  // Warm resolve failed (numerics, iteration limit, or claimed infeasible —
-  // which a tightened relaxation can legitimately be, but is cheap to
-  // confirm): cold-solve the extended model.
-  solution = solve_loaded_cold();
+  // add_rows() and delete_rows() leave the costs alone, so the optimal basis
+  // they extended or shrank is still dual-feasible: skip that test. Without
+  // a warm identity this solves the loaded model cold.
+  LpSolution solution = reoptimize_or_cold(std::move(core_), /*dual_feasible=*/true);
+  if (solution.warm_started) ++stats_.warm_resolves;
   stats_.solve_seconds += seconds_since(start);
   return solution;
 }

@@ -1,23 +1,29 @@
 // Stateful LP solver with an incremental-resolve API.
 //
 // Where SimplexSolver is a single-shot full-tableau solve, LpSolver keeps the
-// standard form, the Basis and the last optimal vertex alive between calls,
-// which enables three kinds of warm work:
+// loaded model and a warm identity — the basic column set and the nonbasic
+// at-upper statuses of the last optimum — alive between calls. Every warm
+// call goes through one entry, which refactorises the installed basic set
+// and reoptimises from it (primal pivots if it is primal-feasible, dual then
+// primal pivots if it is dual-feasible, a cost-shifting dual phase 1
+// otherwise). It has three callers:
 //
-//   * add_rows() + resolve(): newly separated constraints (the lazy
-//     envy-freeness rows of cooperative OEF) are appended to the loaded
-//     problem and reoptimised with the dual simplex from the previous optimal
-//     basis — the previous optimum stays dual-feasible, so typically a
-//     handful of pivots replace a full two-phase re-solve.
-//   * delete_rows(): rows loose at the current optimum (their slacks basic)
-//     are excised together with their slack columns while the basis, the
-//     vertex and the duals survive — which lets relaxation compaction shrink
-//     the working LP without the cold re-solve it used to force.
 //   * solve() basis reuse: when a new model has exactly the same shape as the
 //     previously solved one (same variables, rows and relations — the
 //     round-over-round case in the simulator, where only coefficients move),
-//     the previous basis is refactorised against the new coefficients and
-//     reoptimised with primal or dual pivots instead of starting cold.
+//     the previous identity is installed against the new coefficients.
+//   * add_rows() + resolve(): newly separated constraints (the lazy
+//     envy-freeness rows of cooperative OEF) join the loaded problem with
+//     basic slacks; the previous optimum stays dual-feasible, so typically a
+//     handful of dual pivots replace a full two-phase re-solve.
+//   * import_warm_state(): a checkpointed identity is installed and
+//     reoptimised, so the restored solver continues exactly like the
+//     exporting one.
+//
+// delete_rows() excises rows loose at the current optimum (their slacks
+// basic) together with their slack columns while the basic set survives —
+// which lets relaxation compaction shrink the working LP without a cold
+// re-solve.
 //
 // The engine is a bounded-variable revised simplex on a sparse LU basis with
 // a product-form eta file (basis.h) — O(nnz) solves/updates, which carries
@@ -27,9 +33,9 @@
 // statuses and bound flips instead of synthetic rows, and entering/leaving
 // choices use devex reference weights (Bland's rule on stalling).
 // SolverOptions::algorithm == LpAlgorithm::kTableau degrades every call to
-// the reference full-tableau SimplexSolver (no warm starts), and the revised
-// path falls back to the tableau automatically whenever it fails to reach a
-// verified optimum; stats().tableau_fallbacks counts those.
+// the reference full-tableau SimplexSolver (no warm identity is ever held),
+// and the revised path falls back to the tableau automatically whenever it
+// fails to reach a verified optimum; stats().tableau_fallbacks counts those.
 #pragma once
 
 #include <cstddef>
@@ -45,9 +51,9 @@ namespace oef::solver {
 /// Everything a fresh LpSolver needs to resume warm exactly where another
 /// instance (possibly in another process) left off: the loaded model, the
 /// basic column set and the nonbasic at-upper statuses. The factorisation
-/// itself is deliberately absent — warm starts refactorise from the basic set
-/// anyway (see Core::run_warm_from), so (model, basic, at_upper) is the whole
-/// warm identity and a restore is pivot-identical to the uninterrupted run.
+/// itself is deliberately absent — every warm call refactorises from the
+/// basic set anyway, so (model, basic, at_upper) is the whole warm identity
+/// and a restore is pivot-identical to the uninterrupted run.
 /// Serialized by solver/checkpoint.h for the daemon's crash-safe checkpoint.
 struct LpWarmState {
   LpModel model;
@@ -91,14 +97,15 @@ class LpSolver {
   [[nodiscard]] LpSolution solve(const LpModel& model);
 
   /// Appends constraints to the loaded model. Only valid after a solve().
-  /// Returns the number of rows accepted. Inequality rows are staged for
-  /// dual-simplex reoptimisation; an equality row (or tableau mode) degrades
-  /// the next resolve() to a cold solve of the extended model.
+  /// Returns the number of rows accepted (all of them). Inequality rows are
+  /// staged for dual-simplex reoptimisation; an equality row drops the warm
+  /// identity, so the next resolve() solves the extended model cold.
   std::size_t add_rows(const std::vector<Constraint>& rows);
 
-  /// Reoptimises after add_rows(): dual simplex from the previous optimal
-  /// basis when possible, cold solve of the extended model otherwise. The
-  /// returned solution has warm_started == true iff the warm path succeeded.
+  /// Reoptimises after add_rows()/delete_rows(): dual simplex from the
+  /// previous optimal basis when a warm identity exists, cold solve of the
+  /// loaded model otherwise. The returned solution has warm_started == true
+  /// iff the warm path succeeded.
   [[nodiscard]] LpSolution resolve();
 
   /// Removes constraints (by model index) from the loaded model. When the
@@ -111,7 +118,9 @@ class LpSolver {
   /// model. Only valid after a solve().
   bool delete_rows(const std::vector<std::size_t>& row_indices);
 
-  /// True when a previous solve left an optimal basis to warm-start from.
+  /// True when the solver holds a warm identity to reoptimise from (the last
+  /// optimum's basis, possibly extended by add_rows() or shrunk by
+  /// delete_rows() since).
   [[nodiscard]] bool has_basis() const;
 
   /// Snapshot of the warm state (see LpWarmState); nullopt when there is no
@@ -119,10 +128,11 @@ class LpSolver {
   [[nodiscard]] std::optional<LpWarmState> export_warm_state() const;
 
   /// Restores a warm state exported by export_warm_state(): loads the model,
-  /// installs the basic set and bound statuses, and refactorises. On success
-  /// (true) the next same-shaped solve() warm-starts exactly as it would have
-  /// in the exporting instance. On failure (malformed state or a singular
-  /// restored basis) the solver is left cold with the model loaded — callers
+  /// installs the basic set and bound statuses, and reoptimises from them (an
+  /// exported optimum takes zero pivots). On success (true) the next call
+  /// continues exactly as it would have in the exporting instance. On
+  /// failure (malformed state, a singular restored basis, or no verified
+  /// optimum) the solver is left cold with the model loaded — callers
   /// degrade to a cold first solve, never to an error.
   bool import_warm_state(const LpWarmState& state);
 
@@ -141,11 +151,22 @@ class LpSolver {
   /// attempt any warm start.
   [[nodiscard]] LpSolution solve_loaded_cold();
 
+  /// Reoptimises `core` (a warm identity on the loaded model) and keeps it
+  /// on a verified optimum, marking the solution warm_started; without a
+  /// core, or when the warm run fails, falls back to solve_loaded_cold().
+  [[nodiscard]] LpSolution reoptimize_or_cold(std::unique_ptr<Core> core, bool dual_feasible);
+
+  /// Harvests `core`'s counters after a revised run that ended in `status`.
+  /// On an optimum that passes the feasibility check, extracts it into
+  /// `solution`, keeps `core` as the warm identity and returns true.
+  bool keep_if_optimal(std::unique_ptr<Core> core, SolveStatus status, LpSolution& solution);
+
   SolverOptions options_;
   LpModel model_;
+  /// The warm identity; null when there is none (nothing solved yet, tableau
+  /// mode, a failed or tableau-answered solve, an equality row appended).
   std::unique_ptr<Core> core_;
   LpSolverStats stats_;
-  bool incremental_ok_ = false;
 };
 
 }  // namespace oef::solver

@@ -106,7 +106,7 @@ StandardForm build_standard_form(const LpModel& model, bool native_upper_bounds)
 }
 
 StandardRow build_standard_row(const StandardForm& sf, const Constraint& constraint,
-                               std::size_t constraint_index, bool normalize_rhs) {
+                               std::size_t constraint_index) {
   StandardRow out;
   out.coeffs.assign(sf.columns.size(), 0.0);
   out.ref = RowRef{constraint_index, 1.0};
@@ -122,27 +122,11 @@ StandardRow build_standard_row(const StandardForm& sf, const Constraint& constra
   out.rhs = constraint.rhs - shift_total;
   out.relation = constraint.relation;
 
-  const auto negate = [&out] {
+  if (out.relation == Relation::kGreaterEqual) {
     for (double& a : out.coeffs) a = -a;
     out.rhs = -out.rhs;
     out.ref.sign = -out.ref.sign;
-    if (out.relation == Relation::kLessEqual) {
-      out.relation = Relation::kGreaterEqual;
-    } else if (out.relation == Relation::kGreaterEqual) {
-      out.relation = Relation::kLessEqual;
-    }
-  };
-
-  if (normalize_rhs) {
-    if (out.rhs < 0.0 || (out.rhs == 0.0 && out.relation == Relation::kGreaterEqual)) {
-      negate();
-    }
-  } else {
-    // Incremental form: bring inequalities to <= regardless of rhs sign, so
-    // the row starts on a slack basis (possibly primal-infeasible) for dual
-    // reoptimisation. Equality rows are left untouched; the caller decides
-    // how to handle them (the LpSolver falls back to a cold solve).
-    if (out.relation == Relation::kGreaterEqual) negate();
+    out.relation = Relation::kLessEqual;
   }
   return out;
 }

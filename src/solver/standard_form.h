@@ -61,10 +61,10 @@ struct StandardForm {
 
 /// Converts one extra model constraint into a standard-form row against the
 /// columns of `sf` (the constraint may only reference variables that existed
-/// when `sf` was built). `normalize_rhs` applies the same sign normalisation
-/// as build_standard_form; incremental row addition passes false and instead
-/// normalises to <= form regardless of rhs sign (what dual-simplex
-/// reoptimisation wants).
+/// when `sf` was built). Unlike build_standard_form, inequalities are brought
+/// to <= form regardless of rhs sign, so the row starts on a basic slack
+/// (possibly primal-infeasible) for dual-simplex reoptimisation; equality
+/// rows are left as they are.
 struct StandardRow {
   std::vector<double> coeffs;  // one per structural column of sf
   Relation relation = Relation::kLessEqual;
@@ -73,8 +73,7 @@ struct StandardRow {
 };
 [[nodiscard]] StandardRow build_standard_row(const StandardForm& sf,
                                              const Constraint& constraint,
-                                             std::size_t constraint_index,
-                                             bool normalize_rhs);
+                                             std::size_t constraint_index);
 
 /// Max-equilibration: rows then columns are scaled by the reciprocal of their
 /// largest absolute coefficient. Outputs the applied scales. Finite col_upper

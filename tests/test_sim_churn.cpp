@@ -98,8 +98,8 @@ TEST(SimChurn, FailureHeavyRunServesEveryRoundWithinSurvivingCapacity) {
   options.events = generate_event_schedule(f.cluster, f.zoo, trace, heavy_churn(7));
   // Injected numerical breakdown on top of the churn: forced basis
   // deficiencies and corrupted eta updates inside the LP engine.
-  options.fault_basis_fault_rate = 0.5;
-  options.fault_eta_corruption_rate = 0.05;
+  options.faults.basis_fault_rate = 0.5;
+  options.faults.eta_corruption_rate = 0.05;
 
   const SimResult result =
       run_simulation(f.cluster, f.catalog, f.gpu_names, f.zoo, trace, options);

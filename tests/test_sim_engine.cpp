@@ -95,7 +95,11 @@ TEST(SimEngine, ForcedExitCancelsJobs) {
   SimOptions options;
   options.scheduler = "OEF-noncoop";
   options.max_rounds = 12;
-  options.forced_exit_round[3] = 6;  // user4 leaves mid-run (Fig. 4 scenario)
+  ClusterEvent departure;  // user4 leaves mid-run (Fig. 4 scenario)
+  departure.round = 6;
+  departure.kind = ClusterEventKind::kTenantDeparture;
+  departure.tenant = 3;
+  options.events.push_back(departure);
   const SimResult result = run_with(f, trace, options);
   EXPECT_EQ(result.cancelled_jobs, 2u);
   // After the exit, tenant 3 reports no throughput.
@@ -136,10 +140,11 @@ TEST(SimEngine, CheatingTenantIsPenalisedUnderNonCoop) {
   const SimResult honest = run_with(f, trace, honest_options);
 
   SimOptions cheat_options = honest_options;
-  CheatSpec cheat;
+  ClusterEvent cheat;
+  cheat.kind = ClusterEventKind::kMisreport;
   cheat.tenant = 3;  // the LSTM tenant inflates its (already steep) speedups
   cheat.factor = 1.3;
-  cheat_options.cheats.push_back(cheat);
+  cheat_options.events.push_back(cheat);
   const SimResult cheated = run_with(f, trace, cheat_options);
 
   const auto mean_tail = [](const std::vector<double>& series) {

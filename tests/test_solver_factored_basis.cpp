@@ -3,8 +3,8 @@
 // Every ftran/btran/btran_unit result is multiplied back by the basis matrix
 // (B·ftran(b) = b, btran(c)ᵀ·B = cᵀ, btran_unit(p)ᵀ·B = e_pᵀ), which needs no
 // second representation of B^-1: on a fresh factor, across eta-accumulating
-// pivots, after bordered row appends, across the refactor trigger, and after
-// warm row deletion. On top of the unit-level checks, whole solves must reach
+// pivots, after a row append and refactor, across the refactor trigger, and
+// for the renumbered basic set left by warm row deletion. On top of the unit-level checks, whole solves must reach
 // the independent tableau's optimum, and the lazy-loop relaxation compaction
 // must take the warm-deletion path.
 #include <gtest/gtest.h>
@@ -185,7 +185,7 @@ TEST(FactoredBasis, FreshFactorisationsSolveAgainstB) {
   EXPECT_GE(checked, 25);  // the generator must produce real work
 }
 
-TEST(FactoredBasis, EtaUpdatesAndBorderedAppendsSolveAgainstB) {
+TEST(FactoredBasis, EtaUpdatesAndRowAppendsSolveAgainstB) {
   common::Rng rng(411);
   int pivots_done = 0;
   for (int trial = 0; trial < 20; ++trial) {
@@ -206,29 +206,25 @@ TEST(FactoredBasis, EtaUpdatesAndBorderedAppendsSolveAgainstB) {
       expect_residuals_vanish(basis, a, rng, "after pivots");
     }
 
-    // Bordered append on top of the eta file, as add_rows() performs it: the
-    // matrix gains the new row (on basic and nonbasic columns alike) and a
-    // slack column that becomes basic in it.
+    // Row append on top of the eta file, as add_rows() + resolve() perform
+    // it: the matrix gains the new row (on basic and nonbasic columns alike)
+    // and a slack column that joins the basic set, then the basis is
+    // refactorised against the extended matrix.
     const std::size_t new_row = a.rows();
     a.set_rows(new_row + 1);
-    std::vector<double> row_basic(basis.size(), 0.0);
-    for (std::size_t p = 0; p < basis.size(); ++p) {
-      if (rng.uniform() < 0.4) {
-        row_basic[p] = rng.uniform(-2.0, 2.0);
-        a.add_entry(basis.basic()[p], new_row, row_basic[p]);
-      }
-    }
     for (std::size_t j = 0; j < a.cols(); ++j) {
-      if (!in_basis[j] && rng.uniform() < 0.4) a.add_entry(j, new_row, rng.uniform(-2.0, 2.0));
+      if (rng.uniform() < 0.4) a.add_entry(j, new_row, rng.uniform(-2.0, 2.0));
     }
     const std::size_t slack_col = a.add_column();
     a.add_entry(slack_col, new_row, 1.0);
     in_basis.push_back(1);
-    basis.append_row(row_basic, slack_col);
+    basis.append_row(slack_col);
     ASSERT_EQ(basis.size(), new_row + 1);
-    expect_residuals_vanish(basis, a, rng, "after bordered append");
+    EXPECT_EQ(basis.basic().back(), slack_col);
+    ASSERT_TRUE(basis.refactor(a));
+    expect_residuals_vanish(basis, a, rng, "after append + refactor");
 
-    // Further pivots on top of the bordered factor stay exact too.
+    // Further pivots on top of the refactorised basis stay exact too.
     for (int p = 0; p < 3; ++p) {
       if (random_pivot(basis, a, in_basis, rng)) {
         expect_residuals_vanish(basis, a, rng, "pivots after append");
@@ -304,9 +300,10 @@ TEST(FactoredBasis, SingularBasisReportsDeficiencyForRepair) {
 }
 
 TEST(FactoredBasis, WarmRowDeletionSolvesAgainstReducedB) {
-  // Basis-level contract: deleting rows whose own unit columns are basic
-  // keeps the surviving basic set (renumbered) and, after a refactor of the
-  // reduced matrix, solves exactly against the reduced basis.
+  // The premise of warm row deletion: when the deleted rows' own unit
+  // columns are basic, the surviving basic set (renumbered, as the solver
+  // installs it) refactorises against the reduced matrix and solves exactly
+  // against the reduced basis.
   common::Rng rng(808);
   int deletions = 0;
   for (int trial = 0; trial < 20; ++trial) {
@@ -348,12 +345,11 @@ TEST(FactoredBasis, WarmRowDeletionSolvesAgainstReducedB) {
       }
     }
 
-    basis.delete_rows(/*positions=*/rows, col_remap);
-    std::vector<std::size_t> expected;
+    std::vector<std::size_t> survivors;
     for (std::size_t p = 0; p < m; ++p) {
-      if (!drop_row[p]) expected.push_back(col_remap[basic[p]]);
+      if (!drop_row[p]) survivors.push_back(col_remap[basic[p]]);
     }
-    EXPECT_EQ(basis.basic(), expected);
+    basis.set_basic(survivors);
     ASSERT_TRUE(basis.refactor(reduced));
     ++deletions;
     expect_residuals_vanish(basis, reduced, rng, "after warm deletion");

@@ -1,0 +1,319 @@
+// Random operation sequences against the stateful LpSolver.
+//
+// Seeded sequences over small random LPs (mixed relations, some finite upper
+// bounds) drive every warm path: solve() of a same-shape coefficient
+// perturbation (basis reuse), add_rows() of inequality cuts and now and then
+// an equality, resolve(), delete_rows() of rows loose at the optimum (warm
+// excision) and of binding rows (refused excision), and export_warm_state()
+// + import_warm_state() into a fresh twin that then receives the same
+// operations. After every solve or resolve the result must match the
+// reference tableau (SimplexSolver) on the solver's own model — status,
+// objective to 1e-6, a feasible point — and the twin must report a
+// bit-identical objective and the same iteration count.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "solver/lp_model.h"
+#include "solver/lp_solver.h"
+#include "solver/simplex.h"
+
+namespace oef::solver {
+namespace {
+
+constexpr double kTol = 1e-6;
+constexpr std::size_t kSteps = 30;
+constexpr std::size_t kMaxRows = 20;
+
+/// Slack of `c` at `point`: >= 0 when satisfied, 0 for equality rows.
+double slack(const Constraint& c, const std::vector<double>& point) {
+  const double lhs = c.expr.evaluate(point);
+  switch (c.relation) {
+    case Relation::kLessEqual: return c.rhs - lhs;
+    case Relation::kGreaterEqual: return lhs - c.rhs;
+    case Relation::kEqual: return 0.0;
+  }
+  return 0.0;
+}
+
+/// Random sparse expression over `nvars` variables (at least one term).
+LinearExpr random_expr(common::Rng& rng, std::size_t nvars) {
+  LinearExpr expr;
+  for (std::size_t v = 0; v < nvars; ++v) {
+    if (rng.uniform() >= 0.6) continue;
+    const double sign = rng.uniform() < 0.3 ? -1.0 : 1.0;
+    expr.add(v, sign * rng.uniform(0.1, 2.0));
+  }
+  if (expr.terms().empty()) {
+    expr.add(static_cast<VarId>(rng.uniform_int(0, static_cast<std::int64_t>(nvars) - 1)), 1.0);
+  }
+  return expr;
+}
+
+/// Every generated row keeps `anchor` feasible, so every model of a sequence
+/// is feasible; the budget row (row 0, never deleted) keeps it bounded.
+LpModel random_model(common::Rng& rng, std::vector<double>& anchor) {
+  const std::size_t nvars = static_cast<std::size_t>(rng.uniform_int(3, 8));
+  LpModel model(rng.uniform() < 0.5 ? Sense::kMaximize : Sense::kMinimize);
+  anchor.assign(nvars, 0.0);
+  LinearExpr budget;
+  double budget_at_anchor = 0.0;
+  for (std::size_t v = 0; v < nvars; ++v) {
+    const double lower = rng.uniform() < 0.3 ? rng.uniform(-1.0, 1.0) : 0.0;
+    const double upper = rng.uniform() < 0.4 ? lower + rng.uniform(0.5, 4.0) : kInf;
+    model.add_variable("x", lower, upper, rng.uniform(-2.0, 3.0));
+    const double range = std::isfinite(upper) ? upper - lower : 2.0;
+    anchor[v] = lower + rng.uniform(0.0, 1.0) * range;
+    budget.add(v, 1.0);
+    budget_at_anchor += anchor[v];
+  }
+  model.add_constraint(std::move(budget), Relation::kLessEqual,
+                       budget_at_anchor + rng.uniform(0.5, 3.0));
+  const std::size_t rows = static_cast<std::size_t>(rng.uniform_int(1, 5));
+  for (std::size_t r = 0; r < rows; ++r) {
+    LinearExpr expr = random_expr(rng, nvars);
+    const double at = expr.evaluate(anchor);
+    const double roll = rng.uniform();
+    if (roll < 0.5) {
+      model.add_constraint(std::move(expr), Relation::kLessEqual, at + rng.uniform(0.0, 2.0));
+    } else if (roll < 0.85) {
+      model.add_constraint(std::move(expr), Relation::kGreaterEqual, at - rng.uniform(0.0, 2.0));
+    } else {
+      model.add_constraint(std::move(expr), Relation::kEqual, at);
+    }
+  }
+  return model;
+}
+
+/// Same shape (variables, bounds, rows, relations), jittered objective and
+/// coefficients; each row keeps its signed margin at the anchor.
+LpModel perturbed(common::Rng& rng, const LpModel& model, const std::vector<double>& anchor) {
+  LpModel out(model.sense());
+  for (const Variable& var : model.variables()) {
+    out.add_variable(var.name, var.lower, var.upper, var.objective * rng.uniform(0.7, 1.3));
+  }
+  for (const Constraint& c : model.constraints()) {
+    LinearExpr expr;
+    for (const LinearTerm& term : c.expr.terms()) {
+      expr.add(term.var, term.coeff * rng.uniform(0.8, 1.2));
+    }
+    const double margin =
+        c.relation == Relation::kEqual ? 0.0 : c.rhs - c.expr.evaluate(anchor);
+    const double rhs = expr.evaluate(anchor) + margin * rng.uniform(0.8, 1.2);
+    out.add_constraint(std::move(expr), c.relation, rhs);
+  }
+  return out;
+}
+
+/// One to three rows that keep the anchor feasible; inequality cuts are
+/// placed between the anchor and `optimum` so they cut the optimum off, and
+/// now and then an equality through the anchor joins them.
+std::vector<Constraint> random_cuts(common::Rng& rng, std::size_t nvars,
+                                    const std::vector<double>& anchor,
+                                    const std::vector<double>& optimum) {
+  std::vector<Constraint> cuts;
+  const std::size_t count = static_cast<std::size_t>(rng.uniform_int(1, 3));
+  for (std::size_t c = 0; c < count; ++c) {
+    LinearExpr expr = random_expr(rng, nvars);
+    const double at_anchor = expr.evaluate(anchor);
+    const double at_optimum = optimum.empty() ? at_anchor : expr.evaluate(optimum);
+    const double between = at_anchor + rng.uniform(0.1, 0.9) * (at_optimum - at_anchor);
+    if (rng.uniform() < 0.1) {
+      cuts.push_back(Constraint{std::move(expr), Relation::kEqual, at_anchor, "eq"});
+    } else if (at_optimum > at_anchor + 1e-6) {
+      cuts.push_back(Constraint{std::move(expr), Relation::kLessEqual, between, "cut"});
+    } else if (at_optimum < at_anchor - 1e-6) {
+      cuts.push_back(Constraint{std::move(expr), Relation::kGreaterEqual, between, "cut"});
+    } else {
+      cuts.push_back(Constraint{std::move(expr), Relation::kLessEqual,
+                                at_anchor + rng.uniform(0.0, 1.0), "loose"});
+    }
+  }
+  return cuts;
+}
+
+struct Coverage {
+  std::size_t warm_solves = 0;
+  std::size_t warm_resolves = 0;
+  std::size_t equality_appends = 0;
+  std::size_t warm_deletions = 0;
+  std::size_t refused_deletions = 0;
+  std::size_t imports = 0;
+  std::size_t twin_checks = 0;
+};
+
+/// One seeded sequence. `twin`, once imported, receives every operation the
+/// solver receives.
+class SequenceRun {
+ public:
+  SequenceRun(std::uint64_t seed, Coverage& coverage) : rng_(seed), coverage_(coverage) {}
+
+  void run() {
+    const LpModel base = random_model(rng_, anchor_);
+    check(solver_.solve(base), std::nullopt, "initial solve");
+    fresh_core_ = true;
+    for (std::size_t step = 0; step < kSteps; ++step) {
+      label_ = "step " + std::to_string(step);
+      const double roll = rng_.uniform();
+      const bool crowded = solver_.model().num_constraints() > kMaxRows;
+      if (roll < 0.2 && !crowded) {
+        solve_perturbation();
+      } else if (roll < 0.5 && !crowded) {
+        add_cuts();
+      } else if (roll < 0.6) {
+        resolve();
+      } else if (roll < 0.85 || crowded) {
+        delete_rows();
+      } else {
+        export_import();
+      }
+    }
+  }
+
+ private:
+  void solve_perturbation() {
+    const LpModel model = perturbed(rng_, solver_.model(), anchor_);
+    const LpSolution a = solver_.solve(model);
+    if (a.warm_started) ++coverage_.warm_solves;
+    check(a, twin_ ? std::optional(twin_->solve(model)) : std::nullopt, "solve");
+    fresh_core_ = true;
+  }
+
+  void add_cuts() {
+    const std::vector<Constraint> cuts =
+        random_cuts(rng_, anchor_.size(), anchor_, last_optimum_);
+    for (const Constraint& c : cuts) {
+      if (c.relation == Relation::kEqual) ++coverage_.equality_appends;
+    }
+    EXPECT_EQ(solver_.add_rows(cuts), cuts.size()) << label_;
+    if (twin_) twin_->add_rows(cuts);
+    resolve();
+  }
+
+  LpSolution resolve() {
+    const LpSolution a = solver_.resolve();
+    if (a.warm_started) ++coverage_.warm_resolves;
+    check(a, twin_ ? std::optional(twin_->resolve()) : std::nullopt, "resolve");
+    // A warm resolve on appended or excised rows leaves an identity whose
+    // scaling differs from a fresh load of the same model; only a loaded
+    // core exports into a twin that continues bit-identically.
+    fresh_core_ = !a.warm_started;
+    return a;
+  }
+
+  void delete_rows() {
+    if (last_optimum_.empty()) return;
+    const auto& constraints = solver_.model().constraints();
+    std::vector<std::size_t> loose;
+    std::vector<std::size_t> binding;
+    for (std::size_t c = 1; c < constraints.size(); ++c) {  // row 0: the budget
+      const double s = slack(constraints[c], last_optimum_);
+      if (s > 1e-5) loose.push_back(c);
+      if (s < 1e-9) binding.push_back(c);
+    }
+    std::vector<std::size_t> drop;
+    const bool take_binding = !binding.empty() && rng_.uniform() < 0.3;
+    if (take_binding) {
+      drop.push_back(binding[static_cast<std::size_t>(
+          rng_.uniform_int(0, static_cast<std::int64_t>(binding.size()) - 1))]);
+    } else {
+      for (const std::size_t c : loose) {
+        if (rng_.uniform() < 0.6) drop.push_back(c);
+      }
+    }
+    if (drop.empty()) return;
+
+    const bool had_basis = solver_.has_basis();
+    const bool warm = solver_.delete_rows(drop);
+    EXPECT_EQ(warm, solver_.has_basis()) << label_;
+    // Loose rows carry basic slacks, so their excision is never refused.
+    if (had_basis && !take_binding) {
+      EXPECT_TRUE(warm) << label_;
+    }
+    if (warm) {
+      ++coverage_.warm_deletions;
+    } else if (had_basis) {
+      ++coverage_.refused_deletions;
+    }
+    if (twin_) {
+      EXPECT_EQ(twin_->delete_rows(drop), warm) << label_;
+    }
+    const LpSolution resolved = resolve();
+    // The excised rows were loose, so the vertex the solver stands on is
+    // already optimal for the reduced model.
+    if (warm && !take_binding) {
+      EXPECT_EQ(resolved.iterations, 0u) << label_;
+    }
+  }
+
+  void export_import() {
+    if (!fresh_core_) return;
+    const std::optional<LpWarmState> state = solver_.export_warm_state();
+    if (!state) return;
+    twin_.emplace();
+    ASSERT_TRUE(twin_->import_warm_state(*state)) << label_;
+    // The exported optimum reoptimises in zero pivots, so the twin holds the
+    // exporting solver's identity.
+    EXPECT_EQ(twin_->stats().total_iterations, 0u) << label_;
+    EXPECT_EQ(twin_->model().num_constraints(), solver_.model().num_constraints());
+    ++coverage_.imports;
+  }
+
+  void check(const LpSolution& got, const std::optional<LpSolution>& twin, const char* op) {
+    const LpModel& model = solver_.model();
+    const LpSolution reference = SimplexSolver().solve(model);
+    ASSERT_EQ(got.status, reference.status) << label_ << " " << op;
+    if (got.optimal()) {
+      EXPECT_NEAR(got.objective, reference.objective,
+                  kTol * (1.0 + std::abs(reference.objective)))
+          << label_ << " " << op;
+      EXPECT_TRUE(model.is_feasible(got.values, kTol)) << label_ << " " << op;
+      last_optimum_ = got.values;
+    } else {
+      last_optimum_.clear();
+    }
+    if (twin) {
+      ++coverage_.twin_checks;
+      EXPECT_EQ(twin->status, got.status) << label_ << " " << op << " (twin)";
+      EXPECT_EQ(twin->iterations, got.iterations) << label_ << " " << op << " (twin)";
+      EXPECT_EQ(twin->warm_started, got.warm_started) << label_ << " " << op << " (twin)";
+      // memcmp, not EXPECT_DOUBLE_EQ: the contract is bit-identity.
+      EXPECT_EQ(0, std::memcmp(&twin->objective, &got.objective, sizeof(double)))
+          << label_ << " " << op << " (twin)";
+    }
+  }
+
+  common::Rng rng_;
+  Coverage& coverage_;
+  LpSolver solver_;
+  std::optional<LpSolver> twin_;
+  std::vector<double> anchor_;
+  std::vector<double> last_optimum_;
+  bool fresh_core_ = false;
+  std::string label_ = "initial";
+};
+
+TEST(SolverSequences, WarmPathsMatchTheTableauAndImportedTwins) {
+  Coverage coverage;
+  for (std::uint64_t seed = 1; seed <= 80; ++seed) {
+    SCOPED_TRACE("sequence seed " + std::to_string(seed));
+    SequenceRun(seed, coverage).run();
+  }
+  // The generator must exercise every warm path, not only cold solves.
+  EXPECT_GT(coverage.warm_solves, 200u);
+  EXPECT_GT(coverage.warm_resolves, 750u);
+  EXPECT_GT(coverage.equality_appends, 80u);
+  EXPECT_GT(coverage.warm_deletions, 200u);
+  EXPECT_GT(coverage.refused_deletions, 100u);
+  EXPECT_GT(coverage.imports, 100u);
+  EXPECT_GT(coverage.twin_checks, 650u);
+}
+
+}  // namespace
+}  // namespace oef::solver

@@ -5,7 +5,8 @@ Scans every tracked *.md file for inline links/images `[text](target)` and
 reference definitions `[label]: target`, resolves relative targets against
 the containing file, and reports targets that do not exist. External schemes
 (http/https/mailto) and pure in-page anchors are skipped; a `#fragment` on a
-relative target is stripped before the existence check.
+relative target is stripped before the existence check. A tracked file that
+is missing from the working tree (deleted locally) is reported and skipped.
 
 Used by the CI docs job; run locally as `python3 tools/check_markdown_links.py`.
 Exit code: 1 when any link is broken (the count is printed), 0 otherwise.
@@ -72,12 +73,16 @@ def main() -> int:
     if not files:
         print("no markdown files found", file=sys.stderr)
         return 1
+    present = [f for f in files if os.path.isfile(os.path.join(root, f))]
+    for relpath in sorted(set(files) - set(present)):
+        print(f"{relpath}: tracked but missing from the working tree, skipped",
+              file=sys.stderr)
     broken = []
-    for relpath in files:
+    for relpath in present:
         broken.extend(check_file(root, relpath))
     for line in broken:
         print(line)
-    print(f"checked {len(files)} markdown files, {len(broken)} broken links")
+    print(f"checked {len(present)} markdown files, {len(broken)} broken links")
     return 1 if broken else 0
 
 
