@@ -4,8 +4,11 @@
 // O(n) fairness rows) and both stay well below the five-minute round length.
 //
 // Four sweeps, one timed allocate() per point:
-//   * non-cooperative OEF on the LP (fast path off) and on the water-filling
-//     fast path, n = 50..300;
+//   * non-cooperative OEF on the LP (fast path off), n = 50..300;
+//   * non-cooperative OEF on the water-filling fast path, n = 50..300, over a
+//     totally ordered instance (the only kind the fast path serves; the LP
+//     sweep's random instance has crossing rows). Each point must take the
+//     fast path and match an untimed LP solve of the same instance to 1e-6;
 //   * cooperative OEF, Cold: every lazy envy-separation round re-solved from
 //     scratch by the reference tableau (the pre-warm-start behaviour), scoped
 //     to n <= 40 — its dense tableau grows to O(n * rounds) rows;
@@ -17,6 +20,7 @@
 //
 // Usage: bench_fig10a_overhead
 // Exit code: number of failed checks (0 = healthy).
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -49,6 +53,25 @@ core::SpeedupMatrix make_matrix(std::size_t n) {
   return core::SpeedupMatrix(std::move(rows));
 }
 
+/// A totally ordered instance: one random speed ladder across the types,
+/// stretched per user by a factor that grows with the user index. Every
+/// user's speedup ratio between adjacent types then grows with the user
+/// index too, so each row dominates the previous one and no two rows cross:
+/// the instances on which the fast path's staircase fill is optimal.
+core::SpeedupMatrix make_ordered_matrix(std::size_t n) {
+  common::Rng rng(4242);
+  std::vector<double> ladder(kGpuTypes, 1.0);
+  for (std::size_t j = 1; j < kGpuTypes; ++j) ladder[j] = ladder[j - 1] * rng.uniform(1.02, 1.35);
+  std::vector<double> stretch(n);
+  for (double& s : stretch) s = rng.uniform(0.5, 1.5);
+  std::sort(stretch.begin(), stretch.end());
+  std::vector<std::vector<double>> rows(n, std::vector<double>(kGpuTypes));
+  for (std::size_t l = 0; l < n; ++l) {
+    for (std::size_t j = 0; j < kGpuTypes; ++j) rows[l][j] = 1.0 + (ladder[j] - 1.0) * stretch[l];
+  }
+  return core::SpeedupMatrix(std::move(rows));
+}
+
 std::vector<double> make_capacities() {
   return std::vector<double>(kGpuTypes, 24.0);
 }
@@ -65,8 +88,7 @@ struct Timed {
   double ms = 0.0;
 };
 
-Timed timed_allocate(const core::OefAllocator& allocator, std::size_t n) {
-  const core::SpeedupMatrix w = make_matrix(n);
+Timed timed_allocate(const core::OefAllocator& allocator, const core::SpeedupMatrix& w) {
   const std::vector<double> m = make_capacities();
   const double start = common::monotonic_seconds();
   Timed timed{allocator.allocate(w, m), 0.0};
@@ -100,17 +122,25 @@ int main() {
 
   // The paper sweeps 100-300 users with ECOS (sparse interior point); the
   // non-cooperative LP has O(n) fairness rows and reproduces at full scale.
+  core::OefOptions lp_only;
+  lp_only.use_fast_path = false;
   for (const std::size_t n : {50, 100, 200, 300}) {
-    core::OefOptions options;
-    options.use_fast_path = false;  // this sweep measures the LP
-    const Timed lp = timed_allocate(core::make_non_cooperative_oef(options), n);
+    const Timed lp = timed_allocate(core::make_non_cooperative_oef(lp_only), make_matrix(n));
     add_row("noncoop_lp", n, lp);
     check("noncoop LP n=" + std::to_string(n) + " optimal", lp.result.ok());
   }
   for (const std::size_t n : {50, 100, 200, 300}) {
-    const Timed fast = timed_allocate(core::make_non_cooperative_oef(), n);
+    const core::SpeedupMatrix w = make_ordered_matrix(n);
+    const Timed fast = timed_allocate(core::make_non_cooperative_oef(), w);
     add_row("noncoop_fast_path", n, fast);
-    check("noncoop fast path n=" + std::to_string(n) + " optimal", fast.result.ok());
+    const std::string label = "noncoop fast path n=" + std::to_string(n);
+    check(label + " optimal", fast.result.ok());
+    check(label + " took the fast path", fast.result.used_fast_path);
+    const core::AllocationResult lp =
+        core::make_non_cooperative_oef(lp_only).allocate(w, make_capacities());
+    check(label + " objective matches the LP within 1e-6",
+          lp.ok() && std::abs(fast.result.total_efficiency - lp.total_efficiency) <=
+                         1e-6 * (1.0 + lp.total_efficiency));
   }
 
   // Cooperative: the cold tableau run is both the Cold sweep point and the
@@ -119,7 +149,7 @@ int main() {
   std::vector<double> reference(coop_sweep.size(), std::nan(""));
   for (std::size_t i = 0; i < coop_sweep.size(); ++i) {
     const std::size_t n = coop_sweep[i];
-    const Timed cold = timed_allocate(core::make_cooperative_oef(cold_options()), n);
+    const Timed cold = timed_allocate(core::make_cooperative_oef(cold_options()), make_matrix(n));
     if (n <= 40) add_row("coop_cold", n, cold);
     check("coop cold tableau reference n=" + std::to_string(n) + " optimal",
           cold.result.ok());
@@ -127,7 +157,7 @@ int main() {
   }
   for (std::size_t i = 0; i < coop_sweep.size(); ++i) {
     const std::size_t n = coop_sweep[i];
-    const Timed warm = timed_allocate(core::make_cooperative_oef(), n);
+    const Timed warm = timed_allocate(core::make_cooperative_oef(), make_matrix(n));
     add_row("coop_warm", n, warm);
     check("coop warm n=" + std::to_string(n) + " optimal", warm.result.ok());
     check("coop warm n=" + std::to_string(n) +

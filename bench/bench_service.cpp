@@ -443,7 +443,6 @@ SoakRecord run_soak(double soak_seconds) {
   client_options.initial_backoff_seconds = 0.02;
   client_options.max_backoff_seconds = 0.25;
   client_options.response_timeout_seconds = 0.5;
-  client_options.enable_send_faults = true;
   client_options.send_faults.seed = 13;
   client_options.send_faults.drop_probability = 0.05;
   client_options.send_faults.duplicate_probability = 0.05;

@@ -33,12 +33,6 @@ void SerialWriter::u64(std::uint64_t value) {
   buffer_ += buf;
 }
 
-void SerialWriter::i64(std::int64_t value) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%" PRId64 "\n", value);
-  buffer_ += buf;
-}
-
 void SerialWriter::f64(double value) {
   // Hexfloat: exact binary64 round-trip, no locale or precision pitfalls.
   char buf[48];
@@ -91,15 +85,6 @@ std::uint64_t SerialReader::u64() {
   char* end = nullptr;
   const std::uint64_t value = std::strtoull(tok.c_str(), &end, 10);
   if (errno != 0 || end == tok.c_str() || *end != '\0') corrupt("bad u64 token");
-  return value;
-}
-
-std::int64_t SerialReader::i64() {
-  const std::string tok(token());
-  errno = 0;
-  char* end = nullptr;
-  const std::int64_t value = std::strtoll(tok.c_str(), &end, 10);
-  if (errno != 0 || end == tok.c_str() || *end != '\0') corrupt("bad i64 token");
   return value;
 }
 

@@ -28,7 +28,6 @@ namespace oef::common {
 class SerialWriter {
  public:
   void u64(std::uint64_t value);
-  void i64(std::int64_t value);
   void f64(double value);
   void str(std::string_view value);
 
@@ -49,7 +48,6 @@ class SerialReader {
   explicit SerialReader(std::string_view data) : data_(data) {}
 
   [[nodiscard]] std::uint64_t u64();
-  [[nodiscard]] std::int64_t i64();
   [[nodiscard]] double f64();
   [[nodiscard]] std::string str();
 

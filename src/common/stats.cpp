@@ -1,41 +1,10 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "common/check.h"
 
 namespace oef::common {
-
-void RunningStats::add(double value) {
-  if (count_ == 0) {
-    min_ = value;
-    max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-  ++count_;
-  sum_ += value;
-  const double delta = value - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (value - mean_);
-}
-
-double RunningStats::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double mean(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double total = 0.0;
-  for (const double v : values) total += v;
-  return total / static_cast<double>(values.size());
-}
 
 double percentile(std::vector<double> values, double p) {
   OEF_CHECK(!values.empty());
@@ -47,34 +16,6 @@ double percentile(std::vector<double> values, double p) {
   const auto hi = std::min(lo + 1, values.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
-double jain_index(const std::vector<double>& values) {
-  if (values.empty()) return 1.0;
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  for (const double v : values) {
-    sum += v;
-    sum_sq += v * v;
-  }
-  if (sum_sq == 0.0) return 1.0;
-  return sum * sum / (static_cast<double>(values.size()) * sum_sq);
-}
-
-double max_min_ratio(const std::vector<double>& values) {
-  if (values.empty()) return 1.0;
-  const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
-  if (*lo == 0.0) {
-    return *hi == 0.0 ? 1.0 : std::numeric_limits<double>::infinity();
-  }
-  return *hi / *lo;
-}
-
-double coefficient_of_variation(const std::vector<double>& values) {
-  RunningStats stats;
-  for (const double v : values) stats.add(v);
-  if (stats.mean() == 0.0) return 0.0;
-  return stats.stddev() / stats.mean();
 }
 
 }  // namespace oef::common

@@ -1,49 +1,11 @@
-// Descriptive statistics and fairness indices used by the metrics layer and
-// the benchmark harness.
+// Descriptive statistics for the benchmark and example harnesses.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 namespace oef::common {
 
-/// Incremental mean/variance accumulator (Welford's algorithm).
-class RunningStats {
- public:
-  void add(double value);
-
-  [[nodiscard]] std::size_t count() const { return count_; }
-  [[nodiscard]] double mean() const { return mean_; }
-  /// Sample variance; zero for fewer than two observations.
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const { return min_; }
-  [[nodiscard]] double max() const { return max_; }
-  [[nodiscard]] double sum() const { return sum_; }
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
-
-/// Arithmetic mean; zero for an empty input.
-[[nodiscard]] double mean(const std::vector<double>& values);
-
 /// Linearly interpolated percentile, p in [0, 100]. Requires non-empty input.
 [[nodiscard]] double percentile(std::vector<double> values, double p);
-
-/// Jain's fairness index: (Σx)² / (n·Σx²); 1.0 means perfectly equal.
-/// Returns 1.0 for empty or all-zero input.
-[[nodiscard]] double jain_index(const std::vector<double>& values);
-
-/// Max/min ratio; +inf when min is zero but max is not, 1.0 when empty.
-[[nodiscard]] double max_min_ratio(const std::vector<double>& values);
-
-/// Coefficient of variation (stddev/mean); zero when the mean is zero.
-[[nodiscard]] double coefficient_of_variation(const std::vector<double>& values);
 
 }  // namespace oef::common

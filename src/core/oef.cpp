@@ -23,6 +23,13 @@ using solver::Relation;
 using solver::Sense;
 using solver::VarId;
 
+/// Envy separation: a pair whose envy gap exceeds kEnvyTolerance is violated.
+/// A pair whose row the model already carries is satisfied only to the
+/// solver's feasibility tolerance, so it is re-emitted only past the looser
+/// kReaddTolerance; otherwise its echo would append duplicate rows forever.
+constexpr double kEnvyTolerance = 1e-7;
+constexpr double kReaddTolerance = 1e-6;
+
 /// Variable id of x[user][type] given k types.
 [[nodiscard]] constexpr VarId var_of(std::size_t user, std::size_t type, std::size_t k) {
   return user * k + type;
@@ -204,16 +211,7 @@ std::optional<Allocation> non_cooperative_fast_path(
 }
 
 OefAllocator::OefAllocator(Mode mode, OefOptions options)
-    : mode_(mode),
-      options_(options),
-      coop_solver_(options.solver),
-      noncoop_solver_(options.solver) {}
-
-solver::LpSolverStats OefAllocator::solver_stats() const {
-  solver::LpSolverStats stats = coop_solver_.stats();
-  stats.merge(noncoop_solver_.stats());
-  return stats;
-}
+    : mode_(mode), options_(options), solver_(options.solver) {}
 
 AllocationResult OefAllocator::allocate(const SpeedupMatrix& speedups,
                                         const std::vector<double>& capacities) const {
@@ -235,10 +233,18 @@ AllocationResult OefAllocator::allocate_weighted(
                   "capacities must match the speedup matrix's type count");
   OEF_REQUIRE_MSG(user_ids.empty() || user_ids.size() == speedups.num_users(),
                   "user_ids must be empty or match the user count");
-  if (mode_ == Mode::kNonCooperative) {
-    return solve_non_cooperative(speedups, multiplicities, capacities);
-  }
-  return solve_cooperative(speedups, multiplicities, capacities, user_ids);
+  // Every LP this call solves goes through solver_, so its seconds and
+  // ladder counters are the deltas of the solver's cumulative stats.
+  const solver::LpSolverStats before = solver_.stats();
+  AllocationResult result =
+      mode_ == Mode::kNonCooperative
+          ? solve_non_cooperative(speedups, multiplicities, capacities)
+          : solve_cooperative(speedups, multiplicities, capacities, user_ids);
+  const solver::LpSolverStats& after = solver_.stats();
+  result.solve_seconds = after.solve_seconds - before.solve_seconds;
+  result.tableau_fallbacks = after.tableau_fallbacks - before.tableau_fallbacks;
+  result.basis_repairs = after.basis_repairs - before.basis_repairs;
+  return result;
 }
 
 AllocationResult OefAllocator::solve_non_cooperative(
@@ -283,14 +289,9 @@ AllocationResult OefAllocator::solve_non_cooperative(
   // Persistent solver: across simulator rounds with a stable user population
   // the model shape repeats, so the previous optimal basis warm-starts this
   // solve (equal-efficiency rows only move in their coefficients).
-  const solver::LpSolverStats stats_before = noncoop_solver_.stats();
-  const solver::LpSolution solution = noncoop_solver_.solve(model);
-  const solver::LpSolverStats& stats_after = noncoop_solver_.stats();
+  const solver::LpSolution solution = solver_.solve(model);
   result.status = solution.status;
   result.lp_iterations = solution.iterations;
-  result.solve_seconds = stats_after.solve_seconds - stats_before.solve_seconds;
-  result.tableau_fallbacks = stats_after.tableau_fallbacks - stats_before.tableau_fallbacks;
-  result.basis_repairs = stats_after.basis_repairs - stats_before.basis_repairs;
   if (solution.warm_started) {
     result.warm_lp_iterations = solution.iterations;
   } else {
@@ -317,12 +318,6 @@ AllocationResult OefAllocator::solve_cooperative(
   build_base_model(model, speedups, capacities);
 
   AllocationResult result;
-  const solver::LpSolverStats stats_before = coop_solver_.stats();
-  const auto harvest_ladder_stats = [&] {
-    const solver::LpSolverStats& after = coop_solver_.stats();
-    result.tableau_fallbacks = after.tableau_fallbacks - stats_before.tableau_fallbacks;
-    result.basis_repairs = after.basis_repairs - stats_before.basis_repairs;
-  };
   if (!options_.lazy_envy_constraints) {
     for (std::size_t l = 0; l < n; ++l) {
       for (std::size_t i = 0; i < n; ++i) {
@@ -332,10 +327,7 @@ AllocationResult OefAllocator::solve_cooperative(
     // Same persistent solver as the lazy path: stats accumulate, the
     // configured algorithm applies, and repeat calls of the same shape
     // warm-start.
-    const double seconds_before = stats_before.solve_seconds;
-    const solver::LpSolution solution = coop_solver_.solve(model);
-    result.solve_seconds = coop_solver_.stats().solve_seconds - seconds_before;
-    harvest_ladder_stats();
+    const solver::LpSolution solution = solver_.solve(model);
     result.status = solution.status;
     result.lp_iterations = solution.iterations;
     if (solution.warm_started) {
@@ -428,44 +420,33 @@ AllocationResult OefAllocator::solve_cooperative(
     }
   }
 
-  // Lazy row generation: add every violated envy row per round (capped per
-  // user) — more rows per solve, but far fewer full re-solves than the
-  // one-row-per-user policy. Only a small set is active at the optimum.
-  //
-  // Pairs already materialised are skipped below a looser threshold: rows in
-  // the model are satisfied only to the solver's feasibility tolerance, and
-  // flagging that echo would append duplicate rows forever; pairs whose row
-  // was dropped again by compaction are re-emitted once the violation is
-  // genuine. The per-user scans are independent, so they shard across a
-  // small worker pool; the merge walks users in index order, making the
-  // emitted rows identical for every thread count.
-  const std::size_t per_user_cap = std::max<std::size_t>(1, options_.max_envy_rows_per_user);
-  const double readd_tolerance = std::max(options_.envy_tolerance, 1e-6);
+  // Lazy row generation: each round adds, for every user, the envy row of
+  // the pair it envies most (the first such pair on exact ties). Only a
+  // small set is active at the optimum. Pairs whose row was dropped again
+  // by compaction are re-emitted once the violation is genuine (past
+  // kReaddTolerance). The per-user scans are independent, so they shard
+  // across a small worker pool; the merge walks users in index order,
+  // making the emitted rows identical for every thread count.
   const std::size_t workers = oracle_worker_count(options_.oracle_threads, n);
   double oracle_seconds = 0.0;
 
   const auto oracle = [&](const std::vector<double>& point) {
     const double oracle_start = common::monotonic_seconds();
-    std::vector<std::vector<std::pair<double, std::size_t>>> top(n);
+    // Per user, the most-envied user, or SIZE_MAX when no envy is violated.
+    std::vector<std::size_t> worst(n, SIZE_MAX);
     const auto scan_users = [&](std::size_t begin, std::size_t end) {
-      std::vector<std::pair<double, std::size_t>> gaps;
       for (std::size_t l = begin; l < end; ++l) {
         const double own = scaled_efficiency(speedups, multiplicities, point, l);
-        gaps.clear();
+        double worst_gap = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
           if (i == l) continue;
           const double gap = envied_efficiency(speedups, multiplicities, point, l, i) - own;
-          const double threshold =
-              added[l * n + i] ? readd_tolerance : options_.envy_tolerance;
-          if (gap > threshold) gaps.push_back({gap, i});
+          const double threshold = added[l * n + i] ? kReaddTolerance : kEnvyTolerance;
+          if (gap > threshold && (worst[l] == SIZE_MAX || gap > worst_gap)) {
+            worst[l] = i;
+            worst_gap = gap;
+          }
         }
-        // Worst first; index breaks exact ties so the order is a total one.
-        std::sort(gaps.begin(), gaps.end(), [](const auto& a, const auto& b) {
-          if (a.first != b.first) return a.first > b.first;
-          return a.second < b.second;
-        });
-        if (gaps.size() > per_user_cap) gaps.resize(per_user_cap);
-        top[l] = gaps;
       }
     };
     if (workers <= 1) {
@@ -484,30 +465,25 @@ AllocationResult OefAllocator::solve_cooperative(
     }
     std::vector<Constraint> violated;
     for (std::size_t l = 0; l < n; ++l) {
-      for (const auto& [gap, i] : top[l]) {
-        violated.push_back(envy_row(speedups, multiplicities, l, i));
-        session_pairs.push_back({l, i});
-        added[l * n + i] = 1;
-      }
+      const std::size_t i = worst[l];
+      if (i == SIZE_MAX) continue;
+      violated.push_back(envy_row(speedups, multiplicities, l, i));
+      session_pairs.push_back({l, i});
+      added[l * n + i] = 1;
     }
     oracle_seconds += common::monotonic_seconds() - oracle_start;
     return violated;
   };
 
-  solver::LazyConstraintSolver lazy(options_.solver, options_.max_lazy_rounds);
+  solver::LazyConstraintSolver lazy(options_.max_lazy_rounds);
   if (options_.max_envy_rows_total != SIZE_MAX) {
     const std::size_t envy_budget = options_.max_envy_rows_total != 0
                                         ? options_.max_envy_rows_total
                                         : std::max<std::size_t>(16 * n, 512);
     lazy.enable_compaction(base_rows, base_rows + envy_budget);
   }
-  if (options_.solve_deadline_seconds > 0.0) {
-    lazy.set_deadline(options_.solve_deadline_seconds);
-  }
-  if (!options_.deadline.is_none()) {
-    lazy.set_deadline(options_.deadline);
-  }
-  const solver::LazySolveResult lazy_result = lazy.solve(coop_solver_, model, oracle);
+  lazy.set_deadline(options_.deadline);
+  const solver::LazySolveResult lazy_result = lazy.solve(solver_, model, oracle);
   result.status = lazy_result.solution.status;
   result.lp_iterations = lazy_result.total_iterations;
   result.lazy_rounds = lazy_result.rounds;
@@ -518,11 +494,9 @@ AllocationResult OefAllocator::solve_cooperative(
   result.warm_rounds = lazy_result.warm_rounds;
   result.cold_lp_iterations = lazy_result.cold_iterations;
   result.warm_lp_iterations = lazy_result.warm_iterations;
-  result.solve_seconds = lazy_result.solve_seconds;
   result.oracle_seconds = oracle_seconds;
   result.deadline_expired = lazy_result.deadline_expired;
   oracle_seconds_total_ += oracle_seconds;
-  harvest_ladder_stats();
   if (!lazy_result.solution.optimal()) {
     // Every rung of the degradation ladder failed on some relaxation — there
     // is no feasible point to hand out at all.
@@ -588,8 +562,11 @@ void OefAllocator::save_warm_state(common::SerialWriter& out) const {
     out.u64(row.envied);
     out.u64(row.binding ? 1 : 0);
   }
-  solver::write_warm_state(out, coop_solver_);
-  solver::write_warm_state(out, noncoop_solver_);
+  // A fresh solver holds no warm state, so it writes the idle slot's marker.
+  const solver::LpSolver idle;
+  const bool coop = mode_ == Mode::kCooperative;
+  solver::write_warm_state(out, coop ? solver_ : idle);
+  solver::write_warm_state(out, coop ? idle : solver_);
 }
 
 bool OefAllocator::load_warm_state(common::SerialReader& in) {
@@ -609,9 +586,12 @@ bool OefAllocator::load_warm_state(common::SerialReader& in) {
     row.binding = in.u64() != 0;
     envy_pool_.push_back(row);
   }
-  const bool coop_warm = solver::read_warm_state(in, coop_solver_);
-  const bool noncoop_warm = solver::read_warm_state(in, noncoop_solver_);
-  return coop_warm || noncoop_warm;
+  // The idle slot is read (and so consumed) into a throwaway solver.
+  solver::LpSolver idle;
+  const bool coop = mode_ == Mode::kCooperative;
+  const bool coop_warm = solver::read_warm_state(in, coop ? solver_ : idle);
+  const bool noncoop_warm = solver::read_warm_state(in, coop ? idle : solver_);
+  return coop ? coop_warm : noncoop_warm;
 }
 
 OefAllocator make_non_cooperative_oef(OefOptions options) {

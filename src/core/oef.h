@@ -29,20 +29,17 @@
 
 namespace oef::core {
 
+/// Allocator knobs that callers vary. The separation oracle's thresholds are
+/// fixed (oef.cpp: kEnvyTolerance, kReaddTolerance), and it emits the one
+/// most-violated envy row per user per round — the policy that measured
+/// fastest across the n = 40..300 sweep once the relaxation is seeded with
+/// the adjacent-pair rows.
 struct OefOptions {
   solver::SolverOptions solver;
   /// Cooperative mode: generate envy rows lazily (true) or all n(n-1)
   /// eagerly (false). Lazy is the default and is required at large n.
   bool lazy_envy_constraints = true;
   std::size_t max_lazy_rounds = 200;
-  /// Violation threshold for the envy separation oracle.
-  double envy_tolerance = 1e-7;
-  /// Cooperative lazy mode: most-violated envy rows the separation oracle
-  /// emits per user per round. 1 (the classic most-violated-row policy)
-  /// measures fastest across the n = 40..300 sweep once the relaxation is
-  /// seeded with the adjacent-pair rows; larger values trade rounds for row
-  /// growth, which the O(m^2) basis operations punish.
-  std::size_t max_envy_rows_per_user = 1;
   /// Cooperative lazy mode: relaxation-compaction ceiling. Once the working
   /// LP holds more than this many envy rows, rows slack at the current
   /// optimum are dropped and the shrunken model re-solved. This is a safety
@@ -72,17 +69,13 @@ struct OefOptions {
   /// rows one violation at a time (n = 300: 46 rounds / 10.4k rows down to
   /// 30 rounds / 6.6k rows, and a cold sweep that completes in minutes).
   bool seed_adjacent_envy_rows = true;
-  /// Monotonic-clock budget for one allocate() call, in seconds; 0 disables
-  /// it. Cooperative lazy mode: when the deadline expires mid-loop the call
-  /// returns the last relaxation optimum (capacity-feasible, envy rows
-  /// approximate) as a *degraded* result instead of running to convergence —
-  /// the anytime contract a per-round scheduler needs.
-  double solve_deadline_seconds = 0.0;
-  /// Absolute monotonic deadline for one allocate() call (none() disables).
-  /// Unlike solve_deadline_seconds — which anchors at allocate() entry — this
-  /// instant is fixed by the caller, so the daemon can anchor a request's
-  /// budget at arrival and let queueing/coalescing delay draw it down. When
-  /// both are set, the earlier instant wins.
+  /// Absolute monotonic deadline for allocate() (none() disables it). The
+  /// caller fixes the instant, so the daemon can anchor a request's budget
+  /// at arrival and let queueing/coalescing delay draw it down. Cooperative
+  /// lazy mode: when it expires mid-loop the call returns the last
+  /// relaxation optimum (capacity-feasible, envy rows approximate) as a
+  /// *degraded* result instead of running to convergence — the anytime
+  /// contract a per-round scheduler needs.
   common::Deadline deadline = common::Deadline::none();
 };
 
@@ -142,8 +135,8 @@ struct AllocationResult {
   /// totally ordered (crossing rows), so the LP solved it instead. Previously
   /// this degradation was silent.
   bool fast_path_fallback = false;
-  /// Cooperative lazy mode: OefOptions::solve_deadline_seconds expired and
-  /// the last relaxation optimum was returned (outcome == kDegraded).
+  /// Cooperative lazy mode: OefOptions::deadline expired and the last
+  /// relaxation optimum was returned (outcome == kDegraded).
   bool deadline_expired = false;
   /// Always 0; kept for the benchmark's load generator.
   std::size_t dense_fallbacks = 0;
@@ -180,21 +173,23 @@ class OefAllocator {
 
   /// Cumulative LP-solver counters (cold solves, warm resolves, basis-reuse
   /// hits, pivots, seconds) across all allocate() calls on this instance.
-  [[nodiscard]] solver::LpSolverStats solver_stats() const;
+  [[nodiscard]] const solver::LpSolverStats& solver_stats() const { return solver_.stats(); }
 
   /// Cumulative wall-clock seconds spent inside the envy separation oracle
   /// across all allocate() calls on this instance.
   [[nodiscard]] double oracle_seconds() const { return oracle_seconds_total_; }
 
-  /// Checkpoint hook (PR 9): serializes the allocator's warm identity — the
-  /// recycled envy pool and each persistent solver's LpWarmState — so a fresh
-  /// process can resume churn on warm paths. Counters (solver stats, oracle
+  /// Checkpoint hook: serializes the allocator's warm identity — the
+  /// recycled envy pool and the persistent solver's LpWarmState — so a fresh
+  /// process can resume churn on warm paths. The record keeps one solver slot
+  /// per mode (cooperative first); the slot of the mode this allocator does
+  /// not run holds the no-warm-state marker. Counters (solver stats, oracle
   /// seconds) are telemetry, not warm state, and are not saved.
   void save_warm_state(common::SerialWriter& out) const;
 
-  /// Restores what save_warm_state() wrote. Returns true when at least one
-  /// solver came back warm; false means the next allocate() runs cold (a
-  /// degraded restart, not an error). Throws common::CheckError with
+  /// Restores what save_warm_state() wrote. Returns true when the solver
+  /// came back warm; false means the next allocate() runs cold (a degraded
+  /// restart, not an error). Throws common::CheckError with
   /// kCorruptData on a malformed record and kInvalidArgument when the
   /// checkpoint was taken under the other Mode.
   bool load_warm_state(common::SerialReader& in);
@@ -228,11 +223,11 @@ class OefAllocator {
 
   Mode mode_;
   OefOptions options_;
-  /// Persistent solvers: kept alive across allocate() calls so the lazy envy
-  /// loop dual-simplex-resolves within a call and same-shaped models across
-  /// calls reuse the previous optimal basis (see solver/lp_solver.h).
-  mutable solver::LpSolver coop_solver_;
-  mutable solver::LpSolver noncoop_solver_;
+  /// Persistent solver for this allocator's mode: kept alive across
+  /// allocate() calls so the lazy envy loop dual-simplex-resolves within a
+  /// call and same-shaped models across calls reuse the previous optimal
+  /// basis (see solver/lp_solver.h).
+  mutable solver::LpSolver solver_;
   /// One envy row (envier envies envied) of the previous cooperative call's
   /// final relaxation, recycled into the next call's initial relaxation.
   /// Stored as stable IDs: the caller's user_ids when provided, row indices

@@ -37,12 +37,6 @@ const std::vector<double>& SpeedupMatrix::row(std::size_t user) const {
   return rows_[user];
 }
 
-SpeedupMatrix SpeedupMatrix::normalized() const {
-  SpeedupMatrix copy;
-  for (const auto& row : rows_) copy.rows_.push_back(normalize_row(row));
-  return copy;
-}
-
 bool SpeedupMatrix::is_normalized(double tol) const {
   for (const auto& row : rows_) {
     if (std::abs(row.front() - 1.0) > tol) return false;

@@ -25,10 +25,6 @@ class SpeedupMatrix {
   [[nodiscard]] double at(std::size_t user, std::size_t type) const;
   [[nodiscard]] const std::vector<double>& row(std::size_t user) const;
 
-  /// Normalised copy: each row divided by its column-0 entry (§2.3). The
-  /// builder already normalises; this is for re-normalising edited matrices.
-  [[nodiscard]] SpeedupMatrix normalized() const;
-
   /// True when w[l][0] == 1 for all l (within tol).
   [[nodiscard]] bool is_normalized(double tol = 1e-9) const;
 

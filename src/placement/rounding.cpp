@@ -9,10 +9,8 @@
 
 namespace oef::placement {
 
-DeviationRounder::DeviationRounder(std::size_t num_users, std::size_t num_types,
-                                   RoundingOptions options)
-    : num_types_(num_types), options_(options),
-      dev_(num_users, std::vector<double>(num_types, 0.0)) {}
+DeviationRounder::DeviationRounder(std::size_t num_users, std::size_t num_types)
+    : num_types_(num_types), dev_(num_users, std::vector<double>(num_types, 0.0)) {}
 
 double DeviationRounder::deviation(std::size_t user, std::size_t type) const {
   OEF_CHECK(user < dev_.size());
@@ -87,7 +85,7 @@ std::vector<std::vector<int>> DeviationRounder::round(
   }
 
   // Min-demand floor (§4.3): users granted fewer devices than their smallest
-  // job cannot run anything; zero them and optionally redistribute.
+  // job cannot run anything; zero them and redistribute their devices.
   std::vector<std::size_t> freed(k, 0);
   std::vector<bool> floored(n, false);
   for (std::size_t l = 0; l < n; ++l) {
@@ -102,25 +100,23 @@ std::vector<std::vector<int>> DeviationRounder::round(
       floored[l] = true;
     }
   }
-  if (options_.work_conserving) {
-    // Freed devices go to unfloored users with the largest accumulated
-    // deficit on that type.
-    for (std::size_t j = 0; j < k; ++j) {
-      while (freed[j] > 0) {
-        std::size_t best = SIZE_MAX;
-        double best_deficit = -1e300;
-        for (std::size_t l = 0; l < n; ++l) {
-          if (floored[l]) continue;
-          const double deficit = ideal.at(l, j) + dev_[l][j] - real[l][j];
-          if (real[l][j] > 0 && deficit > best_deficit) {
-            best_deficit = deficit;
-            best = l;
-          }
+  // Freed devices go to unfloored users with the largest accumulated deficit
+  // on that type.
+  for (std::size_t j = 0; j < k; ++j) {
+    while (freed[j] > 0) {
+      std::size_t best = SIZE_MAX;
+      double best_deficit = -1e300;
+      for (std::size_t l = 0; l < n; ++l) {
+        if (floored[l]) continue;
+        const double deficit = ideal.at(l, j) + dev_[l][j] - real[l][j];
+        if (real[l][j] > 0 && deficit > best_deficit) {
+          best_deficit = deficit;
+          best = l;
         }
-        if (best == SIZE_MAX) break;  // nobody can absorb more
-        ++real[best][j];
-        --freed[j];
       }
+      if (best == SIZE_MAX) break;  // nobody can absorb more
+      ++real[best][j];
+      --freed[j];
     }
   }
 

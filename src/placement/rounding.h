@@ -7,7 +7,7 @@
 // the ideal share. Users whose total grant would be below the smallest worker
 // size of their jobs are floored to zero (the deviation keeps accumulating,
 // guaranteeing they are eventually served — the paper's starvation-freedom
-// argument).
+// argument), and the devices they free go to other users (work-conserving).
 #pragma once
 
 #include <cstddef>
@@ -17,15 +17,9 @@
 
 namespace oef::placement {
 
-struct RoundingOptions {
-  /// Redistribute devices freed by the min-demand floor to other users.
-  bool work_conserving = true;
-};
-
 class DeviationRounder {
  public:
-  DeviationRounder(std::size_t num_users, std::size_t num_types,
-                   RoundingOptions options = {});
+  DeviationRounder(std::size_t num_users, std::size_t num_types);
 
   /// One scheduling round: converts fractional `ideal` shares into integer
   /// grants. `capacities` bounds column sums; `min_demand[l]` is the smallest
@@ -45,7 +39,6 @@ class DeviationRounder {
 
  private:
   std::size_t num_types_;
-  RoundingOptions options_;
   std::vector<std::vector<double>> dev_;
 };
 

@@ -36,88 +36,30 @@ core::Allocation GavelScheduler::allocate(const core::SpeedupMatrix& speedups,
     }
   }
 
-  // Water-filling: frozen users keep their achieved ratio as a floor while
-  // the minimum ratio of the rest is re-maximised.
-  std::vector<bool> frozen(n, false);
-  std::vector<double> floor_ratio(n, 0.0);
-  std::vector<double> last_values;
-
-  for (std::size_t level = 0; level < options_.levels; ++level) {
-    LpModel model(Sense::kMaximize);
-    for (std::size_t l = 0; l < n; ++l) {
-      for (std::size_t j = 0; j < k; ++j) model.add_variable("x", 0.0, solver::kInf, 0.0);
-    }
-    const VarId t = model.add_variable("t", 0.0, solver::kInf, 1.0);
-    for (std::size_t j = 0; j < k; ++j) {
-      LinearExpr cap;
-      for (std::size_t l = 0; l < n; ++l) cap.add(l * k + j, 1.0);
-      model.add_constraint(std::move(cap), Relation::kLessEqual, capacities[j]);
-    }
-    for (std::size_t l = 0; l < n; ++l) {
-      LinearExpr expr;
-      for (std::size_t j = 0; j < k; ++j) expr.add(l * k + j, speedups.at(l, j));
-      if (frozen[l]) {
-        model.add_constraint(std::move(expr), Relation::kGreaterEqual,
-                             floor_ratio[l] * isolated[l]);
-      } else {
-        expr.add(t, -isolated[l]);
-        model.add_constraint(std::move(expr), Relation::kGreaterEqual, 0.0);
-      }
-    }
-
-    const solver::LpSolution solution = level_solver_.solve(model);
-    OEF_CHECK_MSG(solution.optimal(), "Gavel LP must solve");
-    last_values = solution.values;
-    const double level_ratio = solution.values[t];
-
-    if (level + 1 == options_.levels) break;
-
-    // Saturation test per unfrozen user: can their ratio exceed the level
-    // ratio while everyone else keeps at least level_ratio (or their floor)?
-    bool any_unfrozen = false;
-    for (std::size_t probe = 0; probe < n; ++probe) {
-      if (frozen[probe]) continue;
-      LpModel probe_model(Sense::kMaximize);
-      for (std::size_t l = 0; l < n; ++l) {
-        for (std::size_t j = 0; j < k; ++j) {
-          probe_model.add_variable("x", 0.0, solver::kInf,
-                                   l == probe ? speedups.at(l, j) : 0.0);
-        }
-      }
-      for (std::size_t j = 0; j < k; ++j) {
-        LinearExpr cap;
-        for (std::size_t l = 0; l < n; ++l) cap.add(l * k + j, 1.0);
-        probe_model.add_constraint(std::move(cap), Relation::kLessEqual, capacities[j]);
-      }
-      for (std::size_t l = 0; l < n; ++l) {
-        if (l == probe) continue;
-        LinearExpr expr;
-        for (std::size_t j = 0; j < k; ++j) expr.add(l * k + j, speedups.at(l, j));
-        const double floor = frozen[l] ? floor_ratio[l] : level_ratio;
-        probe_model.add_constraint(std::move(expr), Relation::kGreaterEqual,
-                                   floor * isolated[l]);
-      }
-      const solver::LpSolution probe_solution = probe_solver_.solve(probe_model);
-      OEF_CHECK_MSG(probe_solution.optimal(), "Gavel probe LP must solve");
-      const double best_ratio = probe_solution.objective / isolated[probe];
-      if (best_ratio <= level_ratio + 1e-7) {
-        frozen[probe] = true;
-        floor_ratio[probe] = level_ratio;
-      } else {
-        any_unfrozen = true;
-      }
-    }
-    if (!any_unfrozen) break;
-    // Unfrozen users continue to the next level with a raised target.
-    for (std::size_t l = 0; l < n; ++l) {
-      if (!frozen[l]) floor_ratio[l] = level_ratio;
-    }
+  LpModel model(Sense::kMaximize);
+  for (std::size_t l = 0; l < n; ++l) {
+    for (std::size_t j = 0; j < k; ++j) model.add_variable("x", 0.0, solver::kInf, 0.0);
   }
+  const VarId t = model.add_variable("t", 0.0, solver::kInf, 1.0);
+  for (std::size_t j = 0; j < k; ++j) {
+    LinearExpr cap;
+    for (std::size_t l = 0; l < n; ++l) cap.add(l * k + j, 1.0);
+    model.add_constraint(std::move(cap), Relation::kLessEqual, capacities[j]);
+  }
+  for (std::size_t l = 0; l < n; ++l) {
+    LinearExpr expr;
+    for (std::size_t j = 0; j < k; ++j) expr.add(l * k + j, speedups.at(l, j));
+    expr.add(t, -isolated[l]);
+    model.add_constraint(std::move(expr), Relation::kGreaterEqual, 0.0);
+  }
+
+  const solver::LpSolution solution = solver_.solve(model);
+  OEF_CHECK_MSG(solution.optimal(), "Gavel LP must solve");
 
   core::Allocation allocation(n, k);
   for (std::size_t l = 0; l < n; ++l) {
     for (std::size_t j = 0; j < k; ++j) {
-      allocation.at(l, j) = std::max(0.0, last_values[l * k + j]);
+      allocation.at(l, j) = std::max(0.0, solution.values[l * k + j]);
     }
   }
   return allocation;

@@ -3,43 +3,28 @@
 // Gavel maximises the minimum, over users, of the ratio between a user's
 // attained throughput and their isolated fair share (a weight-proportional
 // slice of every GPU type):  max t  s.t.  w_l·x_l >= t · (w_l · m_l_share)
-// and capacity. With levels > 1 the scheduler water-fills: saturated users
-// are frozen at the current ratio and the minimum is re-maximised over the
-// rest, approaching lexicographic max-min fairness.
+// and capacity — the single LP the paper analyses in §2.4.
 #pragma once
 
 #include "sched/scheduler.h"
 
 namespace oef::sched {
 
-struct GavelOptions {
-  /// Water-filling rounds. 1 reproduces the single-LP policy the paper
-  /// analyses in §2.4; larger values refine towards lexicographic max-min.
-  std::size_t levels = 1;
-};
-
 class GavelScheduler : public Scheduler {
  public:
-  explicit GavelScheduler(GavelOptions options = {}) : options_(options) {}
-
   [[nodiscard]] std::string name() const override { return "Gavel"; }
   [[nodiscard]] core::Allocation allocate(const core::SpeedupMatrix& speedups,
                                           const std::vector<double>& capacities,
                                           const std::vector<double>& weights) const override;
 
   [[nodiscard]] SchedulerTelemetry telemetry() const override {
-    solver::LpSolverStats stats = level_solver_.stats();
-    stats.merge(probe_solver_.stats());
-    return to_telemetry(stats);
+    return to_telemetry(solver_.stats());
   }
 
  private:
-  GavelOptions options_;
-  /// Persistent solvers: the level LP keeps its shape across water-filling
-  /// levels and simulator rounds, and the probe LP keeps its shape across
-  /// probes, so each solve warm-starts from the previous optimal basis.
-  mutable solver::LpSolver level_solver_;
-  mutable solver::LpSolver probe_solver_;
+  /// Persistent solver: the max-min LP keeps its shape across simulator
+  /// rounds, so each solve warm-starts from the previous optimal basis.
+  mutable solver::LpSolver solver_;
 };
 
 }  // namespace oef::sched

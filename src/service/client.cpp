@@ -15,24 +15,6 @@
 
 namespace oef::service {
 
-namespace {
-
-[[nodiscard]] bool send_all(int fd, std::string_view bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n =
-        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
-
 AllocatorClient::AllocatorClient(ClientOptions options)
     : options_(std::move(options)), rng_(options_.seed), faults_(options_.send_faults) {
   // Random high bits + a counter in the low bits: ids are unique per client
@@ -123,7 +105,7 @@ Response AllocatorClient::call(Request request) {
     }
     if (!ensure_connected()) continue;
     std::string wire = frame;
-    if (options_.enable_send_faults) {
+    if (faults_.enabled()) {
       double delay_seconds = 0.0;
       wire = faults_.apply(frame, delay_seconds);
       if (delay_seconds > 0.0) {

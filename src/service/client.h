@@ -11,9 +11,10 @@
 //     reconnect + retry under exponential backoff with multiplicative
 //     jitter, up to max_attempts; the terminal failure is a kInternalError
 //     response, never an exception, so callers degrade instead of unwind.
-//   * An optional WireFaultInjector sits on the send path — the chaos
-//     harness drives drops/dups/delays/truncations through a real client and
-//     asserts the contract above survives them.
+//   * A WireFaultInjector sits on the send path, engaged when any of its
+//     probabilities is non-zero — the chaos harness drives
+//     drops/dups/delays/truncations through a real client and asserts the
+//     contract above survives them.
 #pragma once
 
 #include <cstdint>
@@ -36,8 +37,8 @@ struct ClientOptions {
   double response_timeout_seconds = 1.0;
   /// Seeds backoff jitter and the request-id base.
   std::uint64_t seed = 1;
-  /// Send-path fault injection for the chaos harness.
-  bool enable_send_faults = false;
+  /// Send-path fault injection for the chaos harness; all-zero
+  /// probabilities (the default) leave the send path untouched.
   WireFaultOptions send_faults;
 };
 

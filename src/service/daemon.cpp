@@ -18,26 +18,6 @@
 
 namespace oef::service {
 
-namespace {
-
-/// Writes all of `bytes` to `fd` (MSG_NOSIGNAL: a vanished client must not
-/// SIGPIPE the daemon). Returns false on any unrecoverable error.
-[[nodiscard]] bool send_all(int fd, std::string_view bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n =
-        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
-
 Daemon::Daemon(AllocatorService& service, DaemonOptions options)
     : service_(service),
       options_(std::move(options)),
@@ -190,7 +170,7 @@ void Daemon::serve_connection(int fd) {
         response.message = error.what();
       }
       std::string frame = encode_frame(encode_response(response));
-      if (options_.enable_response_faults) {
+      if (response_faults_.enabled()) {
         double delay_seconds = 0.0;
         {
           std::lock_guard<std::mutex> lock(fault_mu_);

@@ -15,8 +15,9 @@
 //   * A truncated frame starves the connection: after io_timeout_seconds
 //     with a partial frame buffered, the connection is dropped and the
 //     client's retry (same request id) lands on a fresh connection.
-//   * An optional WireFaultInjector on the response path lets the chaos
-//     harness exercise client-side retry against a misbehaving server.
+//   * A WireFaultInjector on the response path (engaged when any of its
+//     probabilities is non-zero) lets the chaos harness exercise client-side
+//     retry against a misbehaving server.
 #pragma once
 
 #include <atomic>
@@ -38,8 +39,8 @@ struct DaemonOptions {
   /// A connection with a partial frame buffered is dropped after this long
   /// without progress (the truncated-frame defence).
   double io_timeout_seconds = 2.0;
-  /// Response-path fault injection for the chaos harness.
-  bool enable_response_faults = false;
+  /// Response-path fault injection for the chaos harness; all-zero
+  /// probabilities (the default) leave the response path untouched.
   WireFaultOptions response_faults;
 };
 

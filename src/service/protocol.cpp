@@ -1,6 +1,9 @@
 #include "service/protocol.h"
 
+#include <cerrno>
 #include <cstring>
+
+#include <sys/socket.h>
 
 #include "common/serial.h"
 
@@ -191,6 +194,19 @@ std::string encode_frame(std::string_view payload) {
   put_u64_le(frame, common::fnv1a64(payload));
   frame.append(payload.data(), payload.size());
   return frame;
+}
+
+bool send_all(int fd, std::string_view bytes) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    sent += static_cast<std::size_t>(n);
+  }
+  return true;
 }
 
 FrameStatus FrameReader::next(std::string& payload) {

@@ -135,6 +135,11 @@ void write_wire_snapshot(common::SerialWriter& out, const WireSnapshot& snapshot
 /// Wraps a payload into a frame (magic + length + checksum + payload).
 [[nodiscard]] std::string encode_frame(std::string_view payload);
 
+/// Writes all of `bytes` to socket `fd`, retrying on EINTR (MSG_NOSIGNAL: a
+/// vanished peer must not SIGPIPE the writer). Returns false on any other
+/// error.
+[[nodiscard]] bool send_all(int fd, std::string_view bytes);
+
 enum class FrameStatus {
   /// A complete, checksum-valid frame was extracted.
   kOk,

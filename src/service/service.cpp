@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <utility>
 
 #include "common/check.h"
@@ -13,6 +14,26 @@
 namespace oef::service {
 
 namespace {
+
+/// Applied request-ids remembered for idempotency (FIFO eviction).
+constexpr std::size_t kDedupCapacity = 4096;
+
+/// Why a tenant row cannot be served, or empty when it can: a non-empty
+/// name, one demand entry per GPU type, and every demand entry and the
+/// weight finite and > 0. add_tenant/update_demand requests and restored
+/// checkpoint tenants go through the same check.
+[[nodiscard]] std::string tenant_error(const std::string& name,
+                                       const std::vector<double>& demand, double weight,
+                                       std::size_t num_types) {
+  const auto positive = [](double value) { return std::isfinite(value) && value > 0.0; };
+  if (name.empty()) return "tenant name must be non-empty";
+  if (demand.size() != num_types) return "demand arity does not match GPU type count";
+  if (!std::all_of(demand.begin(), demand.end(), positive)) {
+    return "demand entries must be finite and positive";
+  }
+  if (!positive(weight)) return "weight must be finite and positive";
+  return {};
+}
 
 [[nodiscard]] std::shared_ptr<const WireSnapshot> empty_snapshot() {
   auto snapshot = std::make_shared<WireSnapshot>();
@@ -51,7 +72,7 @@ void ServiceStats::to_key_values(std::vector<std::string>& keys,
 }
 
 AllocatorService::AllocatorService(ServiceOptions options)
-    : options_(std::move(options)), allocator_(options_.mode, options_.oef) {
+    : options_(std::move(options)), allocator_(options_.mode) {
   OEF_REQUIRE_CODE(!options_.capacities.empty(), common::ErrorCode::kInvalidArgument,
                    "service requires at least one GPU type capacity");
   for (const double capacity : options_.capacities) {
@@ -144,28 +165,16 @@ Response AllocatorService::handle(const Request& request) {
 
   // Mutation path. Validate before spending a queue slot, so a malformed
   // request can never poison a batch mid-apply.
-  const bool needs_tenant = request.type != MessageType::kAllocate;
-  const bool needs_demand = request.type == MessageType::kAddTenant ||
-                            request.type == MessageType::kUpdateDemand;
-  if (needs_tenant && request.tenant.empty()) {
-    return make_snapshot_response(request.request_id, StatusCode::kInvalidArgument,
-                                  "tenant name must be non-empty");
+  std::string invalid;
+  if (request.type == MessageType::kAddTenant || request.type == MessageType::kUpdateDemand) {
+    invalid = tenant_error(request.tenant, request.demand, request.weight,
+                           options_.capacities.size());
+  } else if (request.type == MessageType::kRemoveTenant && request.tenant.empty()) {
+    invalid = "tenant name must be non-empty";
   }
-  if (needs_demand) {
-    if (request.demand.size() != options_.capacities.size()) {
-      return make_snapshot_response(request.request_id, StatusCode::kInvalidArgument,
-                                    "demand arity does not match GPU type count");
-    }
-    for (const double value : request.demand) {
-      if (!(value > 0.0)) {
-        return make_snapshot_response(request.request_id, StatusCode::kInvalidArgument,
-                                      "demand entries must be positive");
-      }
-    }
-    if (!(request.weight > 0.0)) {
-      return make_snapshot_response(request.request_id, StatusCode::kInvalidArgument,
-                                    "weight must be positive");
-    }
+  if (!invalid.empty()) {
+    return make_snapshot_response(request.request_id, StatusCode::kInvalidArgument,
+                                  std::move(invalid));
   }
 
   auto op = std::make_unique<PendingOp>();
@@ -309,7 +318,7 @@ void AllocatorService::record_applied(std::uint64_t request_id) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!applied_ids_.insert(request_id).second) return;
   applied_order_.push_back(request_id);
-  while (applied_order_.size() > options_.dedup_capacity) {
+  while (applied_order_.size() > kDedupCapacity) {
     applied_ids_.erase(applied_order_.front());
     applied_order_.pop_front();
   }
@@ -351,6 +360,11 @@ void AllocatorService::resolve_and_publish(StatusCode& quality, std::string& mes
     }
     common::log_warn(std::string("service resolve threw: ") + error.what());
     return;  // keep the last-good snapshot
+  }
+  // Finite demands can still overflow the efficiency sum (an entry near
+  // DBL_MAX); a non-finite total is never published.
+  if (result.served() && !std::isfinite(result.total_efficiency)) {
+    result.outcome = core::AllocationStatus::kFailed;
   }
 
   {
@@ -490,6 +504,10 @@ void AllocatorService::restore_state(const std::string& payload) {
     tenant.name = in.str();
     tenant.weight = in.f64();
     tenant.demand = in.f64_vec();
+    const std::string invalid =
+        tenant_error(tenant.name, tenant.demand, tenant.weight, options_.capacities.size());
+    OEF_REQUIRE_CODE(invalid.empty(), common::ErrorCode::kInvalidArgument,
+                     ("checkpoint tenant '" + tenant.name + "': " + invalid).c_str());
     tenants_.push_back(std::move(tenant));
   }
   applied_order_.clear();

@@ -23,15 +23,17 @@
 //     configurable wait window for stragglers) and runs one warm resolve for
 //     the whole batch — under a burst of updates the solver sees one model
 //     edit, not one per request.
-//   * Idempotency. Applied mutation request-ids are remembered (bounded
-//     FIFO) and persisted in the checkpoint; a retried duplicate is answered
-//     kOk with the current snapshot instead of being applied twice — across
-//     restarts too.
+//   * Idempotency. Applied mutation request-ids are remembered (the last
+//     4096, FIFO) and persisted in the checkpoint; a retried duplicate is
+//     answered kOk with the current snapshot instead of being applied twice
+//     — across restarts too.
 //   * Crash safety. After applying a batch the service writes a versioned
 //     checkpoint (registry, dedup ids, snapshot, allocator warm state) and
 //     only then acknowledges the batch. A kill -9 at any instant therefore
 //     loses no acknowledged update, and the restarted process resumes on the
 //     allocator's warm paths (see service/checkpoint.h for the file format).
+//     A restored tenant is validated like an add_tenant request; one that
+//     fails makes construction throw CheckError instead of being served.
 //   * Lock-free reads. query_allocation never queues: it reads the last-good
 //     snapshot through an atomic shared_ptr, immune to worker stalls.
 #pragma once
@@ -56,11 +58,10 @@
 
 namespace oef::service {
 
+/// Deployment knobs of one service. The allocator runs on default OefOptions
+/// (its deadline is set per batch to the earliest live request deadline).
 struct ServiceOptions {
   core::OefAllocator::Mode mode = core::OefAllocator::Mode::kCooperative;
-  /// Base allocator options; `deadline` is overwritten per batch with the
-  /// earliest live request deadline.
-  core::OefOptions oef;
   /// Cluster capacities per GPU type; fixes the demand-row arity.
   std::vector<double> capacities;
   /// Admission-control bound on queued mutations.
@@ -72,8 +73,6 @@ struct ServiceOptions {
   double default_deadline_seconds = 0.0;
   /// Checkpoint file; empty disables durability (and warm restore).
   std::string checkpoint_path;
-  /// Applied request-ids remembered for idempotency (FIFO eviction).
-  std::size_t dedup_capacity = 4096;
 };
 
 /// Service telemetry; snapshot via AllocatorService::stats(), exported by the
@@ -125,7 +124,10 @@ class AllocatorService {
   [[nodiscard]] ServiceStats stats() const;
 
   /// True when construction restored state from a checkpoint; warm means the
-  /// allocator's solver basis came back too (next resolve pivots warm).
+  /// allocator's solver basis came back too (next resolve pivots warm). A
+  /// checkpoint that fails to parse, or whose tenants fail validation (name,
+  /// demand arity against `capacities`, finite positive demand and weight),
+  /// makes the constructor throw CheckError instead.
   [[nodiscard]] bool restored_from_checkpoint() const { return restored_; }
   [[nodiscard]] bool restored_warm() const { return restored_warm_; }
 

@@ -57,6 +57,14 @@ class WireFaultInjector {
   /// copies — with length-prefixed framing the receiver splits them back.
   [[nodiscard]] std::string apply(const std::string& frame, double& delay_seconds);
 
+  /// True when any fault probability is non-zero; senders skip apply()
+  /// otherwise.
+  [[nodiscard]] bool enabled() const {
+    return options_.drop_probability > 0.0 || options_.duplicate_probability > 0.0 ||
+           options_.truncate_probability > 0.0 || options_.corrupt_probability > 0.0 ||
+           options_.delay_probability > 0.0;
+  }
+
   [[nodiscard]] const WireFaultStats& stats() const { return stats_; }
 
  private:

@@ -9,7 +9,9 @@
 #include "common/check.h"
 #include "common/clock.h"
 #include "common/logging.h"
+#include "core/oef.h"
 #include "core/speedup_matrix.h"
+#include "placement/rounding.h"
 #include "sched/registry.h"
 #include "solver/fault_injector.h"
 #include "workload/profiler.h"
@@ -17,6 +19,16 @@
 namespace oef::sim {
 
 namespace {
+
+/// Execution model: a worker group spanning hosts runs at this fraction of
+/// its speed, every worker of a multi-GPU job at kMultiGpuScaling, and a job
+/// whose device set changed loses kMigrationSeconds of its round to
+/// checkpoint/restore.
+constexpr double kCrossHostPenalty = 0.85;
+constexpr double kMultiGpuScaling = 0.95;
+constexpr double kMigrationSeconds = 30.0;
+/// Round cap when SimOptions::max_rounds is 0 (run until every job finishes).
+constexpr std::size_t kHardRoundLimit = 20000;
 
 /// Runtime state of one job inside the engine.
 struct JobState {
@@ -73,7 +85,7 @@ SimResult SimulationEngine::run() {
   // Solver-fault injection, threaded into the OEF schedulers' LP engine.
   // The injector outlives the scheduler (which holds a raw pointer to it).
   solver::FaultInjector injector(options_.faults);
-  core::OefOptions oef_options = options_.oef;
+  core::OefOptions oef_options;
   if (options_.faults.eta_corruption_rate > 0.0 || options_.faults.basis_fault_rate > 0.0) {
     oef_options.solver.fault_injector = &injector;
   }
@@ -90,15 +102,14 @@ SimResult SimulationEngine::run() {
   std::vector<workload::Job>& jobs = trace_.jobs;
   std::vector<JobState> job_state(jobs.size());
 
-  placement::DeviationRounder rounder(0, k, options_.rounding);
+  placement::DeviationRounder rounder(0, k);
   std::map<VirtualKey, std::size_t> slot_of;
   placement::Packer packer(*cluster_, options_.packer);
 
-  const std::size_t round_limit =
-      options_.max_rounds > 0 ? options_.max_rounds : options_.hard_round_limit;
+  const std::size_t round_limit = options_.max_rounds > 0 ? options_.max_rounds : kHardRoundLimit;
 
   for (std::size_t round = 0; round < round_limit; ++round) {
-    const double now = static_cast<double>(round) * options_.round_seconds;
+    const double now = static_cast<double>(round) * kRoundSeconds;
 
     // Apply the churn events due this round, before anything else: a failure
     // shrinks this very round's capacity vector, a departure frees its
@@ -328,13 +339,12 @@ SimResult SimulationEngine::run() {
           catalog_->get(gpu_names_[placement.slowest_type]);
       double per_worker_rate =
           workload::throughput_samples_per_s(model, slowest_spec, job.batch_size);
-      if (placement.cross_host) per_worker_rate *= options_.cross_host_penalty;
-      if (job.num_workers > 1) per_worker_rate *= options_.multi_gpu_scaling;
+      if (placement.cross_host) per_worker_rate *= kCrossHostPenalty;
+      if (job.num_workers > 1) per_worker_rate *= kMultiGpuScaling;
       const double steps_per_s = per_worker_rate / static_cast<double>(job.batch_size);
 
-      const double migration_delay = migrated ? options_.migration_seconds : 0.0;
-      const double effective_seconds =
-          std::max(0.0, options_.round_seconds - migration_delay);
+      const double migration_delay = migrated ? kMigrationSeconds : 0.0;
+      const double effective_seconds = std::max(0.0, kRoundSeconds - migration_delay);
       const double steps_possible = steps_per_s * effective_seconds;
       const double steps_needed = job.remaining_iterations();
 
@@ -348,7 +358,7 @@ SimResult SimulationEngine::run() {
         result.jct.push_back(job.finish_time - job.arrival_time);
         ++result.finished_jobs;
         result.makespan_seconds = std::max(result.makespan_seconds, job.finish_time);
-        busy_fraction = steps_possible > 0.0 ? finish_delay / options_.round_seconds : 0.0;
+        busy_fraction = steps_possible > 0.0 ? finish_delay / kRoundSeconds : 0.0;
       } else {
         job.completed_iterations += steps_possible;
         job.state = workload::JobState::kRunning;
@@ -384,8 +394,7 @@ SimResult SimulationEngine::run() {
   }
 
   if (result.makespan_seconds == 0.0 && !result.rounds.empty()) {
-    result.makespan_seconds =
-        result.rounds.back().time_seconds + options_.round_seconds;
+    result.makespan_seconds = result.rounds.back().time_seconds + kRoundSeconds;
   }
   result.scheduler_telemetry = scheduler->telemetry();
   result.scheduler_telemetry.merge(retired_telemetry);

@@ -1,15 +1,16 @@
 // Round-based cluster simulator.
 //
 // Reproduces the paper's experimental loop (§3.2, §6.1): every round
-// (5 minutes by default) the engine profiles the active tenants' job types,
+// (kRoundSeconds, 5 minutes) the engine profiles the active tenants' job types,
 // asks the configured scheduler for fractional shares, integralises them with
 // the deviation rounder, packs devices onto hosts, and advances every placed
 // job by its achieved throughput. The execution model charges the penalties
 // the paper's placer is designed to avoid:
 //   * cross-GPU-type worker groups run at the slowest member's speed
 //     (straggler effect, §4.4),
-//   * cross-host worker groups pay a synchronisation penalty,
-//   * device-set changes pay a checkpoint/restore migration cost.
+//   * cross-host worker groups run at 0.85x and multi-GPU jobs scale at
+//     0.95x per worker,
+//   * device-set changes pay a 30 s checkpoint/restore migration cost.
 #pragma once
 
 #include <cstdint>
@@ -19,9 +20,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "core/oef.h"
 #include "placement/packer.h"
-#include "placement/rounding.h"
 #include "sim/events.h"
 #include "sim/metrics.h"
 #include "solver/fault_injector.h"
@@ -32,34 +31,25 @@
 
 namespace oef::sim {
 
+/// What an experiment varies. The round length (kRoundSeconds) and the
+/// execution model's penalties (engine.cpp) are fixed, and the OEF
+/// schedulers run on default OefOptions plus the fault injector below.
 struct SimOptions {
   std::string scheduler = "OEF-coop";
-  double round_seconds = 300.0;  // §6.1.1 default
-  /// 0 = run until every job finishes.
+  /// 0 = run until every job finishes (capped at 20000 rounds).
   std::size_t max_rounds = 0;
-  /// Safety valve when max_rounds == 0.
-  std::size_t hard_round_limit = 20000;
 
-  placement::RoundingOptions rounding;
   placement::PackerOptions packer;
 
   /// Profiling error fed to the reported speedups (Fig. 10b).
   double profiling_error = 0.0;
   std::uint64_t seed = 1;
 
-  /// Execution model.
-  double cross_host_penalty = 0.85;
-  double multi_gpu_scaling = 0.95;
-  double migration_seconds = 30.0;
-
   /// Churn events applied at the top of their round (see sim/events.h):
   /// forced exits (Fig. 4a) are kTenantDeparture events, misreporting tenants
   /// (Fig. 4b) kMisreport events, and generate_event_schedule builds seeded
   /// dynamic-cluster schedules.
   std::vector<ClusterEvent> events;
-  /// Options threaded into the OEF schedulers (solve deadline, solver knobs);
-  /// baselines ignore them.
-  core::OefOptions oef;
   /// Deterministic solver-fault injection (eta corruption / forced basis
   /// deficiencies inside the LP engine), one seeded stream shared by every
   /// solver of the run; zero rates (the default) disable it.

@@ -10,6 +10,14 @@
 
 namespace oef::sim {
 
+namespace {
+
+/// Jobs each arriving tenant brings, and the rounds a demand burst lasts.
+constexpr std::size_t kJobsPerArrival = 3;
+constexpr std::size_t kBurstDuration = 5;
+
+}  // namespace
+
 const char* to_string(ClusterEventKind kind) {
   switch (kind) {
     case ClusterEventKind::kTenantArrival: return "tenant_arrival";
@@ -54,8 +62,8 @@ std::vector<ClusterEvent> generate_event_schedule(const cluster::Cluster& cluste
       tenant.id = trace.tenants.size();
       tenant.name = "evt_tenant_" + std::to_string(tenant.id);
       tenant.weight = 1.0;
-      tenant.arrival_time = static_cast<double>(round) * options.round_seconds;
-      for (std::size_t j = 0; j < options.jobs_per_arrival; ++j) {
+      tenant.arrival_time = static_cast<double>(round) * kRoundSeconds;
+      for (std::size_t j = 0; j < kJobsPerArrival; ++j) {
         workload::Job job;
         job.id = trace.jobs.size();
         job.tenant = tenant.id;
@@ -98,7 +106,7 @@ std::vector<ClusterEvent> generate_event_schedule(const cluster::Cluster& cluste
       event.tenant = alive[static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(alive.size()) - 1))];
       event.factor = options.burst_factor;
-      event.duration_rounds = options.burst_duration;
+      event.duration_rounds = kBurstDuration;
       events.push_back(event);
     }
 

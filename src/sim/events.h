@@ -20,9 +20,14 @@
 
 namespace oef::sim {
 
+/// Length of one scheduling round in simulated seconds (§6.1.1's 5 minutes):
+/// the engine's round clock and the generator's arrival timestamps both use
+/// it, so they always agree.
+inline constexpr double kRoundSeconds = 300.0;
+
 enum class ClusterEventKind {
   /// A new tenant (with fresh jobs) joins. The generator appends the tenant
-  /// and its jobs to the trace with arrival_time = round * round_seconds; the
+  /// and its jobs to the trace with arrival_time = round * kRoundSeconds; the
   /// event marks the round for bookkeeping.
   kTenantArrival,
   /// The tenant leaves; its unfinished jobs are cancelled and its devices
@@ -66,21 +71,21 @@ struct ClusterEvent {
   std::size_t duration_rounds = 0;
 };
 
+/// Rates and shapes of a generated churn schedule. Arrival timestamps use
+/// kRoundSeconds, the engine's round length; every arriving tenant brings
+/// three jobs and every burst lasts five rounds (events.cpp).
 struct EventScheduleOptions {
   std::uint64_t seed = 17;
   /// Rounds covered by the generated schedule.
   std::size_t horizon_rounds = 60;
-  /// Matches SimOptions::round_seconds so arrival timestamps line up.
-  double round_seconds = 300.0;
   /// Per-round Bernoulli probabilities of each churn source.
   double tenant_arrival_rate = 0.05;
   double tenant_departure_rate = 0.05;
   double burst_rate = 0.05;
   double failure_rate = 0.05;
   double drift_rate = 0.02;
-  /// Burst shape.
+  /// Weight multiplier of a demand burst.
   double burst_factor = 3.0;
-  std::size_t burst_duration = 5;
   /// Rounds a failed host stays down.
   std::size_t recovery_rounds = 8;
   /// Fraction of failures that take the whole host; the rest are partial
@@ -88,8 +93,6 @@ struct EventScheduleOptions {
   double whole_host_failure_fraction = 0.35;
   /// Lognormal sigma of one drift step (factor = exp(N(0, sigma))).
   double drift_sigma = 0.15;
-  /// Jobs given to each arriving tenant.
-  std::size_t jobs_per_arrival = 3;
   /// Lognormal parameters of arriving jobs' length in iterations.
   double arrival_iterations_mu = 9.0;
   double arrival_iterations_sigma = 0.8;

@@ -72,10 +72,7 @@ struct SimResult {
   double total_solve_seconds = 0.0;
   sched::SchedulerTelemetry scheduler_telemetry;
 
-  /// Mean of per-round tenant sums.
-  [[nodiscard]] double mean_estimated_per_round() const {
-    return rounds.empty() ? 0.0 : total_estimated / static_cast<double>(rounds.size());
-  }
+  /// Mean of per-round tenant sums of actual throughput.
   [[nodiscard]] double mean_actual_per_round() const {
     return rounds.empty() ? 0.0 : total_actual / static_cast<double>(rounds.size());
   }

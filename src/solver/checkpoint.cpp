@@ -49,6 +49,9 @@ LpModel read_lp_model(common::SerialReader& in) {
     const double lower = in.f64();
     const double upper = in.f64();
     const double objective = in.f64();
+    // Also rejects NaN bounds, which add_variable would abort on.
+    OEF_REQUIRE_CODE(lower <= upper, common::ErrorCode::kCorruptData,
+                     "variable bounds crossed or NaN");
     model.add_variable(std::move(name), lower, upper, objective);
   }
   const std::uint64_t num_rows = in.u64();

@@ -9,7 +9,8 @@
 // service/checkpoint.h.
 //
 // Readers throw common::CheckError(kCorruptData) on malformed input, matching
-// the serial layer's contract.
+// the serial layer's contract; that includes a variable whose bounds are
+// crossed or NaN, which LpModel::add_variable would otherwise abort on.
 #pragma once
 
 #include "common/serial.h"

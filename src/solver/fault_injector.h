@@ -7,10 +7,10 @@
 // on demand, from a seeded stream so every run is reproducible:
 //
 //   * eta corruption — after a pivot, the newest product-form eta's pivot
-//     element is scaled by `corruption_factor`, mimicking the accumulated
-//     update drift that makes ftran/btran disagree with the true basis. The
-//     solver's refactor-and-retry logic and the final is_feasible check are
-//     what catch it.
+//     element is scaled by 1e3 (lp_solver.cpp's kEtaCorruptionFactor),
+//     mimicking the accumulated update drift that makes ftran/btran disagree
+//     with the true basis. The solver's refactor-and-retry logic and the
+//     final is_feasible check are what catch it.
 //   * basis faults — at a refactorisation, one basic column is duplicated,
 //     making the basis structurally singular. This drives the exact
 //     deficiency-repair path (patching with unit columns) that real drift
@@ -34,8 +34,6 @@ struct FaultInjectorConfig {
   double eta_corruption_rate = 0.0;
   /// Per-refactorisation probability of duplicating a basic column.
   double basis_fault_rate = 0.0;
-  /// Multiplier applied to the corrupted eta's pivot element.
-  double corruption_factor = 1e3;
 };
 
 struct FaultInjectorStats {
@@ -57,7 +55,6 @@ class FaultInjector {
   void note_eta_corruption() { ++stats_.eta_corruptions; }
   void note_basis_fault() { ++stats_.basis_faults; }
 
-  [[nodiscard]] double corruption_factor() const { return config_.corruption_factor; }
   [[nodiscard]] const FaultInjectorStats& stats() const { return stats_; }
   [[nodiscard]] const FaultInjectorConfig& config() const { return config_; }
 

@@ -11,6 +11,9 @@ namespace oef::solver {
 
 namespace {
 
+/// Rows looser than this at the current optimum are dropped by compaction.
+constexpr double kCompactionSlackTol = 1e-5;
+
 /// Slack of `constraint` at `point` (>= 0 when satisfied); equality rows
 /// report 0 so they are never considered loose.
 double constraint_slack(const Constraint& constraint, const std::vector<double>& point) {
@@ -25,29 +28,14 @@ double constraint_slack(const Constraint& constraint, const std::vector<double>&
 
 }  // namespace
 
-LazySolveResult LazyConstraintSolver::solve(LpModel& model,
-                                            const SeparationOracle& oracle) const {
-  LpSolver solver(options_);
-  return solve(solver, model, oracle);
-}
-
 LazySolveResult LazyConstraintSolver::solve(LpSolver& solver, LpModel& model,
                                             const SeparationOracle& oracle) const {
   LazySolveResult result;
-  const double seconds_before = solver.stats().solve_seconds;
-  // One absolute monotonic expiry instant for the whole loop: the caller's
-  // absolute deadline (anchored at request arrival) and the relative budget
-  // (anchored here) collapse to whichever expires first, and every round
-  // checks that single instant — no per-layer re-anchoring, no wall clock.
-  common::Deadline deadline = deadline_;
-  if (deadline_seconds_ > 0.0) {
-    deadline = common::Deadline::earlier(deadline, common::Deadline::after(deadline_seconds_));
-  }
   for (result.rounds = 1; result.rounds <= max_rounds_; ++result.rounds) {
     // Anytime behaviour: once a relaxation optimum exists, an expired
     // deadline hands it back instead of separating further. Round 1 always
     // runs — without it there is nothing feasible to return at all.
-    if (result.rounds > 1 && deadline.expired()) {
+    if (result.rounds > 1 && deadline_.expired()) {
       result.deadline_expired = true;
       --result.rounds;  // the aborted round never ran
       common::log_debug("lazy solver: deadline expired after " +
@@ -67,7 +55,6 @@ LazySolveResult LazyConstraintSolver::solve(LpSolver& solver, LpModel& model,
     } else {
       result.cold_iterations += result.solution.iterations;
     }
-    result.solve_seconds = solver.stats().solve_seconds - seconds_before;
     if (!result.solution.optimal()) return result;
 
     std::vector<Constraint> violated = oracle(result.solution.values);
@@ -92,8 +79,7 @@ LazySolveResult LazyConstraintSolver::solve(LpSolver& solver, LpModel& model,
       const auto& constraints = model.constraints();
       std::vector<std::size_t> drop;
       for (std::size_t c = permanent_rows_; c < constraints.size(); ++c) {
-        if (constraint_slack(constraints[c], result.solution.values) >
-            compaction_slack_tol_) {
+        if (constraint_slack(constraints[c], result.solution.values) > kCompactionSlackTol) {
           drop.push_back(c);
         }
       }

@@ -59,67 +59,55 @@ struct LazySolveResult {
   std::size_t cold_iterations = 0;
   /// Pivots spent in warm resolves.
   std::size_t warm_iterations = 0;
-  /// Wall-clock seconds spent inside the LP solver (oracle time excluded).
-  double solve_seconds = 0.0;
 };
 
+/// Configured by the caller per session: the round cap, optional
+/// compaction and an optional deadline. Solver options live on the LpSolver
+/// passed to solve(), and the solver's stats() carry its seconds.
 class LazyConstraintSolver {
  public:
-  explicit LazyConstraintSolver(SolverOptions options = {}, std::size_t max_rounds = 200)
-      : options_(options), max_rounds_(max_rounds) {}
+  explicit LazyConstraintSolver(std::size_t max_rounds = 200) : max_rounds_(max_rounds) {}
 
   /// Enables relaxation compaction. Generated rows are transient: a row that
   /// cut off an early relaxed optimum is usually slack a few rounds later,
   /// yet it inflates the basis (and every per-pivot solver operation) for
   /// the rest of the session. With compaction on, whenever the working model
   /// would exceed `max_rows` constraints, every row past the first
-  /// `permanent_rows` whose slack at the current optimum exceeds `slack_tol`
-  /// is dropped. A loose row's slack is basic, so LpSolver::delete_rows can
-  /// excise the rows while the basis and vertex survive — the loop continues
-  /// with a warm dual-simplex resolve instead of a cold re-solve (which
-  /// remains the fallback when the excision is refused).
+  /// `permanent_rows` whose slack at the current optimum exceeds 1e-5
+  /// (kCompactionSlackTol) is dropped. A loose row's slack is basic, so
+  /// LpSolver::delete_rows can excise the rows while the basis and vertex
+  /// survive — the loop continues with a warm dual-simplex resolve instead of
+  /// a cold re-solve (which remains the fallback when the excision is
+  /// refused).
   /// Dropped rows that become violated again are simply re-separated by the
   /// oracle.
-  void enable_compaction(std::size_t permanent_rows, std::size_t max_rows,
-                         double slack_tol = 1e-5) {
+  void enable_compaction(std::size_t permanent_rows, std::size_t max_rows) {
     permanent_rows_ = permanent_rows;
     max_rows_ = max_rows;
-    compaction_slack_tol_ = slack_tol;
     compaction_ = true;
   }
 
-  /// Monotonic-clock budget for one solve() call, in seconds; 0 disables the
-  /// deadline. The budget is anchored at solve() entry. Checked between
-  /// rounds: once a first relaxation optimum exists, an expired deadline
-  /// returns it immediately (deadline_expired set, converged false) instead
-  /// of separating further — the anytime behaviour the scheduler's
-  /// degradation ladder builds on.
-  void set_deadline(double seconds) { deadline_seconds_ = seconds; }
-
-  /// Absolute monotonic deadline (see common/clock.h), for callers whose
-  /// budget started before solve() — the daemon anchors it at request
-  /// arrival so queueing and coalescing delay draw down the same budget.
-  /// Composes with the relative budget: the earlier instant wins.
+  /// Absolute monotonic deadline (see common/clock.h). The caller fixes the
+  /// instant — the daemon anchors it at request arrival, so queueing and
+  /// coalescing delay draw down the same budget. Checked between rounds:
+  /// once a first relaxation optimum exists, an expired deadline returns it
+  /// immediately (deadline_expired set, converged false) instead of
+  /// separating further — the anytime behaviour the scheduler's degradation
+  /// ladder builds on.
   void set_deadline(common::Deadline deadline) { deadline_ = deadline; }
 
   /// Solves `model` (which is extended in place with the generated rows)
-  /// using a throwaway solver instance.
-  [[nodiscard]] LazySolveResult solve(LpModel& model, const SeparationOracle& oracle) const;
-
-  /// Same, but through a caller-owned persistent solver: the solver keeps its
-  /// basis across calls, so a later session over a same-shaped model (the
+  /// through a caller-owned persistent solver: the solver keeps its basis
+  /// across calls, so a later session over a same-shaped model (the
   /// round-over-round case in the simulator) warm-starts too.
   [[nodiscard]] LazySolveResult solve(LpSolver& solver, LpModel& model,
                                       const SeparationOracle& oracle) const;
 
  private:
-  SolverOptions options_;
   std::size_t max_rounds_;
   bool compaction_ = false;
   std::size_t permanent_rows_ = 0;
   std::size_t max_rows_ = 0;
-  double compaction_slack_tol_ = 1e-5;
-  double deadline_seconds_ = 0.0;
   common::Deadline deadline_ = common::Deadline::none();
 };
 

@@ -27,11 +27,6 @@ VarId LpModel::add_variable(std::string name, double lower, double upper,
   return variables_.size() - 1;
 }
 
-void LpModel::set_objective(VarId var, double coeff) {
-  OEF_CHECK(var < variables_.size());
-  variables_[var].objective = coeff;
-}
-
 std::size_t LpModel::add_constraint(Constraint constraint) {
   for (const auto& term : constraint.expr.terms()) {
     OEF_CHECK_MSG(term.var < variables_.size(), "constraint references unknown variable");

@@ -65,14 +65,10 @@ class LpModel {
   explicit LpModel(Sense sense = Sense::kMaximize) : sense_(sense) {}
 
   [[nodiscard]] Sense sense() const { return sense_; }
-  void set_sense(Sense sense) { sense_ = sense; }
 
   /// Adds a variable; `objective` is its coefficient in the objective.
   VarId add_variable(std::string name, double lower = 0.0, double upper = kInf,
                      double objective = 0.0);
-
-  /// Updates the objective coefficient of an existing variable.
-  void set_objective(VarId var, double coeff);
 
   /// Adds a constraint and returns its index.
   std::size_t add_constraint(Constraint constraint);

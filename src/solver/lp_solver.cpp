@@ -16,16 +16,6 @@
 
 namespace oef::solver {
 
-void LpSolverStats::merge(const LpSolverStats& other) {
-  cold_solves += other.cold_solves;
-  warm_resolves += other.warm_resolves;
-  warm_start_hits += other.warm_start_hits;
-  tableau_fallbacks += other.tableau_fallbacks;
-  basis_repairs += other.basis_repairs;
-  total_iterations += other.total_iterations;
-  solve_seconds += other.solve_seconds;
-}
-
 namespace {
 
 constexpr double kPivotTol = 1e-7;
@@ -33,6 +23,8 @@ constexpr double kFeasTol = 1e-9;
 // Devex reference-framework restart threshold: when the largest weight grows
 // past this, the frame is stale and all weights reset to 1.
 constexpr double kDevexReset = 1e7;
+// Scale the fault injector applies to a corrupted eta's pivot element.
+constexpr double kEtaCorruptionFactor = 1e3;
 
 double seconds_since(double start) { return common::monotonic_seconds() - start; }
 
@@ -72,8 +64,7 @@ class LpSolver::Core {
 
   /// Appends one inequality constraint (model index `index`) with a fresh
   /// slack that joins the basic set; the next reoptimize() refactorises.
-  void append_row(const Constraint& constraint, std::size_t index,
-                  const SolverOptions& options);
+  void append_row(const Constraint& constraint, std::size_t index);
 
   /// Warm row deletion: excises the given standard rows (== model constraint
   /// indices, sorted ascending) together with their slack/artificial columns
@@ -83,8 +74,7 @@ class LpSolver::Core {
   /// untouched and the vertex stays optimal for the reduced model. Returns
   /// false (leaving this core unusable) when some row has no basic unit
   /// column or the reduced basis fails to refactorise.
-  [[nodiscard]] bool delete_rows(const std::vector<std::size_t>& rows,
-                                 const SolverOptions& options);
+  [[nodiscard]] bool delete_rows(const std::vector<std::size_t>& rows);
 
   /// Extracts the solution at the current basis into `out` (values, duals,
   /// iteration counters). `model` must be the loaded model.
@@ -172,7 +162,6 @@ class LpSolver::Core {
   Basis basis_;
   std::vector<double> xb_;
 
-  std::size_t max_iterations_ = 0;
   std::size_t iterations_ = 0;
   std::size_t phase1_iterations_ = 0;
   std::size_t dual_iterations_ = 0;
@@ -282,8 +271,6 @@ void LpSolver::Core::load(const LpModel& model, const SolverOptions& options) {
   primal_weights_.assign(num_cols_, 1.0);
   dual_weights_.assign(m_, 1.0);
 
-  max_iterations_ = options.max_iterations != 0 ? options.max_iterations
-                                                : 200 * (m_ + num_cols_) + 10000;
   iterations_ = phase1_iterations_ = dual_iterations_ = 0;
   basis_repairs_ = 0;
   injector_ = options.fault_injector;
@@ -316,7 +303,7 @@ void LpSolver::Core::inject_basis_fault() {
 
 void LpSolver::Core::maybe_corrupt_eta() {
   if (injector_ != nullptr && injector_->roll_eta_corruption() &&
-      basis_.corrupt_last_eta(injector_->corruption_factor())) {
+      basis_.corrupt_last_eta(kEtaCorruptionFactor)) {
     injector_->note_eta_corruption();
   }
 }
@@ -478,13 +465,13 @@ void LpSolver::Core::update_dual_devex(const std::vector<double>& w, std::size_t
 }
 
 SolveStatus LpSolver::Core::run_primal(bool phase1, const SolverOptions& options) {
-  const double tol = options.tolerance;
+  constexpr double tol = internal::kPricingTol;
   std::size_t stall = 0;
   bool bland = false;
   double last_objective = phase_objective(phase1);
   std::fill(primal_weights_.begin(), primal_weights_.end(), 1.0);
   while (true) {
-    if (iterations_ >= max_iterations_) return SolveStatus::kIterationLimit;
+    if (iterations_ >= internal::iteration_cap(m_, num_cols_)) return SolveStatus::kIterationLimit;
     if (!refactor_if_due()) return SolveStatus::kIterationLimit;
 
     const std::vector<double> y = basis_.btran(basic_costs(phase1));
@@ -625,13 +612,13 @@ SolveStatus LpSolver::Core::run_primal(bool phase1, const SolverOptions& options
 }
 
 SolveStatus LpSolver::Core::run_dual(const SolverOptions& options) {
-  const double tol = options.tolerance;
+  constexpr double tol = internal::kPricingTol;
   std::size_t stall = 0;
   bool bland = false;
   double last_infeasibility = std::numeric_limits<double>::infinity();
   std::fill(dual_weights_.begin(), dual_weights_.end(), 1.0);
   while (true) {
-    if (iterations_ >= max_iterations_) return SolveStatus::kIterationLimit;
+    if (iterations_ >= internal::iteration_cap(m_, num_cols_)) return SolveStatus::kIterationLimit;
     if (!refactor_if_due()) return SolveStatus::kIterationLimit;
 
     // Leaving row: a basic variable below its lower bound (leaves at lower)
@@ -816,7 +803,7 @@ SolveStatus LpSolver::Core::run_cold(const SolverOptions& options) {
     // No constraints: each column rests at whichever bound its cost prefers;
     // a negative-cost column without a finite upper bound is unbounded.
     for (std::size_t j = 0; j < num_cols_; ++j) {
-      if (cost_[j] < -options.tolerance) {
+      if (cost_[j] < -internal::kPricingTol) {
         if (!std::isfinite(upper_[j])) return SolveStatus::kUnbounded;
         set_at_upper(j, true);
       }
@@ -907,8 +894,7 @@ SolveStatus LpSolver::Core::reoptimize(const SolverOptions& options, bool dual_f
   return run_primal(/*phase1=*/false, options);
 }
 
-void LpSolver::Core::append_row(const Constraint& constraint, std::size_t index,
-                                const SolverOptions& options) {
+void LpSolver::Core::append_row(const Constraint& constraint, std::size_t index) {
   const internal::StandardRow row = internal::build_standard_row(skel_, constraint, index);
   OEF_CHECK(row.relation == Relation::kLessEqual);
   double biggest = 0.0;
@@ -943,12 +929,9 @@ void LpSolver::Core::append_row(const Constraint& constraint, std::size_t index,
   row_scale_.push_back(rscale);
   xb_.push_back(0.0);  // refreshed by reoptimize()
   ++m_;
-  max_iterations_ = options.max_iterations != 0 ? options.max_iterations
-                                                : 200 * (m_ + num_cols_) + 10000;
 }
 
-bool LpSolver::Core::delete_rows(const std::vector<std::size_t>& rows,
-                                 const SolverOptions& options) {
+bool LpSolver::Core::delete_rows(const std::vector<std::size_t>& rows) {
   if (rows.empty()) return true;
 
   // Every deleted row must be covered by a basic unit column of its own
@@ -1068,8 +1051,6 @@ bool LpSolver::Core::delete_rows(const std::vector<std::size_t>& rows,
   for (std::size_t j = 0; j < num_cols_; ++j) {
     if (artificial_[j]) any_artificial_ = true;
   }
-  max_iterations_ = options.max_iterations != 0 ? options.max_iterations
-                                                : 200 * (m_ + num_cols_) + 10000;
 
   // A fresh (cheap, sparse) factorisation of the reduced basis, so one that
   // fails to factor is refused here rather than at the next reoptimize();
@@ -1255,7 +1236,7 @@ bool LpSolver::delete_rows(const std::vector<std::size_t>& row_indices) {
   }
 
   if (core_) {
-    const bool warm = core_->delete_rows(sorted, options_);
+    const bool warm = core_->delete_rows(sorted);
     stats_.basis_repairs += core_->take_basis_repairs();
     // Either some row had no basic unit column (so the excision would leave
     // a singular basis) or the reduced refactorisation failed; the core may
@@ -1278,7 +1259,7 @@ std::size_t LpSolver::add_rows(const std::vector<Constraint>& rows) {
       core_.reset();
       continue;
     }
-    core_->append_row(constraint, index, options_);
+    core_->append_row(constraint, index);
   }
   return rows.size();
 }

@@ -79,8 +79,6 @@ struct LpSolverStats {
   std::size_t total_iterations = 0;
   /// Wall-clock seconds spent inside solve()/resolve().
   double solve_seconds = 0.0;
-
-  void merge(const LpSolverStats& other);
 };
 
 class LpSolver {
@@ -141,7 +139,6 @@ class LpSolver {
 
   [[nodiscard]] const SolverOptions& options() const { return options_; }
   [[nodiscard]] const LpSolverStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
 
  private:
   class Core;

@@ -192,8 +192,6 @@ class Tableau {
       }
     }
 
-    max_iterations_ = options_.max_iterations != 0 ? options_.max_iterations
-                                                   : 200 * (m_ + total_cols_) + 10000;
   }
 
   void pivot(std::size_t pivot_row, std::size_t pivot_col) {
@@ -219,7 +217,7 @@ class Tableau {
   // Entering column, or SIZE_MAX when optimal for the given cost row.
   [[nodiscard]] std::size_t price(const std::vector<double>& cost_row, bool allow_artificial,
                                   bool bland) const {
-    const double tol = options_.tolerance;
+    constexpr double tol = internal::kPricingTol;
     const std::size_t limit = allow_artificial ? total_cols_ : artificial_start_;
     if (bland) {
       for (std::size_t j = 0; j < limit; ++j) {
@@ -268,7 +266,7 @@ class Tableau {
     // loose tolerance before declaring the column unbounded.
     for (std::size_t i = 0; i < m_; ++i) {
       const double a = rows_[i][col];
-      if (a <= options_.tolerance) continue;
+      if (a <= internal::kPricingTol) continue;
       const double ratio = std::max(0.0, rows_[i][width_ - 1]) / a;
       if (ratio < best_ratio) {
         best_ratio = ratio;
@@ -284,7 +282,9 @@ class Tableau {
     bool bland = conservative_;
     double last_objective = -cost_row[width_ - 1];
     while (true) {
-      if (iterations_ >= max_iterations_) return SolveStatus::kIterationLimit;
+      if (iterations_ >= internal::iteration_cap(m_, total_cols_)) {
+        return SolveStatus::kIterationLimit;
+      }
       const std::size_t col = price(cost_row, /*allow_artificial=*/phase1, bland);
       if (col == SIZE_MAX) return SolveStatus::kOptimal;
       const std::size_t row = ratio_test(col, bland);
@@ -295,7 +295,7 @@ class Tableau {
       pivot(row, col);
       ++iterations_;
       const double objective = -cost_row[width_ - 1];
-      if (objective >= last_objective - options_.tolerance) {
+      if (objective >= last_objective - internal::kPricingTol) {
         if (++stall >= options_.stall_limit) bland = true;
       } else {
         stall = 0;
@@ -386,7 +386,6 @@ class Tableau {
   std::size_t total_cols_ = 0;
   std::size_t width_ = 0;
   std::size_t artificial_start_ = 0;
-  std::size_t max_iterations_ = 0;
   std::size_t iterations_ = 0;
   std::size_t phase1_iterations_ = 0;
   bool perturbed_ = false;

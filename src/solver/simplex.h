@@ -29,11 +29,9 @@ enum class SolveStatus { kOptimal, kInfeasible, kUnbounded, kIterationLimit };
 /// tableau path is the battle-tested single-shot reference.
 enum class LpAlgorithm { kRevised, kTableau };
 
+/// Solver knobs that callers actually vary. The pricing tolerance and the
+/// pivot budget are fixed (standard_form.h: kPricingTol, iteration_cap).
 struct SolverOptions {
-  /// Feasibility / pricing tolerance.
-  double tolerance = 1e-9;
-  /// 0 means automatic: 200 * (rows + cols) + 10000.
-  std::size_t max_iterations = 0;
   /// Consecutive non-improving pivots before switching to Bland's rule.
   std::size_t stall_limit = 128;
   /// Row/column max-equilibration before solving.

@@ -25,6 +25,17 @@
 
 namespace oef::solver::internal {
 
+/// Pricing tolerance of both engines: a reduced cost (or a fallback pivot
+/// magnitude) within it counts as zero.
+inline constexpr double kPricingTol = 1e-9;
+
+/// Pivot budget of one solve over `rows` standard rows and `columns` columns
+/// (structural, slack and artificial); past it the solve reports
+/// kIterationLimit.
+[[nodiscard]] constexpr std::size_t iteration_cap(std::size_t rows, std::size_t columns) {
+  return 200 * (rows + columns) + 10000;
+}
+
 // How a standard-form column maps back onto a model variable:
 // model_value[var] += sign * column_value  (+ a per-variable shift applied once).
 struct ColumnRef {

@@ -2,33 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <limits>
-
 namespace oef::common {
 namespace {
-
-TEST(RunningStats, BasicMoments) {
-  RunningStats stats;
-  for (const double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) stats.add(v);
-  EXPECT_EQ(stats.count(), 8u);
-  EXPECT_DOUBLE_EQ(stats.mean(), 5.0);
-  EXPECT_NEAR(stats.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_DOUBLE_EQ(stats.min(), 2.0);
-  EXPECT_DOUBLE_EQ(stats.max(), 9.0);
-  EXPECT_DOUBLE_EQ(stats.sum(), 40.0);
-}
-
-TEST(RunningStats, SingleValueHasZeroVariance) {
-  RunningStats stats;
-  stats.add(3.5);
-  EXPECT_DOUBLE_EQ(stats.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(stats.stddev(), 0.0);
-}
-
-TEST(Mean, EmptyIsZero) { EXPECT_DOUBLE_EQ(mean({}), 0.0); }
-
-TEST(Mean, Basic) { EXPECT_DOUBLE_EQ(mean({1.0, 2.0, 3.0}), 2.0); }
 
 TEST(Percentile, MedianOfOddCount) {
   EXPECT_DOUBLE_EQ(percentile({3.0, 1.0, 2.0}, 50.0), 2.0);
@@ -42,37 +17,6 @@ TEST(Percentile, Interpolates) {
 TEST(Percentile, Extremes) {
   EXPECT_DOUBLE_EQ(percentile({5.0, 1.0, 9.0}, 0.0), 1.0);
   EXPECT_DOUBLE_EQ(percentile({5.0, 1.0, 9.0}, 100.0), 9.0);
-}
-
-TEST(JainIndex, EqualSharesGiveOne) {
-  EXPECT_DOUBLE_EQ(jain_index({4.0, 4.0, 4.0, 4.0}), 1.0);
-}
-
-TEST(JainIndex, SingleUserMonopoly) {
-  // One of n users with everything: index = 1/n.
-  EXPECT_NEAR(jain_index({1.0, 0.0, 0.0, 0.0}), 0.25, 1e-12);
-}
-
-TEST(JainIndex, EmptyAndZeroInputs) {
-  EXPECT_DOUBLE_EQ(jain_index({}), 1.0);
-  EXPECT_DOUBLE_EQ(jain_index({0.0, 0.0}), 1.0);
-}
-
-TEST(MaxMinRatio, Basic) {
-  EXPECT_DOUBLE_EQ(max_min_ratio({2.0, 4.0, 8.0}), 4.0);
-}
-
-TEST(MaxMinRatio, ZeroMinIsInfinite) {
-  EXPECT_TRUE(std::isinf(max_min_ratio({0.0, 1.0})));
-}
-
-TEST(CoefficientOfVariation, ConstantIsZero) {
-  EXPECT_DOUBLE_EQ(coefficient_of_variation({3.0, 3.0, 3.0}), 0.0);
-}
-
-TEST(CoefficientOfVariation, KnownValue) {
-  // mean 2, sample stddev sqrt(2) for {1,3} -> cv = sqrt(2)/2.
-  EXPECT_NEAR(coefficient_of_variation({1.0, 3.0}), std::sqrt(2.0) / 2.0, 1e-12);
 }
 
 }  // namespace

@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
-#include "common/csv.h"
-
 namespace oef::common {
 namespace {
 
@@ -37,20 +33,6 @@ TEST(Table, NumericRowFormatsPrecision) {
 TEST(FormatHelpers, Basic) {
   EXPECT_EQ(format_double(1.5, 2), "1.50");
   EXPECT_EQ(format_factor(1.32, 2), "1.32x");
-}
-
-TEST(Csv, EscapesSpecialCharacters) {
-  EXPECT_EQ(csv_escape("plain"), "plain");
-  EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(csv_escape("quote\"inside"), "\"quote\"\"inside\"");
-}
-
-TEST(Csv, WritesRows) {
-  std::ostringstream out;
-  CsvWriter writer(out);
-  writer.write_row({"h1", "h2"});
-  writer.write_numeric_row("x", {1.0, 2.5}, 1);
-  EXPECT_EQ(out.str(), "h1,h2\nx,1.0,2.5\n");
 }
 
 }  // namespace

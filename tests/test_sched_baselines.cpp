@@ -106,19 +106,6 @@ TEST(Gavel, EqualisesRatiosOnPaperExample) {
   EXPECT_TRUE(core::check_sharing_incentive(kPaperW, x, kPaperM).sharing_incentive);
 }
 
-TEST(Gavel, WaterFillingWeaklyImprovesEveryone) {
-  const core::SpeedupMatrix w({{1, 1.2}, {1, 3}, {1, 4}});
-  const std::vector<double> m = {2.0, 2.0};
-  const core::Allocation single = GavelScheduler(GavelOptions{1}).allocate(w, m, {});
-  const core::Allocation filled = GavelScheduler(GavelOptions{4}).allocate(w, m, {});
-  const std::vector<double> eff_single = single.efficiencies(w);
-  const std::vector<double> eff_filled = filled.efficiencies(w);
-  for (std::size_t l = 0; l < 3; ++l) {
-    EXPECT_GE(eff_filled[l], eff_single[l] - 1e-5) << "user " << l;
-  }
-  EXPECT_GE(filled.total_efficiency(w), single.total_efficiency(w) - 1e-5);
-}
-
 TEST(EfficiencyMax, AssignsEachTypeToBestUser) {
   const core::Allocation x = EfficiencyMaxScheduler().allocate(kPaperW, kPaperM, {});
   // GPU1 -> user 0 (tie broken by lowest index), GPU2 -> user 2.

@@ -6,8 +6,11 @@
 // on the bit-identical allocation of an uninterrupted run.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -392,6 +395,59 @@ TEST(AllocatorService, CorruptCheckpointRefusesToStart) {
     FAIL() << "corrupt checkpoint must not be silently ignored";
   } catch (const common::CheckError& error) {
     EXPECT_EQ(error.code(), common::ErrorCode::kCorruptData);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(AllocatorService, NonFiniteDemandOrWeightIsRejected) {
+  AllocatorService service(base_options());
+  ASSERT_EQ(service.handle(add_tenant("alice", {1.0, 2.0, 3.0})).status, StatusCode::kOk);
+  const std::shared_ptr<const WireSnapshot> before = service.snapshot();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Request> rejected = {
+      add_tenant("bob", {1.0, inf, 2.0}),          add_tenant("bob", {1.0, nan, 2.0}),
+      add_tenant("bob", {1.0, 1.5, 2.0}, inf),     add_tenant("bob", {1.0, 1.5, 2.0}, nan),
+      update_demand("alice", {1.0, 2.0, inf}),     update_demand("alice", {1.0, 2.0, 3.0}, nan),
+  };
+  for (const Request& request : rejected) {
+    EXPECT_EQ(service.handle(request).status, StatusCode::kInvalidArgument)
+        << to_string(request.type);
+  }
+  // Nothing was applied or published: the same snapshot object is current.
+  EXPECT_EQ(service.snapshot(), before);
+  EXPECT_EQ(service.snapshot()->tenants, std::vector<std::string>{"alice"});
+  EXPECT_TRUE(std::isfinite(service.snapshot()->total_efficiency));
+}
+
+TEST(AllocatorService, OverflowingEfficiencyIsNeverPublished) {
+  AllocatorService service(base_options());
+  ASSERT_EQ(service.handle(add_tenant("alice", {1.0, 2.0, 3.0})).status, StatusCode::kOk);
+  const std::shared_ptr<const WireSnapshot> before = service.snapshot();
+  // Finite and positive, so it validates, but the efficiency sum overflows.
+  const Response response = service.handle(add_tenant("bob", {1.0, 0x1p+1023, 2.0}));
+  EXPECT_EQ(response.status, StatusCode::kFailed);
+  EXPECT_EQ(service.snapshot(), before);
+  EXPECT_TRUE(std::isfinite(service.snapshot()->total_efficiency));
+}
+
+TEST(AllocatorService, CheckpointWithOtherTypeCountRefusesToStart) {
+  const std::string path = ::testing::TempDir() + "/oef_ckpt_arity";
+  std::remove(path.c_str());
+  ServiceOptions options = base_options();
+  options.checkpoint_path = path;
+  {
+    AllocatorService service(options);
+    ASSERT_EQ(service.handle(add_tenant("alice", {1.0, 2.0, 3.0})).status, StatusCode::kOk);
+  }
+  // Restarted with a different --capacities arity: the restored demand rows
+  // no longer fit, which must stop the service instead of aborting later.
+  options.capacities = {4.0, 2.0};
+  try {
+    AllocatorService service(options);
+    FAIL() << "a 3-type checkpoint restored under 2 capacities must not start";
+  } catch (const common::CheckError& error) {
+    EXPECT_EQ(error.code(), common::ErrorCode::kInvalidArgument);
   }
   std::remove(path.c_str());
 }

@@ -79,7 +79,6 @@ TEST(Daemon, SurvivesWireFaultsWithIdempotentRetries) {
   DaemonOptions daemon_options;
   daemon_options.socket_path = socket_path;
   daemon_options.io_timeout_seconds = 0.2;  // truncated frames die fast
-  daemon_options.enable_response_faults = true;
   daemon_options.response_faults.seed = 7;
   daemon_options.response_faults.drop_probability = 0.1;
   daemon_options.response_faults.duplicate_probability = 0.1;
@@ -92,7 +91,6 @@ TEST(Daemon, SurvivesWireFaultsWithIdempotentRetries) {
   client_options.seed = 21;
   client_options.max_attempts = 10;
   client_options.response_timeout_seconds = 0.3;
-  client_options.enable_send_faults = true;
   client_options.send_faults.seed = 5;
   client_options.send_faults.drop_probability = 0.1;
   client_options.send_faults.duplicate_probability = 0.1;

@@ -1,0 +1,120 @@
+// Restore robustness of the allocator service: a valid cooperative
+// checkpoint has each of its tokens rewritten in turn to a hostile value and
+// is re-wrapped by write_checkpoint, so the checksum verifies and only the
+// payload's contents are wrong. Every rewrite must either restore a service
+// that then answers an allocate, or make construction throw CheckError (for
+// oefd: exit 1 with a message). A rewrite that aborts the process fails the
+// whole test binary.
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdio>
+#include <iterator>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/check.h"
+#include "service/checkpoint.h"
+#include "service/service.h"
+
+namespace oef::service {
+namespace {
+
+/// Non-finite, non-positive, huge and out-of-range values, each valid as a
+/// u64 or f64 token somewhere in the payload.
+constexpr const char* kSubstitutes[] = {
+    "nan", "inf", "-inf", "0", "-1", "0x1p+1023", "18446744073709551615", "7"};
+
+ServiceOptions sweep_options(const std::string& path) {
+  ServiceOptions options;
+  options.mode = core::OefAllocator::Mode::kCooperative;
+  options.capacities = {4.0, 2.0, 2.0};
+  options.checkpoint_path = path;
+  return options;
+}
+
+Request make_request(MessageType type, std::string tenant = {},
+                     std::vector<double> demand = {}, double weight = 1.0) {
+  Request request;
+  request.type = type;
+  request.tenant = std::move(tenant);
+  request.demand = std::move(demand);
+  request.weight = weight;
+  return request;
+}
+
+/// (offset, length) of every whitespace-delimited token of `payload`.
+std::vector<std::pair<std::size_t, std::size_t>> token_spans(const std::string& payload) {
+  std::vector<std::pair<std::size_t, std::size_t>> spans;
+  std::size_t pos = 0;
+  while (pos < payload.size()) {
+    if (payload[pos] == '\n' || payload[pos] == ' ') {
+      ++pos;
+      continue;
+    }
+    const std::size_t begin = pos;
+    while (pos < payload.size() && payload[pos] != '\n' && payload[pos] != ' ') ++pos;
+    spans.emplace_back(begin, pos - begin);
+  }
+  return spans;
+}
+
+TEST(ServiceRestoreSweep, EverySingleTokenRewriteRestoresOrThrows) {
+  const std::string path = ::testing::TempDir() + "/oef_restore_sweep.ckpt";
+  std::remove(path.c_str());
+  {
+    AllocatorService service(sweep_options(path));
+    const std::vector<Request> requests = {
+        make_request(MessageType::kAddTenant, "t0", {1.0, 1.4, 2.0}),
+        make_request(MessageType::kAddTenant, "t1", {1.0, 1.9, 2.3}, 2.0),
+        make_request(MessageType::kAddTenant, "t2", {1.0, 1.2, 3.1}),
+        make_request(MessageType::kAddTenant, "t3", {1.0, 2.2, 2.6}),
+        make_request(MessageType::kAddTenant, "t4", {1.0, 1.6, 1.7}, 0.5),
+        make_request(MessageType::kUpdateDemand, "t2", {1.0, 1.3, 2.9}),
+    };
+    for (const Request& request : requests) {
+      ASSERT_EQ(service.handle(request).status, StatusCode::kOk);
+    }
+  }
+  const std::optional<std::string> payload = load_checkpoint(path);
+  ASSERT_TRUE(payload.has_value());
+  {
+    AllocatorService service(sweep_options(path));
+    ASSERT_TRUE(service.restored_warm()) << "the unmodified checkpoint must restore warm";
+  }
+
+  const auto spans = token_spans(*payload);
+  ASSERT_GT(spans.size(), 300u);
+  std::size_t restored = 0;
+  std::size_t refused = 0;
+  for (std::size_t t = 0; t < spans.size(); ++t) {
+    for (const char* substitute : kSubstitutes) {
+      std::string rewritten = *payload;
+      rewritten.replace(spans[t].first, spans[t].second, substitute);
+      write_checkpoint(path, rewritten);
+      try {
+        AllocatorService service(sweep_options(path));
+        const Response response = service.handle(make_request(MessageType::kAllocate));
+        ++restored;
+        if (response.status == StatusCode::kOk) {
+          EXPECT_TRUE(std::isfinite(response.snapshot.total_efficiency))
+              << "token " << t << " (" << payload->substr(spans[t].first, spans[t].second)
+              << ") -> " << substitute;
+        }
+      } catch (const common::CheckError&) {
+        ++refused;
+      }
+    }
+  }
+  EXPECT_EQ(restored + refused, spans.size() * std::size(kSubstitutes));
+  EXPECT_GT(restored, 0u);
+  EXPECT_GT(refused, 0u);
+  std::printf("restore sweep: %zu tokens, %zu restored and answered, %zu refused\n",
+              spans.size(), restored, refused);
+  std::remove(path.c_str());
+}
+
+}  // namespace
+}  // namespace oef::service

@@ -218,7 +218,7 @@ TEST(SimChurn, InjectedFaultsEngageTheLadderWithoutAborting) {
 
 TEST(SimChurn, DeadlineExpiryServesDegradedButFeasible) {
   core::OefOptions options;
-  options.solve_deadline_seconds = 1e-6;  // expires after the first relaxation
+  options.deadline = common::Deadline::after(1e-6);  // expires after the first relaxation
   options.seed_adjacent_envy_rows = false;
   options.recycle_envy_rows = false;
   const core::OefAllocator allocator = core::make_cooperative_oef(options);

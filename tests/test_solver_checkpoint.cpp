@@ -6,12 +6,15 @@
 // silently wrong state.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/serial.h"
+#include "core/oef.h"
 #include "core/speedup_matrix.h"
 #include "solver/checkpoint.h"
 #include "solver/lp_model.h"
@@ -183,6 +186,67 @@ TEST(SolverCheckpoint, TruncatedStreamThrowsCorruptData) {
       FAIL() << "truncated stream at " << keep << " bytes did not throw";
     } catch (const common::CheckError& error) {
       EXPECT_EQ(error.code(), common::ErrorCode::kCorruptData);
+    }
+  }
+}
+
+TEST(SolverCheckpoint, CrossedOrNanBoundsThrowCorruptData) {
+  // LpModel::add_variable aborts on such bounds, so the reader must refuse
+  // them first. The stream is write_lp_model's layout for one variable.
+  for (const auto& [lower, upper] : {std::pair{3.0, 1.0}, std::pair{std::nan(""), 1.0},
+                                     std::pair{0.0, std::nan("")}}) {
+    common::SerialWriter out;
+    out.u64(0);  // maximise
+    out.u64(1);  // one variable
+    out.str("x");
+    out.f64(lower);
+    out.f64(upper);
+    out.f64(1.0);  // objective
+    out.u64(0);    // no constraints
+    common::SerialReader in(out.data());
+    try {
+      (void)read_lp_model(in);
+      FAIL() << "bounds [" << lower << ", " << upper << "] were accepted";
+    } catch (const common::CheckError& error) {
+      EXPECT_EQ(error.code(), common::ErrorCode::kCorruptData);
+    }
+  }
+}
+
+TEST(AllocatorCheckpoint, EachModeRestoresWarmAndRefusesTheOtherMode) {
+  // The allocator record keeps a cooperative and a non-cooperative solver
+  // slot; each mode must restore from its own slot and continue exactly like
+  // the allocator that wrote it.
+  using Mode = core::OefAllocator::Mode;
+  common::Rng rng(17);
+  const core::SpeedupMatrix w = random_matrix(rng, 6, 3);
+  const std::vector<double> caps = {4.0, 3.0, 2.0};
+  core::OefOptions lp_only;
+  lp_only.use_fast_path = false;  // the non-cooperative LP, not the staircase
+  for (const Mode mode : {Mode::kCooperative, Mode::kNonCooperative}) {
+    const core::OefAllocator original(mode, lp_only);
+    ASSERT_TRUE(original.allocate(w, caps).ok());
+    common::SerialWriter out;
+    original.save_warm_state(out);
+
+    core::OefAllocator restored(mode, lp_only);
+    common::SerialReader in(out.data());
+    EXPECT_TRUE(restored.load_warm_state(in));
+    EXPECT_TRUE(in.at_end());
+    const core::AllocationResult expected = original.allocate(w, caps);
+    const core::AllocationResult actual = restored.allocate(w, caps);
+    EXPECT_EQ(actual.lp_iterations, expected.lp_iterations);
+    EXPECT_EQ(actual.total_efficiency, expected.total_efficiency);
+
+    core::OefAllocator other(mode == Mode::kCooperative ? Mode::kNonCooperative
+                                                        : Mode::kCooperative,
+                             lp_only);
+    common::SerialReader again(out.data());
+    try {
+      (void)other.load_warm_state(again);
+      FAIL() << "a checkpoint of the other mode was accepted";
+    } catch (const common::CheckError& error) {
+      EXPECT_EQ(error.code(), common::ErrorCode::kInvalidArgument);
     }
   }
 }

@@ -26,7 +26,8 @@ TEST(LazySolver, ConvergesToEagerSolution) {
     return violated;
   };
 
-  const LazySolveResult result = LazyConstraintSolver().solve(lazy_model, oracle);
+  LpSolver solver;
+  const LazySolveResult result = LazyConstraintSolver().solve(solver, lazy_model, oracle);
   ASSERT_TRUE(result.converged);
   ASSERT_TRUE(result.solution.optimal());
   EXPECT_NEAR(result.solution.objective, 8.0, 1e-7);
@@ -39,7 +40,8 @@ TEST(LazySolver, NoViolationsMeansOneRound) {
   const VarId x = model.add_variable("x", 0.0, 5.0, 1.0);
   (void)x;
   const auto oracle = [](const std::vector<double>&) { return std::vector<Constraint>{}; };
-  const LazySolveResult result = LazyConstraintSolver().solve(model, oracle);
+  LpSolver solver;
+  const LazySolveResult result = LazyConstraintSolver().solve(solver, model, oracle);
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(result.rounds, 1u);
   EXPECT_EQ(result.rows_added, 0u);
@@ -58,7 +60,9 @@ TEST(LazySolver, RespectsRoundLimit) {
                                   100.0 - round * 0.001, "tighten"});
     return violated;
   };
-  const LazySolveResult result = LazyConstraintSolver({}, /*max_rounds=*/5).solve(model, oracle);
+  LpSolver solver;
+  const LazySolveResult result =
+      LazyConstraintSolver(/*max_rounds=*/5).solve(solver, model, oracle);
   EXPECT_FALSE(result.converged);
   EXPECT_EQ(result.rounds, 6u);  // loop exits after max_rounds+1 counter
   EXPECT_TRUE(result.solution.optimal());
@@ -70,7 +74,8 @@ TEST(LazySolver, PropagatesInfeasibility) {
   model.add_constraint(LinearExpr{}.add(x, 1.0), Relation::kLessEqual, 1.0);
   model.add_constraint(LinearExpr{}.add(x, 1.0), Relation::kGreaterEqual, 3.0);
   const auto oracle = [](const std::vector<double>&) { return std::vector<Constraint>{}; };
-  const LazySolveResult result = LazyConstraintSolver().solve(model, oracle);
+  LpSolver solver;
+  const LazySolveResult result = LazyConstraintSolver().solve(solver, model, oracle);
   EXPECT_FALSE(result.converged);
   EXPECT_EQ(result.solution.status, SolveStatus::kInfeasible);
 }
