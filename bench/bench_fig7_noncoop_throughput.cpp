@@ -47,7 +47,8 @@ int main() {
   bench::print_check("estimated throughput near parity (within 12%)",
                      est_gap < 1.12 && est_gap > 0.9);
   // Against the exact-LP Gavel reimplementation the actual gap narrows to
-  // parity; the win over Gandiva_fair reproduces (see EXPERIMENTS.md).
+  // parity; the win over Gandiva_fair reproduces (finding F1 in
+  // docs/BENCHMARKS.md).
   bench::print_check("OEF actual beats Gandiva_fair",
                      oef.actual >= gandiva.actual);
   bench::print_check("OEF actual within 3% of exact-LP Gavel",

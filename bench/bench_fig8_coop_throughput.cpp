@@ -40,10 +40,10 @@ int main() {
   const double act_gain = oef.actual / std::max(gandiva.actual, gavel.actual);
   std::printf("  estimated gain: %.2fx (paper: ~1.20x)\n", est_gain);
   std::printf("  actual gain:    %.2fx (paper: ~1.32x)\n", act_gain);
-  // Reproduction note (EXPERIMENTS.md): against an *exact-LP* Gavel the
-  // estimated gap mostly closes — the paper's 1.2x stems from its Gavel
+  // Reproduction note (finding F1 in docs/BENCHMARKS.md): against an
+  // *exact-LP* Gavel both gaps close — the paper's 1.2x stems from its Gavel
   // implementation returning sub-optimal allocations (visible already in its
-  // own §2.4 numbers). The actual gap, driven by placement, reproduces.
+  // own §2.4 numbers). The gain over Gandiva_fair reproduces.
   bench::print_check("OEF-coop estimated within 2% of the best baseline",
                      est_gain > 0.98);
   bench::print_check("OEF-coop beats Gandiva_fair on estimated and actual",

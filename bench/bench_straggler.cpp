@@ -47,7 +47,7 @@ int main() {
   // Gavel reimplemented as an exact LP also returns vertex-sparse (and thus
   // mostly adjacent) allocations, so it stragglers little; the paper's 26%
   // reduction vs Gavel reflects its published implementation. The reductions
-  // vs Gandiva_fair and MaxMin reproduce (see EXPERIMENTS.md).
+  // vs Gandiva_fair and MaxMin reproduce (finding F1 in docs/BENCHMARKS.md).
   bench::print_check(
       "OEF stragglers fewer workers than Gandiva_fair",
       entries[0].summary.straggler_workers <= entries[1].summary.straggler_workers);

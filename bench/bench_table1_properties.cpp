@@ -130,7 +130,7 @@ int main() {
       "  * SP for OEF-noncoop and EF/SI for OEF-coop must read 'yes'.\n"
       "  * Gavel/GandivaFair must show EF and SP violations (paper SS2.4).\n"
       "  * PE here is the *global* check; OEF-coop's PE guarantee is within\n"
-      "    the envy-free set (see EXPERIMENTS.md), so occasional 'no' entries\n"
+      "    the envy-free set (docs/BENCHMARKS.md, F2), so occasional 'no' entries\n"
       "    in the global column reproduce our documented finding.\n"
       "  * 'eff. vs OEF-coop' is the mean total-efficiency ratio; OEF-coop\n"
       "    is 1.0 by definition (optimal efficiency under fairness).\n");

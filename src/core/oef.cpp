@@ -67,6 +67,29 @@ void build_base_model(LpModel& model, const SpeedupMatrix& w,
   return allocation;
 }
 
+/// Solves `model` in one piece through `solver` and fills `result` from it.
+[[nodiscard]] AllocationResult solve_whole(solver::LpSolver& solver, LpModel model,
+                                           const SpeedupMatrix& speedups,
+                                           AllocationResult result) {
+  const solver::LpSolution solution = solver.solve(std::move(model));
+  result.status = solution.status;
+  result.lp_iterations = solution.iterations;
+  if (solution.warm_started) {
+    result.warm_lp_iterations = solution.iterations;
+  } else {
+    result.cold_lp_iterations = solution.iterations;
+  }
+  if (!solution.optimal()) {
+    result.outcome = AllocationStatus::kFailed;
+    return result;
+  }
+  result.outcome = AllocationStatus::kOptimal;
+  result.allocation =
+      extract_allocation(solution.values, speedups.num_users(), speedups.num_types());
+  result.total_efficiency = result.allocation.total_efficiency(speedups);
+  return result;
+}
+
 /// Scaled efficiency of user l at point `values`: w_l · x_l / r_l.
 [[nodiscard]] double scaled_efficiency(const SpeedupMatrix& w,
                                        const std::vector<double>& multiplicities,
@@ -116,7 +139,9 @@ void build_base_model(LpModel& model, const SpeedupMatrix& w,
 }
 
 /// Dominance ordering for the fast path: indices sorted so each row is
-/// elementwise <= the next. Returns nullopt when no such chain exists.
+/// elementwise <= the next and so is each adjacent-type ratio w[l][j] /
+/// w[l][j-1]; the staircase fill is optimal only then. Returns nullopt when
+/// no such chain exists.
 [[nodiscard]] std::optional<std::vector<std::size_t>> dominance_order(
     const SpeedupMatrix& w, double tol) {
   const std::size_t n = w.num_users();
@@ -133,8 +158,13 @@ void build_base_model(LpModel& model, const SpeedupMatrix& w,
     return a < b;
   });
   for (std::size_t i = 0; i + 1 < n; ++i) {
+    const std::size_t a = order[i];
+    const std::size_t b = order[i + 1];
     for (std::size_t j = 0; j < w.num_types(); ++j) {
-      if (w.at(order[i], j) > w.at(order[i + 1], j) + tol) return std::nullopt;
+      if (w.at(a, j) > w.at(b, j) + tol) return std::nullopt;
+      if (j > 0 && w.at(a, j) / w.at(a, j - 1) > w.at(b, j) / w.at(b, j - 1) + tol) {
+        return std::nullopt;
+      }
     }
   }
   return order;
@@ -264,9 +294,9 @@ AllocationResult OefAllocator::solve_non_cooperative(
       result.used_fast_path = true;
       return result;
     }
-    // The instance has crossing rows, so the combinatorial path does not
-    // apply and the LP below answers instead. Count and log the degradation
-    // rather than falling through silently.
+    // The instance's rows or adjacent-type ratios cross, so the combinatorial
+    // path does not apply and the LP below answers instead. Count and log the
+    // degradation rather than falling through silently.
     result.fast_path_fallback = true;
     common::log_debug(
         "non-cooperative fast path unavailable (instance not totally ordered); "
@@ -289,22 +319,7 @@ AllocationResult OefAllocator::solve_non_cooperative(
   // Persistent solver: across simulator rounds with a stable user population
   // the model shape repeats, so the previous optimal basis warm-starts this
   // solve (equal-efficiency rows only move in their coefficients).
-  const solver::LpSolution solution = solver_.solve(model);
-  result.status = solution.status;
-  result.lp_iterations = solution.iterations;
-  if (solution.warm_started) {
-    result.warm_lp_iterations = solution.iterations;
-  } else {
-    result.cold_lp_iterations = solution.iterations;
-  }
-  if (!solution.optimal()) {
-    result.outcome = AllocationStatus::kFailed;
-    return result;
-  }
-  result.outcome = AllocationStatus::kOptimal;
-  result.allocation = extract_allocation(solution.values, n, k);
-  result.total_efficiency = result.allocation.total_efficiency(speedups);
-  return result;
+  return solve_whole(solver_, std::move(model), speedups, std::move(result));
 }
 
 AllocationResult OefAllocator::solve_cooperative(
@@ -327,22 +342,7 @@ AllocationResult OefAllocator::solve_cooperative(
     // Same persistent solver as the lazy path: stats accumulate, the
     // configured algorithm applies, and repeat calls of the same shape
     // warm-start.
-    const solver::LpSolution solution = solver_.solve(model);
-    result.status = solution.status;
-    result.lp_iterations = solution.iterations;
-    if (solution.warm_started) {
-      result.warm_lp_iterations = solution.iterations;
-    } else {
-      result.cold_lp_iterations = solution.iterations;
-    }
-    if (!solution.optimal()) {
-      result.outcome = AllocationStatus::kFailed;
-      return result;
-    }
-    result.outcome = AllocationStatus::kOptimal;
-    result.allocation = extract_allocation(solution.values, n, k);
-    result.total_efficiency = result.allocation.total_efficiency(speedups);
-    return result;
+    return solve_whole(solver_, std::move(model), speedups, std::move(result));
   }
 
   // Recycle the envy rows that were binding at the previous optimum into the
@@ -483,7 +483,7 @@ AllocationResult OefAllocator::solve_cooperative(
     lazy.enable_compaction(base_rows, base_rows + envy_budget);
   }
   lazy.set_deadline(options_.deadline);
-  const solver::LazySolveResult lazy_result = lazy.solve(solver_, model, oracle);
+  const solver::LazySolveResult lazy_result = lazy.solve(solver_, std::move(model), oracle);
   result.status = lazy_result.solution.status;
   result.lp_iterations = lazy_result.total_iterations;
   result.lazy_rounds = lazy_result.rounds;

@@ -252,10 +252,11 @@ class OefAllocator {
 
 /// Combinatorial fast path for non-cooperative OEF on totally ordered
 /// instances (every user's row elementwise-dominates the previous user's
-/// after sorting): bisects the common efficiency level E and fills users in
-/// dominance order, slowest types first (Lemma 3.1). Returns nullopt when the
-/// instance is not totally ordered. Exposed for testing; OefAllocator uses it
-/// when options.use_fast_path is set.
+/// after sorting, and so does every adjacent-type speedup ratio): bisects the
+/// common efficiency level E and fills users in dominance order, slowest
+/// types first (Lemma 3.1). Returns nullopt when the instance is not totally
+/// ordered. Exposed for testing; OefAllocator uses it when
+/// options.use_fast_path is set.
 [[nodiscard]] std::optional<Allocation> non_cooperative_fast_path(
     const SpeedupMatrix& speedups, const std::vector<double>& multiplicities,
     const std::vector<double>& capacities, double tolerance = 1e-10);

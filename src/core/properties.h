@@ -58,7 +58,7 @@ struct ParetoReport {
 /// "satisfies the same constraints"). Empirically, cooperative OEF allocations
 /// can fail this *global* check by small margins — the improving allocation
 /// breaks envy-freeness. Use check_pareto_efficiency_within_envy_free for the
-/// property the theorem actually proves. See EXPERIMENTS.md.
+/// property the theorem actually proves. See finding F2 in docs/BENCHMARKS.md.
 [[nodiscard]] ParetoReport check_pareto_efficiency(const SpeedupMatrix& speedups,
                                                    const Allocation& allocation,
                                                    const std::vector<double>& capacities,

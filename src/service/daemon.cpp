@@ -64,13 +64,15 @@ void Daemon::stop() {
     if (accept_thread_.joinable()) accept_thread_.join();
     return;
   }
+  // shutdown() wakes accept(); the descriptor is closed only once the accept
+  // thread, which reads listen_fd_, has exited (a freed number can be reused).
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  shutdown_cv_.notify_all();
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  shutdown_cv_.notify_all();
-  if (accept_thread_.joinable()) accept_thread_.join();
   std::vector<Connection> connections;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -99,7 +101,7 @@ void Daemon::accept_loop() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      break;  // listener closed (stop()) or fatal
+      break;  // listener shut down (stop()) or fatal
     }
     if (stopping_.load()) {
       ::close(fd);

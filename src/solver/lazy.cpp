@@ -28,7 +28,7 @@ double constraint_slack(const Constraint& constraint, const std::vector<double>&
 
 }  // namespace
 
-LazySolveResult LazyConstraintSolver::solve(LpSolver& solver, LpModel& model,
+LazySolveResult LazyConstraintSolver::solve(LpSolver& solver, LpModel model,
                                             const SeparationOracle& oracle) const {
   LazySolveResult result;
   for (result.rounds = 1; result.rounds <= max_rounds_; ++result.rounds) {
@@ -45,9 +45,9 @@ LazySolveResult LazyConstraintSolver::solve(LpSolver& solver, LpModel& model,
     }
     // Round 1 loads the model (possibly reusing the basis of a previous
     // same-shaped session); later rounds repair the basis incrementally —
-    // or, when a refused compaction dropped it, solve the solver's copy of
-    // the model cold.
-    result.solution = result.rounds == 1 ? solver.solve(model) : solver.resolve();
+    // or, when a refused compaction dropped it, solve the working model
+    // cold.
+    result.solution = result.rounds == 1 ? solver.solve(std::move(model)) : solver.resolve();
     result.total_iterations += result.solution.iterations;
     if (result.rounds > 1 && result.solution.warm_started) {
       ++result.warm_rounds;
@@ -64,8 +64,9 @@ LazySolveResult LazyConstraintSolver::solve(LpSolver& solver, LpModel& model,
     }
     result.rows_added += violated.size();
 
+    const LpModel& working = solver.model();
     if (compaction_ && max_rows_ > 0 &&
-        model.num_constraints() + violated.size() > max_rows_) {
+        working.num_constraints() + violated.size() > max_rows_) {
       // Shrink the relaxation: drop every row past the permanent prefix that
       // is loose at the current optimum. A loose row's slack is basic, so
       // the solver can excise the rows while the basic set, vertex and
@@ -74,9 +75,9 @@ LazySolveResult LazyConstraintSolver::solve(LpSolver& solver, LpModel& model,
       // warm identity and the next resolve() solves the shrunken model cold.
       // A permanent prefix longer than the model is caller misconfiguration
       // of enable_compaction — recoverable, so throw instead of aborting.
-      OEF_REQUIRE_MSG(permanent_rows_ <= model.num_constraints(),
+      OEF_REQUIRE_MSG(permanent_rows_ <= working.num_constraints(),
                       "compaction permanent_rows exceeds the working model");
-      const auto& constraints = model.constraints();
+      const auto& constraints = working.constraints();
       std::vector<std::size_t> drop;
       for (std::size_t c = permanent_rows_; c < constraints.size(); ++c) {
         if (constraint_slack(constraints[c], result.solution.values) > kCompactionSlackTol) {
@@ -86,18 +87,15 @@ LazySolveResult LazyConstraintSolver::solve(LpSolver& solver, LpModel& model,
       if (!drop.empty()) {
         ++result.compactions;
         const bool warm = solver.delete_rows(drop);
-        model.remove_constraints(drop);
         if (warm) ++result.warm_compactions;
         result.rows_dropped += drop.size();
         common::log_debug("lazy solver: round " + std::to_string(result.rounds) +
                           " compacted relaxation (" + (warm ? "warm" : "cold") +
                           "), dropped " + std::to_string(drop.size()) + " rows (" +
-                          std::to_string(model.num_constraints()) + " remain)");
+                          std::to_string(working.num_constraints()) + " remain)");
       }
     }
 
-    // Keep the caller's model in sync with the solver's internal copy.
-    for (const Constraint& constraint : violated) model.add_constraint(constraint);
     solver.add_rows(violated);
     common::log_debug("lazy solver: round " + std::to_string(result.rounds) + " added " +
                       std::to_string(violated.size()) + " rows");

@@ -96,11 +96,12 @@ class LazyConstraintSolver {
   /// ladder builds on.
   void set_deadline(common::Deadline deadline) { deadline_ = deadline; }
 
-  /// Solves `model` (which is extended in place with the generated rows)
-  /// through a caller-owned persistent solver: the solver keeps its basis
-  /// across calls, so a later session over a same-shaped model (the
-  /// round-over-round case in the simulator) warm-starts too.
-  [[nodiscard]] LazySolveResult solve(LpSolver& solver, LpModel& model,
+  /// Solves `model` through a caller-owned persistent solver, into which it
+  /// is moved: the working model (generated rows appended, compacted rows
+  /// removed) is solver.model(). The solver keeps its basis across calls, so
+  /// a later session over a same-shaped model (the round-over-round case in
+  /// the simulator) warm-starts too.
+  [[nodiscard]] LazySolveResult solve(LpSolver& solver, LpModel model,
                                       const SeparationOracle& oracle) const;
 
  private:

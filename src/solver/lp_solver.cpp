@@ -44,6 +44,7 @@ double seconds_since(double start) { return common::monotonic_seconds() - start;
 // iterates nonzeros only.
 class LpSolver::Core {
  public:
+  /// Loads `model` into this fresh Core (each Core loads exactly once).
   void load(const LpModel& model, const SolverOptions& options);
 
   /// Two-phase cold solve from the all-slack/artificial basis.
@@ -88,8 +89,6 @@ class LpSolver::Core {
   [[nodiscard]] const std::vector<char>& at_upper() const { return at_upper_; }
 
   [[nodiscard]] std::size_t iterations() const { return iterations_; }
-  [[nodiscard]] std::size_t phase1_iterations() const { return phase1_iterations_; }
-  [[nodiscard]] std::size_t dual_iterations() const { return dual_iterations_; }
 
   /// Deficient basis positions repaired since the last harvest; resets the
   /// counter so LpSolver can accumulate deltas into its stats.
@@ -173,24 +172,18 @@ void LpSolver::Core::load(const LpModel& model, const SolverOptions& options) {
   internal::StandardForm sf =
       internal::build_standard_form(model, /*native_upper_bounds=*/true);
   scaling_ = options.enable_scaling;
-  if (scaling_) {
-    internal::equilibrate(sf, row_scale_, col_scale_);
-  } else {
-    row_scale_.assign(sf.rows.size(), 1.0);
-    col_scale_.assign(sf.columns.size(), 1.0);
-  }
+  internal::equilibrate(sf, scaling_, row_scale_, col_scale_);
 
   m_ = sf.rows.size();
   n_struct_ = sf.columns.size();
-  relations_ = sf.relations;
-  row_refs_ = sf.row_refs;
-  b_ = sf.rhs;
-
   std::size_t num_slack = 0;
   std::size_t num_artificial = 0;
-  for (const Relation rel : sf.relations) {
-    if (rel != Relation::kEqual) ++num_slack;
-    if (rel != Relation::kLessEqual) ++num_artificial;
+  for (const internal::StandardRow& row : sf.rows) {
+    relations_.push_back(row.relation);
+    row_refs_.push_back(row.ref);
+    b_.push_back(row.rhs);
+    if (row.relation != Relation::kEqual) ++num_slack;
+    if (row.relation != Relation::kLessEqual) ++num_artificial;
   }
   num_cols_ = n_struct_ + num_slack + num_artificial;
   any_artificial_ = num_artificial > 0;
@@ -206,20 +199,21 @@ void LpSolver::Core::load(const LpModel& model, const SolverOptions& options) {
 
   cols_.reset(m_);
   for (std::size_t j = 0; j < num_cols_; ++j) cols_.add_column();
-  for (std::size_t j = 0; j < n_struct_; ++j) {
-    for (std::size_t i = 0; i < m_; ++i) cols_.add_entry(j, i, sf.rows[i][j]);
-  }
 
   std::vector<std::size_t> initial_basis(m_);
   row_units_.assign(m_, {});
   std::size_t next_slack = n_struct_;
   std::size_t next_artificial = n_struct_ + num_slack;
   for (std::size_t i = 0; i < m_; ++i) {
+    // Rows are visited in order, so every column's entries stay row-sorted.
+    for (const internal::RowEntry& entry : sf.rows[i].entries) {
+      cols_.add_entry(entry.col, i, entry.value);
+    }
     const auto set_unit = [&](std::size_t col, double value) {
       cols_.add_entry(col, i, value);
       row_units_[i].push_back(col);
     };
-    switch (sf.relations[i]) {
+    switch (relations_[i]) {
       case Relation::kLessEqual:
         set_unit(next_slack, 1.0);
         initial_basis[i] = next_slack;
@@ -261,9 +255,6 @@ void LpSolver::Core::load(const LpModel& model, const SolverOptions& options) {
   // Keep the structural metadata for incremental rows; drop the bulky parts.
   skel_ = std::move(sf);
   skel_.rows.clear();
-  skel_.rhs.clear();
-  skel_.relations.clear();
-  skel_.row_refs.clear();
 
   basis_.set_basic(std::move(initial_basis));
   for (const std::size_t j : basis_.basic()) in_basis_[j] = 1;
@@ -895,19 +886,22 @@ SolveStatus LpSolver::Core::reoptimize(const SolverOptions& options, bool dual_f
 }
 
 void LpSolver::Core::append_row(const Constraint& constraint, std::size_t index) {
-  const internal::StandardRow row = internal::build_standard_row(skel_, constraint, index);
+  internal::StandardRow row = internal::build_standard_row(skel_, constraint, index);
+  // <= form whatever the rhs sign: the row starts on a basic slack, possibly
+  // primal-infeasible, for the dual simplex to repair.
+  if (row.relation == Relation::kGreaterEqual) row.negate();
   OEF_CHECK(row.relation == Relation::kLessEqual);
   double biggest = 0.0;
-  for (std::size_t j = 0; j < n_struct_; ++j) {
-    biggest = std::max(biggest, std::abs(row.coeffs[j] * col_scale_[j]));
+  for (const internal::RowEntry& entry : row.entries) {
+    biggest = std::max(biggest, std::abs(entry.value * col_scale_[entry.col]));
   }
   const double rscale = (scaling_ && biggest > 0.0) ? 1.0 / biggest : 1.0;
   const double rhs = row.rhs * rscale;
 
   // New slack column, basic in the new row.
   cols_.set_rows(m_ + 1);
-  for (std::size_t j = 0; j < n_struct_; ++j) {
-    cols_.add_entry(j, m_, row.coeffs[j] * col_scale_[j] * rscale);
+  for (const internal::RowEntry& entry : row.entries) {
+    cols_.add_entry(entry.col, m_, entry.value * col_scale_[entry.col] * rscale);
   }
   const std::size_t slack_col = cols_.add_column();
   cols_.add_entry(slack_col, m_, 1.0);
@@ -1100,9 +1094,8 @@ void LpSolver::Core::extract(const LpModel& model, LpSolution& out) const {
 }
 
 bool LpSolver::Core::shape_matches(const Core& other) const {
-  return m_ == other.m_ && num_cols_ == other.num_cols_ &&
-         n_struct_ == other.n_struct_ && relations_ == other.relations_ &&
-         skel_.columns.size() == other.skel_.columns.size();
+  return m_ == other.m_ && num_cols_ == other.num_cols_ && n_struct_ == other.n_struct_ &&
+         relations_ == other.relations_;
 }
 
 // ---------------------------------------------------------------------------
@@ -1201,10 +1194,10 @@ LpSolution LpSolver::reoptimize_or_cold(std::unique_ptr<Core> core, bool dual_fe
   return solve_loaded_cold();
 }
 
-LpSolution LpSolver::solve(const LpModel& model) {
+LpSolution LpSolver::solve(LpModel model) {
   const double start = common::monotonic_seconds();
   const std::unique_ptr<Core> previous = std::move(core_);
-  model_ = model;
+  model_ = std::move(model);
   // Basis reuse: a model of exactly the previous shape (only coefficients
   // moved) starts from the previous optimum's basic set and bound statuses.
   std::unique_ptr<Core> core;

@@ -90,9 +90,10 @@ class LpSolver {
   LpSolver(LpSolver&&) noexcept;
   LpSolver& operator=(LpSolver&&) noexcept;
 
-  /// Loads `model` (copied) and solves it. Reuses the previous optimal basis
-  /// when the shape matches (see header comment); otherwise solves cold.
-  [[nodiscard]] LpSolution solve(const LpModel& model);
+  /// Loads `model` (moved in; a caller that keeps its model passes a copy)
+  /// and solves it. Reuses the previous optimal basis when the shape matches
+  /// (see header comment); otherwise solves cold.
+  [[nodiscard]] LpSolution solve(LpModel model);
 
   /// Appends constraints to the loaded model. Only valid after a solve().
   /// Returns the number of rows accepted (all of them). Inequality rows are

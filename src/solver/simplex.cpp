@@ -9,8 +9,10 @@
 
 namespace oef::solver {
 
+using internal::RowEntry;
 using internal::RowRef;
 using internal::StandardForm;
+using internal::StandardRow;
 using internal::build_standard_form;
 using internal::equilibrate;
 
@@ -97,12 +99,10 @@ class Tableau {
   void build(const StandardForm& sf) {
     const std::size_t n = sf.cost.size();
     std::size_t num_slack = 0;
-    for (const Relation rel : sf.relations) {
-      if (rel != Relation::kEqual) ++num_slack;
-    }
     std::size_t num_artificial = 0;
-    for (const Relation rel : sf.relations) {
-      if (rel != Relation::kLessEqual) ++num_artificial;
+    for (const StandardRow& row : sf.rows) {
+      if (row.relation != Relation::kEqual) ++num_slack;
+      if (row.relation != Relation::kLessEqual) ++num_artificial;
     }
     total_cols_ = n + num_slack + num_artificial;
     width_ = total_cols_ + 1;
@@ -115,9 +115,9 @@ class Tableau {
     std::size_t next_slack = n;
     std::size_t next_artificial = artificial_start_;
     for (std::size_t i = 0; i < m_; ++i) {
-      std::copy(sf.rows[i].begin(), sf.rows[i].end(), rows_[i].begin());
-      rows_[i][width_ - 1] = sf.rhs[i];
-      switch (sf.relations[i]) {
+      for (const RowEntry& entry : sf.rows[i].entries) rows_[i][entry.col] = entry.value;
+      rows_[i][width_ - 1] = sf.rows[i].rhs;
+      switch (sf.rows[i].relation) {
         case Relation::kLessEqual:
           rows_[i][next_slack] = 1.0;
           basis_[i] = next_slack;
@@ -163,7 +163,7 @@ class Tableau {
         // infeasible, which the solve() driver detects and answers by
         // re-solving unperturbed. >= rows (b > 0 after normalisation) start
         // non-degenerate and stay exact.
-        if (sf.relations[i] == Relation::kGreaterEqual) continue;
+        if (sf.rows[i].relation == Relation::kGreaterEqual) continue;
         const double frac =
             0.5 + 0.5 * static_cast<double>(mix >> 11) * 0x1.0p-53;  // in (0.5, 1)
         rows_[i][width_ - 1] += 1e-7 * (1.0 + rows_[i][width_ - 1]) * frac;
@@ -411,12 +411,7 @@ LpSolution SimplexSolver::solve(const LpModel& model) const {
     StandardForm sf = build_standard_form(model);
     std::vector<double> row_scale;
     std::vector<double> col_scale;
-    if (options_.enable_scaling) {
-      equilibrate(sf, row_scale, col_scale);
-    } else {
-      row_scale.assign(sf.rows.size(), 1.0);
-      col_scale.assign(sf.columns.size(), 1.0);
-    }
+    equilibrate(sf, options_.enable_scaling, row_scale, col_scale);
 
     // Second attempt uses Bland's rule throughout (slow but maximally
     // cautious) when the first produced an infeasible "optimum".
@@ -445,7 +440,7 @@ LpSolution SimplexSolver::solve(const LpModel& model) const {
 
     solution.duals.assign(model.num_constraints(), 0.0);
     for (std::size_t i = 0; i < sf.rows.size(); ++i) {
-      const RowRef& ref = sf.row_refs[i];
+      const RowRef& ref = sf.rows[i].ref;
       if (ref.constraint == SIZE_MAX) continue;  // synthetic upper-bound row
       const double y_min = tableau.row_dual(i) * row_scale[i];
       solution.duals[ref.constraint] = sf.sense_sign * ref.sign * y_min;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 
@@ -22,37 +23,31 @@ StandardForm build_standard_form(const LpModel& model, bool native_upper_bounds)
   };
   std::vector<UpperRow> upper_rows;
 
+  const auto add_column = [&](std::size_t v, double sign) {
+    sf.cols_of_var[v].push_back(sf.columns.size());
+    sf.columns.push_back({v, sign});
+    sf.col_upper.push_back(kInf);
+  };
   for (std::size_t v = 0; v < vars.size(); ++v) {
     const Variable& var = vars[v];
-    const bool lower_finite = std::isfinite(var.lower);
     const bool upper_finite = std::isfinite(var.upper);
-    if (lower_finite) {
+    if (std::isfinite(var.lower)) {
       // x = y + lower, y >= 0.
       sf.var_shift[v] = var.lower;
-      sf.columns.push_back({v, 1.0});
-      sf.cols_of_var[v].push_back(sf.columns.size() - 1);
-      sf.col_upper.push_back(kInf);
-      if (upper_finite) {
-        if (native_upper_bounds) {
-          sf.col_upper.back() = var.upper - var.lower;
-        } else {
-          upper_rows.push_back({v, var.upper});
-        }
+      add_column(v, 1.0);
+      if (upper_finite && native_upper_bounds) {
+        sf.col_upper.back() = var.upper - var.lower;
+      } else if (upper_finite) {
+        upper_rows.push_back({v, var.upper});
       }
     } else if (upper_finite) {
       // x = upper - y, y >= 0.
       sf.var_shift[v] = var.upper;
-      sf.columns.push_back({v, -1.0});
-      sf.cols_of_var[v].push_back(sf.columns.size() - 1);
-      sf.col_upper.push_back(kInf);
+      add_column(v, -1.0);
     } else {
       // Free: x = y+ - y-.
-      sf.columns.push_back({v, 1.0});
-      sf.cols_of_var[v].push_back(sf.columns.size() - 1);
-      sf.columns.push_back({v, -1.0});
-      sf.cols_of_var[v].push_back(sf.columns.size() - 1);
-      sf.col_upper.push_back(kInf);
-      sf.col_upper.push_back(kInf);
+      add_column(v, 1.0);
+      add_column(v, -1.0);
     }
   }
 
@@ -63,97 +58,90 @@ StandardForm build_standard_form(const LpModel& model, bool native_upper_bounds)
     for (const std::size_t col : sf.cols_of_var[v]) sf.cost[col] += c * sf.columns[col].sign;
   }
 
-  const auto add_row = [&](const LinearExpr& expr, Relation rel, double rhs, RowRef ref) {
-    std::vector<double> row(n, 0.0);
-    double shift_total = 0.0;
-    for (const auto& [var, coeff] : expr.terms()) {
-      shift_total += coeff * sf.var_shift[var];
-      for (const std::size_t col : sf.cols_of_var[var]) {
-        row[col] += coeff * sf.columns[col].sign;
-      }
-    }
-    double b = rhs - shift_total;
+  const auto& constraints = model.constraints();
+  const auto add_row = [&](const Constraint& constraint, std::size_t constraint_index) {
+    StandardRow row = build_standard_row(sf, constraint, constraint_index);
     // Zero-rhs >= rows are flipped into <= form: they then start on a slack
     // basis (no artificial) and can be relaxed by the anti-degeneracy
     // perturbation without ever shrinking the feasible region.
-    if (b < 0.0 || (b == 0.0 && rel == Relation::kGreaterEqual)) {
-      for (double& a : row) a = -a;
-      b = -b;
-      ref.sign = -ref.sign;
-      if (rel == Relation::kLessEqual) {
-        rel = Relation::kGreaterEqual;
-      } else if (rel == Relation::kGreaterEqual) {
-        rel = Relation::kLessEqual;
-      }
+    if (row.rhs < 0.0 || (row.rhs == 0.0 && row.relation == Relation::kGreaterEqual)) {
+      row.negate();
     }
     sf.rows.push_back(std::move(row));
-    sf.relations.push_back(rel);
-    sf.rhs.push_back(b);
-    sf.row_refs.push_back(ref);
   };
-
-  const auto& constraints = model.constraints();
-  for (std::size_t c = 0; c < constraints.size(); ++c) {
-    add_row(constraints[c].expr, constraints[c].relation, constraints[c].rhs,
-            RowRef{c, 1.0});
-  }
+  for (std::size_t c = 0; c < constraints.size(); ++c) add_row(constraints[c], c);
   for (const auto& [var, bound] : upper_rows) {
-    LinearExpr expr;
-    expr.add(var, 1.0);
-    add_row(expr, Relation::kLessEqual, bound, RowRef{SIZE_MAX, 1.0});
+    add_row(Constraint{LinearExpr{}.add(var, 1.0), Relation::kLessEqual, bound, {}}, SIZE_MAX);
   }
   return sf;
 }
 
+void StandardRow::negate() {
+  for (RowEntry& entry : entries) entry.value = -entry.value;
+  rhs = -rhs;
+  ref.sign = -ref.sign;
+  if (relation != Relation::kEqual) {
+    relation = relation == Relation::kLessEqual ? Relation::kGreaterEqual : Relation::kLessEqual;
+  }
+}
+
 StandardRow build_standard_row(const StandardForm& sf, const Constraint& constraint,
                                std::size_t constraint_index) {
-  StandardRow out;
-  out.coeffs.assign(sf.columns.size(), 0.0);
-  out.ref = RowRef{constraint_index, 1.0};
+  StandardRow row;
+  row.relation = constraint.relation;
+  row.ref = RowRef{constraint_index, 1.0};
   double shift_total = 0.0;
   for (const auto& [var, coeff] : constraint.expr.terms()) {
     OEF_CHECK_MSG(var < sf.cols_of_var.size(),
-                  "incremental row references a variable unknown to the standard form");
+                  "row references a variable unknown to the standard form");
     shift_total += coeff * sf.var_shift[var];
     for (const std::size_t col : sf.cols_of_var[var]) {
-      out.coeffs[col] += coeff * sf.columns[col].sign;
+      row.entries.push_back({col, coeff * sf.columns[col].sign});
     }
   }
-  out.rhs = constraint.rhs - shift_total;
-  out.relation = constraint.relation;
+  row.rhs = constraint.rhs - shift_total;
 
-  if (out.relation == Relation::kGreaterEqual) {
-    for (double& a : out.coeffs) a = -a;
-    out.rhs = -out.rhs;
-    out.ref.sign = -out.ref.sign;
-    out.relation = Relation::kLessEqual;
+  // A stable sort keeps each column's terms in term order, so every sum
+  // below rounds as the terms' running total in model order would.
+  std::stable_sort(row.entries.begin(), row.entries.end(),
+                   [](const RowEntry& a, const RowEntry& b) { return a.col < b.col; });
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < row.entries.size();) {
+    const std::size_t col = row.entries[i].col;
+    double sum = 0.0;
+    for (; i < row.entries.size() && row.entries[i].col == col; ++i) sum += row.entries[i].value;
+    if (sum != 0.0) row.entries[kept++] = {col, sum};
   }
-  return out;
+  row.entries.resize(kept);
+  return row;
 }
 
-void equilibrate(StandardForm& sf, std::vector<double>& row_scale,
+void equilibrate(StandardForm& sf, bool enabled, std::vector<double>& row_scale,
                  std::vector<double>& col_scale) {
-  const std::size_t m = sf.rows.size();
-  const std::size_t n = sf.cost.size();
-  row_scale.assign(m, 1.0);
-  col_scale.assign(n, 1.0);
-  for (std::size_t i = 0; i < m; ++i) {
+  row_scale.assign(sf.rows.size(), 1.0);
+  col_scale.assign(sf.cost.size(), 1.0);
+  if (!enabled) return;
+  // Per column, the largest magnitude after row scaling.
+  std::vector<double> col_biggest(sf.cost.size(), 0.0);
+  for (std::size_t i = 0; i < sf.rows.size(); ++i) {
+    StandardRow& row = sf.rows[i];
     double biggest = 0.0;
-    for (const double a : sf.rows[i]) biggest = std::max(biggest, std::abs(a));
+    for (const RowEntry& entry : row.entries) biggest = std::max(biggest, std::abs(entry.value));
     if (biggest > 0.0) row_scale[i] = 1.0 / biggest;
-    for (double& a : sf.rows[i]) a *= row_scale[i];
-    sf.rhs[i] *= row_scale[i];
+    row.rhs *= row_scale[i];
+    for (RowEntry& entry : row.entries) {
+      entry.value *= row_scale[i];
+      col_biggest[entry.col] = std::max(col_biggest[entry.col], std::abs(entry.value));
+    }
   }
-  for (std::size_t j = 0; j < n; ++j) {
-    double biggest = 0.0;
-    for (std::size_t i = 0; i < m; ++i) biggest = std::max(biggest, std::abs(sf.rows[i][j]));
-    if (biggest > 0.0) col_scale[j] = 1.0 / biggest;
-    for (std::size_t i = 0; i < m; ++i) sf.rows[i][j] *= col_scale[j];
+  for (std::size_t j = 0; j < col_scale.size(); ++j) {
+    if (col_biggest[j] > 0.0) col_scale[j] = 1.0 / col_biggest[j];
     sf.cost[j] *= col_scale[j];
     // Scaled column y' = y / col_scale, so a finite bound scales the same way.
-    if (j < sf.col_upper.size() && std::isfinite(sf.col_upper[j])) {
-      sf.col_upper[j] /= col_scale[j];
-    }
+    if (std::isfinite(sf.col_upper[j])) sf.col_upper[j] /= col_scale[j];
+  }
+  for (StandardRow& row : sf.rows) {
+    for (RowEntry& entry : row.entries) entry.value *= col_scale[entry.col];
   }
 }
 

@@ -15,6 +15,8 @@
 //   * rows with negative rhs (and zero-rhs >= rows) are negated so every
 //     right-hand side is non-negative and zero-rhs rows start on a slack
 //     basis.
+// Rows are sparse, column-sorted lists of nonzeros, built by one row builder
+// for loaded and appended rows alike; only the tableau writes them out dense.
 // This header is internal to src/solver; consumers use LpModel + a solver.
 #pragma once
 
@@ -51,14 +53,28 @@ struct RowRef {
   double sign = 1.0;
 };
 
+/// One nonzero of a standard-form row: the coefficient of column `col`.
+struct RowEntry {
+  std::size_t col = 0;
+  double value = 0.0;
+};
+
+struct StandardRow {
+  std::vector<RowEntry> entries;  // column-sorted, no exact zeros
+  Relation relation = Relation::kLessEqual;
+  double rhs = 0.0;
+  RowRef ref;
+
+  /// Multiplies the row by -1: entries and rhs change sign, <= and >= swap,
+  /// and ref.sign records the flip for the dual.
+  void negate();
+};
+
 struct StandardForm {
   std::vector<ColumnRef> columns;
   std::vector<std::vector<std::size_t>> cols_of_var;  // per model variable
   std::vector<double> var_shift;                      // per model variable
-  std::vector<std::vector<double>> rows;              // dense coefficient rows
-  std::vector<Relation> relations;
-  std::vector<double> rhs;
-  std::vector<RowRef> row_refs;
+  std::vector<StandardRow> rows;
   std::vector<double> cost;       // per column, minimisation sense
   std::vector<double> col_upper;  // per column; kInf unless native bounds
   double sense_sign = 1.0;        // +1 if the model minimises, -1 if it maximises
@@ -70,26 +86,21 @@ struct StandardForm {
 [[nodiscard]] StandardForm build_standard_form(const LpModel& model,
                                                bool native_upper_bounds = false);
 
-/// Converts one extra model constraint into a standard-form row against the
-/// columns of `sf` (the constraint may only reference variables that existed
-/// when `sf` was built). Unlike build_standard_form, inequalities are brought
-/// to <= form regardless of rhs sign, so the row starts on a basic slack
-/// (possibly primal-infeasible) for dual-simplex reoptimisation; equality
-/// rows are left as they are.
-struct StandardRow {
-  std::vector<double> coeffs;  // one per structural column of sf
-  Relation relation = Relation::kLessEqual;
-  double rhs = 0.0;
-  RowRef ref;
-};
+/// The one row builder: maps `constraint` onto the columns of `sf` (only
+/// variables that existed when `sf` was built), variable shifts moved into
+/// the rhs. A repeated variable's terms are summed in term order and exact
+/// zeros dropped. The relation is left as it is: build_standard_form negates
+/// rows to a non-negative rhs, while an appended row goes to <= form so it
+/// starts on a basic (possibly primal-infeasible) slack for the dual simplex.
 [[nodiscard]] StandardRow build_standard_row(const StandardForm& sf,
                                              const Constraint& constraint,
                                              std::size_t constraint_index);
 
 /// Max-equilibration: rows then columns are scaled by the reciprocal of their
-/// largest absolute coefficient. Outputs the applied scales. Finite col_upper
-/// entries are rescaled to match (u' = u / col_scale).
-void equilibrate(StandardForm& sf, std::vector<double>& row_scale,
+/// largest absolute coefficient. Outputs the applied scales, all ones (and
+/// `sf` untouched) when `enabled` is false. Finite col_upper entries are
+/// rescaled to match (u' = u / col_scale).
+void equilibrate(StandardForm& sf, bool enabled, std::vector<double>& row_scale,
                  std::vector<double>& col_scale);
 
 }  // namespace oef::solver::internal

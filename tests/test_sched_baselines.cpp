@@ -94,7 +94,7 @@ TEST(GandivaFair, ThreeTypesConservesCapacity) {
 TEST(Gavel, EqualisesRatiosOnPaperExample) {
   // Exact optimum of Gavel's max-min LP on the §2.4 instance: t* = 54/49.
   // (The paper's table shows a slightly sub-optimal allocation with ratios
-  // 1.08-1.09; see EXPERIMENTS.md for the discrepancy note.)
+  // 1.08-1.09; see finding F1 in docs/BENCHMARKS.md.)
   const core::Allocation x = GavelScheduler().allocate(kPaperW, kPaperM, {});
   const std::vector<double> eff = x.efficiencies(kPaperW);
   const std::vector<double> isolated = {1.0, 4.0 / 3.0, 5.0 / 3.0};
@@ -148,7 +148,7 @@ TEST(Baselines, TotalEfficiencyOrderingOnPaperExample) {
                             ->allocate(kPaperW, kPaperM, {})
                             .total_efficiency(kPaperW);
   EXPECT_GT(coop, gavel);
-  EXPECT_GT(gavel, gandiva);  // exact Gavel beats Gandiva here (see EXPERIMENTS.md)
+  EXPECT_GT(gavel, gandiva);  // exact Gavel beats Gandiva here (F1, docs/BENCHMARKS.md)
   EXPECT_GT(gandiva, maxmin);
   EXPECT_NEAR(maxmin, 4.0, 1e-9);
 }

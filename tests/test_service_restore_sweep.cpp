@@ -1,10 +1,10 @@
 // Restore robustness of the allocator service: a valid cooperative
-// checkpoint has each of its tokens rewritten in turn to a hostile value and
-// is re-wrapped by write_checkpoint, so the checksum verifies and only the
-// payload's contents are wrong. Every rewrite must either restore a service
-// that then answers an allocate, or make construction throw CheckError (for
-// oefd: exit 1 with a message). A rewrite that aborts the process fails the
-// whole test binary.
+// checkpoint has each of its tokens rewritten in turn to a hostile value, cut
+// off just before it, or deleted, and is re-wrapped by write_checkpoint, so
+// the checksum verifies and only the payload's contents are wrong. Every
+// rewrite must either restore a service that then answers an allocate, or
+// make construction throw CheckError (for oefd: exit 1 with a message). A
+// rewrite that aborts the process fails the whole test binary.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -89,26 +89,34 @@ TEST(ServiceRestoreSweep, EverySingleTokenRewriteRestoresOrThrows) {
   ASSERT_GT(spans.size(), 300u);
   std::size_t restored = 0;
   std::size_t refused = 0;
+  const auto try_restore = [&](const std::string& rewritten, const std::string& label) {
+    write_checkpoint(path, rewritten);
+    try {
+      AllocatorService service(sweep_options(path));
+      const Response response = service.handle(make_request(MessageType::kAllocate));
+      ++restored;
+      if (response.status == StatusCode::kOk) {
+        EXPECT_TRUE(std::isfinite(response.snapshot.total_efficiency)) << label;
+      }
+    } catch (const common::CheckError&) {
+      ++refused;
+    }
+  };
   for (std::size_t t = 0; t < spans.size(); ++t) {
+    const auto [offset, length] = spans[t];
+    const std::string token = "token " + std::to_string(t) + " (" +
+                              payload->substr(offset, length) + ")";
     for (const char* substitute : kSubstitutes) {
       std::string rewritten = *payload;
-      rewritten.replace(spans[t].first, spans[t].second, substitute);
-      write_checkpoint(path, rewritten);
-      try {
-        AllocatorService service(sweep_options(path));
-        const Response response = service.handle(make_request(MessageType::kAllocate));
-        ++restored;
-        if (response.status == StatusCode::kOk) {
-          EXPECT_TRUE(std::isfinite(response.snapshot.total_efficiency))
-              << "token " << t << " (" << payload->substr(spans[t].first, spans[t].second)
-              << ") -> " << substitute;
-        }
-      } catch (const common::CheckError&) {
-        ++refused;
-      }
+      rewritten.replace(offset, length, substitute);
+      try_restore(rewritten, token + " -> " + substitute);
     }
+    // Truncated just before the token, and shifted: with the token deleted,
+    // every later field, counts included, reads its neighbour's value.
+    try_restore(payload->substr(0, offset), token + " truncated");
+    try_restore(std::string(*payload).erase(offset, length), token + " deleted");
   }
-  EXPECT_EQ(restored + refused, spans.size() * std::size(kSubstitutes));
+  EXPECT_EQ(restored + refused, spans.size() * (std::size(kSubstitutes) + 2));
   EXPECT_GT(restored, 0u);
   EXPECT_GT(refused, 0u);
   std::printf("restore sweep: %zu tokens, %zu restored and answered, %zu refused\n",

@@ -42,16 +42,33 @@ double slack(const Constraint& c, const std::vector<double>& point) {
   return 0.0;
 }
 
-/// Random sparse expression over `nvars` variables (at least one term).
+/// Random sparse expression over `nvars` variables (at least one term). Now
+/// and then one variable's term repeats, or an exactly cancelling pair
+/// (+a·x, −a·x) joins, so the standard-form rows must sum repeated terms in
+/// term order and drop the exact zeros they leave.
 LinearExpr random_expr(common::Rng& rng, std::size_t nvars) {
+  const auto random_var = [&] {
+    return static_cast<VarId>(rng.uniform_int(0, static_cast<std::int64_t>(nvars) - 1));
+  };
+  const auto random_coeff = [&] {
+    const double sign = rng.uniform() < 0.3 ? -1.0 : 1.0;
+    return sign * rng.uniform(0.1, 2.0);
+  };
   LinearExpr expr;
   for (std::size_t v = 0; v < nvars; ++v) {
     if (rng.uniform() >= 0.6) continue;
-    const double sign = rng.uniform() < 0.3 ? -1.0 : 1.0;
-    expr.add(v, sign * rng.uniform(0.1, 2.0));
+    expr.add(v, random_coeff());
   }
-  if (expr.terms().empty()) {
-    expr.add(static_cast<VarId>(rng.uniform_int(0, static_cast<std::int64_t>(nvars) - 1)), 1.0);
+  if (expr.terms().empty()) expr.add(random_var(), 1.0);
+  if (rng.uniform() < 0.2) {
+    const auto last = static_cast<std::int64_t>(expr.terms().size()) - 1;
+    const VarId repeated = expr.terms()[static_cast<std::size_t>(rng.uniform_int(0, last))].var;
+    expr.add(repeated, random_coeff());
+  }
+  if (rng.uniform() < 0.2) {
+    const VarId var = random_var();
+    const double coeff = rng.uniform(0.1, 2.0);
+    expr.add(var, coeff).add(var, -coeff);
   }
   return expr;
 }

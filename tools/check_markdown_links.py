@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fail on broken intra-repo markdown links.
+"""Fail on broken intra-repo markdown links and on doc paths cited in code.
 
 Scans every tracked *.md file for inline links/images `[text](target)` and
 reference definitions `[label]: target`, resolves relative targets against
@@ -8,8 +8,13 @@ the containing file, and reports targets that do not exist. External schemes
 relative target is stripped before the existence check. A tracked file that
 is missing from the working tree (deleted locally) is reported and skipped.
 
+Every `*.md` path cited in a tracked *.h or *.cpp file (in a comment or in a
+printed note) must exist too. Such paths resolve from the repository root,
+so a bare name means a file at the root.
+
 Used by the CI docs job; run locally as `python3 tools/check_markdown_links.py`.
-Exit code: 1 when any link is broken (the count is printed), 0 otherwise.
+Exit code: 1 when any link or citation is broken (the count is printed), 0
+otherwise.
 """
 
 import os
@@ -20,6 +25,7 @@ import sys
 INLINE_LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 REFERENCE_DEF = re.compile(r"^\s*\[[^\]]+\]:\s+(\S+)", re.MULTILINE)
 EXTERNAL = re.compile(r"^[a-zA-Z][a-zA-Z0-9+.-]*:")  # http:, https:, mailto:, ...
+CODE_DOC_PATH = re.compile(r"(?<![\w./-])((?:[\w.-]+/)*[\w.-]+\.md)(?![\w/-])")
 
 
 def repo_root() -> str:
@@ -27,10 +33,10 @@ def repo_root() -> str:
     return os.path.dirname(here)
 
 
-def markdown_files(root: str) -> list[str]:
+def tracked_files(root: str, suffixes: tuple[str, ...]) -> list[str]:
     try:
         out = subprocess.run(
-            ["git", "ls-files", "*.md", "**/*.md"],
+            ["git", "ls-files", *(f"*{suffix}" for suffix in suffixes)],
             cwd=root, capture_output=True, text=True, check=True,
         ).stdout
         files = [line for line in out.splitlines() if line.strip()]
@@ -41,9 +47,9 @@ def markdown_files(root: str) -> list[str]:
     # Fallback outside git: walk, skipping build trees.
     found = []
     for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = [d for d in dirnames if d not in {".git", "build"}]
+        dirnames[:] = [d for d in dirnames if d not in {".git", ".bench_build", "build"}]
         for name in filenames:
-            if name.endswith(".md"):
+            if name.endswith(suffixes):
                 found.append(os.path.relpath(os.path.join(dirpath, name), root))
     return sorted(found)
 
@@ -67,22 +73,42 @@ def check_file(root: str, relpath: str) -> list[str]:
     return broken
 
 
-def main() -> int:
-    root = repo_root()
-    files = markdown_files(root)
-    if not files:
-        print("no markdown files found", file=sys.stderr)
-        return 1
+def check_code_file(root: str, relpath: str) -> list[str]:
+    with open(os.path.join(root, relpath), encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    broken = []
+    for number, line in enumerate(lines, start=1):
+        for cited in CODE_DOC_PATH.findall(line):
+            if not os.path.exists(os.path.normpath(os.path.join(root, cited))):
+                broken.append(f"{relpath}:{number}: cites missing doc -> {cited}")
+    return broken
+
+
+def present_files(root: str, files: list[str]) -> list[str]:
     present = [f for f in files if os.path.isfile(os.path.join(root, f))]
     for relpath in sorted(set(files) - set(present)):
         print(f"{relpath}: tracked but missing from the working tree, skipped",
               file=sys.stderr)
+    return present
+
+
+def main() -> int:
+    root = repo_root()
+    files = tracked_files(root, (".md",))
+    if not files:
+        print("no markdown files found", file=sys.stderr)
+        return 1
+    markdown = present_files(root, files)
+    code = present_files(root, tracked_files(root, (".h", ".cpp")))
     broken = []
-    for relpath in present:
+    for relpath in markdown:
         broken.extend(check_file(root, relpath))
+    for relpath in code:
+        broken.extend(check_code_file(root, relpath))
     for line in broken:
         print(line)
-    print(f"checked {len(present)} markdown files, {len(broken)} broken links")
+    print(f"checked {len(markdown)} markdown files and {len(code)} code files, "
+          f"{len(broken)} broken links")
     return 1 if broken else 0
 
 
