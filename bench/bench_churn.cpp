@@ -47,7 +47,6 @@ struct ArmRecord {
   std::size_t degraded_rounds = 0;
   std::size_t fallback_rounds = 0;
   std::size_t deadline_expirations = 0;
-  std::size_t fastpath_lp_fallbacks = 0;
   std::size_t lp_iterations = 0;
   std::size_t lp_cold_solves = 0;
   std::size_t lp_warm_resolves = 0;
@@ -85,7 +84,6 @@ ArmRecord run_arm(const char* name, const sim::SimOptions& options,
   record.fallback_rounds = result.fallback_rounds;
   const sched::SchedulerTelemetry& t = result.scheduler_telemetry;
   record.deadline_expirations = t.deadline_expirations;
-  record.fastpath_lp_fallbacks = t.fastpath_lp_fallbacks;
   record.lp_iterations = t.lp_iterations;
   record.lp_cold_solves = t.lp_cold_solves;
   record.lp_warm_resolves = t.lp_warm_resolves;
@@ -111,7 +109,7 @@ void write_json(const std::vector<ArmRecord>& records, const std::string& path) 
                  "    {\"arm\": \"%s\", \"rounds\": %zu, \"events_applied\": %zu, "
                  "\"max_devices_down\": %zu, \"every_round_fits\": %s, "
                  "\"degraded_rounds\": %zu, \"fallback_rounds\": %zu, "
-                 "\"deadline_expirations\": %zu, \"fastpath_lp_fallbacks\": %zu, "
+                 "\"deadline_expirations\": %zu, "
                  "\"lp_iterations\": %zu, \"lp_cold_solves\": %zu, "
                  "\"lp_warm_resolves\": %zu, \"lp_warm_start_hits\": %zu, "
                  "\"lp_tableau_fallbacks\": %zu, \"lp_basis_repairs\": %zu, "
@@ -119,7 +117,7 @@ void write_json(const std::vector<ArmRecord>& records, const std::string& path) 
                  "\"total_actual\": %.6f}%s\n",
                  r.arm.c_str(), r.rounds, r.events_applied, r.max_devices_down,
                  r.every_round_fits ? "true" : "false", r.degraded_rounds,
-                 r.fallback_rounds, r.deadline_expirations, r.fastpath_lp_fallbacks,
+                 r.fallback_rounds, r.deadline_expirations,
                  r.lp_iterations, r.lp_cold_solves, r.lp_warm_resolves,
                  r.lp_warm_start_hits, r.lp_tableau_fallbacks,
                  r.lp_basis_repairs, r.solve_seconds, r.wall_seconds, r.total_actual,

@@ -3,12 +3,8 @@
 // Paper shape: cooperative OEF costs more than non-cooperative (O(n^2) vs
 // O(n) fairness rows) and both stay well below the five-minute round length.
 //
-// Four sweeps, one timed allocate() per point:
-//   * non-cooperative OEF on the LP (fast path off), n = 50..300;
-//   * non-cooperative OEF on the water-filling fast path, n = 50..300, over a
-//     totally ordered instance (the only kind the fast path serves; the LP
-//     sweep's random instance has crossing rows). Each point must take the
-//     fast path and match an untimed LP solve of the same instance to 1e-6;
+// Three sweeps, one timed allocate() per point:
+//   * non-cooperative OEF, the LP of Eq. 9, n = 50..300;
 //   * cooperative OEF, Cold: every lazy envy-separation round re-solved from
 //     scratch by the reference tableau (the pre-warm-start behaviour), scoped
 //     to n <= 40 — its dense tableau grows to O(n * rounds) rows;
@@ -20,7 +16,6 @@
 //
 // Usage: bench_fig10a_overhead
 // Exit code: number of failed checks (0 = healthy).
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -49,25 +44,6 @@ core::SpeedupMatrix make_matrix(std::size_t n) {
     for (std::size_t j = 1; j < kGpuTypes; ++j) {
       row[j] = row[j - 1] * rng.uniform(1.02, 1.35);
     }
-  }
-  return core::SpeedupMatrix(std::move(rows));
-}
-
-/// A totally ordered instance: one random speed ladder across the types,
-/// stretched per user by a factor that grows with the user index. Every
-/// user's speedup ratio between adjacent types then grows with the user
-/// index too, so each row dominates the previous one and no two rows cross:
-/// the instances on which the fast path's staircase fill is optimal.
-core::SpeedupMatrix make_ordered_matrix(std::size_t n) {
-  common::Rng rng(4242);
-  std::vector<double> ladder(kGpuTypes, 1.0);
-  for (std::size_t j = 1; j < kGpuTypes; ++j) ladder[j] = ladder[j - 1] * rng.uniform(1.02, 1.35);
-  std::vector<double> stretch(n);
-  for (double& s : stretch) s = rng.uniform(0.5, 1.5);
-  std::sort(stretch.begin(), stretch.end());
-  std::vector<std::vector<double>> rows(n, std::vector<double>(kGpuTypes));
-  for (std::size_t l = 0; l < n; ++l) {
-    for (std::size_t j = 0; j < kGpuTypes; ++j) rows[l][j] = 1.0 + (ladder[j] - 1.0) * stretch[l];
   }
   return core::SpeedupMatrix(std::move(rows));
 }
@@ -122,25 +98,10 @@ int main() {
 
   // The paper sweeps 100-300 users with ECOS (sparse interior point); the
   // non-cooperative LP has O(n) fairness rows and reproduces at full scale.
-  core::OefOptions lp_only;
-  lp_only.use_fast_path = false;
   for (const std::size_t n : {50, 100, 200, 300}) {
-    const Timed lp = timed_allocate(core::make_non_cooperative_oef(lp_only), make_matrix(n));
+    const Timed lp = timed_allocate(core::make_non_cooperative_oef(), make_matrix(n));
     add_row("noncoop_lp", n, lp);
     check("noncoop LP n=" + std::to_string(n) + " optimal", lp.result.ok());
-  }
-  for (const std::size_t n : {50, 100, 200, 300}) {
-    const core::SpeedupMatrix w = make_ordered_matrix(n);
-    const Timed fast = timed_allocate(core::make_non_cooperative_oef(), w);
-    add_row("noncoop_fast_path", n, fast);
-    const std::string label = "noncoop fast path n=" + std::to_string(n);
-    check(label + " optimal", fast.result.ok());
-    check(label + " took the fast path", fast.result.used_fast_path);
-    const core::AllocationResult lp =
-        core::make_non_cooperative_oef(lp_only).allocate(w, make_capacities());
-    check(label + " objective matches the LP within 1e-6",
-          lp.ok() && std::abs(fast.result.total_efficiency - lp.total_efficiency) <=
-                         1e-6 * (1.0 + lp.total_efficiency));
   }
 
   // Cooperative: the cold tableau run is both the Cold sweep point and the

@@ -73,12 +73,6 @@ std::string_view SerialReader::token() {
   return data_.substr(begin, pos_ - begin);
 }
 
-void SerialReader::require_remaining_tokens(std::uint64_t count) const {
-  // Every element costs at least two bytes ("0\n"); a count promising more
-  // than the remaining payload is corrupt regardless of element type.
-  if (count > (data_.size() - pos_ + 1) / 2) corrupt("container count exceeds payload");
-}
-
 std::uint64_t SerialReader::u64() {
   const std::string tok(token());
   errno = 0;
@@ -97,6 +91,12 @@ double SerialReader::f64() {
   return value;
 }
 
+std::uint64_t SerialReader::count() {
+  const std::uint64_t value = u64();
+  if (value > (data_.size() - pos_ + 1) / 2) corrupt("container count exceeds payload");
+  return value;
+}
+
 std::string SerialReader::str() {
   const std::uint64_t length = u64();
   // token() leaves pos_ on the delimiter after the length; step past it so
@@ -110,29 +110,26 @@ std::string SerialReader::str() {
 }
 
 std::vector<std::uint64_t> SerialReader::u64_vec() {
-  const std::uint64_t count = u64();
-  require_remaining_tokens(count);
+  const std::uint64_t size = count();
   std::vector<std::uint64_t> out;
-  out.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) out.push_back(u64());
+  out.reserve(size);
+  for (std::uint64_t i = 0; i < size; ++i) out.push_back(u64());
   return out;
 }
 
 std::vector<std::size_t> SerialReader::size_vec() {
-  const std::uint64_t count = u64();
-  require_remaining_tokens(count);
+  const std::uint64_t size = count();
   std::vector<std::size_t> out;
-  out.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) out.push_back(static_cast<std::size_t>(u64()));
+  out.reserve(size);
+  for (std::uint64_t i = 0; i < size; ++i) out.push_back(static_cast<std::size_t>(u64()));
   return out;
 }
 
 std::vector<double> SerialReader::f64_vec() {
-  const std::uint64_t count = u64();
-  require_remaining_tokens(count);
+  const std::uint64_t size = count();
   std::vector<double> out;
-  out.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) out.push_back(f64());
+  out.reserve(size);
+  for (std::uint64_t i = 0; i < size; ++i) out.push_back(f64());
   return out;
 }
 

@@ -50,6 +50,11 @@ class SerialReader {
   [[nodiscard]] std::uint64_t u64();
   [[nodiscard]] double f64();
   [[nodiscard]] std::string str();
+  /// A container's element count. Every element costs at least two bytes
+  /// ("0\n"), so a count promising more than the remaining payload throws
+  /// CheckError(kCorruptData) here: a corrupt count must not drive a large
+  /// allocation before the element parse fails.
+  [[nodiscard]] std::uint64_t count();
 
   [[nodiscard]] std::vector<std::uint64_t> u64_vec();
   [[nodiscard]] std::vector<std::size_t> size_vec();
@@ -67,9 +72,6 @@ class SerialReader {
  private:
   /// Next whitespace-delimited token; throws CheckError(kCorruptData) at end.
   [[nodiscard]] std::string_view token();
-  /// Container length guard: a corrupt count must not drive a multi-GB
-  /// allocation before the element parse fails.
-  void require_remaining_tokens(std::uint64_t count) const;
 
   std::string_view data_;
   std::size_t pos_ = 0;

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/logging.h"
 #include "solver/checkpoint.h"
 #include "solver/lp_model.h"
 
@@ -67,11 +66,11 @@ void build_base_model(LpModel& model, const SpeedupMatrix& w,
   return allocation;
 }
 
-/// Solves `model` in one piece through `solver` and fills `result` from it.
+/// Solves `model` in one piece through `solver` and reports the outcome.
 [[nodiscard]] AllocationResult solve_whole(solver::LpSolver& solver, LpModel model,
-                                           const SpeedupMatrix& speedups,
-                                           AllocationResult result) {
+                                           const SpeedupMatrix& speedups) {
   const solver::LpSolution solution = solver.solve(std::move(model));
+  AllocationResult result;
   result.status = solution.status;
   result.lp_iterations = solution.iterations;
   if (solution.warm_started) {
@@ -138,38 +137,6 @@ void build_base_model(LpModel& model, const SpeedupMatrix& w,
   return std::min<std::size_t>(std::max<std::size_t>(hardware, 1), std::min<std::size_t>(n, 8));
 }
 
-/// Dominance ordering for the fast path: indices sorted so each row is
-/// elementwise <= the next and so is each adjacent-type ratio w[l][j] /
-/// w[l][j-1]; the staircase fill is optimal only then. Returns nullopt when
-/// no such chain exists.
-[[nodiscard]] std::optional<std::vector<std::size_t>> dominance_order(
-    const SpeedupMatrix& w, double tol) {
-  const std::size_t n = w.num_users();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    double sum_a = 0.0;
-    double sum_b = 0.0;
-    for (std::size_t j = 0; j < w.num_types(); ++j) {
-      sum_a += w.at(a, j);
-      sum_b += w.at(b, j);
-    }
-    if (sum_a != sum_b) return sum_a < sum_b;
-    return a < b;
-  });
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    const std::size_t a = order[i];
-    const std::size_t b = order[i + 1];
-    for (std::size_t j = 0; j < w.num_types(); ++j) {
-      if (w.at(a, j) > w.at(b, j) + tol) return std::nullopt;
-      if (j > 0 && w.at(a, j) / w.at(a, j - 1) > w.at(b, j) / w.at(b, j - 1) + tol) {
-        return std::nullopt;
-      }
-    }
-  }
-  return order;
-}
-
 }  // namespace
 
 const char* to_string(AllocationStatus status) {
@@ -180,64 +147,6 @@ const char* to_string(AllocationStatus status) {
     case AllocationStatus::kFailed: return "failed";
   }
   return "unknown";
-}
-
-std::optional<Allocation> non_cooperative_fast_path(
-    const SpeedupMatrix& speedups, const std::vector<double>& multiplicities,
-    const std::vector<double>& capacities, double tolerance) {
-  if (!speedups.types_consistently_ordered()) return std::nullopt;
-  const auto order = dominance_order(speedups, 1e-12);
-  if (!order.has_value()) return std::nullopt;
-
-  const std::size_t n = speedups.num_users();
-  const std::size_t k = speedups.num_types();
-
-  // Greedy staircase fill (Lemma 3.1): users in dominance order, each
-  // consuming types slowest-first until its demand r_l * E is met. Returns
-  // the allocation when feasible.
-  const auto try_fill = [&](double level) -> std::optional<Allocation> {
-    Allocation allocation(n, k);
-    std::vector<double> remaining = capacities;
-    std::size_t type = 0;
-    for (const std::size_t l : *order) {
-      double demand = multiplicities[l] * level;
-      while (demand > tolerance) {
-        while (type < k && remaining[type] <= tolerance) ++type;
-        if (type >= k) return std::nullopt;
-        const double rate = speedups.at(l, type);
-        const double want = demand / rate;
-        const double take = std::min(want, remaining[type]);
-        allocation.at(l, type) += take;
-        remaining[type] -= take;
-        demand -= take * rate;
-      }
-    }
-    return allocation;
-  };
-
-  double best_total = 0.0;
-  for (std::size_t j = 0; j < k; ++j) {
-    double best_rate = 0.0;
-    for (std::size_t l = 0; l < n; ++l) best_rate = std::max(best_rate, speedups.at(l, j));
-    best_total += capacities[j] * best_rate;
-  }
-  const double mult_sum = std::accumulate(multiplicities.begin(), multiplicities.end(), 0.0);
-  OEF_CHECK(mult_sum > 0.0);
-
-  double lo = 0.0;
-  double hi = best_total / mult_sum;
-  if (!try_fill(hi).has_value()) {
-    for (int iter = 0; iter < 100 && hi - lo > 1e-12 * (1.0 + hi); ++iter) {
-      const double mid = 0.5 * (lo + hi);
-      if (try_fill(mid).has_value()) {
-        lo = mid;
-      } else {
-        hi = mid;
-      }
-    }
-    hi = lo;
-  }
-  return try_fill(hi);
 }
 
 OefAllocator::OefAllocator(Mode mode, OefOptions options)
@@ -258,7 +167,9 @@ AllocationResult OefAllocator::allocate_weighted(
   // aborting — a robust scheduler catches and degrades (see check.h policy).
   OEF_REQUIRE_MSG(multiplicities.size() == speedups.num_users(),
                   "multiplicities must match the speedup matrix's user count");
-  for (const double r : multiplicities) OEF_REQUIRE_MSG(r > 0.0, "multiplicity must be > 0");
+  for (const double r : multiplicities) {
+    OEF_REQUIRE_MSG(std::isfinite(r) && r > 0.0, "multiplicity must be finite and > 0");
+  }
   OEF_REQUIRE_MSG(capacities.size() == speedups.num_types(),
                   "capacities must match the speedup matrix's type count");
   OEF_REQUIRE_MSG(user_ids.empty() || user_ids.size() == speedups.num_users(),
@@ -283,26 +194,6 @@ AllocationResult OefAllocator::solve_non_cooperative(
   const std::size_t n = speedups.num_users();
   const std::size_t k = speedups.num_types();
 
-  AllocationResult result;
-  if (options_.use_fast_path) {
-    auto fast = non_cooperative_fast_path(speedups, multiplicities, capacities);
-    if (fast.has_value()) {
-      result.allocation = std::move(*fast);
-      result.outcome = AllocationStatus::kOptimal;
-      result.status = solver::SolveStatus::kOptimal;
-      result.total_efficiency = result.allocation.total_efficiency(speedups);
-      result.used_fast_path = true;
-      return result;
-    }
-    // The instance's rows or adjacent-type ratios cross, so the combinatorial
-    // path does not apply and the LP below answers instead. Count and log the
-    // degradation rather than falling through silently.
-    result.fast_path_fallback = true;
-    common::log_debug(
-        "non-cooperative fast path unavailable (instance not totally ordered); "
-        "falling back to the LP");
-  }
-
   LpModel model(Sense::kMaximize);
   build_base_model(model, speedups, capacities);
   // Equal scaled efficiency across all (virtual) users, Eq. (9c).
@@ -319,7 +210,7 @@ AllocationResult OefAllocator::solve_non_cooperative(
   // Persistent solver: across simulator rounds with a stable user population
   // the model shape repeats, so the previous optimal basis warm-starts this
   // solve (equal-efficiency rows only move in their coefficients).
-  return solve_whole(solver_, std::move(model), speedups, std::move(result));
+  return solve_whole(solver_, std::move(model), speedups);
 }
 
 AllocationResult OefAllocator::solve_cooperative(
@@ -332,7 +223,6 @@ AllocationResult OefAllocator::solve_cooperative(
   LpModel model(Sense::kMaximize);
   build_base_model(model, speedups, capacities);
 
-  AllocationResult result;
   if (!options_.lazy_envy_constraints) {
     for (std::size_t l = 0; l < n; ++l) {
       for (std::size_t i = 0; i < n; ++i) {
@@ -342,35 +232,32 @@ AllocationResult OefAllocator::solve_cooperative(
     // Same persistent solver as the lazy path: stats accumulate, the
     // configured algorithm applies, and repeat calls of the same shape
     // warm-start.
-    return solve_whole(solver_, std::move(model), speedups, std::move(result));
+    return solve_whole(solver_, std::move(model), speedups);
   }
 
-  // Recycle the envy rows that were binding at the previous optimum into the
-  // initial relaxation: across simulator rounds the active set barely moves,
-  // so the first solve usually satisfies the oracle outright — and because
-  // the recycled model has the same shape as last round's final model, the
-  // solver also reuses the previous optimal basis. `added` marks every pair
-  // materialised as a row this call: it deduplicates the recycled pool and
-  // stops the oracle from re-emitting a row the solver already carries.
+  // Recycle the previous call's final envy rows into the initial relaxation:
+  // across simulator rounds the active set barely moves, so the first solve
+  // usually satisfies the oracle outright — and because the recycled model
+  // has the same shape as last round's final model, the solver also reuses
+  // the previous optimal basis. `added` marks every pair materialised as a
+  // row this call: it deduplicates the seeds and stops the oracle from
+  // re-emitting a row the solver already carries.
   const std::size_t base_rows = model.num_constraints();
   std::vector<char> added(n * n, 0);
-  std::vector<std::pair<std::size_t, std::size_t>> session_pairs;
   const auto seed_pair = [&](std::size_t l, std::size_t i) {
-    if (l < n && i < n && l != i && !added[l * n + i]) {
+    if (l != i && !added[l * n + i]) {
       added[l * n + i] = 1;
       model.add_constraint(envy_row(speedups, multiplicities, l, i));
-      session_pairs.push_back({l, i});
     }
   };
-  // The pool stores stable-ID pairs. With caller-provided ids, pairs whose
-  // both endpoints survived churn are mapped back to current row indices and
-  // recycled even though n changed; departed/unknown ids are skipped (and an
-  // id stored by a legacy identity-keyed call is harmless — seed_pair bounds-
-  // checks). The legacy path keeps its same-n guard.
-  if (options_.recycle_envy_rows && !user_ids.empty()) {
+  // The pool stores stable-id pairs, the row index standing in for an id the
+  // caller did not give. Pairs whose endpoints both survived churn are mapped
+  // back to current row indices; departed ids are skipped.
+  const auto id_of = [&](std::size_t l) { return user_ids.empty() ? l : user_ids[l]; };
+  if (options_.recycle_envy_rows) {
     std::unordered_map<std::size_t, std::size_t> index_of_id;
     index_of_id.reserve(n);
-    for (std::size_t l = 0; l < n; ++l) index_of_id.emplace(user_ids[l], l);
+    for (std::size_t l = 0; l < n; ++l) index_of_id.emplace(id_of(l), l);
     // When the user set is unchanged (same n, every pooled id still present)
     // the full pool is reseeded in order: the model then has the shape of the
     // previous call's final model and the solver reuses its optimal basis.
@@ -391,10 +278,8 @@ AllocationResult OefAllocator::solve_cooperative(
         seed_pair(a->second, b->second);
       }
     }
-  } else if (options_.recycle_envy_rows && user_ids.empty() && envy_pool_users_ == n) {
-    for (const PooledEnvyRow& row : envy_pool_) seed_pair(row.envier, row.envied);
   }
-  if (session_pairs.empty() && options_.seed_adjacent_envy_rows) {
+  if (model.num_constraints() == base_rows && options_.seed_adjacent_envy_rows) {
     // Cold start: at the optimum envy binds densely between users adjacent
     // in the dominance order (Thm 5.2's adjacency structure), so seeding
     // both directions of every pair within distance 2 (~4n rows) skips most
@@ -468,7 +353,6 @@ AllocationResult OefAllocator::solve_cooperative(
       const std::size_t i = worst[l];
       if (i == SIZE_MAX) continue;
       violated.push_back(envy_row(speedups, multiplicities, l, i));
-      session_pairs.push_back({l, i});
       added[l * n + i] = 1;
     }
     oracle_seconds += common::monotonic_seconds() - oracle_start;
@@ -484,6 +368,7 @@ AllocationResult OefAllocator::solve_cooperative(
   }
   lazy.set_deadline(options_.deadline);
   const solver::LazySolveResult lazy_result = lazy.solve(solver_, std::move(model), oracle);
+  AllocationResult result;
   result.status = lazy_result.solution.status;
   result.lp_iterations = lazy_result.total_iterations;
   result.lazy_rounds = lazy_result.rounds;
@@ -516,30 +401,28 @@ AllocationResult OefAllocator::solve_cooperative(
   result.allocation = extract_allocation(lazy_result.solution.values, n, k);
   result.total_efficiency = result.allocation.total_efficiency(speedups);
 
-  // Refresh the recycled pool with every envy pair materialised this call
-  // (seeded + lazily added, minus compaction drops), keyed by stable id.
-  // Keeping the loose rows too — not just the binding set — preserves the
-  // invariant the warm start depends on: a quiet next round re-seeds exactly
-  // this call's final row set, the model shapes match, and the solver reuses
-  // the optimal basis instead of cold-solving. The pool cannot grow without
-  // bound: it mirrors the final model, whose envy rows the in-call
-  // compaction budget caps.
+  // Refresh the recycled pool from the envy rows of the final model, in row
+  // order, keyed by stable id. Keeping the loose rows too — not just the
+  // binding set — preserves the invariant the warm start depends on: a quiet
+  // next round re-seeds exactly this call's final row set in the same order,
+  // so the model shapes match and the restored basis's slack columns attach
+  // to the same rows. The pool cannot grow without bound: the in-call
+  // compaction budget caps the final model's envy rows.
   if (options_.recycle_envy_rows) {
-    // Materialisation order, deduplicated first-occurrence (a pair appears
-    // twice only when compaction dropped its row and the oracle re-emitted
-    // it). Preserving the order matters: next round seeds the pool in pool
-    // order, so pool order == this model's envy-row order keeps the restored
-    // basis's slack columns attached to the same rows — sorting here would
-    // permute the rows and turn the warm start into a singular-basis repair.
     envy_pool_.clear();
-    std::vector<char> pooled(n * n, 0);
     const std::vector<double>& point = lazy_result.solution.values;
-    for (const auto& [l, i] : session_pairs) {
-      if (pooled[l * n + i]) continue;
-      pooled[l * n + i] = 1;
+    const std::vector<Constraint>& rows = solver_.model().constraints();
+    for (std::size_t c = base_rows; c < rows.size(); ++c) {
+      // envy_row's first two terms are x[l][0] and x[i][0]; their
+      // coefficients ±w[l][0]/r are never zero (rows are normalised to
+      // w[l][0] = 1 and multiplicities are finite), so LinearExpr kept both.
+      const std::vector<solver::LinearTerm>& terms = rows[c].expr.terms();
+      OEF_CHECK(terms.size() >= 2);
+      const std::size_t l = terms[0].var / k;
+      const std::size_t i = terms[1].var / k;
       PooledEnvyRow row;
-      row.envier = user_ids.empty() ? l : user_ids[l];
-      row.envied = user_ids.empty() ? i : user_ids[i];
+      row.envier = id_of(l);
+      row.envied = id_of(i);
       // Tight at the optimum (own efficiency == envied efficiency, up to the
       // solver's feasibility tolerance) — the rows worth seeding into a
       // differently-shaped next call.
@@ -577,7 +460,7 @@ bool OefAllocator::load_warm_state(common::SerialReader& in) {
                    common::ErrorCode::kInvalidArgument,
                    "checkpoint was taken under the other allocator mode");
   envy_pool_users_ = static_cast<std::size_t>(in.u64());
-  const std::uint64_t pool_size = in.u64();
+  const std::uint64_t pool_size = in.count();
   envy_pool_.clear();
   for (std::uint64_t i = 0; i < pool_size; ++i) {
     PooledEnvyRow row;

@@ -15,8 +15,6 @@
 // directly, where literal replication would need rationalisation.
 #pragma once
 
-#include <optional>
-#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -53,12 +51,9 @@ struct OefOptions {
   /// a serial scan. The generated rows are identical for every thread count
   /// (per-user scans are independent and merged in user order).
   std::size_t oracle_threads = 0;
-  /// Non-cooperative mode: use the O(nk log) water-filling fast path when the
-  /// instance is totally ordered, falling back to the LP otherwise.
-  bool use_fast_path = true;
   /// Cooperative mode: seed the next allocate() call's relaxation with the
-  /// envy rows that were binding at the previous optimum (same user count),
-  /// so round-over-round calls in the simulator typically converge in one
+  /// envy rows of this call's final relaxation (see allocate_weighted), so
+  /// round-over-round calls in the simulator typically converge in one
   /// warm-started lazy round.
   bool recycle_envy_rows = true;
   /// Cooperative lazy mode, cold calls only: seed the relaxation with both
@@ -121,7 +116,8 @@ struct AllocationResult {
   std::size_t compactions = 0;
   std::size_t warm_compactions = 0;
   /// Lazy rounds >= 2 completed by a warm dual-simplex resolve, and the
-  /// pivot split between cold solves and warm resolves.
+  /// pivot split between cold and warm work (a solve that reused the
+  /// previous call's basis counts as warm, round 1 included).
   std::size_t warm_rounds = 0;
   std::size_t cold_lp_iterations = 0;
   std::size_t warm_lp_iterations = 0;
@@ -129,12 +125,6 @@ struct AllocationResult {
   double solve_seconds = 0.0;
   /// Wall-clock seconds spent inside the envy separation oracle.
   double oracle_seconds = 0.0;
-  /// True when the fast path produced the result (no LP solved).
-  bool used_fast_path = false;
-  /// Non-cooperative mode: the fast path was enabled but the instance was not
-  /// totally ordered (crossing rows), so the LP solved it instead. Previously
-  /// this degradation was silent.
-  bool fast_path_fallback = false;
   /// Cooperative lazy mode: OefOptions::deadline expired and the last
   /// relaxation optimum was returned (outcome == kDegraded).
   bool deadline_expired = false;
@@ -199,14 +189,14 @@ class OefAllocator {
                                           const std::vector<double>& capacities) const;
 
   /// Weighted / multi-job-type allocation: row v behaves like
-  /// multiplicities[v] replicated users (§4.2.3). Multiplicities must be > 0.
+  /// multiplicities[v] replicated users (§4.2.3). Multiplicities must be
+  /// finite and > 0.
   ///
-  /// `user_ids`, when non-empty, gives a stable identity per row (size n).
-  /// The recycled envy-row pool is then keyed by identity instead of row
-  /// index, so it survives churn: when tenants arrive or depart between
-  /// calls, rows of surviving pairs are still recycled instead of the whole
-  /// pool being discarded because n changed. Empty (the default) keeps the
-  /// legacy behaviour: identity == row index, pool dropped on any n change.
+  /// `user_ids` gives a stable identity per row (size n); empty (the default)
+  /// means ids 0..n-1, the row indices. The recycled envy-row pool is keyed
+  /// by identity, so it survives churn: when the user set is unchanged the
+  /// whole pool is reseeded, and when users arrive or depart between calls
+  /// the rows that were binding between surviving users still are.
   [[nodiscard]] AllocationResult allocate_weighted(
       const SpeedupMatrix& speedups, const std::vector<double>& multiplicities,
       const std::vector<double>& capacities,
@@ -228,14 +218,14 @@ class OefAllocator {
   /// call and same-shaped models across calls reuse the previous optimal
   /// basis (see solver/lp_solver.h).
   mutable solver::LpSolver solver_;
-  /// One envy row (envier envies envied) of the previous cooperative call's
-  /// final relaxation, recycled into the next call's initial relaxation.
-  /// Stored as stable IDs: the caller's user_ids when provided, row indices
-  /// otherwise. `binding` marks rows tight at the previous optimum: when the
-  /// next call has the same user set the whole pool is reseeded in order
-  /// (shape match → basis reuse), but across a user-set change — where the
-  /// shape can't match and the solve is cold regardless — only the binding
-  /// rows are worth the larger initial relaxation they buy.
+  /// One envy row (envier must not envy envied) of the previous cooperative
+  /// call's final relaxation, read back from the solver's model in row order
+  /// and keyed by stable id (see allocate_weighted). `binding` marks rows
+  /// tight at the previous optimum: when the next call has the same user set
+  /// the whole pool is reseeded in order (shape match → basis reuse), but
+  /// across a user-set change — where the shape can't match and the solve is
+  /// cold regardless — only the binding rows are worth the larger initial
+  /// relaxation they buy.
   struct PooledEnvyRow {
     std::size_t envier = 0;
     std::size_t envied = 0;
@@ -249,16 +239,5 @@ class OefAllocator {
 /// Convenience factories matching the paper's terminology.
 [[nodiscard]] OefAllocator make_non_cooperative_oef(OefOptions options = {});
 [[nodiscard]] OefAllocator make_cooperative_oef(OefOptions options = {});
-
-/// Combinatorial fast path for non-cooperative OEF on totally ordered
-/// instances (every user's row elementwise-dominates the previous user's
-/// after sorting, and so does every adjacent-type speedup ratio): bisects the
-/// common efficiency level E and fills users in dominance order, slowest
-/// types first (Lemma 3.1). Returns nullopt when the instance is not totally
-/// ordered. Exposed for testing; OefAllocator uses it when
-/// options.use_fast_path is set.
-[[nodiscard]] std::optional<Allocation> non_cooperative_fast_path(
-    const SpeedupMatrix& speedups, const std::vector<double>& multiplicities,
-    const std::vector<double>& capacities, double tolerance = 1e-10);
 
 }  // namespace oef::core

@@ -44,15 +44,6 @@ bool SpeedupMatrix::is_normalized(double tol) const {
   return true;
 }
 
-bool SpeedupMatrix::types_consistently_ordered() const {
-  for (const auto& row : rows_) {
-    for (std::size_t j = 1; j < row.size(); ++j) {
-      if (row[j] < row[j - 1]) return false;
-    }
-  }
-  return true;
-}
-
 void SpeedupMatrix::set_row(std::size_t user, std::vector<double> row) {
   OEF_CHECK(user < rows_.size());
   OEF_CHECK(row.size() == num_types());

@@ -28,10 +28,6 @@ class SpeedupMatrix {
   /// True when w[l][0] == 1 for all l (within tol).
   [[nodiscard]] bool is_normalized(double tol = 1e-9) const;
 
-  /// True when every row is non-decreasing left → right, i.e. the global
-  /// slow-to-fast type ordering holds for every user (footnote 1 of §2.3).
-  [[nodiscard]] bool types_consistently_ordered() const;
-
   /// Replaces one user's row (used to model misreporting). The row is
   /// re-normalised to its first entry.
   void set_row(std::size_t user, std::vector<double> row);

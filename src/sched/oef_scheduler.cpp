@@ -38,7 +38,6 @@ core::Allocation OefScheduler::allocate(const core::SpeedupMatrix& speedups,
   }
 
   if (result.deadline_expired) ++deadline_expirations_;
-  if (result.fast_path_fallback) ++fastpath_lp_fallbacks_;
 
   if (result.served()) {
     if (!result.ok()) {

@@ -38,7 +38,6 @@ class OefScheduler : public Scheduler {
     t.degraded_rounds = degraded_rounds_;
     t.fallback_rounds = fallback_rounds_;
     t.deadline_expirations = deadline_expirations_;
-    t.fastpath_lp_fallbacks = fastpath_lp_fallbacks_;
     return t;
   }
 
@@ -59,7 +58,6 @@ class OefScheduler : public Scheduler {
   mutable std::size_t degraded_rounds_ = 0;
   mutable std::size_t fallback_rounds_ = 0;
   mutable std::size_t deadline_expirations_ = 0;
-  mutable std::size_t fastpath_lp_fallbacks_ = 0;
 };
 
 }  // namespace oef::sched

@@ -37,12 +37,10 @@ struct SchedulerTelemetry {
   /// Scheduler-level degradation (OEF under the robustness ladder; zero for
   /// baselines): rounds served from a non-converged (degraded) LP result,
   /// rounds served from the last-feasible fallback because the allocator
-  /// failed outright, allocate() calls stopped by the solve deadline, and
-  /// non-cooperative fast-path calls that had to fall back to the LP.
+  /// failed outright, and allocate() calls stopped by the solve deadline.
   std::size_t degraded_rounds = 0;
   std::size_t fallback_rounds = 0;
   std::size_t deadline_expirations = 0;
-  std::size_t fastpath_lp_fallbacks = 0;
 
   void merge(const SchedulerTelemetry& other) {
     lp_cold_solves += other.lp_cold_solves;
@@ -56,7 +54,6 @@ struct SchedulerTelemetry {
     degraded_rounds += other.degraded_rounds;
     fallback_rounds += other.fallback_rounds;
     deadline_expirations += other.deadline_expirations;
-    fastpath_lp_fallbacks += other.fastpath_lp_fallbacks;
   }
 };
 

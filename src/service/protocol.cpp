@@ -58,14 +58,10 @@ WireSnapshot read_wire_snapshot(common::SerialReader& in) {
                    common::ErrorCode::kCorruptData, "snapshot quality tag out of range");
   snapshot.quality = static_cast<StatusCode>(quality);
   snapshot.total_efficiency = in.f64();
-  const std::uint64_t num_tenants = in.u64();
-  OEF_REQUIRE_CODE(num_tenants <= 1u << 24, common::ErrorCode::kCorruptData,
-                   "snapshot tenant count implausible");
+  const std::uint64_t num_tenants = in.count();
   snapshot.tenants.reserve(num_tenants);
   for (std::uint64_t i = 0; i < num_tenants; ++i) snapshot.tenants.push_back(in.str());
-  const std::uint64_t num_rows = in.u64();
-  OEF_REQUIRE_CODE(num_rows <= 1u << 24, common::ErrorCode::kCorruptData,
-                   "snapshot row count implausible");
+  const std::uint64_t num_rows = in.count();
   snapshot.shares.reserve(num_rows);
   for (std::uint64_t i = 0; i < num_rows; ++i) snapshot.shares.push_back(in.f64_vec());
   return snapshot;
@@ -173,9 +169,7 @@ Response decode_response(std::string_view payload) {
   response.message = in.str();
   response.has_snapshot = in.u64() != 0;
   if (response.has_snapshot) response.snapshot = read_wire_snapshot(in);
-  const std::uint64_t num_keys = in.u64();
-  OEF_REQUIRE_CODE(num_keys <= 1u << 16, common::ErrorCode::kCorruptData,
-                   "stat key count implausible");
+  const std::uint64_t num_keys = in.count();
   response.stat_keys.reserve(num_keys);
   for (std::uint64_t i = 0; i < num_keys; ++i) response.stat_keys.push_back(in.str());
   response.stat_values = in.f64_vec();

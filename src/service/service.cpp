@@ -494,9 +494,7 @@ void AllocatorService::restore_state(const std::string& payload) {
   common::SerialReader in(payload);
   version_ = in.u64();
   next_tenant_id_ = in.u64();
-  const std::uint64_t num_tenants = in.u64();
-  OEF_REQUIRE_CODE(num_tenants <= 1u << 24, common::ErrorCode::kCorruptData,
-                   "checkpoint tenant count implausible");
+  const std::uint64_t num_tenants = in.count();
   tenants_.clear();
   for (std::uint64_t i = 0; i < num_tenants; ++i) {
     Tenant tenant;

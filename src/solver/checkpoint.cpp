@@ -43,7 +43,7 @@ LpModel read_lp_model(common::SerialReader& in) {
   const std::uint64_t sense = in.u64();
   OEF_REQUIRE_CODE(sense <= 1, common::ErrorCode::kCorruptData, "bad sense tag");
   LpModel model(sense == 0 ? Sense::kMaximize : Sense::kMinimize);
-  const std::uint64_t num_vars = in.u64();
+  const std::uint64_t num_vars = in.count();
   for (std::uint64_t v = 0; v < num_vars; ++v) {
     std::string name = in.str();
     const double lower = in.f64();
@@ -54,13 +54,13 @@ LpModel read_lp_model(common::SerialReader& in) {
                      "variable bounds crossed or NaN");
     model.add_variable(std::move(name), lower, upper, objective);
   }
-  const std::uint64_t num_rows = in.u64();
+  const std::uint64_t num_rows = in.count();
   for (std::uint64_t r = 0; r < num_rows; ++r) {
     Constraint constraint;
     constraint.name = in.str();
     constraint.relation = relation_from_u64(in.u64());
     constraint.rhs = in.f64();
-    const std::uint64_t num_terms = in.u64();
+    const std::uint64_t num_terms = in.count();
     for (std::uint64_t t = 0; t < num_terms; ++t) {
       const std::uint64_t var = in.u64();
       const double coeff = in.f64();

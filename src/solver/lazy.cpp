@@ -49,8 +49,9 @@ LazySolveResult LazyConstraintSolver::solve(LpSolver& solver, LpModel model,
     // cold.
     result.solution = result.rounds == 1 ? solver.solve(std::move(model)) : solver.resolve();
     result.total_iterations += result.solution.iterations;
-    if (result.rounds > 1 && result.solution.warm_started) {
-      ++result.warm_rounds;
+    // A round-1 solve that reused the previous basis is warm work too.
+    if (result.solution.warm_started) {
+      if (result.rounds > 1) ++result.warm_rounds;
       result.warm_iterations += result.solution.iterations;
     } else {
       result.cold_iterations += result.solution.iterations;

@@ -55,9 +55,11 @@ struct LazySolveResult {
   std::size_t warm_rounds = 0;
   /// Simplex pivots across all rounds.
   std::size_t total_iterations = 0;
-  /// Pivots spent in cold solves (round 1 and any warm-path fallbacks).
+  /// Pivots spent in cold solves (a round-1 solve without basis reuse, and
+  /// any warm-path fallbacks).
   std::size_t cold_iterations = 0;
-  /// Pivots spent in warm resolves.
+  /// Pivots spent warm: warm resolves, and a round-1 solve that reused the
+  /// previous basis.
   std::size_t warm_iterations = 0;
 };
 

@@ -18,11 +18,6 @@ TEST(SpeedupMatrix, NormalisesRowsOnConstruction) {
   EXPECT_DOUBLE_EQ(w.at(1, 2), 2.0);
 }
 
-TEST(SpeedupMatrix, TypeOrderingCheck) {
-  EXPECT_TRUE(SpeedupMatrix({{1, 2, 3}}).types_consistently_ordered());
-  EXPECT_FALSE(SpeedupMatrix({{1, 3, 2}}).types_consistently_ordered());
-}
-
 TEST(SpeedupMatrix, SetRowRenormalises) {
   SpeedupMatrix w({{1, 2}});
   w.set_row(0, {4.0, 12.0});

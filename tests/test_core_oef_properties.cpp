@@ -2,7 +2,6 @@
 // every instance the generators produce.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -187,83 +186,6 @@ TEST_P(OefPropertyTest, BothModesUseAdjacentTypesOnly) {
   const AllocationResult coop = make_cooperative_oef().allocate(w, m);
   ASSERT_TRUE(coop.ok());
   EXPECT_TRUE(coop.allocation.uses_adjacent_types_only(1e-6));
-}
-
-/// Checks the fast path against the LP of Eq. 9 on one instance: where the
-/// staircase fill applies (`staircase`) it must match the LP, elsewhere it
-/// must refuse the instance. Either way the default allocator must match the
-/// LP, user by user.
-void expect_fast_path_matches_lp(const SpeedupMatrix& w, const std::vector<double>& m,
-                                 bool staircase) {
-  const std::size_t n = w.num_users();
-  // LP reference with the fast path explicitly disabled (it defaults on).
-  OefOptions lp_only;
-  lp_only.use_fast_path = false;
-  const AllocationResult lp = make_non_cooperative_oef(lp_only).allocate(w, m);
-  ASSERT_TRUE(lp.ok());
-  EXPECT_FALSE(lp.used_fast_path);
-  const auto fast = non_cooperative_fast_path(w, std::vector<double>(n, 1.0), m);
-  ASSERT_EQ(fast.has_value(), staircase);
-  if (fast.has_value()) {
-    EXPECT_NEAR(fast->total_efficiency(w), lp.total_efficiency,
-                1e-5 * (1.0 + lp.total_efficiency));
-    EXPECT_TRUE(fast->respects_capacity(m, 1e-6));
-  }
-
-  const AllocationResult fast_default = make_non_cooperative_oef().allocate(w, m);
-  ASSERT_TRUE(fast_default.ok());
-  EXPECT_EQ(fast_default.used_fast_path, staircase);
-  const std::vector<double> lp_eff = lp.allocation.efficiencies(w);
-  const std::vector<double> fast_eff = fast_default.allocation.efficiencies(w);
-  for (std::size_t l = 0; l < n; ++l) {
-    EXPECT_NEAR(fast_eff[l], lp_eff[l], 1e-5 * (1.0 + lp_eff[l])) << "user " << l;
-  }
-}
-
-TEST_P(OefPropertyTest, NonCoopFastPathMatchesLp) {
-  const Instance inst = GetParam();
-  common::Rng rng(inst.seed + 4);
-  // Totally ordered instance: multiply a base row by increasing user factors
-  // applied to the increment, keeping elementwise dominance.
-  std::vector<std::vector<double>> rows(inst.n);
-  std::vector<double> base(inst.k);
-  base[0] = 1.0;
-  for (std::size_t j = 1; j < inst.k; ++j) base[j] = base[j - 1] * rng.uniform(1.05, 1.8);
-  for (std::size_t l = 0; l < inst.n; ++l) {
-    rows[l].resize(inst.k);
-    const double boost = 1.0 + 0.3 * static_cast<double>(l);
-    rows[l][0] = 1.0;
-    for (std::size_t j = 1; j < inst.k; ++j) {
-      rows[l][j] = 1.0 + (base[j] - 1.0) * boost;
-    }
-  }
-  const SpeedupMatrix w(std::move(rows));
-  const std::vector<double> m = random_capacities(rng, inst.k);
-  expect_fast_path_matches_lp(w, m, /*staircase=*/true);
-}
-
-TEST(NonCoopFastPathMatchesLp, ColumnSortedFig10aMatrix) {
-  // bench_fig10a_overhead's 10-type matrix with each column sorted across
-  // users: the rows are elementwise ordered, but the users' ratios between
-  // adjacent types cross, so the staircase fill is not optimal (at n=3 it
-  // reaches 542.95 where the LP of Eq. 9 reaches 547.82).
-  constexpr std::size_t kTypes = 10;
-  for (const std::size_t n : {3, 10, 50}) {
-    SCOPED_TRACE("n=" + std::to_string(n));
-    common::Rng rng(4242);
-    std::vector<std::vector<double>> rows(n, std::vector<double>(kTypes, 1.0));
-    for (auto& row : rows) {
-      for (std::size_t j = 1; j < kTypes; ++j) row[j] = row[j - 1] * rng.uniform(1.02, 1.35);
-    }
-    for (std::size_t j = 0; j < kTypes; ++j) {
-      std::vector<double> column(n);
-      for (std::size_t l = 0; l < n; ++l) column[l] = rows[l][j];
-      std::sort(column.begin(), column.end());
-      for (std::size_t l = 0; l < n; ++l) rows[l][j] = column[l];
-    }
-    expect_fast_path_matches_lp(SpeedupMatrix(std::move(rows)),
-                                std::vector<double>(kTypes, 24.0), /*staircase=*/false);
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

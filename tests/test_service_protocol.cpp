@@ -1,9 +1,13 @@
 // Wire protocol of the allocator daemon: frame and message round-trips,
-// detection of truncated/corrupted/duplicated frames, deterministic wire
-// fault injection, status-code mapping, and the monotonic Deadline type the
-// whole request path is built on.
+// detection of truncated/corrupted/duplicated frames, sweeps of bit-flipped,
+// truncated and length-lying input through the frame reader and both
+// payload decoders, deterministic wire fault injection, status-code mapping,
+// and the monotonic Deadline type the whole request path is built on.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -79,6 +83,132 @@ TEST(ServiceProtocol, MalformedPayloadThrowsCorruptData) {
     FAIL();
   } catch (const common::CheckError& error) {
     EXPECT_EQ(error.code(), common::ErrorCode::kCorruptData);
+  }
+}
+
+TEST(ServiceProtocol, ContainerCountPastThePayloadThrowsBeforeAllocating) {
+  // A 29-byte response whose snapshot claims 2^24 - 1 tenants. Reserving
+  // that many names would take about 512 MiB; the count guard must refuse
+  // the count first, with a coded error.
+  common::SerialWriter out;
+  out.u64(0);    // request id
+  out.u64(0);    // status
+  out.str("");   // message
+  out.u64(1);    // has snapshot
+  out.u64(0);    // snapshot version
+  out.u64(0);    // snapshot quality
+  out.f64(0.0);  // total efficiency
+  out.u64((1u << 24) - 1);
+  const std::string payload = out.take();
+  ASSERT_EQ(payload.size(), 29u);
+  try {
+    (void)decode_response(payload);
+    FAIL() << "a tenant count past the payload was accepted";
+  } catch (const common::CheckError& error) {
+    EXPECT_EQ(error.code(), common::ErrorCode::kCorruptData);
+    EXPECT_NE(std::string(error.what()).find("container count exceeds payload"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+/// `bytes` with bit `bit` flipped (bit 0 is the first byte's lowest).
+std::string flip_bit(std::string bytes, std::size_t bit) {
+  bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+  return bytes;
+}
+
+/// Feeds `decode` every single-bit flip of `payload` and every proper prefix
+/// of it. Each case must decode or throw CheckError(kCorruptData).
+template <typename Decode>
+void expect_decodes_or_throws_corrupt(const char* name, const std::string& payload,
+                                      const Decode& decode) {
+  std::size_t cases = 0;
+  std::size_t decoded = 0;
+  std::size_t threw = 0;
+  const auto run = [&](const std::string& input, const std::string& label) {
+    ++cases;
+    try {
+      (void)decode(input);
+      ++decoded;
+    } catch (const common::CheckError& error) {
+      EXPECT_EQ(error.code(), common::ErrorCode::kCorruptData) << label << ": " << error.what();
+      ++threw;
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << label << " threw a non-CheckError: " << error.what();
+    }
+  };
+  for (std::size_t bit = 0; bit < 8 * payload.size(); ++bit) {
+    run(flip_bit(payload, bit), "bit " + std::to_string(bit) + " flipped");
+  }
+  for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+    run(payload.substr(0, cut), "cut at byte " + std::to_string(cut));
+  }
+  EXPECT_EQ(decoded + threw, cases);
+  EXPECT_GT(threw, 0u);
+  std::printf("%s sweep: %zu-byte payload, %zu cases, %zu decoded, %zu threw\n", name,
+              payload.size(), cases, decoded, threw);
+}
+
+TEST(ServiceProtocol, BitFlippedOrTruncatedPayloadsDecodeOrThrowCorruptData) {
+  expect_decodes_or_throws_corrupt("decode_request", encode_request(sample_request()),
+                                   [](const std::string& p) { return decode_request(p); });
+  expect_decodes_or_throws_corrupt("decode_response", encode_response(sample_response()),
+                                   [](const std::string& p) { return decode_response(p); });
+}
+
+/// Every payload `reader` yields as kOk, in order, until it needs more bytes.
+std::vector<std::string> drain(FrameReader& reader) {
+  std::vector<std::string> payloads;
+  std::string payload;
+  // Each call that does not ask for more bytes consumes at least one, so a
+  // correct reader returns before this bound runs out.
+  for (std::size_t calls = reader.buffered_bytes() + 1; calls > 0; --calls) {
+    const FrameStatus status = reader.next(payload);
+    if (status == FrameStatus::kNeedMore) return payloads;
+    if (status == FrameStatus::kOk) payloads.push_back(payload);
+  }
+  ADD_FAILURE() << "FrameReader::next stopped consuming bytes";
+  return payloads;
+}
+
+TEST(ServiceProtocol, BitFlippedOrLengthLyingFramesNeverForgeAPayload) {
+  // A damaged request frame followed by a valid sentinel frame: the damaged
+  // frame must never come back kOk, whatever its payload.
+  const std::string payload = encode_request(sample_request());
+  const std::string frame = encode_frame(payload);
+  const std::string sentinel_payload = "sentinel";
+  const std::string sentinel = encode_frame(sentinel_payload);
+  constexpr std::size_t kLengthBegin = 4;  // the u32 length follows the magic
+  constexpr std::size_t kLengthEnd = 8;
+  std::size_t lost_in_length = 0;
+  for (std::size_t bit = 0; bit < 8 * frame.size(); ++bit) {
+    FrameReader reader;
+    reader.feed(flip_bit(frame, bit) + sentinel);
+    const std::vector<std::string> payloads = drain(reader);
+    for (const std::string& got : payloads) EXPECT_EQ(got, sentinel_payload) << "bit " << bit;
+    const bool in_length = bit / 8 >= kLengthBegin && bit / 8 < kLengthEnd;
+    if (in_length) {
+      lost_in_length += payloads.empty() ? 1 : 0;
+    } else {
+      // The length prefix was intact, so the reader resynchronises at the
+      // sentinel however the rest of the frame was damaged.
+      EXPECT_EQ(payloads.size(), 1u) << "bit " << bit << " lost the sentinel";
+    }
+  }
+  std::printf("frame sweep: %zu bit flips, sentinel lost in %zu length-prefix flips\n",
+              8 * frame.size(), lost_in_length);
+
+  const auto length = static_cast<std::uint32_t>(payload.size());
+  for (const std::uint32_t lie : {0u, length - 1, length + 1, FrameReader::kMaxPayloadBytes,
+                                  FrameReader::kMaxPayloadBytes + 1}) {
+    std::string lying = frame;
+    for (std::size_t i = 0; i < 4; ++i) {
+      lying[kLengthBegin + i] = static_cast<char>((lie >> (8 * i)) & 0xff);
+    }
+    FrameReader reader;
+    reader.feed(lying + sentinel);
+    for (const std::string& got : drain(reader)) EXPECT_EQ(got, sentinel_payload) << "length " << lie;
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -263,13 +264,16 @@ TEST(SimChurn, BoundaryErrorsThrowCheckErrorInsteadOfAborting) {
   EXPECT_THROW(
       { (void)allocator.allocate_weighted(speedups, mult, {8.0, 8.0}); },
       common::CheckError);
-  // Non-positive multiplicity likewise.
-  EXPECT_THROW(
-      {
-        (void)allocator.allocate_weighted(speedups, {1.0, 0.0, 1.0, 1.0},
-                                          {8.0, 8.0, 8.0});
-      },
-      common::CheckError);
+  // Non-positive or infinite multiplicity likewise (an infinite one would
+  // zero its user's envy-row coefficients).
+  for (const double bad : {0.0, std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(
+        {
+          (void)allocator.allocate_weighted(speedups, {1.0, bad, 1.0, 1.0},
+                                            {8.0, 8.0, 8.0});
+        },
+        common::CheckError);
+  }
 }
 
 TEST(SimChurn, DefaultResultIsNotSolved) {

@@ -221,15 +221,13 @@ TEST(AllocatorCheckpoint, EachModeRestoresWarmAndRefusesTheOtherMode) {
   common::Rng rng(17);
   const core::SpeedupMatrix w = random_matrix(rng, 6, 3);
   const std::vector<double> caps = {4.0, 3.0, 2.0};
-  core::OefOptions lp_only;
-  lp_only.use_fast_path = false;  // the non-cooperative LP, not the staircase
   for (const Mode mode : {Mode::kCooperative, Mode::kNonCooperative}) {
-    const core::OefAllocator original(mode, lp_only);
+    const core::OefAllocator original(mode);
     ASSERT_TRUE(original.allocate(w, caps).ok());
     common::SerialWriter out;
     original.save_warm_state(out);
 
-    core::OefAllocator restored(mode, lp_only);
+    core::OefAllocator restored(mode);
     common::SerialReader in(out.data());
     EXPECT_TRUE(restored.load_warm_state(in));
     EXPECT_TRUE(in.at_end());
@@ -239,8 +237,7 @@ TEST(AllocatorCheckpoint, EachModeRestoresWarmAndRefusesTheOtherMode) {
     EXPECT_EQ(actual.total_efficiency, expected.total_efficiency);
 
     core::OefAllocator other(mode == Mode::kCooperative ? Mode::kNonCooperative
-                                                        : Mode::kCooperative,
-                             lp_only);
+                                                        : Mode::kCooperative);
     common::SerialReader again(out.data());
     try {
       (void)other.load_warm_state(again);

@@ -438,8 +438,8 @@ TEST(FactoredBasis, LazyCompactionTakesTheWarmPath) {
 
   core::OefOptions tight;
   tight.max_envy_rows_total = 3 * n;  // forces repeated compactions
-  const core::AllocationResult compacted =
-      core::make_cooperative_oef(tight).allocate(w, caps);
+  const core::OefAllocator allocator = core::make_cooperative_oef(tight);
+  const core::AllocationResult compacted = allocator.allocate(w, caps);
   ASSERT_TRUE(compacted.ok());
   EXPECT_NEAR(compacted.total_efficiency, reference.total_efficiency,
               1e-6 * (1.0 + reference.total_efficiency));
@@ -447,6 +447,16 @@ TEST(FactoredBasis, LazyCompactionTakesTheWarmPath) {
   EXPECT_EQ(compacted.compactions, compacted.warm_compactions)
       << "every compaction should excise rows in place";
   EXPECT_GT(compacted.envy_rows_dropped, 0u);
+
+  // The recycled pool is the compacted final model, so an identical next
+  // call reloads that model, reuses its optimal basis and takes no pivot.
+  const std::size_t hits = allocator.solver_stats().warm_start_hits;
+  const core::AllocationResult again = allocator.allocate(w, caps);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.lp_iterations, 0u);
+  EXPECT_EQ(allocator.solver_stats().warm_start_hits, hits + 1);
+  EXPECT_NEAR(again.total_efficiency, compacted.total_efficiency,
+              1e-9 * (1.0 + compacted.total_efficiency));
 }
 
 TEST(FactoredBasis, SolverAgreesWithTableau) {

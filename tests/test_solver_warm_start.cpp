@@ -356,6 +356,7 @@ TEST(WarmStart, AllocatorRecyclesEnvyRowsAcrossCalls) {
   const core::OefAllocator persistent = core::make_cooperative_oef();
   const core::AllocationResult first = persistent.allocate(w1, caps);
   ASSERT_TRUE(first.ok());
+  const std::size_t hits = persistent.solver_stats().warm_start_hits;
   const core::AllocationResult second = persistent.allocate(w2, caps);
   ASSERT_TRUE(second.ok());
 
@@ -366,6 +367,14 @@ TEST(WarmStart, AllocatorRecyclesEnvyRowsAcrossCalls) {
   // The recycled pool lets the second call converge in fewer lazy rounds than
   // a from-scratch allocator needs.
   EXPECT_LE(second.lazy_rounds, reference.lazy_rounds);
+
+  // Round 1 reused the first call's basis (the drift leaves it a few pivots
+  // to take) and every later round resolved warm, so every pivot of the
+  // call is a warm one.
+  ASSERT_EQ(persistent.solver_stats().warm_start_hits, hits + 1);
+  ASSERT_EQ(second.warm_rounds + 1, second.lazy_rounds);
+  EXPECT_EQ(second.cold_lp_iterations, 0u);
+  EXPECT_EQ(second.warm_lp_iterations, second.lp_iterations);
 }
 
 }  // namespace
