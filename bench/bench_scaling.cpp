@@ -2,10 +2,10 @@
 //
 // This is the perf trajectory the paper's Fig. 8 / Fig. 10a evaluation
 // needs: the cooperative sweep runs to n = 1000 users on the revised simplex
-// (sparse LU + eta file basis, devex pricing). Three arms run: the product
-// (parallel separation oracle), the same solver with a serial oracle, and
+// (sparse LU + eta file basis, devex pricing). Two arms run: the product and
 // the independent full-tableau reference at small n. All arms must agree on
-// the objective to 1e-6.
+// the objective to 1e-6, and every allocation must fit capacity and be
+// envy-free and sharing-incentive to 1e-6 (core/properties.h).
 //
 // Output: a human-readable table plus machine-readable BENCH_scaling.json
 // (one record per n x arm; schema in docs/BENCHMARKS.md) so the perf
@@ -13,7 +13,7 @@
 //
 // Usage: bench_scaling [--max-n=N] [--output=PATH]
 //   --max-n=80 is the CI smoke configuration (wall-clock budgeted).
-// Exit code: number of failed cross-checks (0 = healthy).
+// Exit code: number of failed checks (0 = healthy).
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -25,6 +25,7 @@
 #include "common/rng.h"
 #include "common/table.h"
 #include "core/oef.h"
+#include "core/properties.h"
 
 namespace {
 
@@ -33,19 +34,17 @@ using namespace oef;
 struct ArmSpec {
   const char* name;
   solver::LpAlgorithm algorithm;
-  std::size_t oracle_threads;  // 0 = auto (parallel), 1 = serial
   /// Largest n this arm runs at. The tableau reference keeps every row it
   /// holds dense, so it stays at n = 40, inside the CI smoke's budget.
   std::size_t max_n;
 };
 
 constexpr ArmSpec kArms[] = {
-    // The shipped configuration: revised simplex + parallel oracle.
-    {"lu_sparse_devex", solver::LpAlgorithm::kRevised, 0, 1000},
-    {"lu_sparse_devex_serial_oracle", solver::LpAlgorithm::kRevised, 1, 150},
+    // The shipped configuration: the revised simplex.
+    {"lu_sparse_devex", solver::LpAlgorithm::kRevised, 1000},
     // Independent cross-check: every LP of the lazy loop handed to the
     // full-tableau reference solver.
-    {"tableau", solver::LpAlgorithm::kTableau, 0, 40},
+    {"tableau", solver::LpAlgorithm::kTableau, 40},
 };
 
 struct RunRecord {
@@ -62,7 +61,13 @@ struct RunRecord {
   std::size_t envy_rows_dropped = 0;
   std::size_t warm_compactions = 0;
   std::size_t lp_iterations = 0;
+  bool fits_capacity = false;
+  bool envy_free = false;
+  bool sharing_incentive = false;
 };
+
+/// Tolerance of the capacity and Table 1 property checks.
+constexpr double kPropertyTol = 1e-6;
 
 core::SpeedupMatrix make_instance(std::size_t n, std::size_t k) {
   // Deterministic synthetic tenants: monotone per-row speedups with random
@@ -84,7 +89,6 @@ RunRecord run_arm(std::size_t n, const ArmSpec& arm) {
 
   core::OefOptions options;
   options.solver.algorithm = arm.algorithm;
-  options.oracle_threads = arm.oracle_threads;
   const core::OefAllocator allocator = core::make_cooperative_oef(options);
 
   const auto start = std::chrono::steady_clock::now();
@@ -107,6 +111,10 @@ RunRecord run_arm(std::size_t n, const ArmSpec& arm) {
   record.envy_rows_dropped = result.envy_rows_dropped;
   record.warm_compactions = result.warm_compactions;
   record.lp_iterations = result.lp_iterations;
+  record.fits_capacity = result.allocation.respects_capacity(caps, kPropertyTol);
+  record.envy_free = core::check_envy_freeness(w, result.allocation, kPropertyTol).envy_free;
+  record.sharing_incentive =
+      core::check_sharing_incentive(w, result.allocation, caps, kPropertyTol).sharing_incentive;
   return record;
 }
 
@@ -125,11 +133,13 @@ void write_json(const std::vector<RunRecord>& records, const std::string& path) 
                  "\"solver_seconds\": %.6f, \"oracle_seconds\": %.6f, "
                  "\"lazy_rounds\": %zu, \"envy_rows_added\": %zu, "
                  "\"envy_rows_dropped\": %zu, \"warm_compactions\": %zu, "
-                 "\"lp_iterations\": %zu}%s\n",
+                 "\"lp_iterations\": %zu, \"fits_capacity\": %s, \"envy_free\": %s, "
+                 "\"sharing_incentive\": %s}%s\n",
                  r.n, r.arm.c_str(), r.basis.c_str(), r.ok ? "true" : "false",
                  r.objective, r.wall_seconds, r.solver_seconds, r.oracle_seconds,
                  r.lazy_rounds, r.envy_rows_added, r.envy_rows_dropped,
-                 r.warm_compactions, r.lp_iterations,
+                 r.warm_compactions, r.lp_iterations, r.fits_capacity ? "true" : "false",
+                 r.envy_free ? "true" : "false", r.sharing_incentive ? "true" : "false",
                  i + 1 < records.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
@@ -189,13 +199,16 @@ int main(int argc, char** argv) {
     const RunRecord* reference = nullptr;
     for (const RunRecord& r : records) {
       if (r.n != n) continue;
-      check("n=" + std::to_string(n) + " " + r.arm + " optimal", r.ok);
+      const std::string label = "n=" + std::to_string(n) + " " + r.arm;
+      check(label + " optimal", r.ok);
+      check(label + " fits capacity", r.fits_capacity);
+      check(label + " envy-free", r.envy_free);
+      check(label + " sharing-incentive", r.sharing_incentive);
       if (reference == nullptr) {
         reference = &r;
         continue;
       }
-      check("n=" + std::to_string(n) + " " + r.arm + " objective matches " +
-                reference->arm + " within 1e-6",
+      check(label + " objective matches " + reference->arm + " within 1e-6",
             std::abs(r.objective - reference->objective) <=
                 1e-6 * (1.0 + std::abs(reference->objective)));
     }

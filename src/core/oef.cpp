@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -71,13 +70,6 @@ void build_base_model(LpModel& model, const SpeedupMatrix& w,
                                            const SpeedupMatrix& speedups) {
   const solver::LpSolution solution = solver.solve(std::move(model));
   AllocationResult result;
-  result.status = solution.status;
-  result.lp_iterations = solution.iterations;
-  if (solution.warm_started) {
-    result.warm_lp_iterations = solution.iterations;
-  } else {
-    result.cold_lp_iterations = solution.iterations;
-  }
   if (!solution.optimal()) {
     result.outcome = AllocationStatus::kFailed;
     return result;
@@ -125,18 +117,6 @@ void build_base_model(LpModel& model, const SpeedupMatrix& w,
                     "ef_" + std::to_string(l) + "_" + std::to_string(i)};
 }
 
-/// Worker count for the separation oracle. An explicit `configured` count is
-/// honoured as-is (so determinism tests can force 2 or 4 workers on small
-/// instances); automatic mode engages threads only when the O(n^2 k) scan is
-/// big enough to amortise the fork/join.
-[[nodiscard]] std::size_t oracle_worker_count(std::size_t configured, std::size_t n) {
-  if (configured == 1) return 1;
-  if (configured != 0) return std::min(configured, n);
-  if (n < 64) return 1;
-  const std::size_t hardware = std::thread::hardware_concurrency();
-  return std::min<std::size_t>(std::max<std::size_t>(hardware, 1), std::min<std::size_t>(n, 8));
-}
-
 }  // namespace
 
 const char* to_string(AllocationStatus status) {
@@ -174,14 +154,18 @@ AllocationResult OefAllocator::allocate_weighted(
                   "capacities must match the speedup matrix's type count");
   OEF_REQUIRE_MSG(user_ids.empty() || user_ids.size() == speedups.num_users(),
                   "user_ids must be empty or match the user count");
-  // Every LP this call solves goes through solver_, so its seconds and
-  // ladder counters are the deltas of the solver's cumulative stats.
+  // Every LP this call solves goes through solver_, so its pivots, seconds
+  // and ladder counters are the deltas of the solver's cumulative stats.
   const solver::LpSolverStats before = solver_.stats();
   AllocationResult result =
       mode_ == Mode::kNonCooperative
           ? solve_non_cooperative(speedups, multiplicities, capacities)
           : solve_cooperative(speedups, multiplicities, capacities, user_ids);
   const solver::LpSolverStats& after = solver_.stats();
+  result.lp_iterations = after.total_iterations - before.total_iterations;
+  result.warm_lp_iterations = after.warm_iterations - before.warm_iterations;
+  result.cold_lp_iterations = result.lp_iterations - result.warm_lp_iterations;
+  result.warm_rounds = after.warm_resolves - before.warm_resolves;
   result.solve_seconds = after.solve_seconds - before.solve_seconds;
   result.tableau_fallbacks = after.tableau_fallbacks - before.tableau_fallbacks;
   result.basis_repairs = after.basis_repairs - before.basis_repairs;
@@ -305,55 +289,33 @@ AllocationResult OefAllocator::solve_cooperative(
     }
   }
 
-  // Lazy row generation: each round adds, for every user, the envy row of
-  // the pair it envies most (the first such pair on exact ties). Only a
-  // small set is active at the optimum. Pairs whose row was dropped again
-  // by compaction are re-emitted once the violation is genuine (past
-  // kReaddTolerance). The per-user scans are independent, so they shard
-  // across a small worker pool; the merge walks users in index order,
-  // making the emitted rows identical for every thread count.
-  const std::size_t workers = oracle_worker_count(options_.oracle_threads, n);
+  // Lazy row generation: each round adds, for every user in index order,
+  // the envy row of the pair it envies most (the first such pair on exact
+  // ties). Only a small set is active at the optimum. Pairs whose row was
+  // dropped again by compaction are re-emitted once the violation is genuine
+  // (past kReaddTolerance). User l's scan reads only its own pairs' `added`
+  // marks, so marking its row straight away cannot affect a later user.
   double oracle_seconds = 0.0;
 
   const auto oracle = [&](const std::vector<double>& point) {
     const double oracle_start = common::monotonic_seconds();
-    // Per user, the most-envied user, or SIZE_MAX when no envy is violated.
-    std::vector<std::size_t> worst(n, SIZE_MAX);
-    const auto scan_users = [&](std::size_t begin, std::size_t end) {
-      for (std::size_t l = begin; l < end; ++l) {
-        const double own = scaled_efficiency(speedups, multiplicities, point, l);
-        double worst_gap = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-          if (i == l) continue;
-          const double gap = envied_efficiency(speedups, multiplicities, point, l, i) - own;
-          const double threshold = added[l * n + i] ? kReaddTolerance : kEnvyTolerance;
-          if (gap > threshold && (worst[l] == SIZE_MAX || gap > worst_gap)) {
-            worst[l] = i;
-            worst_gap = gap;
-          }
-        }
-      }
-    };
-    if (workers <= 1) {
-      scan_users(0, n);
-    } else {
-      const std::size_t chunk = (n + workers - 1) / workers;
-      std::vector<std::thread> pool;
-      pool.reserve(workers - 1);
-      for (std::size_t w = 1; w < workers; ++w) {
-        const std::size_t begin = std::min(n, w * chunk);
-        const std::size_t end = std::min(n, begin + chunk);
-        if (begin < end) pool.emplace_back(scan_users, begin, end);
-      }
-      scan_users(0, std::min(n, chunk));
-      for (std::thread& worker : pool) worker.join();
-    }
     std::vector<Constraint> violated;
     for (std::size_t l = 0; l < n; ++l) {
-      const std::size_t i = worst[l];
-      if (i == SIZE_MAX) continue;
-      violated.push_back(envy_row(speedups, multiplicities, l, i));
-      added[l * n + i] = 1;
+      const double own = scaled_efficiency(speedups, multiplicities, point, l);
+      std::size_t worst = SIZE_MAX;  // the most-envied user, if any envy is violated
+      double worst_gap = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (i == l) continue;
+        const double gap = envied_efficiency(speedups, multiplicities, point, l, i) - own;
+        const double threshold = added[l * n + i] ? kReaddTolerance : kEnvyTolerance;
+        if (gap > threshold && (worst == SIZE_MAX || gap > worst_gap)) {
+          worst = i;
+          worst_gap = gap;
+        }
+      }
+      if (worst == SIZE_MAX) continue;
+      violated.push_back(envy_row(speedups, multiplicities, l, worst));
+      added[l * n + worst] = 1;
     }
     oracle_seconds += common::monotonic_seconds() - oracle_start;
     return violated;
@@ -369,16 +331,11 @@ AllocationResult OefAllocator::solve_cooperative(
   lazy.set_deadline(options_.deadline);
   const solver::LazySolveResult lazy_result = lazy.solve(solver_, std::move(model), oracle);
   AllocationResult result;
-  result.status = lazy_result.solution.status;
-  result.lp_iterations = lazy_result.total_iterations;
   result.lazy_rounds = lazy_result.rounds;
   result.envy_rows_added = lazy_result.rows_added;
   result.envy_rows_dropped = lazy_result.rows_dropped;
   result.compactions = lazy_result.compactions;
   result.warm_compactions = lazy_result.warm_compactions;
-  result.warm_rounds = lazy_result.warm_rounds;
-  result.cold_lp_iterations = lazy_result.cold_iterations;
-  result.warm_lp_iterations = lazy_result.warm_iterations;
   result.oracle_seconds = oracle_seconds;
   result.deadline_expired = lazy_result.deadline_expired;
   oracle_seconds_total_ += oracle_seconds;
@@ -393,7 +350,6 @@ AllocationResult OefAllocator::solve_cooperative(
     // capacity-feasible (the capacity rows are permanent), some envy rows
     // possibly violated. Serve it, flagged as degraded, instead of the old
     // behaviour of returning an empty allocation.
-    result.status = solver::SolveStatus::kIterationLimit;
     result.outcome = AllocationStatus::kDegraded;
   } else {
     result.outcome = AllocationStatus::kOptimal;

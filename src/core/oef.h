@@ -46,11 +46,6 @@ struct OefOptions {
   /// re-violated and must be rediscovered). 0 = automatic (max(16n, 512));
   /// SIZE_MAX disables compaction entirely.
   std::size_t max_envy_rows_total = 0;
-  /// Worker threads for the O(n^2 k) envy separation oracle. 0 = automatic
-  /// (hardware concurrency, capped at 8, engaged only at n >= 64); 1 forces
-  /// a serial scan. The generated rows are identical for every thread count
-  /// (per-user scans are independent and merged in user order).
-  std::size_t oracle_threads = 0;
   /// Cooperative mode: seed the next allocate() call's relaxation with the
   /// envy rows of this call's final relaxation (see allocate_weighted), so
   /// round-over-round calls in the simulator typically converge in one
@@ -100,11 +95,11 @@ struct AllocationResult {
   /// Servability of this result (see AllocationStatus). Starts at kNotSolved
   /// so an unpopulated result can never masquerade as a solver failure.
   AllocationStatus outcome = AllocationStatus::kNotSolved;
-  /// Final LP solve status — diagnostic detail under `outcome`.
-  solver::SolveStatus status = solver::SolveStatus::kIterationLimit;
   /// Σ w_l · x_l at the optimum.
   double total_efficiency = 0.0;
-  /// Simplex pivots across all LP solves of this call.
+  /// Simplex pivots across all LP solves of this call, failed warm attempts
+  /// and tableau fallbacks included (a delta of the solver's
+  /// total_iterations, like every solver counter below).
   std::size_t lp_iterations = 0;
   /// Cooperative-lazy statistics (zero otherwise).
   std::size_t lazy_rounds = 0;
@@ -116,8 +111,9 @@ struct AllocationResult {
   std::size_t compactions = 0;
   std::size_t warm_compactions = 0;
   /// Lazy rounds >= 2 completed by a warm dual-simplex resolve, and the
-  /// pivot split between cold and warm work (a solve that reused the
-  /// previous call's basis counts as warm, round 1 included).
+  /// pivot split: warm pivots are those of solves and resolves that returned
+  /// warm_started (a solve that reused the previous call's basis counts,
+  /// round 1 included); every other pivot is cold.
   std::size_t warm_rounds = 0;
   std::size_t cold_lp_iterations = 0;
   std::size_t warm_lp_iterations = 0;

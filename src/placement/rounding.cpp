@@ -18,10 +18,6 @@ double DeviationRounder::deviation(std::size_t user, std::size_t type) const {
   return dev_[user][type];
 }
 
-void DeviationRounder::reset() {
-  for (auto& row : dev_) std::fill(row.begin(), row.end(), 0.0);
-}
-
 void DeviationRounder::resize(std::size_t num_users) {
   dev_.resize(num_users, std::vector<double>(num_types_, 0.0));
 }

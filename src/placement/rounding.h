@@ -31,9 +31,6 @@ class DeviationRounder {
   /// Cumulative deviation of one user/type pair (for tests & metrics).
   [[nodiscard]] double deviation(std::size_t user, std::size_t type) const;
 
-  /// Resets all deviations (e.g. when the tenant set changes shape).
-  void reset();
-
   /// Grows the tracker when users join; new users start at zero deviation.
   void resize(std::size_t num_users);
 

@@ -7,6 +7,8 @@
 #include <utility>
 
 #include <poll.h>
+#include <pthread.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -67,7 +69,12 @@ void Daemon::stop() {
   // shutdown() wakes accept(); the descriptor is closed only once the accept
   // thread, which reads listen_fd_, has exited (a freed number can be reused).
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  shutdown_cv_.notify_all();
+  {
+    // Under mu_, so a wait() on another thread cannot test stopping_ just
+    // before this store and then sleep through the notification.
+    std::lock_guard<std::mutex> lock(mu_);
+    shutdown_cv_.notify_all();
+  }
   if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -145,7 +152,6 @@ void Daemon::serve_connection(int fd) {
       const FrameStatus status = reader.next(payload);
       if (status == FrameStatus::kNeedMore) break;
       if (status == FrameStatus::kCorrupt) {
-        corrupt_frames_.fetch_add(1);
         Response response;
         response.request_id = 0;  // untrusted bytes: the real id is unknowable
         response.status = StatusCode::kInvalidArgument;
@@ -203,6 +209,33 @@ void Daemon::serve_connection(int fd) {
     }
   }
   ::close(fd);
+}
+
+void run_daemon(const ServiceOptions& service_options, const DaemonOptions& daemon_options) {
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGINT);
+  sigaddset(&stop_signals, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
+
+  AllocatorService service(service_options);
+  if (service.restored_from_checkpoint()) {
+    common::log_info(std::string("restored from checkpoint (") +
+                     (service.restored_warm() ? "warm" : "cold") + ")");
+  }
+  Daemon daemon(service, daemon_options);
+  daemon.start();
+  std::thread stopper([&] {
+    int signal = 0;
+    sigwait(&stop_signals, &signal);
+    daemon.stop();
+  });
+  daemon.wait();
+  // A kShutdown request ended wait(): wake the stopper. If a signal ended
+  // it, the stopper is already past sigwait, and this one stays blocked on
+  // it until the thread exits and discards it.
+  pthread_kill(stopper.native_handle(), SIGTERM);
+  stopper.join();
 }
 
 }  // namespace oef::service

@@ -22,7 +22,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -64,8 +63,6 @@ class Daemon {
   void stop();
 
   [[nodiscard]] const std::string& socket_path() const { return options_.socket_path; }
-  /// Checksum-corrupt frames seen across all connections.
-  [[nodiscard]] std::uint64_t corrupt_frames() const { return corrupt_frames_.load(); }
 
  private:
   void accept_loop();
@@ -76,7 +73,6 @@ class Daemon {
   DaemonOptions options_;
   int listen_fd_ = -1;
   std::atomic<bool> stopping_{false};
-  std::atomic<std::uint64_t> corrupt_frames_{0};
 
   std::mutex mu_;
   std::condition_variable shutdown_cv_;
@@ -90,5 +86,14 @@ class Daemon {
   std::mutex fault_mu_;
   WireFaultInjector response_faults_;
 };
+
+/// oefd's serving loop: builds the service and its daemon, serves until
+/// SIGINT, SIGTERM or a kShutdown request, then drains and stops. SIGINT and
+/// SIGTERM are blocked before the first thread starts, so every thread
+/// inherits the mask, and one thread takes them with sigwait and is the only
+/// caller of Daemon::stop(): a signal drains the daemon whichever of its
+/// threads the kernel hands it to. Throws CheckError when the checkpoint
+/// cannot be restored or the socket cannot be bound.
+void run_daemon(const ServiceOptions& service_options, const DaemonOptions& daemon_options);
 
 }  // namespace oef::service

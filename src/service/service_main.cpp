@@ -16,7 +16,8 @@
 //   --queue-depth=N        admission-control bound (default 64)
 //   --coalesce-ms=M        batch window for close-together updates (default 0)
 //   --deadline-ms=M        default per-request budget (default 0 = none)
-#include <csignal>
+//
+// SIGINT and SIGTERM drain and stop the daemon (see run_daemon).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -24,17 +25,10 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/logging.h"
 #include "service/daemon.h"
 #include "service/service.h"
 
 namespace {
-
-oef::service::Daemon* g_daemon = nullptr;
-
-void handle_signal(int) {
-  if (g_daemon != nullptr) g_daemon->stop();
-}
 
 [[nodiscard]] std::vector<double> parse_csv(const std::string& text) {
   std::vector<double> values;
@@ -92,19 +86,7 @@ int main(int argc, char** argv) {
   }
 
   try {
-    oef::service::AllocatorService service(service_options);
-    if (service.restored_from_checkpoint()) {
-      oef::common::log_info(std::string("restored from checkpoint (") +
-                            (service.restored_warm() ? "warm" : "cold") + ")");
-    }
-    oef::service::Daemon daemon(service, daemon_options);
-    g_daemon = &daemon;
-    std::signal(SIGINT, handle_signal);
-    std::signal(SIGTERM, handle_signal);
-    daemon.start();
-    daemon.wait();
-    daemon.stop();
-    g_daemon = nullptr;
+    oef::service::run_daemon(service_options, daemon_options);
   } catch (const oef::common::CheckError& error) {
     std::fprintf(stderr, "oefd: %s\n", error.what());
     return 1;

@@ -94,11 +94,6 @@ SimResult SimulationEngine::run() {
   // Telemetry of schedulers already torn down by the cold-restart arm.
   sched::SchedulerTelemetry retired_telemetry;
 
-  workload::ProfilerOptions profiler_options;
-  profiler_options.error_rate = options_.profiling_error;
-  profiler_options.seed = options_.seed;
-  workload::Profiler profiler(*catalog_, gpu_names_, profiler_options);
-
   std::vector<workload::Job>& jobs = trace_.jobs;
   std::vector<JobState> job_state(jobs.size());
 

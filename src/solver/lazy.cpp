@@ -48,14 +48,6 @@ LazySolveResult LazyConstraintSolver::solve(LpSolver& solver, LpModel model,
     // or, when a refused compaction dropped it, solve the working model
     // cold.
     result.solution = result.rounds == 1 ? solver.solve(std::move(model)) : solver.resolve();
-    result.total_iterations += result.solution.iterations;
-    // A round-1 solve that reused the previous basis is warm work too.
-    if (result.solution.warm_started) {
-      if (result.rounds > 1) ++result.warm_rounds;
-      result.warm_iterations += result.solution.iterations;
-    } else {
-      result.cold_iterations += result.solution.iterations;
-    }
     if (!result.solution.optimal()) return result;
 
     std::vector<Constraint> violated = oracle(result.solution.values);

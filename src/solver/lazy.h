@@ -32,6 +32,8 @@ namespace oef::solver {
 using SeparationOracle =
     std::function<std::vector<Constraint>(const std::vector<double>& point)>;
 
+/// Loop counters of one lazy session. The solver's own counters (pivots,
+/// warm resolves, seconds) live in LpSolver::stats() alone.
 struct LazySolveResult {
   LpSolution solution;
   /// Number of solve / separate rounds performed.
@@ -51,21 +53,12 @@ struct LazySolveResult {
   /// reported solution is the last relaxation's optimum (capacity-feasible,
   /// envy rows approximate), not converged.
   bool deadline_expired = false;
-  /// Rounds >= 2 completed by a warm (dual-simplex) resolve.
-  std::size_t warm_rounds = 0;
-  /// Simplex pivots across all rounds.
-  std::size_t total_iterations = 0;
-  /// Pivots spent in cold solves (a round-1 solve without basis reuse, and
-  /// any warm-path fallbacks).
-  std::size_t cold_iterations = 0;
-  /// Pivots spent warm: warm resolves, and a round-1 solve that reused the
-  /// previous basis.
-  std::size_t warm_iterations = 0;
 };
 
 /// Configured by the caller per session: the round cap, optional
 /// compaction and an optional deadline. Solver options live on the LpSolver
-/// passed to solve(), and the solver's stats() carry its seconds.
+/// passed to solve(), and the solver's stats() carry its pivots, warm
+/// resolves and seconds.
 class LazyConstraintSolver {
  public:
   explicit LazyConstraintSolver(std::size_t max_rounds = 200) : max_rounds_(max_rounds) {}

@@ -162,7 +162,6 @@ class LpSolver::Core {
   std::vector<double> xb_;
 
   std::size_t iterations_ = 0;
-  std::size_t phase1_iterations_ = 0;
   std::size_t dual_iterations_ = 0;
   std::size_t basis_repairs_ = 0;
   FaultInjector* injector_ = nullptr;  // non-owning; from SolverOptions
@@ -262,7 +261,7 @@ void LpSolver::Core::load(const LpModel& model, const SolverOptions& options) {
   primal_weights_.assign(num_cols_, 1.0);
   dual_weights_.assign(m_, 1.0);
 
-  iterations_ = phase1_iterations_ = dual_iterations_ = 0;
+  iterations_ = dual_iterations_ = 0;
   basis_repairs_ = 0;
   injector_ = options.fault_injector;
 }
@@ -570,7 +569,6 @@ SolveStatus LpSolver::Core::run_primal(bool phase1, const SolverOptions& options
       for (std::size_t i = 0; i < m_; ++i) xb_[i] -= t_bound * dir * w[i];
       set_at_upper(enter, dir > 0.0);
       ++iterations_;
-      if (phase1) ++phase1_iterations_;
     } else {
       std::vector<double> rho;
       if (!bland) rho = basis_.btran_unit(leave);  // pre-pivot copy
@@ -587,7 +585,6 @@ SolveStatus LpSolver::Core::run_primal(bool phase1, const SolverOptions& options
       basis_.pivot(leave, enter, w);
       maybe_corrupt_eta();
       ++iterations_;
-      if (phase1) ++phase1_iterations_;
       if (!bland) update_primal_devex(rho, enter, leaving_col, w[leave]);
     }
 
@@ -837,7 +834,7 @@ bool LpSolver::Core::install(const std::vector<std::size_t>& basic,
 }
 
 SolveStatus LpSolver::Core::reoptimize(const SolverOptions& options, bool dual_feasible) {
-  iterations_ = phase1_iterations_ = dual_iterations_ = 0;
+  iterations_ = dual_iterations_ = 0;
   // The perturbation exists to help cold starts through degenerate phase-1
   // vertices; a warm start lands near the optimum, so reoptimise exactly.
   b_ = b_exact_;
@@ -1089,7 +1086,6 @@ void LpSolver::Core::extract(const LpModel& model, LpSolution& out) const {
   }
 
   out.iterations = iterations_;
-  out.phase1_iterations = phase1_iterations_;
   out.dual_iterations = dual_iterations_;
 }
 
@@ -1106,22 +1102,6 @@ LpSolver::LpSolver(SolverOptions options) : options_(options) {}
 LpSolver::~LpSolver() = default;
 LpSolver::LpSolver(LpSolver&&) noexcept = default;
 LpSolver& LpSolver::operator=(LpSolver&&) noexcept = default;
-
-LpSolver::LpSolver(const LpSolver& other)
-    : options_(other.options_),
-      model_(other.model_),
-      core_(other.core_ ? std::make_unique<Core>(*other.core_) : nullptr),
-      stats_(other.stats_) {}
-
-LpSolver& LpSolver::operator=(const LpSolver& other) {
-  if (this != &other) {
-    options_ = other.options_;
-    model_ = other.model_;
-    core_ = other.core_ ? std::make_unique<Core>(*other.core_) : nullptr;
-    stats_ = other.stats_;
-  }
-  return *this;
-}
 
 bool LpSolver::has_basis() const { return core_ != nullptr; }
 
@@ -1188,6 +1168,7 @@ LpSolution LpSolver::reoptimize_or_cold(std::unique_ptr<Core> core, bool dual_fe
     LpSolution solution;
     if (keep_if_optimal(std::move(core), status, solution)) {
       solution.warm_started = true;
+      stats_.warm_iterations += solution.iterations;
       return solution;
     }
   }

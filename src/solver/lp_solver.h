@@ -75,8 +75,13 @@ struct LpSolverStats {
   /// Deficient basis positions patched with unit columns during
   /// refactorisation (the singular-basis repair path; see Core::refactor).
   std::size_t basis_repairs = 0;
-  /// Simplex pivots across all calls (primal + dual, all phases).
+  /// Simplex pivots across all calls (primal + dual, all phases), failed
+  /// warm attempts and tableau fallbacks included.
   std::size_t total_iterations = 0;
+  /// The pivots of solve() and resolve() calls that returned warm_started
+  /// (the calls warm_start_hits and warm_resolves count); the rest of
+  /// total_iterations is cold work.
+  std::size_t warm_iterations = 0;
   /// Wall-clock seconds spent inside solve()/resolve().
   double solve_seconds = 0.0;
 };
@@ -85,8 +90,6 @@ class LpSolver {
  public:
   explicit LpSolver(SolverOptions options = {});
   ~LpSolver();
-  LpSolver(const LpSolver& other);
-  LpSolver& operator=(const LpSolver& other);
   LpSolver(LpSolver&&) noexcept;
   LpSolver& operator=(LpSolver&&) noexcept;
 

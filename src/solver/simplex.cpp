@@ -48,7 +48,6 @@ class Tableau {
       if (repair >= kMaxRepairs || !refactor()) break;
       if (price(cost_row1_, /*allow_artificial=*/true, /*bland=*/false) == SIZE_MAX) break;
     }
-    phase1_iterations_ = iterations_;
     if (-cost_row1_[width_ - 1] > 1e-6) return SolveStatus::kInfeasible;
     drive_out_artificials();
 
@@ -90,7 +89,6 @@ class Tableau {
   [[nodiscard]] double row_dual(std::size_t i) const { return -cost_row2_[unit_col_[i]]; }
 
   [[nodiscard]] std::size_t iterations() const { return iterations_; }
-  [[nodiscard]] std::size_t phase1_iterations() const { return phase1_iterations_; }
 
  private:
   static constexpr int kMaxRepairs = 4;
@@ -387,7 +385,6 @@ class Tableau {
   std::size_t width_ = 0;
   std::size_t artificial_start_ = 0;
   std::size_t iterations_ = 0;
-  std::size_t phase1_iterations_ = 0;
   bool perturbed_ = false;
   std::vector<double> exact_rhs_;
   std::vector<std::vector<double>> rows_;
@@ -418,7 +415,6 @@ LpSolution SimplexSolver::solve(const LpModel& model) const {
     Tableau tableau(sf, options_, /*conservative=*/attempt == 1);
     solution.status = tableau.run();
     solution.iterations += tableau.iterations();
-    solution.phase1_iterations += tableau.phase1_iterations();
     if (solution.status == SolveStatus::kInfeasible && attempt == 0) {
       // The rhs perturbation of equality rows can manufacture infeasibility;
       // only the exact (conservative) solve may declare it.

@@ -55,7 +55,6 @@ struct LpSolution {
   /// in the model's sense. Empty unless optimal.
   std::vector<double> duals;
   std::size_t iterations = 0;
-  std::size_t phase1_iterations = 0;
   /// Pivots spent in dual-simplex reoptimisation (warm resolves only).
   std::size_t dual_iterations = 0;
   /// True when this solution was reached from a prior basis (either a

@@ -82,13 +82,12 @@ TEST(Rounding, StarvedUserEventuallyServed) {
   EXPECT_TRUE(served);
 }
 
-TEST(Rounding, DeviationResetAndResize) {
+TEST(Rounding, DeviationResizeKeepsExistingUsers) {
   DeviationRounder rounder(1, 1);
   (void)rounder.round(make_ideal({{0.5}}), {1.0}, {1});
   EXPECT_NE(rounder.deviation(0, 0), 0.0);
-  rounder.reset();
-  EXPECT_EQ(rounder.deviation(0, 0), 0.0);
   rounder.resize(3);
+  EXPECT_NE(rounder.deviation(0, 0), 0.0);
   EXPECT_EQ(rounder.deviation(2, 0), 0.0);
 }
 

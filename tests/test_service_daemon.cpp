@@ -1,13 +1,18 @@
 // End-to-end daemon tests (PR 9): the framed socket protocol under a real
 // Unix-domain transport, client retry + idempotency against injected wire
-// faults on both paths, clean shutdown, and the kill -9 chaos contract — a
+// faults on both paths, clean shutdown, the kill -9 chaos contract — a
 // SIGKILLed daemon restarted from its checkpoint forgets nothing it
-// acknowledged and comes back warm.
+// acknowledged and comes back warm — and SIGTERM draining the daemon
+// whichever of its threads receives it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <sys/types.h>
@@ -150,25 +155,24 @@ TEST(Daemon, ShutdownRequestDrainsAndStops) {
 
 // --- kill -9 + restart chaos ----------------------------------------------
 
-/// Runs a daemon in a forked child (no exec: the child shares the binary).
-/// Returns the child pid; the child serves until SIGKILLed.
-pid_t spawn_daemon(const std::string& socket_path, const std::string& checkpoint_path) {
+/// Runs oefd's serving loop in a forked child (no exec: the child shares the
+/// binary). Returns the child pid; the child serves until a signal or a
+/// shutdown request, and exits 0 after a clean stop (1 on CheckError).
+pid_t spawn_daemon(const std::string& socket_path, const std::string& checkpoint_path = {}) {
   const pid_t pid = fork();
   if (pid != 0) return pid;
-  // Child. Serve forever; _exit so no gtest/atexit machinery runs here.
-  {
-    ServiceOptions service_options;
-    service_options.capacities = {4.0, 2.0, 2.0};
+  // Child. _exit so no gtest/atexit machinery runs here.
+  int status = 0;
+  try {
+    ServiceOptions service_options = base_service_options();
     service_options.checkpoint_path = checkpoint_path;
-    AllocatorService service(service_options);
     DaemonOptions daemon_options;
     daemon_options.socket_path = socket_path;
-    Daemon daemon(service, daemon_options);
-    daemon.start();
-    daemon.wait();
-    daemon.stop();
+    run_daemon(service_options, daemon_options);
+  } catch (const common::CheckError&) {
+    status = 1;
   }
-  _exit(0);
+  _exit(status);
 }
 
 void await_daemon(const std::string& socket_path) {
@@ -256,6 +260,102 @@ TEST(DaemonChaos, Kill9LosesNoAcknowledgedUpdateAndRestoresWarm) {
   waitpid(daemon_pid, nullptr, 0);
   std::remove(checkpoint_path.c_str());
   std::remove(socket_path.c_str());
+}
+
+// --- signals ---------------------------------------------------------------
+
+/// Thread ids of process `pid` in ascending order. The daemon starts its
+/// threads in a fixed order, so one index names the same thread in every
+/// fresh daemon.
+std::vector<pid_t> thread_ids(pid_t pid) {
+  std::vector<pid_t> ids;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/" + std::to_string(pid) + "/task")) {
+    ids.push_back(static_cast<pid_t>(std::stol(entry.path().filename().string())));
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+/// Reaps a forked daemon: await() waits for its exit; a guard still holding
+/// the pid when it goes out of scope (a failed assertion) SIGKILLs it, so no
+/// test leaves a daemon running.
+class Child {
+ public:
+  explicit Child(pid_t pid) : pid_(pid) {}
+  ~Child() {
+    if (pid_ > 0) {
+      kill(pid_, SIGKILL);
+      waitpid(pid_, nullptr, 0);
+    }
+  }
+  Child(const Child&) = delete;
+  Child& operator=(const Child&) = delete;
+
+  [[nodiscard]] pid_t pid() const { return pid_; }
+
+  /// Exit status once the child exits within `seconds`; -1 (after SIGKILL)
+  /// if it does not.
+  int await(double seconds) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::duration<double>(seconds);
+    int status = 0;
+    while (waitpid(pid_, &status, WNOHANG) == 0) {
+      if (std::chrono::steady_clock::now() > give_up) return -1;  // the destructor kills it
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    pid_ = 0;
+    return status;
+  }
+
+ private:
+  pid_t pid_;
+};
+
+TEST(DaemonSignals, SigtermToAnyThreadDrainsAndExitsCleanly) {
+  // kill(tid, SIGTERM) is process-directed but lands on thread `tid` first
+  // when that thread does not block it. A handler that ran Daemon::stop() on
+  // the thread it interrupted aborted on every thread but main (stop() joins
+  // threads, so on the accept thread it joined itself).
+  const std::string socket_path = ::testing::TempDir() + "/oefd_signal.sock";
+  std::size_t num_threads = 1;  // read from each daemon
+  for (std::size_t t = 0; t < num_threads; ++t) {
+    SCOPED_TRACE("thread index " + std::to_string(t));
+    Child daemon(spawn_daemon(socket_path));
+    ASSERT_GT(daemon.pid(), 0);
+    await_daemon(socket_path);
+    ClientOptions options;
+    options.socket_path = socket_path;
+    AllocatorClient client(options);
+    ASSERT_EQ(client.call(add_tenant("alice", {1.0, 2.0, 3.0})).status, StatusCode::kOk);
+
+    const std::vector<pid_t> ids = thread_ids(daemon.pid());
+    // Main, the service worker, accept, one connection and the signal
+    // thread; a sanitizer runtime may add one of its own.
+    ASSERT_GE(ids.size(), 5u);
+    ASSERT_LT(t, ids.size());
+    num_threads = ids.size();
+    ASSERT_EQ(kill(ids[t], SIGTERM), 0);
+    const int status = daemon.await(10.0);
+    ASSERT_TRUE(WIFEXITED(status)) << "status " << status;
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+  }
+}
+
+TEST(DaemonSignals, ShutdownRequestEndsTheServingLoop) {
+  const std::string socket_path = ::testing::TempDir() + "/oefd_signal_shutdown.sock";
+  Child daemon(spawn_daemon(socket_path));
+  ASSERT_GT(daemon.pid(), 0);
+  await_daemon(socket_path);
+  ClientOptions options;
+  options.socket_path = socket_path;
+  AllocatorClient client(options);
+  Request shutdown_request;
+  shutdown_request.type = MessageType::kShutdown;
+  EXPECT_EQ(client.call(shutdown_request).status, StatusCode::kOk);
+  const int status = daemon.await(10.0);
+  ASSERT_TRUE(WIFEXITED(status)) << "status " << status;
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 }  // namespace

@@ -5,17 +5,27 @@
 // rewrite must either restore a service that then answers an allocate, or
 // make construction throw CheckError (for oefd: exit 1 with a message). A
 // rewrite that aborts the process fails the whole test binary.
+//
+// Two bit-flip sweeps reach what whole-token rewrites do not (broken
+// hexfloats, merged tokens, flipped checksums): every single bit of a
+// checkpoint file flipped, which the container must refuse, and every single
+// bit of an allocator warm record flipped, which exercises the solver
+// checkpoint loader on its own, behind no checksum.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <iterator>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "common/serial.h"
+#include "core/oef.h"
 #include "service/checkpoint.h"
 #include "service/service.h"
 
@@ -125,6 +135,86 @@ void sweep_checkpoint(core::OefAllocator::Mode mode, const char* name, std::size
   std::printf("restore sweep (%s): %zu tokens, %zu restored and answered, %zu refused\n",
               name, spans.size(), restored, refused);
   std::remove(path.c_str());
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+TEST(ServiceRestoreSweep, EverySingleBitFlipOfTheFileIsRefused) {
+  const std::string path = ::testing::TempDir() + "/oef_bitflip_sweep.ckpt";
+  std::remove(path.c_str());
+  {
+    AllocatorService service(sweep_options(core::OefAllocator::Mode::kCooperative, path));
+    ASSERT_EQ(service.handle(make_request(MessageType::kAddTenant, "t0", {1.0, 1.4, 2.0})).status,
+              StatusCode::kOk);
+    ASSERT_EQ(service.handle(make_request(MessageType::kAddTenant, "t1", {1.0, 1.9, 2.3}, 2.0))
+                  .status,
+              StatusCode::kOk);
+    ASSERT_EQ(service.handle(make_request(MessageType::kAddTenant, "t2", {1.0, 1.2, 3.1})).status,
+              StatusCode::kOk);
+  }
+  const std::string file = read_file(path);
+  ASSERT_GT(file.size(), 1000u);
+  std::size_t refused = 0;
+  for (std::size_t bit = 0; bit < 8 * file.size(); ++bit) {
+    std::string flipped = file;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    write_file(path, flipped);
+    try {
+      (void)load_checkpoint(path);
+      ADD_FAILURE() << "bit " << bit << " flipped, yet the checkpoint loaded";
+    } catch (const common::CheckError& error) {
+      EXPECT_EQ(error.code(), common::ErrorCode::kCorruptData) << "bit " << bit;
+      ++refused;
+    }
+  }
+  EXPECT_EQ(refused, 8 * file.size());
+  std::printf("bit-flip sweep (file): %zu bytes, %zu flips refused\n", file.size(), refused);
+  std::remove(path.c_str());
+}
+
+TEST(ServiceRestoreSweep, EverySingleBitFlipOfAnAllocatorWarmRecordLoadsOrThrows) {
+  const core::SpeedupMatrix w({{1.0, 1.4, 2.0}, {1.0, 1.9, 2.3}, {1.0, 1.2, 3.1}, {1.0, 2.2, 2.6}});
+  const std::vector<double> capacities = {4.0, 2.0, 2.0};
+  std::string record;
+  {
+    const core::OefAllocator allocator = core::make_cooperative_oef();
+    ASSERT_TRUE(allocator.allocate(w, capacities).ok());
+    common::SerialWriter out;
+    allocator.save_warm_state(out);
+    record = out.take();
+  }
+  ASSERT_GT(record.size(), 1500u);
+  std::size_t warm = 0;
+  std::size_t cold = 0;
+  std::size_t refused = 0;
+  for (std::size_t bit = 0; bit < 8 * record.size(); ++bit) {
+    std::string flipped = record;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    core::OefAllocator allocator = core::make_cooperative_oef();
+    common::SerialReader in(flipped);
+    try {
+      ++(allocator.load_warm_state(in) ? warm : cold);
+    } catch (const common::CheckError&) {
+      ++refused;
+      continue;
+    }
+    EXPECT_TRUE(allocator.allocate(w, capacities).ok()) << "bit " << bit;
+  }
+  EXPECT_EQ(warm + cold + refused, 8 * record.size());
+  EXPECT_GT(warm, 0u);
+  EXPECT_GT(refused, 0u);
+  std::printf("bit-flip sweep (allocator record): %zu bytes, %zu warm, %zu cold, %zu refused\n",
+              record.size(), warm, cold, refused);
 }
 
 TEST(ServiceRestoreSweep, EverySingleTokenRewriteRestoresOrThrows) {

@@ -217,6 +217,48 @@ TEST(SimChurn, InjectedFaultsEngageTheLadderWithoutAborting) {
   EXPECT_GT(stats.basis_repairs + stats.tableau_fallbacks, 0u);
 }
 
+TEST(SimChurn, PivotCountersAccountForFailedWarmAttempts) {
+  // Drifting round-over-round calls under injected faults, so some warm
+  // attempts fail and fall back. The pivots of a failed attempt count too:
+  // every pivot the solver takes must reach the result of the call that took
+  // it, split into cold and warm work.
+  solver::FaultInjectorConfig config;
+  config.seed = 2024;
+  config.eta_corruption_rate = 0.02;
+  config.basis_fault_rate = 0.1;
+  solver::FaultInjector injector(config);
+  core::OefOptions options;
+  options.solver.fault_injector = &injector;
+  const core::OefAllocator allocator = core::make_cooperative_oef(options);
+
+  const std::size_t n = 24;
+  const std::size_t k = 3;
+  const core::SpeedupMatrix base = make_instance(n, k, 17);
+  std::vector<std::vector<double>> rows(n);
+  for (std::size_t l = 0; l < n; ++l) {
+    for (std::size_t j = 0; j < k; ++j) rows[l].push_back(base.at(l, j));
+  }
+  const std::vector<double> capacities = {30.0, 40.0, 22.0};
+  common::Rng rng(99);
+  std::size_t reported = 0;
+  for (int call = 0; call < 30; ++call) {
+    for (auto& row : rows) {
+      for (std::size_t j = 1; j < k; ++j) row[j] *= std::exp(rng.uniform(-0.03, 0.03));
+    }
+    const core::AllocationResult result = allocator.allocate(core::SpeedupMatrix(rows), capacities);
+    ASSERT_TRUE(result.served()) << "call " << call;
+    EXPECT_EQ(result.lp_iterations, result.cold_lp_iterations + result.warm_lp_iterations)
+        << "call " << call;
+    EXPECT_EQ(result.compactions, result.warm_compactions) << "call " << call;
+    reported += result.lp_iterations;
+  }
+  const solver::LpSolverStats& stats = allocator.solver_stats();
+  EXPECT_EQ(reported, stats.total_iterations);
+  // No compaction was refused, so every cold solve after the first call's
+  // first round followed a fallback.
+  EXPECT_GT(stats.cold_solves, 1u);
+}
+
 TEST(SimChurn, DeadlineExpiryServesDegradedButFeasible) {
   core::OefOptions options;
   options.deadline = common::Deadline::after(1e-6);  // expires after the first relaxation
