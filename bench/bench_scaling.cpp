@@ -5,7 +5,8 @@
 // (sparse LU + eta file basis, devex pricing). Two arms run: the product and
 // the independent full-tableau reference at small n. All arms must agree on
 // the objective to 1e-6, and every allocation must fit capacity and be
-// envy-free and sharing-incentive to 1e-6 (core/properties.h).
+// envy-free and sharing-incentive to 1e-6 (core/properties.h), with no
+// revised optimum failing its optimality certificate (solver/certificate.h).
 //
 // Output: a human-readable table plus machine-readable BENCH_scaling.json
 // (one record per n x arm; schema in docs/BENCHMARKS.md) so the perf
@@ -61,6 +62,7 @@ struct RunRecord {
   std::size_t envy_rows_dropped = 0;
   std::size_t warm_compactions = 0;
   std::size_t lp_iterations = 0;
+  std::size_t certificate_failures = 0;
   bool fits_capacity = false;
   bool envy_free = false;
   bool sharing_incentive = false;
@@ -111,6 +113,7 @@ RunRecord run_arm(std::size_t n, const ArmSpec& arm) {
   record.envy_rows_dropped = result.envy_rows_dropped;
   record.warm_compactions = result.warm_compactions;
   record.lp_iterations = result.lp_iterations;
+  record.certificate_failures = result.certificate_failures;
   record.fits_capacity = result.allocation.respects_capacity(caps, kPropertyTol);
   record.envy_free = core::check_envy_freeness(w, result.allocation, kPropertyTol).envy_free;
   record.sharing_incentive =
@@ -133,12 +136,13 @@ void write_json(const std::vector<RunRecord>& records, const std::string& path) 
                  "\"solver_seconds\": %.6f, \"oracle_seconds\": %.6f, "
                  "\"lazy_rounds\": %zu, \"envy_rows_added\": %zu, "
                  "\"envy_rows_dropped\": %zu, \"warm_compactions\": %zu, "
-                 "\"lp_iterations\": %zu, \"fits_capacity\": %s, \"envy_free\": %s, "
-                 "\"sharing_incentive\": %s}%s\n",
+                 "\"lp_iterations\": %zu, \"certificate_failures\": %zu, "
+                 "\"fits_capacity\": %s, \"envy_free\": %s, \"sharing_incentive\": %s}%s\n",
                  r.n, r.arm.c_str(), r.basis.c_str(), r.ok ? "true" : "false",
                  r.objective, r.wall_seconds, r.solver_seconds, r.oracle_seconds,
                  r.lazy_rounds, r.envy_rows_added, r.envy_rows_dropped,
-                 r.warm_compactions, r.lp_iterations, r.fits_capacity ? "true" : "false",
+                 r.warm_compactions, r.lp_iterations, r.certificate_failures,
+                 r.fits_capacity ? "true" : "false",
                  r.envy_free ? "true" : "false", r.sharing_incentive ? "true" : "false",
                  i + 1 < records.size() ? "," : "");
   }
@@ -204,6 +208,7 @@ int main(int argc, char** argv) {
       check(label + " fits capacity", r.fits_capacity);
       check(label + " envy-free", r.envy_free);
       check(label + " sharing-incentive", r.sharing_incentive);
+      check(label + " no certificate failures", r.certificate_failures == 0);
       if (reference == nullptr) {
         reference = &r;
         continue;

@@ -169,6 +169,7 @@ AllocationResult OefAllocator::allocate_weighted(
   result.solve_seconds = after.solve_seconds - before.solve_seconds;
   result.tableau_fallbacks = after.tableau_fallbacks - before.tableau_fallbacks;
   result.basis_repairs = after.basis_repairs - before.basis_repairs;
+  result.certificate_failures = after.certificate_failures - before.certificate_failures;
   return result;
 }
 

@@ -127,10 +127,11 @@ struct AllocationResult {
   /// Always 0; kept for the benchmark's load generator.
   std::size_t dense_fallbacks = 0;
   /// Degradation-ladder counters for this call (deltas of the solver's
-  /// cumulative stats): tableau fallbacks and deficient basis positions
-  /// repaired.
+  /// cumulative stats): tableau fallbacks, deficient basis positions
+  /// repaired, and revised optima whose certificate failed.
   std::size_t tableau_fallbacks = 0;
   std::size_t basis_repairs = 0;
+  std::size_t certificate_failures = 0;
 
   /// True only for a converged optimum.
   [[nodiscard]] bool ok() const { return outcome == AllocationStatus::kOptimal; }

@@ -10,6 +10,7 @@
 #include "common/clock.h"
 #include "common/logging.h"
 #include "solver/basis.h"
+#include "solver/certificate.h"
 #include "solver/fault_injector.h"
 #include "solver/sparse_matrix.h"
 #include "solver/standard_form.h"
@@ -25,6 +26,8 @@ constexpr double kFeasTol = 1e-9;
 constexpr double kDevexReset = 1e7;
 // Scale the fault injector applies to a corrupted eta's pivot element.
 constexpr double kEtaCorruptionFactor = 1e3;
+// Every residual of a kept result's optimality certificate must be within it.
+constexpr double kCertificateTol = 1e-6;
 
 double seconds_since(double start) { return common::monotonic_seconds() - start; }
 
@@ -39,9 +42,14 @@ double seconds_since(double start) { return common::monotonic_seconds() - start;
 // nonbasic column rests at its lower bound (value 0) or, when at_upper_ is
 // set, at its finite upper bound; the primal ratio test lets basics leave at
 // either bound and lets the entering column flip bounds without a basis
-// change, and the dual ratio test prices both directions. The constraint
-// matrix is stored column-sparse (SparseMatrix), so every pricing pass
-// iterates nonzeros only.
+// change, and the dual ratio test prices both directions.
+//
+// Pricing keeps the reduced costs d across pivots: price() computes them from
+// a fresh y = B^-T c_B at phase entry, after every refactorisation and before
+// a primal optimal exit, and every basis change in between updates them from
+// the pivot row α = ρᵀA (d_j −= θ·α_j). α is formed row-wise from the
+// constraint matrix's row-major copy over ρ's nonzero rows, once per pivot,
+// and feeds the d update, the primal devex weights and the dual ratio test.
 class LpSolver::Core {
  public:
   /// Loads `model` into this fresh Core (each Core loads exactly once).
@@ -103,12 +111,7 @@ class LpSolver::Core {
   [[nodiscard]] std::vector<double> ftran_column(std::size_t col) const {
     return basis_.ftran(cols_.column(col));
   }
-  /// out[j] += factor * (v · A_j) for every column j: the shared kernel of
-  /// reduced-cost and pivot-row pricing, iterating CSC nonzeros.
-  void accumulate_vt_a(const std::vector<double>& v, double factor,
-                       std::vector<double>& out) const;
   [[nodiscard]] bool refactor();
-  [[nodiscard]] bool refactor_if_due();
   void inject_basis_fault();
   void maybe_corrupt_eta();
   void refresh_xb();
@@ -117,15 +120,29 @@ class LpSolver::Core {
   void rebuild_basis_flags();
   void set_at_upper(std::size_t col, bool value);
   [[nodiscard]] std::vector<double> basic_costs(bool phase1) const;
-  [[nodiscard]] std::vector<double> reduced_costs(const std::vector<double>& y,
-                                                  bool phase1) const;
+  /// d_ = c - Aᵀy with y = B^-T c_B under the phase's costs: one btran and
+  /// one row-wise Aᵀ pass.
+  void price(bool phase1);
+  /// alpha_ = ρᵀA for ρ = row `pos` of B^-1, formed row-wise over ρ's
+  /// nonzero rows.
+  void form_pivot_row(std::size_t pos);
+  /// The basis change `enter` replaces `leaving_col` with pivot element
+  /// `pivot`: d_j −= θ·α_j over the pivot row alpha_, θ = d_enter / pivot,
+  /// then d_enter = 0 and d_leaving = −θ. Basic entries of d_ drift
+  /// unread; a column's entry is set when it leaves the basis.
+  void update_reduced_costs(std::size_t enter, std::size_t leaving_col, double pivot);
   [[nodiscard]] double phase_objective(bool phase1) const;
-  void update_primal_devex(const std::vector<double>& rho, std::size_t enter,
-                           std::size_t leaving_col, double pivot_alpha);
+  /// Primal devex weights from the pivot row alpha_.
+  void update_primal_devex(std::size_t enter, std::size_t leaving_col, double pivot_alpha);
   void update_dual_devex(const std::vector<double>& w, std::size_t leave);
   [[nodiscard]] SolveStatus run_primal(bool phase1, const SolverOptions& options);
   [[nodiscard]] SolveStatus run_dual(const SolverOptions& options);
   void drive_out_artificials();
+  /// Past phase 1 every artificial column is fixed at zero (upper bound 0),
+  /// so one left basic at a positive value — a warm basis whose
+  /// coefficients moved, or a pivot that would grow it — is primal
+  /// infeasible instead of silently breaking its row.
+  void fix_artificials();
   [[nodiscard]] SolveStatus finish_perturbed(const SolverOptions& options);
 
   // Structural-column metadata (a StandardForm with rows cleared).
@@ -157,6 +174,11 @@ class LpSolver::Core {
   // row for the dual leaving-row choice. Reset to 1 at each phase entry.
   std::vector<double> primal_weights_;
   std::vector<double> dual_weights_;
+
+  // Reduced costs of the running phase (see price / update_reduced_costs)
+  // and the current pivot row (form_pivot_row), one entry per column.
+  std::vector<double> d_;
+  std::vector<double> alpha_;
 
   Basis basis_;
   std::vector<double> xb_;
@@ -232,6 +254,7 @@ void LpSolver::Core::load(const LpModel& model, const SolverOptions& options) {
         break;
     }
   }
+  cols_.index_rows();
   for (std::size_t j = n_struct_ + num_slack; j < num_cols_; ++j) artificial_[j] = 1;
 
   // Anti-degeneracy rhs perturbation, mirroring the tableau path but applied
@@ -264,14 +287,6 @@ void LpSolver::Core::load(const LpModel& model, const SolverOptions& options) {
   iterations_ = dual_iterations_ = 0;
   basis_repairs_ = 0;
   injector_ = options.fault_injector;
-}
-
-void LpSolver::Core::accumulate_vt_a(const std::vector<double>& v, double factor,
-                                     std::vector<double>& out) const {
-  for (std::size_t j = 0; j < num_cols_; ++j) {
-    const double acc = cols_.dot_column(j, v);
-    if (acc != 0.0) out[j] += factor * acc;
-  }
 }
 
 void LpSolver::Core::inject_basis_fault() {
@@ -338,18 +353,6 @@ bool LpSolver::Core::refactor() {
   return false;
 }
 
-bool LpSolver::Core::refactor_if_due() {
-  // The trigger policy lives in the basis: refactorise when the eta file
-  // outgrows the fresh factor (length or fill). Drift between
-  // refactorisations is bounded by the dual path's alpha/ftran agreement
-  // check and the final is_feasible verification (which falls back to the
-  // tableau on failure).
-  if (!basis_.refactor_due()) return true;
-  if (!refactor()) return false;
-  refresh_xb();
-  return true;
-}
-
 void LpSolver::Core::refresh_xb() {
   if (num_at_upper_ == 0) {
     xb_ = basis_.ftran(b_);
@@ -377,6 +380,8 @@ void LpSolver::Core::rebuild_basis_flags() {
 }
 
 void LpSolver::Core::set_at_upper(std::size_t col, bool value) {
+  // A column fixed at zero (an artificial past phase 1) rests at lower.
+  if (value && upper_[col] == 0.0) value = false;
   if (static_cast<bool>(at_upper_[col]) == value) return;
   at_upper_[col] = value ? 1 : 0;
   num_at_upper_ += value ? 1 : static_cast<std::size_t>(-1);
@@ -391,16 +396,24 @@ std::vector<double> LpSolver::Core::basic_costs(bool phase1) const {
   return cb;
 }
 
-std::vector<double> LpSolver::Core::reduced_costs(const std::vector<double>& y,
-                                                  bool phase1) const {
-  std::vector<double> d(num_cols_, 0.0);
-  if (phase1) {
-    for (std::size_t j = 0; j < num_cols_; ++j) d[j] = artificial_[j] ? 1.0 : 0.0;
-  } else {
-    d = cost_;
+void LpSolver::Core::price(bool phase1) {
+  cols_.transpose_product(basis_.btran(basic_costs(phase1)), d_);
+  for (std::size_t j = 0; j < num_cols_; ++j) {
+    const double cost = phase1 ? (artificial_[j] ? 1.0 : 0.0) : cost_[j];
+    d_[j] = cost - d_[j];
   }
-  accumulate_vt_a(y, -1.0, d);
-  return d;
+}
+
+void LpSolver::Core::form_pivot_row(std::size_t pos) {
+  cols_.transpose_product(basis_.btran_unit(pos), alpha_);
+}
+
+void LpSolver::Core::update_reduced_costs(std::size_t enter, std::size_t leaving_col,
+                                          double pivot) {
+  const double theta = d_[enter] / pivot;
+  for (std::size_t j = 0; j < num_cols_; ++j) d_[j] -= theta * alpha_[j];
+  d_[enter] = 0.0;
+  d_[leaving_col] = -theta;
 }
 
 double LpSolver::Core::phase_objective(bool phase1) const {
@@ -415,15 +428,15 @@ double LpSolver::Core::phase_objective(bool phase1) const {
   return acc;
 }
 
-void LpSolver::Core::update_primal_devex(const std::vector<double>& rho, std::size_t enter,
-                                         std::size_t leaving_col, double pivot_alpha) {
+void LpSolver::Core::update_primal_devex(std::size_t enter, std::size_t leaving_col,
+                                         double pivot_alpha) {
   if (std::abs(pivot_alpha) < 1e-12) return;
   const double gq = primal_weights_[enter];
   const double inv2 = 1.0 / (pivot_alpha * pivot_alpha);
   double biggest = 1.0;
   for (std::size_t j = 0; j < num_cols_; ++j) {
     if (in_basis_[j] || j == leaving_col) continue;
-    const double alpha = cols_.dot_column(j, rho);
+    const double alpha = alpha_[j];
     if (alpha != 0.0) {
       const double candidate = alpha * alpha * inv2 * gq;
       if (candidate > primal_weights_[j]) primal_weights_[j] = candidate;
@@ -460,12 +473,21 @@ SolveStatus LpSolver::Core::run_primal(bool phase1, const SolverOptions& options
   bool bland = false;
   double last_objective = phase_objective(phase1);
   std::fill(primal_weights_.begin(), primal_weights_.end(), 1.0);
+  // d_ is priced at entry, after every refactorisation and before an optimal
+  // exit; every basis change in between updates it from the pivot row.
+  bool priced = false;
+  bool fresh = false;  // priced, and no basis change has updated d_ since
   while (true) {
     if (iterations_ >= internal::iteration_cap(m_, num_cols_)) return SolveStatus::kIterationLimit;
-    if (!refactor_if_due()) return SolveStatus::kIterationLimit;
-
-    const std::vector<double> y = basis_.btran(basic_costs(phase1));
-    const std::vector<double> d = reduced_costs(y, phase1);
+    if (basis_.refactor_due()) {
+      if (!refactor()) return SolveStatus::kIterationLimit;
+      refresh_xb();
+      priced = false;
+    }
+    if (!priced) {
+      price(phase1);
+      priced = fresh = true;
+    }
 
     // Entering column and direction: a column at its lower bound enters
     // upward on d < 0, a column at its upper bound enters downward on d > 0.
@@ -477,7 +499,7 @@ SolveStatus LpSolver::Core::run_primal(bool phase1, const SolverOptions& options
     for (std::size_t j = 0; j < num_cols_; ++j) {
       if (in_basis_[j]) continue;
       if (!phase1 && artificial_[j]) continue;
-      const double dj = d[j];
+      const double dj = d_[j];
       double candidate_dir;
       if (!at_upper_[j] && dj < -tol) {
         candidate_dir = 1.0;
@@ -494,7 +516,12 @@ SolveStatus LpSolver::Core::run_primal(bool phase1, const SolverOptions& options
         if (bland) break;
       }
     }
-    if (enter == SIZE_MAX) return SolveStatus::kOptimal;
+    if (enter == SIZE_MAX) {
+      if (fresh) return SolveStatus::kOptimal;
+      // The updated d prices out; only a fresh one may declare the optimum.
+      priced = false;
+      continue;
+    }
 
     const std::vector<double> w = ftran_column(enter);
 
@@ -565,19 +592,21 @@ SolveStatus LpSolver::Core::run_primal(bool phase1, const SolverOptions& options
 
     if (std::isfinite(t_bound) && (leave == SIZE_MAX || t_bound <= best_ratio)) {
       // Bound flip: the entering variable crosses its whole range without any
-      // basic variable blocking — no basis change, just the statuses.
+      // basic variable blocking — no basis change, just the statuses (d
+      // stays as it is).
       for (std::size_t i = 0; i < m_; ++i) xb_[i] -= t_bound * dir * w[i];
       set_at_upper(enter, dir > 0.0);
       ++iterations_;
     } else {
-      std::vector<double> rho;
-      if (!bland) rho = basis_.btran_unit(leave);  // pre-pivot copy
+      form_pivot_row(leave);  // pre-pivot row
       const double t = best_ratio;
       for (std::size_t i = 0; i < m_; ++i) {
         if (i != leave) xb_[i] -= t * dir * w[i];
       }
       const std::size_t leaving_col = basic[leave];
       xb_[leave] = dir > 0.0 ? t : upper_[enter] - t;
+      update_reduced_costs(enter, leaving_col, w[leave]);
+      fresh = false;
       in_basis_[leaving_col] = 0;
       in_basis_[enter] = 1;
       set_at_upper(enter, false);
@@ -585,7 +614,7 @@ SolveStatus LpSolver::Core::run_primal(bool phase1, const SolverOptions& options
       basis_.pivot(leave, enter, w);
       maybe_corrupt_eta();
       ++iterations_;
-      if (!bland) update_primal_devex(rho, enter, leaving_col, w[leave]);
+      if (!bland) update_primal_devex(enter, leaving_col, w[leave]);
     }
 
     const double objective = phase_objective(phase1);
@@ -605,9 +634,16 @@ SolveStatus LpSolver::Core::run_dual(const SolverOptions& options) {
   bool bland = false;
   double last_infeasibility = std::numeric_limits<double>::infinity();
   std::fill(dual_weights_.begin(), dual_weights_.end(), 1.0);
+  // d_ is priced at the first pivot, so a run that finds no violated row
+  // pays nothing, and again after every refactorisation.
+  bool priced = false;
   while (true) {
     if (iterations_ >= internal::iteration_cap(m_, num_cols_)) return SolveStatus::kIterationLimit;
-    if (!refactor_if_due()) return SolveStatus::kIterationLimit;
+    if (basis_.refactor_due()) {
+      if (!refactor()) return SolveStatus::kIterationLimit;
+      refresh_xb();
+      priced = false;
+    }
 
     // Leaving row: a basic variable below its lower bound (leaves at lower)
     // or above its finite upper bound (leaves at upper). Devex scores
@@ -652,13 +688,11 @@ SolveStatus LpSolver::Core::run_dual(const SolverOptions& options) {
     }
     if (leave == SIZE_MAX) return SolveStatus::kOptimal;
 
-    const std::vector<double> y = basis_.btran(basic_costs(/*phase1=*/false));
-    const std::vector<double> d = reduced_costs(y, /*phase1=*/false);
-
-    // alpha = (row `leave` of B^-1) * A, per column.
-    const std::vector<double> rho = basis_.btran_unit(leave);
-    std::vector<double> alpha(num_cols_, 0.0);
-    accumulate_vt_a(rho, 1.0, alpha);
+    if (!priced) {
+      price(/*phase1=*/false);
+      priced = true;
+    }
+    form_pivot_row(leave);
 
     // Dual ratio test over both bound directions. sigma = +1 when the
     // leaving variable exits at its lower bound (its basic value must rise),
@@ -674,14 +708,14 @@ SolveStatus LpSolver::Core::run_dual(const SolverOptions& options) {
       double best_pivot = 0.0;
       for (std::size_t j = 0; j < num_cols_; ++j) {
         if (in_basis_[j] || artificial_[j]) continue;
-        const double a = sigma * alpha[j];
+        const double a = sigma * alpha_[j];
         double ratio;
         if (!at_upper_[j]) {
           if (a >= -pivot_tol) continue;
-          ratio = std::max(0.0, d[j]) / -a;
+          ratio = std::max(0.0, d_[j]) / -a;
         } else {
           if (a <= pivot_tol) continue;
-          ratio = std::max(0.0, -d[j]) / a;
+          ratio = std::max(0.0, -d_[j]) / a;
         }
         const double tie_band = 1e-9 * (1.0 + ratio);
         if (enter == SIZE_MAX || ratio < best_ratio - tie_band) {
@@ -708,6 +742,7 @@ SolveStatus LpSolver::Core::run_dual(const SolverOptions& options) {
       // and retry, giving up if it persists.
       if (!refactor()) return SolveStatus::kIterationLimit;
       refresh_xb();
+      priced = false;
       if (++stall >= options.stall_limit) return SolveStatus::kIterationLimit;
       continue;
     }
@@ -721,6 +756,7 @@ SolveStatus LpSolver::Core::run_dual(const SolverOptions& options) {
     }
     const std::size_t leaving_col = basic[leave];
     xb_[leave] = (at_upper_[enter] ? upper_[enter] : 0.0) + step;
+    update_reduced_costs(enter, leaving_col, alpha_[enter]);
     in_basis_[leaving_col] = 0;
     in_basis_[enter] = 1;
     set_at_upper(enter, false);
@@ -745,16 +781,14 @@ void LpSolver::Core::drive_out_artificials() {
   const auto& basic = basis_.basic();
   for (std::size_t i = 0; i < m_; ++i) {
     if (!artificial_[basic[i]]) continue;
-    const std::vector<double> rho = basis_.btran_unit(i);
-    std::vector<double> alpha(num_cols_, 0.0);
-    accumulate_vt_a(rho, 1.0, alpha);
+    form_pivot_row(i);
     // Pick the largest structural |alpha| among at-lower nonbasic columns.
     std::size_t enter = SIZE_MAX;
     double best = 1e-8;
     for (std::size_t j = 0; j < num_cols_; ++j) {
       if (in_basis_[j] || artificial_[j] || at_upper_[j]) continue;
-      if (std::abs(alpha[j]) > best) {
-        best = std::abs(alpha[j]);
+      if (std::abs(alpha_[j]) > best) {
+        best = std::abs(alpha_[j]);
         enter = j;
       }
     }
@@ -772,18 +806,27 @@ void LpSolver::Core::drive_out_artificials() {
   }
 }
 
+void LpSolver::Core::fix_artificials() {
+  for (std::size_t j = 0; j < num_cols_; ++j) {
+    if (artificial_[j]) upper_[j] = 0.0;
+  }
+}
+
 SolveStatus LpSolver::Core::finish_perturbed(const SolverOptions& options) {
   if (!perturbed_) return SolveStatus::kOptimal;
   b_ = b_exact_;
   perturbed_ = false;
   // B^-1 does not depend on the rhs, so no refactorisation is needed here —
-  // only the basic values move. refactor_if_due still bounds drift.
-  if (!refactor_if_due()) return SolveStatus::kIterationLimit;
+  // only the basic values move. A due refactorisation still bounds drift.
+  if (basis_.refactor_due() && !refactor()) return SolveStatus::kIterationLimit;
   refresh_xb();
   if (primal_feasible()) return SolveStatus::kOptimal;
   // Restoring the exact rhs tightened the relaxed <= rows: the basis stays
-  // dual-feasible, so a few dual pivots repair primal feasibility.
-  return run_dual(options);
+  // dual-feasible, so a few dual pivots repair primal feasibility. The
+  // repaired vertex then passes the primal pricing check, as in reoptimize().
+  const SolveStatus status = run_dual(options);
+  if (status != SolveStatus::kOptimal) return status;
+  return run_primal(/*phase1=*/false, options);
 }
 
 SolveStatus LpSolver::Core::run_cold(const SolverOptions& options) {
@@ -803,6 +846,7 @@ SolveStatus LpSolver::Core::run_cold(const SolverOptions& options) {
     if (phase1 != SolveStatus::kOptimal) return phase1;
     if (phase_objective(/*phase1=*/true) > 1e-6) return SolveStatus::kInfeasible;
     drive_out_artificials();
+    fix_artificials();
   }
   const SolveStatus phase2 = run_primal(/*phase1=*/false, options);
   if (phase2 != SolveStatus::kOptimal) return phase2;
@@ -839,6 +883,7 @@ SolveStatus LpSolver::Core::reoptimize(const SolverOptions& options, bool dual_f
   // vertices; a warm start lands near the optimum, so reoptimise exactly.
   b_ = b_exact_;
   perturbed_ = false;
+  fix_artificials();
   // Always refactorise, even where an eta file could be extended: the
   // continuation is then a pure function of (model, basic set, at-upper
   // flags) — exactly the checkpoint identity — so a restored solver pivots
@@ -859,13 +904,12 @@ SolveStatus LpSolver::Core::reoptimize(const SolverOptions& options, bool dual_f
     // primal feasibility, then drop the shifts and polish with primal pivots
     // from the now-feasible vertex. Far cheaper than discarding the basis:
     // the vertex is near-optimal already.
-    const std::vector<double> y = basis_.btran(basic_costs(/*phase1=*/false));
-    const std::vector<double> d = reduced_costs(y, /*phase1=*/false);
+    price(/*phase1=*/false);
     for (std::size_t j = 0; j < num_cols_; ++j) {
       if (in_basis_[j] || artificial_[j]) continue;
-      if (at_upper_[j] ? d[j] > 1e-7 : d[j] < -1e-7) {
-        shifts.push_back({j, d[j]});
-        cost_[j] -= d[j];
+      if (at_upper_[j] ? d_[j] > 1e-7 : d_[j] < -1e-7) {
+        shifts.push_back({j, d_[j]});
+        cost_[j] -= d_[j];
       }
     }
   }
@@ -993,6 +1037,7 @@ bool LpSolver::Core::delete_rows(const std::vector<std::size_t>& rows) {
     }
   }
   cols_ = std::move(reduced);
+  cols_.index_rows();
 
   const auto filter_rows = [&](auto& vec) {
     std::remove_reference_t<decltype(vec)> kept;
@@ -1131,7 +1176,10 @@ bool LpSolver::keep_if_optimal(std::unique_ptr<Core> core, SolveStatus status,
   solution.status = status;
   if (status != SolveStatus::kOptimal) return false;
   core->extract(model_, solution);
-  if (!model_.is_feasible(solution.values, 1e-6)) return false;
+  if (!check_certificate(model_, solution.values, solution.duals).passes(kCertificateTol)) {
+    ++stats_.certificate_failures;
+    return false;
+  }
   core_ = std::move(core);
   return true;
 }
@@ -1150,8 +1198,20 @@ LpSolution LpSolver::solve_loaded_cold() {
     core->load(model_, options_);
     const SolveStatus status = core->run_cold(options_);
     if (keep_if_optimal(std::move(core), status, solution)) return solution;
-    // The revised solve failed or produced an unverifiable point. The
-    // tableau is dramatically slower on large models, so its trigger is
+    // The revised solve failed or produced an uncertified point. The
+    // tableau holds two dense copies of its matrix, so a model past the cell
+    // budget keeps the revised verdict; an uncertified optimum becomes an
+    // iteration limit, which callers already degrade on.
+    const std::size_t cells = SimplexSolver::tableau_cells(model_);
+    if (cells > kTableauCellBudget) {
+      common::log_warn("lp_solver: revised cold solve failed (" + to_string(status) +
+                       ") and the tableau's " + std::to_string(cells) +
+                       " cells exceed its budget; returning the revised status");
+      LpSolution revised;
+      revised.status = status == SolveStatus::kOptimal ? SolveStatus::kIterationLimit : status;
+      return revised;
+    }
+    // The tableau is dramatically slower on large models, so its trigger is
     // worth a log line (to_string names the revised outcome).
     common::log_debug("lp_solver: revised cold solve failed (" + to_string(solution.status) +
                       "); falling back to the reference tableau");

@@ -27,15 +27,18 @@
 //
 // The engine is a bounded-variable revised simplex on a sparse LU basis with
 // a product-form eta file (basis.h) — O(nnz) solves/updates, which carries
-// the cooperative sweep to n ~ 1000. The constraint matrix is stored
-// column-sparse (sparse_matrix.h) so pricing passes iterate nonzeros only,
-// finite variable upper bounds live in the basis as nonbasic-at-upper
-// statuses and bound flips instead of synthetic rows, and entering/leaving
-// choices use devex reference weights (Bland's rule on stalling).
+// the cooperative sweep to n ~ 1000. Reduced costs are kept across pivots
+// and updated from the pivot row, which is formed row-wise from a row-major
+// copy of the sparse constraint matrix (sparse_matrix.h). Finite variable
+// upper bounds live in the basis as nonbasic-at-upper statuses and bound
+// flips instead of synthetic rows, and entering/leaving choices use devex
+// reference weights (Bland's rule on stalling).
 // SolverOptions::algorithm == LpAlgorithm::kTableau degrades every call to
 // the reference full-tableau SimplexSolver (no warm identity is ever held),
 // and the revised path falls back to the tableau automatically whenever it
-// fails to reach a verified optimum; stats().tableau_fallbacks counts those.
+// fails to reach an optimum whose certificate (certificate.h) passes;
+// stats().tableau_fallbacks counts those, unless the tableau would exceed
+// kTableauCellBudget, in which case the revised status is returned.
 #pragma once
 
 #include <cstddef>
@@ -75,6 +78,10 @@ struct LpSolverStats {
   /// Deficient basis positions patched with unit columns during
   /// refactorisation (the singular-basis repair path; see Core::refactor).
   std::size_t basis_repairs = 0;
+  /// Revised-simplex "optimal" results whose optimality certificate
+  /// (certificate.h) failed; each went down the ladder like an infeasible
+  /// result.
+  std::size_t certificate_failures = 0;
   /// Simplex pivots across all calls (primal + dual, all phases), failed
   /// warm attempts and tableau fallbacks included.
   std::size_t total_iterations = 0;
@@ -88,6 +95,11 @@ struct LpSolverStats {
 
 class LpSolver {
  public:
+  /// Largest tableau (cells per dense copy, SimplexSolver::tableau_cells)
+  /// the ladder's tableau rung may build; above it a failed revised solve
+  /// returns its own status (kIterationLimit for an uncertified optimum).
+  static constexpr std::size_t kTableauCellBudget = std::size_t{1} << 24;
+
   explicit LpSolver(SolverOptions options = {});
   ~LpSolver();
   LpSolver(LpSolver&&) noexcept;
@@ -148,8 +160,8 @@ class LpSolver {
   class Core;
 
   /// Cold-solves the currently loaded model_ down the degradation ladder
-  /// (revised simplex, then the reference tableau), updating stats. Does not
-  /// attempt any warm start.
+  /// (revised simplex, then the reference tableau within its cell budget),
+  /// updating stats. Does not attempt any warm start.
   [[nodiscard]] LpSolution solve_loaded_cold();
 
   /// Reoptimises `core` (a warm identity on the loaded model) and keeps it
@@ -158,8 +170,8 @@ class LpSolver {
   [[nodiscard]] LpSolution reoptimize_or_cold(std::unique_ptr<Core> core, bool dual_feasible);
 
   /// Harvests `core`'s counters after a revised run that ended in `status`.
-  /// On an optimum that passes the feasibility check, extracts it into
-  /// `solution`, keeps `core` as the warm identity and returns true.
+  /// On an optimum whose certificate passes, extracts it into `solution`,
+  /// keeps `core` as the warm identity and returns true.
   bool keep_if_optimal(std::unique_ptr<Core> core, SolveStatus status, LpSolution& solution);
 
   SolverOptions options_;

@@ -73,6 +73,11 @@ class SimplexSolver {
   /// indexed by VarId.
   [[nodiscard]] LpSolution solve(const LpModel& model) const;
 
+  /// Cells of one dense copy of the tableau solve() would build for `model`:
+  /// (rows + two-sided variables) x (columns + slacks + artificials + 1).
+  /// solve() holds two such copies.
+  [[nodiscard]] static std::size_t tableau_cells(const LpModel& model);
+
  private:
   SolverOptions options_;
 };

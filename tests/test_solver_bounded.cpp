@@ -80,6 +80,81 @@ TEST(SparseMatrix, BasicOperations) {
   EXPECT_EQ(a.nonzeros(), 4u);
 }
 
+/// Every column of vᵀA formed row-wise equals dot_column exactly.
+void expect_row_wise_product_matches(const SparseMatrix& a, const std::vector<double>& v) {
+  std::vector<double> product;
+  a.transpose_product(v, product);
+  ASSERT_EQ(product.size(), a.cols());
+  for (std::size_t j = 0; j < a.cols(); ++j) {
+    EXPECT_EQ(product[j], a.dot_column(j, v)) << "column " << j;
+  }
+}
+
+/// About 10% nonzero, with magnitudes spread over many orders (so summation
+/// order shows in the low bits) and now and then a negative zero.
+std::vector<double> random_rho(common::Rng& rng, std::size_t m) {
+  std::vector<double> rho(m, 0.0);
+  for (double& value : rho) {
+    const double roll = rng.uniform();
+    if (roll < 0.1) value = rng.uniform(-1.0, 1.0) * std::pow(10.0, rng.uniform(-8.0, 4.0));
+    if (roll > 0.99) value = -0.0;
+  }
+  return rho;
+}
+
+TEST(SparseMatrix, RowWiseProductMatchesDotColumnBitForBit) {
+  common::Rng rng(2024);
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::size_t m = static_cast<std::size_t>(rng.uniform_int(20, 90));
+    const std::size_t cols = static_cast<std::size_t>(rng.uniform_int(20, 120));
+    SparseMatrix a;
+    a.reset(m);
+    for (std::size_t j = 0; j < cols; ++j) a.add_column();
+    std::vector<char> empty(cols);
+    for (char& e : empty) e = rng.uniform() < 0.1 ? 1 : 0;
+    // Row by row, as a load does, so every column stays row-sorted. Row 0 is
+    // dense, like a capacity row.
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < cols; ++j) {
+        if (!empty[j] && (i == 0 || rng.uniform() < 0.08)) {
+          a.add_entry(j, i, rng.uniform(-3.0, 3.0) * std::pow(10.0, rng.uniform(-3.0, 3.0)));
+        }
+      }
+    }
+    a.index_rows();
+    expect_row_wise_product_matches(a, random_rho(rng, a.rows()));
+
+    // Rows appended one at a time, each with a fresh unit column, as
+    // add_rows() does: the row-major copy grows in place.
+    for (int appended = 0; appended < 6; ++appended) {
+      const std::size_t row = a.rows();
+      a.set_rows(row + 1);
+      for (std::size_t j = 0; j < a.cols(); ++j) {
+        if (rng.uniform() < 0.1) a.add_entry(j, row, rng.uniform(-2.0, 2.0));
+      }
+      a.add_entry(a.add_column(), row, 1.0);
+      expect_row_wise_product_matches(a, random_rho(rng, a.rows()));
+    }
+
+    // The column-by-column rebuild of a warm row deletion.
+    std::vector<std::size_t> row_remap(a.rows(), SIZE_MAX);
+    std::size_t kept_rows = 0;
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+      if (i == 0 || rng.uniform() < 0.75) row_remap[i] = kept_rows++;
+    }
+    SparseMatrix reduced;
+    reduced.reset(kept_rows);
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      const std::size_t nj = reduced.add_column();
+      for (const SparseEntry& e : a.column(j)) {
+        if (row_remap[e.row] != SIZE_MAX) reduced.add_entry(nj, row_remap[e.row], e.value);
+      }
+    }
+    reduced.index_rows();
+    expect_row_wise_product_matches(reduced, random_rho(rng, reduced.rows()));
+  }
+}
+
 TEST(BoundedSimplex, KnownBoundFlipInstance) {
   // max 3x + 2y with x <= 1, y <= 2 and x + y <= 2.5: the optimum sits at
   // x = 1 (its upper bound — a nonbasic-at-upper column) and y = 1.5.

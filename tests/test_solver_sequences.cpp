@@ -9,7 +9,8 @@
 // operations. After every solve or resolve the result must match the
 // reference tableau (SimplexSolver) on the solver's own model — status,
 // objective to 1e-6, a feasible point — and the twin must report a
-// bit-identical objective and the same iteration count.
+// bit-identical objective and the same iteration count. No revised optimum
+// may fail its optimality certificate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -191,6 +192,9 @@ class SequenceRun {
         export_import();
       }
     }
+    // No revised optimum of the sequence may fail its certificate.
+    EXPECT_EQ(solver_.stats().certificate_failures, 0u) << label_;
+    if (twin_) EXPECT_EQ(twin_->stats().certificate_failures, 0u) << label_;
   }
 
  private:
