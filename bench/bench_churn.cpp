@@ -53,6 +53,7 @@ struct ArmRecord {
   std::size_t lp_warm_start_hits = 0;
   std::size_t lp_tableau_fallbacks = 0;
   std::size_t lp_basis_repairs = 0;
+  std::size_t lp_certificate_failures = 0;
   double solve_seconds = 0.0;
   double wall_seconds = 0.0;
   double total_actual = 0.0;
@@ -90,6 +91,7 @@ ArmRecord run_arm(const char* name, const sim::SimOptions& options,
   record.lp_warm_start_hits = t.lp_warm_start_hits;
   record.lp_tableau_fallbacks = t.lp_tableau_fallbacks;
   record.lp_basis_repairs = t.lp_basis_repairs;
+  record.lp_certificate_failures = t.lp_certificate_failures;
   record.solve_seconds = result.total_solve_seconds;
   record.wall_seconds = wall;
   record.total_actual = result.total_actual;
@@ -113,6 +115,7 @@ void write_json(const std::vector<ArmRecord>& records, const std::string& path) 
                  "\"lp_iterations\": %zu, \"lp_cold_solves\": %zu, "
                  "\"lp_warm_resolves\": %zu, \"lp_warm_start_hits\": %zu, "
                  "\"lp_tableau_fallbacks\": %zu, \"lp_basis_repairs\": %zu, "
+                 "\"lp_certificate_failures\": %zu, "
                  "\"solve_seconds\": %.6f, \"wall_seconds\": %.6f, "
                  "\"total_actual\": %.6f}%s\n",
                  r.arm.c_str(), r.rounds, r.events_applied, r.max_devices_down,
@@ -120,7 +123,8 @@ void write_json(const std::vector<ArmRecord>& records, const std::string& path) 
                  r.fallback_rounds, r.deadline_expirations,
                  r.lp_iterations, r.lp_cold_solves, r.lp_warm_resolves,
                  r.lp_warm_start_hits, r.lp_tableau_fallbacks,
-                 r.lp_basis_repairs, r.solve_seconds, r.wall_seconds, r.total_actual,
+                 r.lp_basis_repairs, r.lp_certificate_failures, r.solve_seconds,
+                 r.wall_seconds, r.total_actual,
                  i + 1 < records.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
@@ -204,7 +208,7 @@ int main(int argc, char** argv) {
 
   common::Table table({"arm", "rounds", "events", "down(max)", "degraded", "fallback",
                        "pivots", "cold", "warm", "repairs", "tableau fb",
-                       "wall (s)"});
+                       "cert fails", "wall (s)"});
   for (const ArmRecord& r : records) {
     table.add_row({r.arm, std::to_string(r.rounds), std::to_string(r.events_applied),
                    std::to_string(r.max_devices_down), std::to_string(r.degraded_rounds),
@@ -213,6 +217,7 @@ int main(int argc, char** argv) {
                    std::to_string(r.lp_warm_resolves + r.lp_warm_start_hits),
                    std::to_string(r.lp_basis_repairs),
                    std::to_string(r.lp_tableau_fallbacks),
+                   std::to_string(r.lp_certificate_failures),
                    common::format_double(r.wall_seconds, 3)});
   }
   table.print();

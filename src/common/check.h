@@ -18,10 +18,9 @@
 //     reported through status enums (SolveStatus, AllocationStatus) so every
 //     layer can escalate deliberately.
 //
-// Since PR 9 every CheckError carries a stable ErrorCode and the module tag
-// of the throwing file (derived from its src/ subdirectory), so boundary
-// handlers — in particular the daemon's CheckError → protocol status mapping
-// — dispatch on code() instead of string-matching what().
+// Every CheckError carries a stable ErrorCode, so boundary handlers — in
+// particular the daemon's CheckError → protocol status mapping — dispatch on
+// code() instead of string-matching what().
 #pragma once
 
 #include <cstdio>
@@ -54,35 +53,18 @@ enum class ErrorCode {
 /// Thrown by OEF_REQUIRE at recoverable module boundaries. Derives from
 /// std::runtime_error so generic handlers (and tests) can catch it without
 /// including this header; handlers that can act on the classification use
-/// code() and module() instead of parsing what().
+/// code() instead of parsing what().
 class CheckError : public std::runtime_error {
  public:
   explicit CheckError(const std::string& what,
-                      ErrorCode code = ErrorCode::kPreconditionFailed,
-                      std::string module = {})
-      : std::runtime_error(what), code_(code), module_(std::move(module)) {}
+                      ErrorCode code = ErrorCode::kPreconditionFailed)
+      : std::runtime_error(what), code_(code) {}
 
   [[nodiscard]] ErrorCode code() const { return code_; }
-  /// Top-level src/ subdirectory of the throwing file ("solver", "core",
-  /// "service", ...); empty when not derivable.
-  [[nodiscard]] const std::string& module() const { return module_; }
 
  private:
   ErrorCode code_;
-  std::string module_;
 };
-
-/// Module tag from a __FILE__ path: the path component after the last "src/"
-/// (so nested build paths still resolve), empty when absent.
-[[nodiscard]] inline std::string module_from_path(const char* file) {
-  const std::string path(file);
-  const std::size_t src = path.rfind("src/");
-  if (src == std::string::npos) return {};
-  const std::size_t begin = src + 4;
-  const std::size_t slash = path.find('/', begin);
-  if (slash == std::string::npos) return {};
-  return path.substr(begin, slash - begin);
-}
 
 [[noreturn]] inline void check_failed(const char* expr, const char* file, int line,
                                       const char* msg) {
@@ -103,7 +85,7 @@ class CheckError : public std::runtime_error {
     what += " — ";
     what += msg;
   }
-  throw CheckError(what, code, module_from_path(file));
+  throw CheckError(what, code);
 }
 
 }  // namespace oef::common

@@ -12,8 +12,7 @@ namespace oef::common {
 namespace {
 
 [[noreturn]] void corrupt(const char* what) {
-  throw CheckError(std::string("serial: ") + what, ErrorCode::kCorruptData,
-                   "common");
+  throw CheckError(std::string("serial: ") + what, ErrorCode::kCorruptData);
 }
 
 }  // namespace

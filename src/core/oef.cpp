@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/logging.h"
 #include "solver/checkpoint.h"
 #include "solver/lp_model.h"
 
@@ -27,6 +28,8 @@ using solver::VarId;
 /// kReaddTolerance; otherwise its echo would append duplicate rows forever.
 constexpr double kEnvyTolerance = 1e-7;
 constexpr double kReaddTolerance = 1e-6;
+/// Compaction drops the envy rows looser than this at the current optimum.
+constexpr double kCompactionSlackTol = 1e-5;
 
 /// Variable id of x[user][type] given k types.
 [[nodiscard]] constexpr VarId var_of(std::size_t user, std::size_t type, std::size_t k) {
@@ -226,12 +229,16 @@ AllocationResult OefAllocator::solve_cooperative(
   // has the same shape as last round's final model, the solver also reuses
   // the previous optimal basis. `added` marks every pair materialised as a
   // row this call: it deduplicates the seeds and stops the oracle from
-  // re-emitting a row the solver already carries.
+  // re-emitting a row the solver already carries. `envy_pairs` is the
+  // working model's envy-row set: entry r is the (envier, envied) pair of
+  // model row base_rows + r.
   const std::size_t base_rows = model.num_constraints();
   std::vector<char> added(n * n, 0);
+  std::vector<std::pair<std::size_t, std::size_t>> envy_pairs;
   const auto seed_pair = [&](std::size_t l, std::size_t i) {
     if (l != i && !added[l * n + i]) {
       added[l * n + i] = 1;
+      envy_pairs.emplace_back(l, i);
       model.add_constraint(envy_row(speedups, multiplicities, l, i));
     }
   };
@@ -264,7 +271,7 @@ AllocationResult OefAllocator::solve_cooperative(
       }
     }
   }
-  if (model.num_constraints() == base_rows && options_.seed_adjacent_envy_rows) {
+  if (envy_pairs.empty() && options_.seed_adjacent_envy_rows) {
     // Cold start: at the optimum envy binds densely between users adjacent
     // in the dominance order (Thm 5.2's adjacency structure), so seeding
     // both directions of every pair within distance 2 (~4n rows) skips most
@@ -290,17 +297,39 @@ AllocationResult OefAllocator::solve_cooperative(
     }
   }
 
-  // Lazy row generation: each round adds, for every user in index order,
-  // the envy row of the pair it envies most (the first such pair on exact
-  // ties). Only a small set is active at the optimum. Pairs whose row was
+  // Lazy row generation, one round per relaxation optimum. Round 1 loads the
+  // model (reusing the previous call's basis when the shape matches); later
+  // rounds reoptimise from the extended or compacted basis, or solve the
+  // working model cold after a refused compaction. Each round's separation
+  // scan emits, for every user in index order, the envy row of the pair it
+  // envies most (the first such pair on exact ties). Pairs whose row was
   // dropped again by compaction are re-emitted once the violation is genuine
   // (past kReaddTolerance). User l's scan reads only its own pairs' `added`
   // marks, so marking its row straight away cannot affect a later user.
-  double oracle_seconds = 0.0;
+  const std::size_t envy_budget = options_.max_envy_rows_total != 0
+                                      ? options_.max_envy_rows_total
+                                      : std::max<std::size_t>(16 * n, 512);
+  AllocationResult result;
+  solver::LpSolution solution;
+  bool converged = false;
+  for (std::size_t round = 1; round <= options_.max_lazy_rounds; ++round) {
+    // Anytime behaviour: once a relaxation optimum exists, an expired
+    // deadline hands it back instead of separating further. Round 1 always
+    // runs — without it there is nothing feasible to return at all.
+    if (round > 1 && options_.deadline.expired()) {
+      result.deadline_expired = true;
+      common::log_debug("oef: deadline expired after " + std::to_string(result.lazy_rounds) +
+                        " lazy round(s); returning the last relaxation optimum");
+      break;
+    }
+    solution = round == 1 ? solver_.solve(std::move(model)) : solver_.resolve();
+    result.lazy_rounds = round;
+    if (!solution.optimal()) break;
 
-  const auto oracle = [&](const std::vector<double>& point) {
     const double oracle_start = common::monotonic_seconds();
+    const std::vector<double>& point = solution.values;
     std::vector<Constraint> violated;
+    std::vector<std::pair<std::size_t, std::size_t>> violated_pairs;
     for (std::size_t l = 0; l < n; ++l) {
       const double own = scaled_efficiency(speedups, multiplicities, point, l);
       std::size_t worst = SIZE_MAX;  // the most-envied user, if any envy is violated
@@ -316,49 +345,64 @@ AllocationResult OefAllocator::solve_cooperative(
       }
       if (worst == SIZE_MAX) continue;
       violated.push_back(envy_row(speedups, multiplicities, l, worst));
+      violated_pairs.emplace_back(l, worst);
       added[l * n + worst] = 1;
     }
-    oracle_seconds += common::monotonic_seconds() - oracle_start;
-    return violated;
-  };
+    result.oracle_seconds += common::monotonic_seconds() - oracle_start;
+    if (violated.empty()) {
+      converged = true;
+      break;
+    }
+    result.envy_rows_added += violated.size();
 
-  solver::LazyConstraintSolver lazy(options_.max_lazy_rounds);
-  if (options_.max_envy_rows_total != SIZE_MAX) {
-    const std::size_t envy_budget = options_.max_envy_rows_total != 0
-                                        ? options_.max_envy_rows_total
-                                        : std::max<std::size_t>(16 * n, 512);
-    lazy.enable_compaction(base_rows, base_rows + envy_budget);
+    if (envy_pairs.size() + violated.size() > envy_budget) {
+      // Compaction: a row that cut off an early relaxed optimum is usually
+      // loose a few rounds later, yet it inflates every per-pivot operation
+      // for the rest of the call. Drop every envy row loose at the current
+      // optimum. A loose row's slack is basic, so the solver excises the rows
+      // while the basic set, vertex and duals survive, and the new violations
+      // append onto the warm basis as usual; a refused excision leaves the
+      // next resolve() to solve the shrunken model cold.
+      const std::vector<Constraint>& rows = solver_.model().constraints();
+      std::vector<std::size_t> drop;
+      std::size_t kept = 0;
+      for (std::size_t r = 0; r < envy_pairs.size(); ++r) {
+        const Constraint& row = rows[base_rows + r];
+        if (row.expr.evaluate(point) - row.rhs > kCompactionSlackTol) {
+          drop.push_back(base_rows + r);
+        } else {
+          envy_pairs[kept++] = envy_pairs[r];
+        }
+      }
+      envy_pairs.resize(kept);
+      if (!drop.empty()) {
+        ++result.compactions;
+        const bool warm = solver_.delete_rows(drop);
+        if (warm) ++result.warm_compactions;
+        result.envy_rows_dropped += drop.size();
+        common::log_debug("oef: lazy round " + std::to_string(round) + " dropped " +
+                          std::to_string(drop.size()) + " envy rows (" +
+                          (warm ? "warm" : "cold") + ")");
+      }
+    }
+    solver_.add_rows(violated);
+    envy_pairs.insert(envy_pairs.end(), violated_pairs.begin(), violated_pairs.end());
   }
-  lazy.set_deadline(options_.deadline);
-  const solver::LazySolveResult lazy_result = lazy.solve(solver_, std::move(model), oracle);
-  AllocationResult result;
-  result.lazy_rounds = lazy_result.rounds;
-  result.envy_rows_added = lazy_result.rows_added;
-  result.envy_rows_dropped = lazy_result.rows_dropped;
-  result.compactions = lazy_result.compactions;
-  result.warm_compactions = lazy_result.warm_compactions;
-  result.oracle_seconds = oracle_seconds;
-  result.deadline_expired = lazy_result.deadline_expired;
-  oracle_seconds_total_ += oracle_seconds;
-  if (!lazy_result.solution.optimal()) {
+  oracle_seconds_total_ += result.oracle_seconds;
+  if (!solution.optimal()) {
     // Every rung of the degradation ladder failed on some relaxation — there
     // is no feasible point to hand out at all.
     result.outcome = AllocationStatus::kFailed;
     return result;
   }
-  if (!lazy_result.converged) {
-    // The round cap or the deadline stopped the loop at a relaxation optimum:
-    // capacity-feasible (the capacity rows are permanent), some envy rows
-    // possibly violated. Serve it, flagged as degraded, instead of the old
-    // behaviour of returning an empty allocation.
-    result.outcome = AllocationStatus::kDegraded;
-  } else {
-    result.outcome = AllocationStatus::kOptimal;
-  }
-  result.allocation = extract_allocation(lazy_result.solution.values, n, k);
+  // The round cap or the deadline may have stopped the loop at a relaxation
+  // optimum: capacity-feasible (the capacity rows are permanent), some envy
+  // rows possibly violated. It is served, flagged as degraded.
+  result.outcome = converged ? AllocationStatus::kOptimal : AllocationStatus::kDegraded;
+  result.allocation = extract_allocation(solution.values, n, k);
   result.total_efficiency = result.allocation.total_efficiency(speedups);
 
-  // Refresh the recycled pool from the envy rows of the final model, in row
+  // Refresh the recycled pool from the final model's envy rows, in row
   // order, keyed by stable id. Keeping the loose rows too — not just the
   // binding set — preserves the invariant the warm start depends on: a quiet
   // next round re-seeds exactly this call's final row set in the same order,
@@ -367,26 +411,15 @@ AllocationResult OefAllocator::solve_cooperative(
   // compaction budget caps the final model's envy rows.
   if (options_.recycle_envy_rows) {
     envy_pool_.clear();
-    const std::vector<double>& point = lazy_result.solution.values;
-    const std::vector<Constraint>& rows = solver_.model().constraints();
-    for (std::size_t c = base_rows; c < rows.size(); ++c) {
-      // envy_row's first two terms are x[l][0] and x[i][0]; their
-      // coefficients ±w[l][0]/r are never zero (rows are normalised to
-      // w[l][0] = 1 and multiplicities are finite), so LinearExpr kept both.
-      const std::vector<solver::LinearTerm>& terms = rows[c].expr.terms();
-      OEF_CHECK(terms.size() >= 2);
-      const std::size_t l = terms[0].var / k;
-      const std::size_t i = terms[1].var / k;
-      PooledEnvyRow row;
-      row.envier = id_of(l);
-      row.envied = id_of(i);
+    for (const auto& [l, i] : envy_pairs) {
       // Tight at the optimum (own efficiency == envied efficiency, up to the
       // solver's feasibility tolerance) — the rows worth seeding into a
       // differently-shaped next call.
-      row.binding = envied_efficiency(speedups, multiplicities, point, l, i) -
-                        scaled_efficiency(speedups, multiplicities, point, l) >=
-                    -1e-6;
-      envy_pool_.push_back(row);
+      const bool binding =
+          envied_efficiency(speedups, multiplicities, solution.values, l, i) -
+              scaled_efficiency(speedups, multiplicities, solution.values, l) >=
+          -1e-6;
+      envy_pool_.push_back({id_of(l), id_of(i), binding});
     }
     envy_pool_users_ = n;
   }

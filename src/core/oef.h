@@ -21,7 +21,6 @@
 #include "common/serial.h"
 #include "core/allocation.h"
 #include "core/speedup_matrix.h"
-#include "solver/lazy.h"
 #include "solver/lp_solver.h"
 #include "solver/simplex.h"
 
@@ -37,6 +36,8 @@ struct OefOptions {
   /// Cooperative mode: generate envy rows lazily (true) or all n(n-1)
   /// eagerly (false). Lazy is the default and is required at large n.
   bool lazy_envy_constraints = true;
+  /// Cooperative lazy mode: relaxations solved before the loop gives up and
+  /// serves the last one as kDegraded.
   std::size_t max_lazy_rounds = 200;
   /// Cooperative lazy mode: relaxation-compaction ceiling. Once the working
   /// LP holds more than this many envy rows, rows slack at the current
@@ -101,7 +102,8 @@ struct AllocationResult {
   /// and tableau fallbacks included (a delta of the solver's
   /// total_iterations, like every solver counter below).
   std::size_t lp_iterations = 0;
-  /// Cooperative-lazy statistics (zero otherwise).
+  /// Cooperative-lazy statistics (zero otherwise): relaxations solved, and
+  /// envy rows emitted by the separation oracle (seeded rows not counted).
   std::size_t lazy_rounds = 0;
   std::size_t envy_rows_added = 0;
   /// Envy rows dropped again by relaxation compaction.
@@ -216,8 +218,8 @@ class OefAllocator {
   /// basis (see solver/lp_solver.h).
   mutable solver::LpSolver solver_;
   /// One envy row (envier must not envy envied) of the previous cooperative
-  /// call's final relaxation, read back from the solver's model in row order
-  /// and keyed by stable id (see allocate_weighted). `binding` marks rows
+  /// call's final relaxation, in row order and keyed by stable id (see
+  /// allocate_weighted). `binding` marks rows
   /// tight at the previous optimum: when the next call has the same user set
   /// the whole pool is reseeded in order (shape match → basis reuse), but
   /// across a user-set change — where the shape can't match and the solve is

@@ -25,9 +25,11 @@ struct SchedulerTelemetry {
   /// Always 0; kept for the benchmark's load generator.
   std::size_t lp_dense_fallbacks = 0;
   /// Degradation-ladder rungs taken inside the solver: tableau reference
-  /// fallbacks and singular-basis positions repaired during refactorisation.
+  /// fallbacks, singular-basis positions repaired during refactorisation,
+  /// and revised optima whose optimality certificate failed.
   std::size_t lp_tableau_fallbacks = 0;
   std::size_t lp_basis_repairs = 0;
+  std::size_t lp_certificate_failures = 0;
   std::size_t lp_iterations = 0;
   double lp_solve_seconds = 0.0;
   /// Wall-clock seconds inside the envy separation oracle (cooperative OEF;
@@ -48,6 +50,7 @@ struct SchedulerTelemetry {
     lp_warm_start_hits += other.lp_warm_start_hits;
     lp_tableau_fallbacks += other.lp_tableau_fallbacks;
     lp_basis_repairs += other.lp_basis_repairs;
+    lp_certificate_failures += other.lp_certificate_failures;
     lp_iterations += other.lp_iterations;
     lp_solve_seconds += other.lp_solve_seconds;
     oracle_seconds += other.oracle_seconds;
@@ -100,6 +103,7 @@ class Scheduler {
   t.lp_warm_start_hits = stats.warm_start_hits;
   t.lp_tableau_fallbacks = stats.tableau_fallbacks;
   t.lp_basis_repairs = stats.basis_repairs;
+  t.lp_certificate_failures = stats.certificate_failures;
   t.lp_iterations = stats.total_iterations;
   t.lp_solve_seconds = stats.solve_seconds;
   return t;

@@ -10,7 +10,9 @@
 //     element is scaled by 1e3 (lp_solver.cpp's kEtaCorruptionFactor),
 //     mimicking the accumulated update drift that makes ftran/btran disagree
 //     with the true basis. The solver's refactor-and-retry logic and the
-//     final is_feasible check are what catch it.
+//     optimality certificate of every kept optimum are what catch it; an
+//     optimum that fails the certificate is first reoptimised from its own
+//     basis, whose refactorisation drops the corrupted eta.
 //   * basis faults — at a refactorisation, one basic column is duplicated,
 //     making the basis structurally singular. This drives the exact
 //     deficiency-repair path (patching with unit columns) that real drift

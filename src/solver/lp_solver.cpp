@@ -1171,14 +1171,26 @@ bool LpSolver::import_warm_state(const LpWarmState& state) {
 
 bool LpSolver::keep_if_optimal(std::unique_ptr<Core> core, SolveStatus status,
                                LpSolution& solution) {
-  stats_.total_iterations += core->iterations();
-  stats_.basis_repairs += core->take_basis_repairs();
-  solution.status = status;
-  if (status != SolveStatus::kOptimal) return false;
-  core->extract(model_, solution);
-  if (!check_certificate(model_, solution.values, solution.duals).passes(kCertificateTol)) {
+  std::size_t pivots = 0;
+  std::size_t dual_pivots = 0;
+  for (bool recovery = false;; recovery = true) {
+    stats_.total_iterations += core->iterations();
+    stats_.basis_repairs += core->take_basis_repairs();
+    solution.status = status;
+    if (status != SolveStatus::kOptimal) return false;
+    core->extract(model_, solution);
+    pivots += solution.iterations;
+    dual_pivots += solution.dual_iterations;
+    solution.iterations = pivots;
+    solution.dual_iterations = dual_pivots;
+    if (check_certificate(model_, solution.values, solution.duals).passes(kCertificateTol)) break;
     ++stats_.certificate_failures;
-    return false;
+    if (recovery) return false;
+    // A corrupted eta file leaves x and y inconsistent at a basis that is
+    // usually optimal itself. Reoptimising the same basic set refactorises
+    // it (the eta file goes), re-prices and pivots only if it must; only a
+    // second failure goes down the ladder.
+    status = core->reoptimize(options_, /*dual_feasible=*/false);
   }
   core_ = std::move(core);
   return true;
@@ -1262,8 +1274,9 @@ bool LpSolver::delete_rows(const std::vector<std::size_t>& row_indices) {
   std::sort(sorted.begin(), sorted.end());
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
   // Out-of-range indices are caller misconfiguration at a module boundary
-  // (LazyConstraintSolver and embedders drive this API), so report them as a
-  // catchable CheckError rather than aborting; see check.h for the policy.
+  // (the cooperative allocator and embedders drive this API), so report them
+  // as a catchable CheckError rather than aborting; see check.h for the
+  // policy.
   for (const std::size_t r : sorted) {
     OEF_REQUIRE_MSG(r < model_.num_constraints(),
                     "delete_rows index past the loaded model's constraints");
@@ -1282,7 +1295,7 @@ bool LpSolver::delete_rows(const std::vector<std::size_t>& row_indices) {
   return has_basis();
 }
 
-std::size_t LpSolver::add_rows(const std::vector<Constraint>& rows) {
+void LpSolver::add_rows(const std::vector<Constraint>& rows) {
   for (const Constraint& constraint : rows) {
     const std::size_t index = model_.add_constraint(constraint);
     if (!core_) continue;
@@ -1295,7 +1308,6 @@ std::size_t LpSolver::add_rows(const std::vector<Constraint>& rows) {
     }
     core_->append_row(constraint, index);
   }
-  return rows.size();
 }
 
 LpSolution LpSolver::resolve() {

@@ -36,9 +36,10 @@
 // SolverOptions::algorithm == LpAlgorithm::kTableau degrades every call to
 // the reference full-tableau SimplexSolver (no warm identity is ever held),
 // and the revised path falls back to the tableau automatically whenever it
-// fails to reach an optimum whose certificate (certificate.h) passes;
-// stats().tableau_fallbacks counts those, unless the tableau would exceed
-// kTableauCellBudget, in which case the revised status is returned.
+// fails to reach an optimum whose certificate (certificate.h) passes, even
+// after one reoptimisation from its own basis; stats().tableau_fallbacks
+// counts those, unless the tableau would exceed kTableauCellBudget, in which
+// case the revised status is returned.
 #pragma once
 
 #include <cstddef>
@@ -79,8 +80,9 @@ struct LpSolverStats {
   /// refactorisation (the singular-basis repair path; see Core::refactor).
   std::size_t basis_repairs = 0;
   /// Revised-simplex "optimal" results whose optimality certificate
-  /// (certificate.h) failed; each went down the ladder like an infeasible
-  /// result.
+  /// (certificate.h) failed. The first failure of a run is reoptimised from
+  /// its own basis and checked again; a second one goes down the ladder like
+  /// an infeasible result.
   std::size_t certificate_failures = 0;
   /// Simplex pivots across all calls (primal + dual, all phases), failed
   /// warm attempts and tableau fallbacks included.
@@ -111,10 +113,10 @@ class LpSolver {
   [[nodiscard]] LpSolution solve(LpModel model);
 
   /// Appends constraints to the loaded model. Only valid after a solve().
-  /// Returns the number of rows accepted (all of them). Inequality rows are
-  /// staged for dual-simplex reoptimisation; an equality row drops the warm
-  /// identity, so the next resolve() solves the extended model cold.
-  std::size_t add_rows(const std::vector<Constraint>& rows);
+  /// Inequality rows are staged for dual-simplex reoptimisation; an equality
+  /// row drops the warm identity, so the next resolve() solves the extended
+  /// model cold.
+  void add_rows(const std::vector<Constraint>& rows);
 
   /// Reoptimises after add_rows()/delete_rows(): dual simplex from the
   /// previous optimal basis when a warm identity exists, cold solve of the
@@ -171,7 +173,9 @@ class LpSolver {
 
   /// Harvests `core`'s counters after a revised run that ended in `status`.
   /// On an optimum whose certificate passes, extracts it into `solution`,
-  /// keeps `core` as the warm identity and returns true.
+  /// keeps `core` as the warm identity and returns true. An optimum that
+  /// fails its certificate is reoptimised once from the same basic set and
+  /// checked again; `solution.iterations` then counts both runs' pivots.
   bool keep_if_optimal(std::unique_ptr<Core> core, SolveStatus status, LpSolution& solution);
 
   SolverOptions options_;

@@ -265,9 +265,9 @@ TEST(ServiceProtocol, StatusMappings) {
   EXPECT_EQ(status_from_outcome(core::AllocationStatus::kOptimal), StatusCode::kOk);
   EXPECT_EQ(status_from_outcome(core::AllocationStatus::kDegraded), StatusCode::kDegraded);
   EXPECT_EQ(status_from_outcome(core::AllocationStatus::kFailed), StatusCode::kFailed);
-  const common::CheckError bad_arg("x", common::ErrorCode::kInvalidArgument, "core");
+  const common::CheckError bad_arg("x", common::ErrorCode::kInvalidArgument);
   EXPECT_EQ(status_from_error(bad_arg), StatusCode::kInvalidArgument);
-  const common::CheckError internal("x", common::ErrorCode::kBadState, "solver");
+  const common::CheckError internal("x", common::ErrorCode::kBadState);
   EXPECT_EQ(status_from_error(internal), StatusCode::kInternalError);
   EXPECT_STREQ(to_string(StatusCode::kOverloaded), "overloaded");
   EXPECT_STREQ(to_string(MessageType::kUpdateDemand), "update_demand");

@@ -241,19 +241,28 @@ TEST(SimChurn, PivotCountersAccountForFailedWarmAttempts) {
   const std::vector<double> capacities = {30.0, 40.0, 22.0};
   common::Rng rng(99);
   std::size_t reported = 0;
+  std::size_t recovered_in_place = 0;
   for (int call = 0; call < 30; ++call) {
     for (auto& row : rows) {
       for (std::size_t j = 1; j < k; ++j) row[j] *= std::exp(rng.uniform(-0.03, 0.03));
     }
+    const std::size_t cold_before = allocator.solver_stats().cold_solves;
     const core::AllocationResult result = allocator.allocate(core::SpeedupMatrix(rows), capacities);
     ASSERT_TRUE(result.served()) << "call " << call;
     EXPECT_EQ(result.lp_iterations, result.cold_lp_iterations + result.warm_lp_iterations)
         << "call " << call;
     EXPECT_EQ(result.compactions, result.warm_compactions) << "call " << call;
     reported += result.lp_iterations;
+    if (result.certificate_failures > 0 && allocator.solver_stats().cold_solves == cold_before) {
+      ++recovered_in_place;
+    }
   }
   const solver::LpSolverStats& stats = allocator.solver_stats();
   EXPECT_EQ(reported, stats.total_iterations);
+  // An optimum that fails its certificate is reoptimised from its own basis
+  // before anything is solved cold; under eta corruption that recovers it.
+  EXPECT_GT(stats.certificate_failures, 0u);
+  EXPECT_GT(recovered_in_place, 0u);
   // No compaction was refused, so every cold solve after the first call's
   // first round followed a fallback.
   EXPECT_GT(stats.cold_solves, 1u);
@@ -275,6 +284,27 @@ TEST(SimChurn, DeadlineExpiryServesDegradedButFeasible) {
     EXPECT_EQ(result.outcome, core::AllocationStatus::kDegraded);
     EXPECT_TRUE(result.deadline_expired);
   }
+}
+
+TEST(SimChurn, RoundCapServesDegradedButFeasible) {
+  const core::SpeedupMatrix speedups = make_instance(20, 3, 5);
+  const std::vector<double> capacities = {30.0, 40.0, 22.0};
+  const core::AllocationResult full = core::make_cooperative_oef().allocate(speedups, capacities);
+  ASSERT_TRUE(full.ok());
+  ASSERT_GT(full.lazy_rounds, 2u);
+
+  // Stopped by the cap, the loop serves its last relaxation optimum and
+  // reports the rounds it ran. A relaxation of the maximisation bounds the
+  // converged optimum from above.
+  core::OefOptions capped;
+  capped.max_lazy_rounds = 2;
+  const core::AllocationResult result =
+      core::make_cooperative_oef(capped).allocate(speedups, capacities);
+  EXPECT_EQ(result.outcome, core::AllocationStatus::kDegraded);
+  EXPECT_EQ(result.lazy_rounds, 2u);
+  EXPECT_FALSE(result.deadline_expired);
+  EXPECT_TRUE(result.allocation.respects_capacity(capacities, 1e-6));
+  EXPECT_GE(result.total_efficiency, full.total_efficiency - 1e-6 * full.total_efficiency);
 }
 
 TEST(SimChurn, SchedulerFallsBackToLastFeasibleWhenAllocatorFails) {

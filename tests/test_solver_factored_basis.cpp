@@ -18,7 +18,6 @@
 #include "core/oef.h"
 #include "core/speedup_matrix.h"
 #include "solver/basis.h"
-#include "solver/lazy.h"
 #include "solver/lp_model.h"
 #include "solver/lp_solver.h"
 #include "solver/simplex.h"
@@ -449,11 +448,14 @@ TEST(FactoredBasis, LazyCompactionTakesTheWarmPath) {
   EXPECT_GT(compacted.envy_rows_dropped, 0u);
 
   // The recycled pool is the compacted final model, so an identical next
-  // call reloads that model, reuses its optimal basis and takes no pivot.
+  // call reloads that model, reuses its optimal basis, takes no pivot and
+  // converges in its first round.
   const std::size_t hits = allocator.solver_stats().warm_start_hits;
   const core::AllocationResult again = allocator.allocate(w, caps);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again.lp_iterations, 0u);
+  EXPECT_EQ(again.lazy_rounds, 1u);
+  EXPECT_EQ(again.envy_rows_added, 0u);
   EXPECT_EQ(allocator.solver_stats().warm_start_hits, hits + 1);
   EXPECT_NEAR(again.total_efficiency, compacted.total_efficiency,
               1e-9 * (1.0 + compacted.total_efficiency));
