@@ -11,7 +11,8 @@
 //   * overload     — queue-depth-2 daemon under a thundering herd: requests
 //                    must shed with kOverloaded + last-good snapshots, never
 //                    abort or queue without bound.
-//   * soak         — a forked daemon serving sequential acked churn through
+//   * soak         — oefd's serving loop (service::run_daemon) in a forked
+//                    child, serving sequential acked churn through
 //                    client-side wire faults (drop/dup/corrupt/truncate),
 //                    kill -9'd and restarted mid-stream. Gated: zero lost
 //                    acknowledged updates, acked ids deduped across restarts,
@@ -34,8 +35,10 @@
 #include <unistd.h>
 
 #include "bench_common.h"
+#include "common/check.h"
 #include "common/clock.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "service/client.h"
 #include "service/daemon.h"
 #include "service/service.h"
@@ -83,14 +86,6 @@ std::vector<double> random_demand(oef::common::Rng& rng, std::size_t k) {
   demand[0] = 1.0;
   for (std::size_t j = 1; j < k; ++j) demand[j] = demand[j - 1] * rng.uniform(1.05, 2.0);
   return demand;
-}
-
-double percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const std::size_t index = std::min(values.size() - 1,
-                                     static_cast<std::size_t>(p * values.size()));
-  return values[index];
 }
 
 // ---------------------------------------------------------------------------
@@ -197,12 +192,16 @@ LatencyRecord run_latency_arm(const std::string& arm, double coalesce_seconds,
   LatencyRecord record;
   record.arm = arm;
   record.updates = all_updates.size();
-  record.update_p50_ms = percentile(all_updates, 0.50);
-  record.update_p99_ms = percentile(all_updates, 0.99);
-  record.allocate_p50_ms = percentile(allocate_latencies, 0.50);
-  record.allocate_p99_ms = percentile(allocate_latencies, 0.99);
-  record.query_p50_ms = percentile(query_latencies, 0.50);
-  record.query_p99_ms = percentile(query_latencies, 0.99);
+  // Every update may have failed; the allocate and query loops always
+  // record 20 samples each.
+  if (!all_updates.empty()) {
+    record.update_p50_ms = oef::common::percentile(all_updates, 50.0);
+    record.update_p99_ms = oef::common::percentile(all_updates, 99.0);
+  }
+  record.allocate_p50_ms = oef::common::percentile(allocate_latencies, 50.0);
+  record.allocate_p99_ms = oef::common::percentile(allocate_latencies, 99.0);
+  record.query_p50_ms = oef::common::percentile(query_latencies, 50.0);
+  record.query_p99_ms = oef::common::percentile(query_latencies, 99.0);
   record.resolves = stats.resolves;
   record.batches = stats.batches;
   record.max_batch = stats.max_batch_size;
@@ -383,23 +382,25 @@ struct SoakRecord {
   double seconds = 0.0;
 };
 
+/// Runs oefd's serving loop in a forked child and returns its pid. The child
+/// exits 0 after a clean stop and 1 on CheckError (an unrestorable
+/// checkpoint or an unbindable socket), as oefd does.
 pid_t spawn_daemon(const std::string& socket_path, const std::string& checkpoint_path) {
   const pid_t pid = fork();
   if (pid != 0) return pid;
-  {
+  int status = 0;
+  try {
     ServiceOptions service_options;
     service_options.capacities = {8.0, 4.0, 4.0};
     service_options.checkpoint_path = checkpoint_path;
     service_options.coalesce_window_seconds = 0.002;
-    AllocatorService service(service_options);
     DaemonOptions daemon_options;
     daemon_options.socket_path = socket_path;
-    Daemon daemon(service, daemon_options);
-    daemon.start();
-    daemon.wait();
-    daemon.stop();
+    oef::service::run_daemon(service_options, daemon_options);
+  } catch (const oef::common::CheckError&) {
+    status = 1;
   }
-  _exit(0);
+  _exit(status);
 }
 
 bool await_daemon(const std::string& socket_path) {

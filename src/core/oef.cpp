@@ -435,11 +435,7 @@ void OefAllocator::save_warm_state(common::SerialWriter& out) const {
     out.u64(row.envied);
     out.u64(row.binding ? 1 : 0);
   }
-  // A fresh solver holds no warm state, so it writes the idle slot's marker.
-  const solver::LpSolver idle;
-  const bool coop = mode_ == Mode::kCooperative;
-  solver::write_warm_state(out, coop ? solver_ : idle);
-  solver::write_warm_state(out, coop ? idle : solver_);
+  solver::write_warm_state(out, solver_);
 }
 
 bool OefAllocator::load_warm_state(common::SerialReader& in) {
@@ -459,12 +455,7 @@ bool OefAllocator::load_warm_state(common::SerialReader& in) {
     row.binding = in.u64() != 0;
     envy_pool_.push_back(row);
   }
-  // The idle slot is read (and so consumed) into a throwaway solver.
-  solver::LpSolver idle;
-  const bool coop = mode_ == Mode::kCooperative;
-  const bool coop_warm = solver::read_warm_state(in, coop ? solver_ : idle);
-  const bool noncoop_warm = solver::read_warm_state(in, coop ? idle : solver_);
-  return coop ? coop_warm : noncoop_warm;
+  return solver::read_warm_state(in, solver_);
 }
 
 OefAllocator make_non_cooperative_oef(OefOptions options) {

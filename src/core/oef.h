@@ -168,17 +168,18 @@ class OefAllocator {
   /// across all allocate() calls on this instance.
   [[nodiscard]] double oracle_seconds() const { return oracle_seconds_total_; }
 
-  /// Checkpoint hook: serializes the allocator's warm identity — the
-  /// recycled envy pool and the persistent solver's LpWarmState — so a fresh
-  /// process can resume churn on warm paths. The record keeps one solver slot
-  /// per mode (cooperative first); the slot of the mode this allocator does
-  /// not run holds the no-warm-state marker. Counters (solver stats, oracle
-  /// seconds) are telemetry, not warm state, and are not saved.
+  /// Checkpoint hook: serializes the allocator's warm identity — its mode
+  /// tag, the recycled envy pool and the persistent solver's LpWarmState —
+  /// so a fresh process can resume churn on warm paths. The next allocate()
+  /// rebuilds its LP from its arguments and the pool, so no model is saved.
+  /// Counters (solver stats, oracle seconds) are telemetry, not warm state,
+  /// and are not saved.
   void save_warm_state(common::SerialWriter& out) const;
 
   /// Restores what save_warm_state() wrote. Returns true when the solver
-  /// came back warm; false means the next allocate() runs cold (a degraded
-  /// restart, not an error). Throws common::CheckError with
+  /// holds the restored identity, which the next allocate()'s first solve
+  /// installs if its model has the same shape; false means that solve runs
+  /// cold (a degraded restart, not an error). Throws common::CheckError with
   /// kCorruptData on a malformed record and kInvalidArgument when the
   /// checkpoint was taken under the other Mode.
   bool load_warm_state(common::SerialReader& in);

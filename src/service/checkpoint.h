@@ -1,4 +1,4 @@
-// Crash-safe versioned checkpoint file container (PR 9).
+// Crash-safe versioned checkpoint file container.
 //
 // The daemon's durability contract — "no acknowledged update is ever lost" —
 // rests on two properties of this container:
@@ -14,8 +14,9 @@
 //     garbage.
 //
 // The payload itself is a SerialWriter token stream owned by the service
-// layer (tenant registry, dedup ids, allocator warm state); this container
-// only guarantees it arrives intact or not at all.
+// layer (tenant registry, dedup ids, wire snapshot, and the allocator record:
+// mode tag, envy pool and one solver warm identity, with no LP model); this
+// container only guarantees it arrives intact or not at all.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +27,9 @@
 namespace oef::service {
 
 /// Current checkpoint format version. Bump on any payload schema change;
-/// load_checkpoint() rejects versions it does not know.
-inline constexpr std::uint64_t kCheckpointVersion = 1;
+/// load_checkpoint() rejects versions it does not know, so a file of an
+/// earlier version stops oefd with exit 1 instead of being read.
+inline constexpr std::uint64_t kCheckpointVersion = 2;
 
 /// Writes `payload` to `path` atomically (tmp + fsync + rename). Throws
 /// common::CheckError(kBadState) on I/O failure.

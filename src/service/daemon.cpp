@@ -20,6 +20,19 @@
 
 namespace oef::service {
 
+namespace {
+
+/// True when a listener accepts connections at `addr`: a live daemon.
+[[nodiscard]] bool accepts_connections(const sockaddr_un& addr) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return false;
+  const bool live = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) == 0;
+  ::close(fd);
+  return live;
+}
+
+}  // namespace
+
 Daemon::Daemon(AllocatorService& service, DaemonOptions options)
     : service_(service),
       options_(std::move(options)),
@@ -37,15 +50,22 @@ void Daemon::start() {
   OEF_REQUIRE_CODE(options_.socket_path.size() < sizeof(addr.sun_path),
                    common::ErrorCode::kInvalidArgument, "socket path too long");
   std::strncpy(addr.sun_path, options_.socket_path.c_str(), sizeof(addr.sun_path) - 1);
-  // A stale socket file from a killed daemon would make bind fail forever;
-  // unlink first — a *live* daemon still holds the listening socket open, so
-  // this races only with an operator error, not with normal restarts.
+  // A stale socket file from a killed daemon would make bind fail forever,
+  // so it is unlinked first. A live daemon's is refused instead: replacing
+  // its file would leave that daemon listening where no client can reach it.
+  if (accepts_connections(addr)) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    OEF_REQUIRE_CODE(false, common::ErrorCode::kBadState,
+                     "socket path is served by a live daemon");
+  }
   ::unlink(options_.socket_path.c_str());
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
     OEF_REQUIRE_CODE(false, common::ErrorCode::kBadState, "bind() failed");
   }
+  bound_ = true;
   if (::listen(listen_fd_, 64) != 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -88,7 +108,9 @@ void Daemon::stop() {
   for (Connection& connection : connections) {
     if (connection.thread.joinable()) connection.thread.join();
   }
-  ::unlink(options_.socket_path.c_str());
+  // Only the file this daemon bound: after a refused start the path is
+  // another daemon's.
+  if (bound_) ::unlink(options_.socket_path.c_str());
 }
 
 void Daemon::reap_finished_connections() {

@@ -52,14 +52,16 @@ class Daemon {
   Daemon(const Daemon&) = delete;
   Daemon& operator=(const Daemon&) = delete;
 
-  /// Binds the socket and starts accepting. Throws CheckError(kBadState) on
-  /// bind/listen failure (e.g. the path is taken by a live daemon).
+  /// Binds the socket and starts accepting. A socket file left by a killed
+  /// daemon is replaced. Throws CheckError(kBadState) when a live daemon
+  /// accepts connections on the path, or on bind/listen failure.
   void start();
 
   /// Blocks until a kShutdown request (or stop() from another thread).
   void wait();
 
-  /// Stops accepting, drops connections, joins all threads. Idempotent.
+  /// Stops accepting, drops connections, joins all threads, and removes the
+  /// socket file if start() bound it. Idempotent.
   void stop();
 
   [[nodiscard]] const std::string& socket_path() const { return options_.socket_path; }
@@ -72,6 +74,8 @@ class Daemon {
   AllocatorService& service_;
   DaemonOptions options_;
   int listen_fd_ = -1;
+  /// start() created the socket file, so stop() removes it.
+  bool bound_ = false;
   std::atomic<bool> stopping_{false};
 
   std::mutex mu_;

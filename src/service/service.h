@@ -124,7 +124,8 @@ class AllocatorService {
   [[nodiscard]] ServiceStats stats() const;
 
   /// True when construction restored state from a checkpoint; warm means the
-  /// allocator's solver basis came back too (next resolve pivots warm). A
+  /// allocator's solver holds the checkpointed warm identity too (the next
+  /// resolve installs it and pivots warm if its model has the same shape). A
   /// checkpoint that fails to parse, or whose tenants fail validation (name,
   /// demand arity against `capacities`, finite positive demand and weight),
   /// makes the constructor throw CheckError instead.

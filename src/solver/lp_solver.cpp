@@ -31,6 +31,26 @@ constexpr double kCertificateTol = 1e-6;
 
 double seconds_since(double start) { return common::monotonic_seconds() - start; }
 
+/// True when `state` is self-consistent: one basic column per row, one
+/// at-upper flag per column of Core::load's layout (the structural columns,
+/// a slack per inequality row, an artificial per >= or = row), and basic
+/// columns in range and distinct.
+bool well_formed(const LpWarmState& state) {
+  if (state.basic.size() != state.relations.size()) return false;
+  std::size_t columns = state.structural_columns;
+  for (const Relation relation : state.relations) {
+    columns += relation == Relation::kGreaterEqual ? 2 : 1;
+  }
+  // The first test catches a wrapped sum (a corrupt structural count).
+  if (columns < state.structural_columns || columns != state.at_upper.size()) return false;
+  std::vector<char> seen(columns, 0);
+  for (const std::size_t col : state.basic) {
+    if (col >= columns || seen[col]) return false;
+    seen[col] = 1;
+  }
+  return true;
+}
+
 }  // namespace
 
 // Revised-simplex state: standard form (scaled, column-sparse), Basis, and
@@ -58,11 +78,11 @@ class LpSolver::Core {
   /// Two-phase cold solve from the all-slack/artificial basis.
   [[nodiscard]] SolveStatus run_cold(const SolverOptions& options);
 
-  /// Installs a warm identity (basic set + at-upper flags, e.g. another
-  /// core's or a checkpoint's) onto this freshly load()ed core. Returns false
-  /// on a size mismatch, an out-of-range or a duplicate basic column.
-  [[nodiscard]] bool install(const std::vector<std::size_t>& basic,
-                             const std::vector<char>& at_upper);
+  /// Installs a warm identity (another core's or a checkpoint's) onto this
+  /// freshly load()ed core. Returns false when its shape (structural column
+  /// count and normalised relations) differs from this core's or it is not
+  /// well-formed.
+  [[nodiscard]] bool install(LpWarmState state);
 
   /// The warm entry: refactorises the installed basic set, then reoptimises
   /// with primal pivots if it is primal-feasible, dual then primal pivots if
@@ -89,12 +109,11 @@ class LpSolver::Core {
   /// iteration counters). `model` must be the loaded model.
   void extract(const LpModel& model, LpSolution& out) const;
 
-  [[nodiscard]] bool shape_matches(const Core& other) const;
-
   /// The warm identity: with the loaded model, the basic set and the at-upper
   /// flags determine the next reoptimize() completely.
-  [[nodiscard]] const std::vector<std::size_t>& basic() const { return basis_.basic(); }
-  [[nodiscard]] const std::vector<char>& at_upper() const { return at_upper_; }
+  [[nodiscard]] LpWarmState identity() const {
+    return LpWarmState{n_struct_, relations_, basis_.basic(), at_upper_};
+  }
 
   [[nodiscard]] std::size_t iterations() const { return iterations_; }
 
@@ -853,22 +872,21 @@ SolveStatus LpSolver::Core::run_cold(const SolverOptions& options) {
   return finish_perturbed(options);
 }
 
-bool LpSolver::Core::install(const std::vector<std::size_t>& basic,
-                             const std::vector<char>& at_upper) {
-  if (basic.size() != m_ || at_upper.size() != num_cols_) return false;
-  std::vector<char> seen(num_cols_, 0);
-  for (const std::size_t col : basic) {
-    if (col >= num_cols_ || seen[col]) return false;
-    seen[col] = 1;
+bool LpSolver::Core::install(LpWarmState state) {
+  if (state.structural_columns != n_struct_ || state.relations != relations_ ||
+      !well_formed(state)) {
+    return false;
   }
-  basis_.set_basic(basic);
+  // Every core's columns follow well_formed's layout, so the sizes agree.
+  OEF_CHECK(state.at_upper.size() == num_cols_);
+  basis_.set_basic(std::move(state.basic));
   rebuild_basis_flags();
   // The nonbasic bound statuses are part of the vertex; restore them and
   // re-establish the invariants that basic columns carry no at-upper flag
   // and that at-upper columns still have a finite bound (a same-shaped model
   // may have widened a bound to infinity — resting there would poison xb
   // with non-finite values).
-  at_upper_ = at_upper;
+  at_upper_ = std::move(state.at_upper);
   num_at_upper_ = 0;
   for (std::size_t j = 0; j < num_cols_; ++j) {
     if (in_basis_[j] || !std::isfinite(upper_[j])) at_upper_[j] = 0;
@@ -885,9 +903,10 @@ SolveStatus LpSolver::Core::reoptimize(const SolverOptions& options, bool dual_f
   perturbed_ = false;
   fix_artificials();
   // Always refactorise, even where an eta file could be extended: the
-  // continuation is then a pure function of (model, basic set, at-upper
-  // flags) — exactly the checkpoint identity — so a restored solver pivots
-  // bit-identically to the uninterrupted one. An accumulated eta file and a
+  // continuation is then a pure function of the model and the identity
+  // (basic set, at-upper flags) — the caller's model and the checkpointed
+  // identity — so a restored solver pivots bit-identically to the
+  // uninterrupted one. An accumulated eta file and a
   // fresh factorisation of the same basis differ in low bits; one sparse LU
   // per reoptimisation buys determinism across restarts.
   if (!refactor()) return SolveStatus::kIterationLimit;
@@ -1134,11 +1153,6 @@ void LpSolver::Core::extract(const LpModel& model, LpSolution& out) const {
   out.dual_iterations = dual_iterations_;
 }
 
-bool LpSolver::Core::shape_matches(const Core& other) const {
-  return m_ == other.m_ && num_cols_ == other.num_cols_ && n_struct_ == other.n_struct_ &&
-         relations_ == other.relations_;
-}
-
 // ---------------------------------------------------------------------------
 // LpSolver
 // ---------------------------------------------------------------------------
@@ -1151,22 +1165,16 @@ LpSolver& LpSolver::operator=(LpSolver&&) noexcept = default;
 bool LpSolver::has_basis() const { return core_ != nullptr; }
 
 std::optional<LpWarmState> LpSolver::export_warm_state() const {
-  if (!core_) return std::nullopt;
-  return LpWarmState{model_, core_->basic(), core_->at_upper()};
+  if (core_) return core_->identity();
+  return imported_;
 }
 
 bool LpSolver::import_warm_state(const LpWarmState& state) {
-  model_ = state.model;
   core_.reset();
-  if (options_.algorithm == LpAlgorithm::kTableau) return false;
-  auto core = std::make_unique<Core>();
-  core->load(model_, options_);
-  if (!core->install(state.basic, state.at_upper)) return false;
-  // An exported optimum reoptimises in zero pivots, leaving the same
-  // identity the exporting instance holds.
-  const SolveStatus status = core->reoptimize(options_, /*dual_feasible=*/false);
-  LpSolution discarded;
-  return keep_if_optimal(std::move(core), status, discarded);
+  imported_.reset();
+  if (options_.algorithm == LpAlgorithm::kTableau || !well_formed(state)) return false;
+  imported_ = state;
+  return true;
 }
 
 bool LpSolver::keep_if_optimal(std::unique_ptr<Core> core, SolveStatus status,
@@ -1193,6 +1201,7 @@ bool LpSolver::keep_if_optimal(std::unique_ptr<Core> core, SolveStatus status,
     status = core->reoptimize(options_, /*dual_feasible=*/false);
   }
   core_ = std::move(core);
+  imported_.reset();
   return true;
 }
 
@@ -1249,18 +1258,18 @@ LpSolution LpSolver::reoptimize_or_cold(std::unique_ptr<Core> core, bool dual_fe
 
 LpSolution LpSolver::solve(LpModel model) {
   const double start = common::monotonic_seconds();
-  const std::unique_ptr<Core> previous = std::move(core_);
+  // Basis reuse: a model of exactly the previous identity's shape (only
+  // coefficients moved) starts from its basic set and bound statuses. That
+  // identity is the last optimum's, or one import_warm_state() holds.
+  std::optional<LpWarmState> previous = export_warm_state();
+  core_.reset();
+  imported_.reset();
   model_ = std::move(model);
-  // Basis reuse: a model of exactly the previous shape (only coefficients
-  // moved) starts from the previous optimum's basic set and bound statuses.
   std::unique_ptr<Core> core;
   if (previous) {
     core = std::make_unique<Core>();
     core->load(model_, options_);
-    if (!core->shape_matches(*previous) ||
-        !core->install(previous->basic(), previous->at_upper())) {
-      core.reset();
-    }
+    if (!core->install(std::move(*previous))) core.reset();
   }
   LpSolution solution = reoptimize_or_cold(std::move(core), /*dual_feasible=*/false);
   if (solution.warm_started) ++stats_.warm_start_hits;

@@ -6,19 +6,21 @@
 // call goes through one entry, which refactorises the installed basic set
 // and reoptimises from it (primal pivots if it is primal-feasible, dual then
 // primal pivots if it is dual-feasible, a cost-shifting dual phase 1
-// otherwise). It has three callers:
+// otherwise). It has two callers:
 //
 //   * solve() basis reuse: when a new model has exactly the same shape as the
-//     previously solved one (same variables, rows and relations — the
+//     previous identity (same structural columns, rows and relations — the
 //     round-over-round case in the simulator, where only coefficients move),
-//     the previous identity is installed against the new coefficients.
+//     that identity is installed against the new coefficients.
 //   * add_rows() + resolve(): newly separated constraints (the lazy
 //     envy-freeness rows of cooperative OEF) join the loaded problem with
 //     basic slacks; the previous optimum stays dual-feasible, so typically a
 //     handful of dual pivots replace a full two-phase re-solve.
-//   * import_warm_state(): a checkpointed identity is installed and
-//     reoptimised, so the restored solver continues exactly like the
-//     exporting one.
+//
+// import_warm_state() holds a checkpointed identity without loading
+// anything; the next solve() of a same-shape model installs it exactly as it
+// would install the previous call's identity, so the restored solver
+// continues exactly like the exporting one.
 //
 // delete_rows() excises rows loose at the current optimum (their slacks
 // basic) together with their slack columns while the basic set survives —
@@ -52,15 +54,17 @@
 
 namespace oef::solver {
 
-/// Everything a fresh LpSolver needs to resume warm exactly where another
-/// instance (possibly in another process) left off: the loaded model, the
-/// basic column set and the nonbasic at-upper statuses. The factorisation
-/// itself is deliberately absent — every warm call refactorises from the
-/// basic set anyway, so (model, basic, at_upper) is the whole warm identity
-/// and a restore is pivot-identical to the uninterrupted run.
-/// Serialized by solver/checkpoint.h for the daemon's crash-safe checkpoint.
+/// A warm identity detached from its solver: what solve()'s basis reuse
+/// compares and installs, and nothing else. The shape is the structural
+/// column count and the normalised relation of every standard row (which fix
+/// the row and column counts); the identity is the basic column set and the
+/// nonbasic at-upper flags. Neither the model nor the factorisation is kept:
+/// the next solve() loads its own model, and every warm call refactorises
+/// from the basic set, so a restore is pivot-identical to the uninterrupted
+/// run. Serialized by solver/checkpoint.h for the daemon's checkpoint.
 struct LpWarmState {
-  LpModel model;
+  std::size_t structural_columns = 0;
+  std::vector<Relation> relations;
   std::vector<std::size_t> basic;
   std::vector<char> at_upper;
 };
@@ -134,22 +138,23 @@ class LpSolver {
   /// model. Only valid after a solve().
   bool delete_rows(const std::vector<std::size_t>& row_indices);
 
-  /// True when the solver holds a warm identity to reoptimise from (the last
-  /// optimum's basis, possibly extended by add_rows() or shrunk by
-  /// delete_rows() since).
+  /// True when the solver holds a warm identity on its loaded model to
+  /// reoptimise from (the last optimum's basis, possibly extended by
+  /// add_rows() or shrunk by delete_rows() since). An imported identity has
+  /// no loaded model, so it does not count.
   [[nodiscard]] bool has_basis() const;
 
-  /// Snapshot of the warm state (see LpWarmState); nullopt when there is no
-  /// reusable basis (nothing solved yet, tableau mode, or a prior failure).
+  /// Snapshot of the warm identity (see LpWarmState): the loaded one, else an
+  /// imported one not yet consumed; nullopt when there is neither (nothing
+  /// solved yet, tableau mode, or a prior failure).
   [[nodiscard]] std::optional<LpWarmState> export_warm_state() const;
 
-  /// Restores a warm state exported by export_warm_state(): loads the model,
-  /// installs the basic set and bound statuses, and reoptimises from them (an
-  /// exported optimum takes zero pivots). On success (true) the next call
-  /// continues exactly as it would have in the exporting instance. On
-  /// failure (malformed state, a singular restored basis, or no verified
-  /// optimum) the solver is left cold with the model loaded — callers
-  /// degrade to a cold first solve, never to an error.
+  /// Holds a warm identity exported by export_warm_state(), possibly in
+  /// another process, in place of this solver's own, for the next solve() to
+  /// install if its model has the same shape (nothing is loaded, factorised
+  /// or pivoted here). Returns false, holding no identity, in tableau mode or
+  /// when the identity is not self-consistent; callers then degrade to a cold
+  /// first solve, never to an error.
   bool import_warm_state(const LpWarmState& state);
 
   /// The currently loaded model, including rows appended via add_rows().
@@ -183,6 +188,9 @@ class LpSolver {
   /// The warm identity; null when there is none (nothing solved yet, tableau
   /// mode, a failed or tableau-answered solve, an equality row appended).
   std::unique_ptr<Core> core_;
+  /// An identity import_warm_state() holds for the next solve(); set only
+  /// while core_ is null.
+  std::optional<LpWarmState> imported_;
   LpSolverStats stats_;
 };
 

@@ -1,9 +1,10 @@
-// In-process contract of the AllocatorService (PR 9): tenant churn over warm
+// In-process contract of the AllocatorService: tenant churn over warm
 // solver state, idempotent dedup, admission control + load shedding with
 // last-good snapshots, queue deadlines, update coalescing, and the
 // checkpoint round-trip determinism guarantee — a service restored from a
 // mid-churn checkpoint resolves the next update pivot-identically and lands
-// on the bit-identical allocation of an uninterrupted run.
+// on the bit-identical allocation of an uninterrupted run. Only the current
+// checkpoint format version is read.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,13 +12,17 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/check.h"
+#include "common/serial.h"
+#include "core/speedup_matrix.h"
 #include "service/checkpoint.h"
 #include "service/service.h"
+#include "temp_path.h"
 
 namespace oef::service {
 namespace {
@@ -291,9 +296,8 @@ struct ChurnScript {
 };
 
 TEST(AllocatorService, CheckpointRestoreIsPivotIdenticalAndBitIdentical) {
-  const std::string dir = ::testing::TempDir();
-  const std::string ckpt_a = dir + "/oef_ckpt_uninterrupted";
-  const std::string ckpt_b = dir + "/oef_ckpt_restored";
+  const std::string ckpt_a = tests::temp_path("oef_ckpt_uninterrupted");
+  const std::string ckpt_b = tests::temp_path("oef_ckpt_restored");
   std::remove(ckpt_a.c_str());
   std::remove(ckpt_b.c_str());
 
@@ -358,7 +362,7 @@ TEST(AllocatorService, CheckpointRestoreIsPivotIdenticalAndBitIdentical) {
 }
 
 TEST(AllocatorService, DedupSurvivesRestart) {
-  const std::string path = ::testing::TempDir() + "/oef_ckpt_dedup";
+  const std::string path = tests::temp_path("oef_ckpt_dedup");
   std::remove(path.c_str());
   ServiceOptions options = base_options();
   options.checkpoint_path = path;
@@ -381,7 +385,7 @@ TEST(AllocatorService, DedupSurvivesRestart) {
 }
 
 TEST(AllocatorService, CorruptCheckpointRefusesToStart) {
-  const std::string path = ::testing::TempDir() + "/oef_ckpt_corrupt";
+  const std::string path = tests::temp_path("oef_ckpt_corrupt");
   {
     std::FILE* file = std::fopen(path.c_str(), "w");
     ASSERT_NE(file, nullptr);
@@ -393,6 +397,102 @@ TEST(AllocatorService, CorruptCheckpointRefusesToStart) {
   try {
     AllocatorService service(options);
     FAIL() << "corrupt checkpoint must not be silently ignored";
+  } catch (const common::CheckError& error) {
+    EXPECT_EQ(error.code(), common::ErrorCode::kCorruptData);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(AllocatorService, BatchThatEmptiesTheRegistryKeepsTheRestoredIdentity) {
+  const std::string path = tests::temp_path("oef_ckpt_emptied");
+  std::remove(path.c_str());
+  ServiceOptions options = base_options();
+  options.checkpoint_path = path;
+  const std::vector<double> demand = {1.0, 2.0, 3.0};
+
+  // The allocator record the service writes after serving `demand` alone:
+  // the same deterministic allocate on a standalone allocator.
+  std::string record;
+  {
+    const core::OefAllocator allocator(options.mode);
+    ASSERT_TRUE(allocator
+                    .allocate_weighted(core::SpeedupMatrix({demand}), {1.0},
+                                       options.capacities, {0})
+                    .ok());
+    common::SerialWriter out;
+    allocator.save_warm_state(out);
+    record = out.take();
+  }
+  const auto ends_with_record = [&](const std::string& payload) {
+    return payload.size() >= record.size() &&
+           payload.compare(payload.size() - record.size(), record.size(), record) == 0;
+  };
+  {
+    AllocatorService service(options);
+    ASSERT_EQ(service.handle(add_tenant("solo", demand)).status, StatusCode::kOk);
+  }
+  const std::optional<std::string> written = load_checkpoint(path);
+  ASSERT_TRUE(written.has_value());
+  ASSERT_TRUE(ends_with_record(*written));
+
+  // The restored identity waits for a resolve; a batch that empties the
+  // registry runs none, so the next checkpoint carries the identity as it
+  // was imported.
+  {
+    AllocatorService service(options);
+    ASSERT_TRUE(service.restored_warm());
+    Request remove;
+    remove.type = MessageType::kRemoveTenant;
+    remove.tenant = "solo";
+    ASSERT_EQ(service.handle(remove).status, StatusCode::kOk);
+    EXPECT_EQ(service.stats().resolves, 0u);
+  }
+  const std::optional<std::string> rewritten = load_checkpoint(path);
+  ASSERT_TRUE(rewritten.has_value());
+  EXPECT_NE(*rewritten, *written);
+  EXPECT_TRUE(ends_with_record(*rewritten));
+  {
+    AllocatorService service(options);
+    EXPECT_TRUE(service.restored_warm());
+    EXPECT_TRUE(service.snapshot()->tenants.empty());
+  }
+  std::remove(path.c_str());
+}
+
+TEST(AllocatorService, VersionOneCheckpointRefusesToStart) {
+  const std::string path = tests::temp_path("oef_ckpt_v1");
+  std::remove(path.c_str());
+  ServiceOptions options = base_options();
+  options.checkpoint_path = path;
+  {
+    AllocatorService service(options);
+    ASSERT_EQ(service.handle(add_tenant("alice", {1.0, 2.0, 3.0})).status, StatusCode::kOk);
+  }
+  const std::optional<std::string> payload = load_checkpoint(path);
+  ASSERT_TRUE(payload.has_value());
+  // The same container around the same payload, with version 1 and a
+  // checksum that verifies.
+  ASSERT_EQ(kCheckpointVersion, 2u);
+  common::SerialWriter header;
+  header.u64(1);
+  header.u64(payload->size());
+  header.u64(common::fnv1a64(*payload));
+  {
+    std::FILE* file = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(file, nullptr);
+    const std::string bytes = "OEFCKPT1" + header.data() + *payload;
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file), bytes.size());
+    std::fclose(file);
+  }
+  try {
+    (void)load_checkpoint(path);
+    FAIL() << "a version 1 checkpoint was loaded";
+  } catch (const common::CheckError& error) {
+    EXPECT_EQ(error.code(), common::ErrorCode::kCorruptData);
+  }
+  try {
+    AllocatorService service(options);
+    FAIL() << "a version 1 checkpoint must not start the service";
   } catch (const common::CheckError& error) {
     EXPECT_EQ(error.code(), common::ErrorCode::kCorruptData);
   }
@@ -432,7 +532,7 @@ TEST(AllocatorService, OverflowingEfficiencyIsNeverPublished) {
 }
 
 TEST(AllocatorService, CheckpointWithOtherTypeCountRefusesToStart) {
-  const std::string path = ::testing::TempDir() + "/oef_ckpt_arity";
+  const std::string path = tests::temp_path("oef_ckpt_arity");
   std::remove(path.c_str());
   ServiceOptions options = base_options();
   options.checkpoint_path = path;
@@ -453,7 +553,7 @@ TEST(AllocatorService, CheckpointWithOtherTypeCountRefusesToStart) {
 }
 
 TEST(ServiceCheckpointContainer, RoundTripAndTamperDetection) {
-  const std::string path = ::testing::TempDir() + "/oef_ckpt_container";
+  const std::string path = tests::temp_path("oef_ckpt_container");
   const std::string payload = "42 hello 0x1.8p1 tokens";
   write_checkpoint(path, payload);
   const auto loaded = load_checkpoint(path);

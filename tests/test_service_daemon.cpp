@@ -19,9 +19,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/check.h"
 #include "service/client.h"
 #include "service/daemon.h"
 #include "service/service.h"
+#include "temp_path.h"
 
 namespace oef::service {
 namespace {
@@ -49,7 +51,7 @@ Request update_demand(const std::string& name, std::vector<double> demand) {
 }
 
 TEST(Daemon, ServesRequestsOverTheSocket) {
-  const std::string socket_path = ::testing::TempDir() + "/oefd_basic.sock";
+  const std::string socket_path = tests::temp_path("oefd_basic.sock");
   AllocatorService service(base_service_options());
   DaemonOptions daemon_options;
   daemon_options.socket_path = socket_path;
@@ -79,7 +81,7 @@ TEST(Daemon, ServesRequestsOverTheSocket) {
 }
 
 TEST(Daemon, SurvivesWireFaultsWithIdempotentRetries) {
-  const std::string socket_path = ::testing::TempDir() + "/oefd_faults.sock";
+  const std::string socket_path = tests::temp_path("oefd_faults.sock");
   AllocatorService service(base_service_options());
   DaemonOptions daemon_options;
   daemon_options.socket_path = socket_path;
@@ -127,10 +129,41 @@ TEST(Daemon, SurvivesWireFaultsWithIdempotentRetries) {
   daemon.stop();
   // The fault schedule must actually have exercised the retry machinery.
   EXPECT_GT(client.fault_stats().frames_seen, 20u);
+  EXPECT_GT(client.retries(), 0u);
+}
+
+TEST(Daemon, RefusesASocketPathALiveDaemonServes) {
+  // A second daemon on a live daemon's path must not take it over: replacing
+  // the socket file, and removing it again on stop, would leave the first
+  // daemon listening where no client can reach it.
+  const std::string socket_path = tests::temp_path("oefd_taken.sock");
+  AllocatorService service(base_service_options());
+  DaemonOptions daemon_options;
+  daemon_options.socket_path = socket_path;
+  Daemon daemon(service, daemon_options);
+  daemon.start();
+  {
+    AllocatorService other_service(base_service_options());
+    Daemon other(other_service, daemon_options);
+    try {
+      other.start();
+      FAIL() << "a second daemon took over a live daemon's socket path";
+    } catch (const common::CheckError& error) {
+      EXPECT_EQ(error.code(), common::ErrorCode::kBadState);
+    }
+  }  // `other` stops here
+
+  ClientOptions client_options;
+  client_options.socket_path = socket_path;
+  AllocatorClient client(client_options);
+  EXPECT_EQ(client.call(add_tenant("alice", {1.0, 2.0, 3.0})).status, StatusCode::kOk);
+  daemon.stop();
+  // The daemon that bound the file removes it.
+  EXPECT_FALSE(std::filesystem::exists(socket_path));
 }
 
 TEST(Daemon, ShutdownRequestDrainsAndStops) {
-  const std::string socket_path = ::testing::TempDir() + "/oefd_shutdown.sock";
+  const std::string socket_path = tests::temp_path("oefd_shutdown.sock");
   AllocatorService service(base_service_options());
   DaemonOptions daemon_options;
   daemon_options.socket_path = socket_path;
@@ -188,8 +221,8 @@ void await_daemon(const std::string& socket_path) {
 }
 
 TEST(DaemonChaos, Kill9LosesNoAcknowledgedUpdateAndRestoresWarm) {
-  const std::string socket_path = ::testing::TempDir() + "/oefd_chaos.sock";
-  const std::string checkpoint_path = ::testing::TempDir() + "/oefd_chaos.ckpt";
+  const std::string socket_path = tests::temp_path("oefd_chaos.sock");
+  const std::string checkpoint_path = tests::temp_path("oefd_chaos.ckpt");
   std::remove(checkpoint_path.c_str());
 
   pid_t daemon_pid = spawn_daemon(socket_path, checkpoint_path);
@@ -317,7 +350,7 @@ TEST(DaemonSignals, SigtermToAnyThreadDrainsAndExitsCleanly) {
   // when that thread does not block it. A handler that ran Daemon::stop() on
   // the thread it interrupted aborted on every thread but main (stop() joins
   // threads, so on the accept thread it joined itself).
-  const std::string socket_path = ::testing::TempDir() + "/oefd_signal.sock";
+  const std::string socket_path = tests::temp_path("oefd_signal.sock");
   std::size_t num_threads = 1;  // read from each daemon
   for (std::size_t t = 0; t < num_threads; ++t) {
     SCOPED_TRACE("thread index " + std::to_string(t));
@@ -343,7 +376,7 @@ TEST(DaemonSignals, SigtermToAnyThreadDrainsAndExitsCleanly) {
 }
 
 TEST(DaemonSignals, ShutdownRequestEndsTheServingLoop) {
-  const std::string socket_path = ::testing::TempDir() + "/oefd_signal_shutdown.sock";
+  const std::string socket_path = tests::temp_path("oefd_signal_shutdown.sock");
   Child daemon(spawn_daemon(socket_path));
   ASSERT_GT(daemon.pid(), 0);
   await_daemon(socket_path);

@@ -1,13 +1,14 @@
-// Checkpoint contract of the solver layer (PR 9): an LpModel and a warm
-// solver state serialized mid-session and restored into a fresh solver must
-// continue *pivot-identically* — the restored solver performs the same
-// resolve pivots and lands on the bit-identical vertex as the uninterrupted
-// one. Corrupt streams must surface as CheckError(kCorruptData), never as
+// Checkpoint contract of the solver layer: a warm identity serialized
+// mid-session and imported into a fresh solver is held, not loaded, until
+// the next solve() of a same-shape model installs it; from there the
+// restored solver continues *pivot-identically* — it performs the same
+// pivots and lands on the bit-identical vertex as the uninterrupted one.
+// Corrupt streams must surface as CheckError(kCorruptData), never as
 // silently wrong state.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -77,45 +78,13 @@ std::vector<Constraint> violated_envy_rows(const core::SpeedupMatrix& w,
   return violated;
 }
 
-TEST(SolverCheckpoint, LpModelRoundTripsBitExact) {
-  LpModel model(Sense::kMaximize);
-  model.add_variable("a", 0.0, kInf, 1.0 / 3.0);
-  model.add_variable("b", -2.5, 7.125, -0.1);
-  model.add_variable("c", 0.0, 1.0, 1e-17);
-  LinearExpr expr;
-  expr.add(0, 0.3);
-  expr.add(2, -1.0 / 7.0);
-  model.add_constraint(std::move(expr), Relation::kLessEqual, 4.0, "cap");
-  LinearExpr expr2;
-  expr2.add(1, 2.0);
-  model.add_constraint(std::move(expr2), Relation::kGreaterEqual, -1.0 / 3.0, "floor");
-
-  common::SerialWriter out;
-  write_lp_model(out, model);
-  common::SerialReader in(out.data());
-  const LpModel restored = read_lp_model(in);
-
-  ASSERT_EQ(restored.num_variables(), model.num_variables());
-  ASSERT_EQ(restored.num_constraints(), model.num_constraints());
-  for (std::size_t v = 0; v < model.num_variables(); ++v) {
-    // Bit-exact, not approximately equal: hexfloat round-trips exactly.
-    EXPECT_EQ(restored.variables()[v].lower, model.variables()[v].lower);
-    EXPECT_EQ(restored.variables()[v].upper, model.variables()[v].upper);
-    EXPECT_EQ(restored.variables()[v].objective, model.variables()[v].objective);
-  }
-  for (std::size_t c = 0; c < model.num_constraints(); ++c) {
-    EXPECT_EQ(restored.constraints()[c].rhs, model.constraints()[c].rhs);
-    EXPECT_EQ(restored.constraints()[c].relation, model.constraints()[c].relation);
-    ASSERT_EQ(restored.constraints()[c].expr.terms().size(),
-              model.constraints()[c].expr.terms().size());
-  }
-}
-
 TEST(SolverCheckpoint, RestoredSolverResolvesPivotIdentically) {
   // Serialize a solver mid-session (after the round-1 solve), restore into a
-  // fresh instance, then drive both through the same add_rows + resolve.
-  // The restored solver must pivot identically and land on the bit-identical
-  // vertex — the foundation of the daemon's warm-restart contract.
+  // fresh instance, which solves the exporter's model first (warm, no
+  // pivots: the imported identity is that model's optimum), then drive both
+  // through the same add_rows + resolve. The restored solver must pivot
+  // identically and land on the bit-identical vertex — the foundation of the
+  // daemon's warm-restart contract.
   common::Rng rng(77);
   int warm_restores = 0;
   for (int trial = 0; trial < 8; ++trial) {
@@ -136,6 +105,9 @@ TEST(SolverCheckpoint, RestoredSolverResolvesPivotIdentically) {
     common::SerialReader in(out.data());
     if (!read_warm_state(in, restored)) continue;  // nothing warm to compare
     ++warm_restores;
+    const LpSolution resumed = restored.solve(model);
+    ASSERT_TRUE(resumed.warm_started) << "trial " << trial;
+    EXPECT_EQ(resumed.iterations, 0u) << "trial " << trial;
 
     const std::vector<Constraint> rows = violated_envy_rows(w, first.values);
     if (rows.empty()) continue;
@@ -155,6 +127,112 @@ TEST(SolverCheckpoint, RestoredSolverResolvesPivotIdentically) {
     EXPECT_EQ(0, std::memcmp(&a.objective, &b.objective, sizeof(double)));
   }
   EXPECT_GE(warm_restores, 5);
+}
+
+TEST(SolverCheckpoint, ImportHoldsTheIdentityForTheNextSameShapeSolve) {
+  common::Rng rng(5);
+  const core::SpeedupMatrix w = random_matrix(rng, 6, 3);
+  const LpModel model = oef_base_model(w, {3.0, 2.0, 2.0});
+  LpSolver exporter((SolverOptions()));
+  ASSERT_TRUE(exporter.solve(model).optimal());
+  common::SerialWriter out;
+  write_warm_state(out, exporter);
+
+  LpSolver importer((SolverOptions()));
+  common::SerialReader in(out.data());
+  ASSERT_TRUE(read_warm_state(in, importer));
+  EXPECT_TRUE(in.at_end());
+  // Held, not loaded: no basis, no pivots, and exported as imported.
+  EXPECT_FALSE(importer.has_basis());
+  EXPECT_EQ(importer.stats().total_iterations, 0u);
+  common::SerialWriter again;
+  write_warm_state(again, importer);
+  EXPECT_EQ(again.data(), out.data());
+
+  const LpSolution resumed = importer.solve(model);
+  ASSERT_TRUE(resumed.optimal());
+  EXPECT_TRUE(resumed.warm_started);
+  EXPECT_EQ(resumed.iterations, 0u);
+  EXPECT_EQ(importer.stats().warm_start_hits, 1u);
+  EXPECT_EQ(importer.stats().cold_solves, 0u);
+  EXPECT_TRUE(importer.has_basis());
+
+  // From here the two solvers are one: a same-shape perturbation solves
+  // bit-identically on both.
+  const core::SpeedupMatrix w2 = random_matrix(rng, 6, 3);
+  const LpModel next = oef_base_model(w2, {3.5, 2.0, 1.5});
+  const LpSolution a = exporter.solve(next);
+  const LpSolution b = importer.solve(next);
+  ASSERT_TRUE(a.optimal());
+  ASSERT_TRUE(b.optimal());
+  EXPECT_TRUE(a.warm_started);
+  EXPECT_EQ(b.warm_started, a.warm_started);
+  EXPECT_EQ(b.iterations, a.iterations);
+  ASSERT_EQ(a.values.size(), b.values.size());
+  for (std::size_t v = 0; v < a.values.size(); ++v) {
+    EXPECT_EQ(0, std::memcmp(&a.values[v], &b.values[v], sizeof(double))) << "var " << v;
+  }
+  EXPECT_EQ(0, std::memcmp(&a.objective, &b.objective, sizeof(double)));
+}
+
+TEST(SolverCheckpoint, ImportedIdentityOfAnotherShapeSolvesCold) {
+  common::Rng rng(6);
+  const core::SpeedupMatrix w = random_matrix(rng, 5, 3);
+  const LpModel model = oef_base_model(w, {3.0, 2.0, 2.0});
+  LpSolver exporter((SolverOptions()));
+  ASSERT_TRUE(exporter.solve(model).optimal());
+  const std::optional<LpWarmState> state = exporter.export_warm_state();
+  ASSERT_TRUE(state.has_value());
+
+  LpSolver importer((SolverOptions()));
+  ASSERT_TRUE(importer.import_warm_state(*state));
+  // One more row changes the shape, so the held identity cannot install.
+  LpModel wider = model;
+  wider.add_constraint(envy_row(w, 0, 1));
+  const LpSolution solution = importer.solve(wider);
+  ASSERT_TRUE(solution.optimal());
+  EXPECT_FALSE(solution.warm_started);
+  EXPECT_EQ(importer.stats().warm_start_hits, 0u);
+  EXPECT_EQ(importer.stats().cold_solves, 1u);
+}
+
+TEST(SolverCheckpoint, MalformedIdentityIsRefused) {
+  common::Rng rng(8);
+  const core::SpeedupMatrix w = random_matrix(rng, 4, 3);
+  LpSolver exporter((SolverOptions()));
+  ASSERT_TRUE(exporter.solve(oef_base_model(w, {2.0, 2.0, 2.0})).optimal());
+  const std::optional<LpWarmState> state = exporter.export_warm_state();
+  ASSERT_TRUE(state.has_value());
+  ASSERT_GE(state->basic.size(), 2u);
+
+  // Self-inconsistent identities import as cold and leave nothing held.
+  LpWarmState repeated = *state;
+  repeated.basic[1] = repeated.basic[0];
+  LpWarmState short_flags = *state;
+  short_flags.at_upper.pop_back();
+  LpWarmState extra_row = *state;
+  extra_row.relations.push_back(Relation::kLessEqual);
+  for (const LpWarmState& bad : {repeated, short_flags, extra_row}) {
+    LpSolver importer((SolverOptions()));
+    EXPECT_FALSE(importer.import_warm_state(bad));
+    EXPECT_FALSE(importer.export_warm_state().has_value());
+  }
+
+  // A relation tag past kEqual is corrupt data, not a cold restore.
+  common::SerialWriter out;
+  out.u64(1);  // warm-state marker
+  out.u64(state->structural_columns);
+  out.byte_vec(std::vector<char>(state->relations.size(), 3));
+  out.size_vec(state->basic);
+  out.byte_vec(state->at_upper);
+  LpSolver importer((SolverOptions()));
+  common::SerialReader in(out.data());
+  try {
+    (void)read_warm_state(in, importer);
+    FAIL() << "relation tag 3 was accepted";
+  } catch (const common::CheckError& error) {
+    EXPECT_EQ(error.code(), common::ErrorCode::kCorruptData);
+  }
 }
 
 TEST(SolverCheckpoint, SolverWithoutBasisWritesColdMarker) {
@@ -190,33 +268,10 @@ TEST(SolverCheckpoint, TruncatedStreamThrowsCorruptData) {
   }
 }
 
-TEST(SolverCheckpoint, CrossedOrNanBoundsThrowCorruptData) {
-  // LpModel::add_variable aborts on such bounds, so the reader must refuse
-  // them first. The stream is write_lp_model's layout for one variable.
-  for (const auto& [lower, upper] : {std::pair{3.0, 1.0}, std::pair{std::nan(""), 1.0},
-                                     std::pair{0.0, std::nan("")}}) {
-    common::SerialWriter out;
-    out.u64(0);  // maximise
-    out.u64(1);  // one variable
-    out.str("x");
-    out.f64(lower);
-    out.f64(upper);
-    out.f64(1.0);  // objective
-    out.u64(0);    // no constraints
-    common::SerialReader in(out.data());
-    try {
-      (void)read_lp_model(in);
-      FAIL() << "bounds [" << lower << ", " << upper << "] were accepted";
-    } catch (const common::CheckError& error) {
-      EXPECT_EQ(error.code(), common::ErrorCode::kCorruptData);
-    }
-  }
-}
-
 TEST(AllocatorCheckpoint, EachModeRestoresWarmAndRefusesTheOtherMode) {
-  // The allocator record keeps a cooperative and a non-cooperative solver
-  // slot; each mode must restore from its own slot and continue exactly like
-  // the allocator that wrote it.
+  // The allocator record carries its mode tag and one solver identity; each
+  // mode must restore it and continue exactly like the allocator that wrote
+  // it, and refuse a record of the other mode.
   using Mode = core::OefAllocator::Mode;
   common::Rng rng(17);
   const core::SpeedupMatrix w = random_matrix(rng, 6, 3);

@@ -5,8 +5,9 @@
 // perturbation (basis reuse), add_rows() of inequality cuts and now and then
 // an equality, resolve(), delete_rows() of rows loose at the optimum (warm
 // excision) and of binding rows (refused excision), and export_warm_state()
-// + import_warm_state() into a fresh twin that then receives the same
-// operations. After every solve or resolve the result must match the
+// + import_warm_state() into a fresh twin that first solves the exporter's
+// model (warm, in zero pivots) and then receives the same operations. After
+// every solve or resolve the result must match the
 // reference tableau (SimplexSolver) on the solver's own model — status,
 // objective to 1e-6, a feasible point — and the twin must report a
 // bit-identical objective and the same iteration count. No revised optimum
@@ -281,8 +282,13 @@ class SequenceRun {
     if (!state) return;
     twin_.emplace();
     ASSERT_TRUE(twin_->import_warm_state(*state)) << label_;
-    // The exported optimum reoptimises in zero pivots, so the twin holds the
-    // exporting solver's identity.
+    // The import only holds the identity; the twin's first solve of the
+    // exporter's model installs it, and the exported optimum reoptimises in
+    // zero pivots, so the twin then holds the exporting solver's identity.
+    EXPECT_FALSE(twin_->has_basis()) << label_;
+    const LpSolution resumed = twin_->solve(solver_.model());
+    EXPECT_TRUE(resumed.warm_started) << label_;
+    EXPECT_EQ(resumed.iterations, 0u) << label_;
     EXPECT_EQ(twin_->stats().total_iterations, 0u) << label_;
     EXPECT_EQ(twin_->model().num_constraints(), solver_.model().num_constraints());
     ++coverage_.imports;
