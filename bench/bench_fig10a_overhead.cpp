@@ -86,13 +86,12 @@ int main() {
     checks.emplace_back(label, ok);
   };
   common::Table table({"sweep", "n", "ms", "lazy rounds", "warm rounds", "pivots",
-                       "tableau fb", "objective"});
+                       "objective"});
   const auto add_row = [&table](const char* sweep, std::size_t n, const Timed& t) {
     table.add_row({sweep, std::to_string(n), common::format_double(t.ms, 2),
                    std::to_string(t.result.lazy_rounds),
                    std::to_string(t.result.warm_rounds),
                    std::to_string(t.result.lp_iterations),
-                   std::to_string(t.result.tableau_fallbacks),
                    common::format_double(t.result.total_efficiency, 6)});
   };
 

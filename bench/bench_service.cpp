@@ -237,10 +237,14 @@ RestartRecord run_restart_arm(std::size_t tenants) {
   std::vector<std::vector<double>> demands;
   for (std::size_t t = 0; t < tenants; ++t) demands.push_back(random_demand(rng, 3));
 
+  // One batch in index order (thread t waits until the t before it are
+  // accepted), so every run of the arm solves the same LPs.
   const auto register_all = [&](AllocatorService& service) {
+    const auto base = service.stats().requests_accepted;
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < tenants; ++t) {
-      threads.emplace_back([&service, &demands, t] {
+      threads.emplace_back([&service, &demands, t, base] {
+        while (service.stats().requests_accepted < base + t) std::this_thread::yield();
         (void)service.handle(make_add("tenant" + std::to_string(t), demands[t]));
       });
     }

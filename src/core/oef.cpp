@@ -170,7 +170,6 @@ AllocationResult OefAllocator::allocate_weighted(
   result.cold_lp_iterations = result.lp_iterations - result.warm_lp_iterations;
   result.warm_rounds = after.warm_resolves - before.warm_resolves;
   result.solve_seconds = after.solve_seconds - before.solve_seconds;
-  result.tableau_fallbacks = after.tableau_fallbacks - before.tableau_fallbacks;
   result.basis_repairs = after.basis_repairs - before.basis_repairs;
   result.certificate_failures = after.certificate_failures - before.certificate_failures;
   return result;

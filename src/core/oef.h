@@ -99,8 +99,8 @@ struct AllocationResult {
   /// Σ w_l · x_l at the optimum.
   double total_efficiency = 0.0;
   /// Simplex pivots across all LP solves of this call, failed warm attempts
-  /// and tableau fallbacks included (a delta of the solver's
-  /// total_iterations, like every solver counter below).
+  /// included (a delta of the solver's total_iterations, like every solver
+  /// counter below).
   std::size_t lp_iterations = 0;
   /// Cooperative-lazy statistics (zero otherwise): relaxations solved, and
   /// envy rows emitted by the separation oracle (seeded rows not counted).
@@ -126,12 +126,13 @@ struct AllocationResult {
   /// Cooperative lazy mode: OefOptions::deadline expired and the last
   /// relaxation optimum was returned (outcome == kDegraded).
   bool deadline_expired = false;
-  /// Always 0; kept for the benchmark's load generator.
+  /// Both always 0 (no dense basis, no tableau fallback); kept for the
+  /// benchmark's load generator.
   std::size_t dense_fallbacks = 0;
-  /// Degradation-ladder counters for this call (deltas of the solver's
-  /// cumulative stats): tableau fallbacks, deficient basis positions
-  /// repaired, and revised optima whose certificate failed.
   std::size_t tableau_fallbacks = 0;
+  /// Degradation-ladder counters for this call (deltas of the solver's
+  /// cumulative stats): deficient basis positions repaired, and revised
+  /// optima whose certificate failed.
   std::size_t basis_repairs = 0;
   std::size_t certificate_failures = 0;
 

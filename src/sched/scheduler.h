@@ -22,12 +22,13 @@ struct SchedulerTelemetry {
   std::size_t lp_cold_solves = 0;
   std::size_t lp_warm_resolves = 0;
   std::size_t lp_warm_start_hits = 0;
-  /// Always 0; kept for the benchmark's load generator.
+  /// Both always 0 (no dense basis, no tableau fallback); kept for the
+  /// benchmark's load generator.
   std::size_t lp_dense_fallbacks = 0;
-  /// Degradation-ladder rungs taken inside the solver: tableau reference
-  /// fallbacks, singular-basis positions repaired during refactorisation,
-  /// and revised optima whose optimality certificate failed.
   std::size_t lp_tableau_fallbacks = 0;
+  /// Degradation-ladder rungs taken inside the solver: singular-basis
+  /// positions repaired during refactorisation, and revised optima whose
+  /// optimality certificate failed.
   std::size_t lp_basis_repairs = 0;
   std::size_t lp_certificate_failures = 0;
   std::size_t lp_iterations = 0;
@@ -48,7 +49,6 @@ struct SchedulerTelemetry {
     lp_cold_solves += other.lp_cold_solves;
     lp_warm_resolves += other.lp_warm_resolves;
     lp_warm_start_hits += other.lp_warm_start_hits;
-    lp_tableau_fallbacks += other.lp_tableau_fallbacks;
     lp_basis_repairs += other.lp_basis_repairs;
     lp_certificate_failures += other.lp_certificate_failures;
     lp_iterations += other.lp_iterations;
@@ -101,7 +101,6 @@ class Scheduler {
   t.lp_cold_solves = stats.cold_solves;
   t.lp_warm_resolves = stats.warm_resolves;
   t.lp_warm_start_hits = stats.warm_start_hits;
-  t.lp_tableau_fallbacks = stats.tableau_fallbacks;
   t.lp_basis_repairs = stats.basis_repairs;
   t.lp_certificate_failures = stats.certificate_failures;
   t.lp_iterations = stats.total_iterations;

@@ -5,8 +5,8 @@
 // checker reads only the model (variables, bounds, objective, constraint
 // terms, relations, rhs) and the solution's values and duals, so it shares
 // nothing with either simplex engine: LpSolver runs it on every revised
-// result before keeping it, and a result that fails goes down the
-// degradation ladder like an infeasible one.
+// result before keeping it, and a result that fails twice is discarded like
+// an infeasible one.
 //
 // Conventions are those of LpSolution::duals: y_i = d(objective)/d(rhs_i) in
 // the model's own sense. For a maximisation a <= row's dual is >= 0 and a >=

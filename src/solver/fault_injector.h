@@ -1,7 +1,7 @@
 // Deterministic fault injection for the revised simplex.
 //
-// The degradation ladder (warm resolve → basis repair → tableau →
-// last-feasible) exists to survive numerical breakdown — but genuine
+// The degradation ladder (warm resolve → basis repair → the scheduler's
+// last-feasible fallback) exists to survive numerical breakdown — but genuine
 // breakdown only shows up at n ~ 1000, which makes the recovery code
 // untestable at unit scale. A FaultInjector manufactures the breakdowns
 // on demand, from a seeded stream so every run is reproducible:

@@ -399,7 +399,8 @@ void LpSolver::Core::rebuild_basis_flags() {
 }
 
 void LpSolver::Core::set_at_upper(std::size_t col, bool value) {
-  // A column fixed at zero (an artificial past phase 1) rests at lower.
+  // A column of zero width (an artificial past phase 1, or a structural
+  // column with lower = upper) rests at lower.
   if (value && upper_[col] == 0.0) value = false;
   if (static_cast<bool>(at_upper_[col]) == value) return;
   at_upper_[col] = value ? 1 : 0;
@@ -511,13 +512,13 @@ SolveStatus LpSolver::Core::run_primal(bool phase1, const SolverOptions& options
     // Entering column and direction: a column at its lower bound enters
     // upward on d < 0, a column at its upper bound enters downward on d > 0.
     // Devex scores d^2 / weight; under Bland the first eligible enters.
-    // Artificials may re-enter only in phase 1.
+    // A column of zero width (an artificial past phase 1, or a structural
+    // column with lower = upper) cannot move, so it never enters.
     std::size_t enter = SIZE_MAX;
     double dir = 1.0;
     double best_score = 0.0;
     for (std::size_t j = 0; j < num_cols_; ++j) {
-      if (in_basis_[j]) continue;
-      if (!phase1 && artificial_[j]) continue;
+      if (in_basis_[j] || upper_[j] == 0.0) continue;
       const double dj = d_[j];
       double candidate_dir;
       if (!at_upper_[j] && dj < -tol) {
@@ -719,14 +720,15 @@ SolveStatus LpSolver::Core::run_dual(const SolverOptions& options) {
     // when sigma*alpha < 0 (it will increase), an at-upper column when
     // sigma*alpha > 0 (it will decrease); either way the entering column
     // minimises |d| / |alpha|, keeping dual feasibility. Ties are broken by
-    // pivot magnitude, or smallest index under Bland.
+    // pivot magnitude, or smallest index under Bland. Zero-width columns
+    // cannot absorb a displacement, so they never enter.
     const double sigma = above ? -1.0 : 1.0;
     const auto pick_entering = [&](double pivot_tol) {
       std::size_t enter = SIZE_MAX;
       double best_ratio = std::numeric_limits<double>::infinity();
       double best_pivot = 0.0;
       for (std::size_t j = 0; j < num_cols_; ++j) {
-        if (in_basis_[j] || artificial_[j]) continue;
+        if (in_basis_[j] || upper_[j] == 0.0) continue;
         const double a = sigma * alpha_[j];
         double ratio;
         if (!at_upper_[j]) {
@@ -925,7 +927,7 @@ SolveStatus LpSolver::Core::reoptimize(const SolverOptions& options, bool dual_f
     // the vertex is near-optimal already.
     price(/*phase1=*/false);
     for (std::size_t j = 0; j < num_cols_; ++j) {
-      if (in_basis_[j] || artificial_[j]) continue;
+      if (in_basis_[j] || upper_[j] == 0.0) continue;
       if (at_upper_[j] ? d_[j] > 1e-7 : d_[j] < -1e-7) {
         shifts.push_back({j, d_[j]});
         cost_[j] -= d_[j];
@@ -1196,8 +1198,8 @@ bool LpSolver::keep_if_optimal(std::unique_ptr<Core> core, SolveStatus status,
     if (recovery) return false;
     // A corrupted eta file leaves x and y inconsistent at a basis that is
     // usually optimal itself. Reoptimising the same basic set refactorises
-    // it (the eta file goes), re-prices and pivots only if it must; only a
-    // second failure goes down the ladder.
+    // it (the eta file goes), re-prices and pivots only if it must; a second
+    // failure discards the point.
     status = core->reoptimize(options_, /*dual_feasible=*/false);
   }
   core_ = std::move(core);
@@ -1206,41 +1208,24 @@ bool LpSolver::keep_if_optimal(std::unique_ptr<Core> core, SolveStatus status,
 }
 
 LpSolution LpSolver::solve_loaded_cold() {
-  // Cold rungs of the degradation ladder. The caller already exhausted any
-  // warm option, so escalation is deterministic from here: (1) the revised
-  // simplex (whose refactorisations repair deficient bases in place); (2)
-  // the reference full-tableau solver, which shares no basis machinery at
-  // all — and never consults the fault injector — so it terminates the
-  // ladder. Tableau mode starts on rung (2) and never holds a warm identity.
+  // The last solver step: the caller already exhausted any warm option.
+  // Tableau mode answers with the reference solver; otherwise the revised
+  // verdict is final. An optimum whose certificate failed twice returns as
+  // kIterationLimit, with no values, which callers already degrade on.
   ++stats_.cold_solves;
-  LpSolution solution;
-  if (options_.algorithm != LpAlgorithm::kTableau) {
-    auto core = std::make_unique<Core>();
-    core->load(model_, options_);
-    const SolveStatus status = core->run_cold(options_);
-    if (keep_if_optimal(std::move(core), status, solution)) return solution;
-    // The revised solve failed or produced an uncertified point. The
-    // tableau holds two dense copies of its matrix, so a model past the cell
-    // budget keeps the revised verdict; an uncertified optimum becomes an
-    // iteration limit, which callers already degrade on.
-    const std::size_t cells = SimplexSolver::tableau_cells(model_);
-    if (cells > kTableauCellBudget) {
-      common::log_warn("lp_solver: revised cold solve failed (" + to_string(status) +
-                       ") and the tableau's " + std::to_string(cells) +
-                       " cells exceed its budget; returning the revised status");
-      LpSolution revised;
-      revised.status = status == SolveStatus::kOptimal ? SolveStatus::kIterationLimit : status;
-      return revised;
-    }
-    // The tableau is dramatically slower on large models, so its trigger is
-    // worth a log line (to_string names the revised outcome).
-    common::log_debug("lp_solver: revised cold solve failed (" + to_string(solution.status) +
-                      "); falling back to the reference tableau");
-    ++stats_.tableau_fallbacks;
+  if (options_.algorithm == LpAlgorithm::kTableau) {
+    LpSolution solution = SimplexSolver(options_).solve(model_);
+    stats_.total_iterations += solution.iterations;
+    return solution;
   }
-  solution = SimplexSolver(options_).solve(model_);
-  stats_.total_iterations += solution.iterations;
-  return solution;
+  auto core = std::make_unique<Core>();
+  core->load(model_, options_);
+  const SolveStatus status = core->run_cold(options_);
+  LpSolution solution;
+  if (keep_if_optimal(std::move(core), status, solution)) return solution;
+  LpSolution failed;
+  failed.status = status == SolveStatus::kOptimal ? SolveStatus::kIterationLimit : status;
+  return failed;
 }
 
 LpSolution LpSolver::reoptimize_or_cold(std::unique_ptr<Core> core, bool dual_feasible) {

@@ -36,12 +36,11 @@
 // flips instead of synthetic rows, and entering/leaving choices use devex
 // reference weights (Bland's rule on stalling).
 // SolverOptions::algorithm == LpAlgorithm::kTableau degrades every call to
-// the reference full-tableau SimplexSolver (no warm identity is ever held),
-// and the revised path falls back to the tableau automatically whenever it
-// fails to reach an optimum whose certificate (certificate.h) passes, even
-// after one reoptimisation from its own basis; stats().tableau_fallbacks
-// counts those, unless the tableau would exceed kTableauCellBudget, in which
-// case the revised status is returned.
+// the reference full-tableau SimplexSolver (no warm identity is ever held).
+// The revised path keeps only optima whose certificate (certificate.h)
+// passes; a warm call that reaches none solves cold, and a cold solve's
+// verdict is final: an optimum that fails its certificate even after one
+// reoptimisation from its own basis returns as kIterationLimit.
 #pragma once
 
 #include <cstddef>
@@ -77,19 +76,16 @@ struct LpSolverStats {
   std::size_t warm_resolves = 0;
   /// solve() calls completed by reusing the previous basis.
   std::size_t warm_start_hits = 0;
-  /// Revised-path failures answered by the reference tableau solver (the
-  /// ladder's final rung: warm resolve → basis repair → tableau).
-  std::size_t tableau_fallbacks = 0;
   /// Deficient basis positions patched with unit columns during
   /// refactorisation (the singular-basis repair path; see Core::refactor).
   std::size_t basis_repairs = 0;
   /// Revised-simplex "optimal" results whose optimality certificate
   /// (certificate.h) failed. The first failure of a run is reoptimised from
-  /// its own basis and checked again; a second one goes down the ladder like
-  /// an infeasible result.
+  /// its own basis and checked again; a second one fails the run (a warm
+  /// call then solves cold, a cold solve returns kIterationLimit).
   std::size_t certificate_failures = 0;
   /// Simplex pivots across all calls (primal + dual, all phases), failed
-  /// warm attempts and tableau fallbacks included.
+  /// warm attempts included.
   std::size_t total_iterations = 0;
   /// The pivots of solve() and resolve() calls that returned warm_started
   /// (the calls warm_start_hits and warm_resolves count); the rest of
@@ -101,11 +97,6 @@ struct LpSolverStats {
 
 class LpSolver {
  public:
-  /// Largest tableau (cells per dense copy, SimplexSolver::tableau_cells)
-  /// the ladder's tableau rung may build; above it a failed revised solve
-  /// returns its own status (kIterationLimit for an uncertified optimum).
-  static constexpr std::size_t kTableauCellBudget = std::size_t{1} << 24;
-
   explicit LpSolver(SolverOptions options = {});
   ~LpSolver();
   LpSolver(LpSolver&&) noexcept;
@@ -166,9 +157,9 @@ class LpSolver {
  private:
   class Core;
 
-  /// Cold-solves the currently loaded model_ down the degradation ladder
-  /// (revised simplex, then the reference tableau within its cell budget),
-  /// updating stats. Does not attempt any warm start.
+  /// Cold-solves the currently loaded model_ (the tableau in tableau mode,
+  /// else the revised simplex, whose verdict is final), updating stats. Does
+  /// not attempt any warm start.
   [[nodiscard]] LpSolution solve_loaded_cold();
 
   /// Reoptimises `core` (a warm identity on the loaded model) and keeps it
@@ -186,7 +177,7 @@ class LpSolver {
   SolverOptions options_;
   LpModel model_;
   /// The warm identity; null when there is none (nothing solved yet, tableau
-  /// mode, a failed or tableau-answered solve, an equality row appended).
+  /// mode, a failed solve, an equality row appended).
   std::unique_ptr<Core> core_;
   /// An identity import_warm_state() holds for the next solve(); set only
   /// while core_ is null.

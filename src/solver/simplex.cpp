@@ -399,16 +399,6 @@ class Tableau {
 
 }  // namespace
 
-std::size_t SimplexSolver::tableau_cells(const LpModel& model) {
-  const StandardForm sf = build_standard_form(model);
-  std::size_t width = sf.columns.size() + 1;
-  for (const StandardRow& row : sf.rows) {
-    if (row.relation != Relation::kEqual) ++width;
-    if (row.relation != Relation::kLessEqual) ++width;
-  }
-  return sf.rows.size() * width;
-}
-
 SimplexSolver::SimplexSolver(SolverOptions options) : options_(options) {}
 
 LpSolution SimplexSolver::solve(const LpModel& model) const {

@@ -38,10 +38,10 @@ struct SolverOptions {
   bool enable_scaling = true;
   /// Engine selection for LpSolver (SimplexSolver is always the tableau).
   LpAlgorithm algorithm = LpAlgorithm::kRevised;
-  /// Deterministic fault injection (see fault_injector.h). Non-owning: the
-  /// injector must outlive every solver carrying these options. nullptr (the
-  /// default) disables injection entirely. The tableau reference path never
-  /// consults it, which is what makes the ladder's last rung immune.
+  /// Deterministic fault injection (see fault_injector.h) into the revised
+  /// engine. Non-owning: the injector must outlive every solver carrying
+  /// these options. nullptr (the default) disables injection entirely. The
+  /// tableau reference never consults it.
   FaultInjector* fault_injector = nullptr;
 };
 
@@ -72,11 +72,6 @@ class SimplexSolver {
   /// Solves the model. The model is not modified; the solution vector is
   /// indexed by VarId.
   [[nodiscard]] LpSolution solve(const LpModel& model) const;
-
-  /// Cells of one dense copy of the tableau solve() would build for `model`:
-  /// (rows + two-sided variables) x (columns + slacks + artificials + 1).
-  /// solve() holds two such copies.
-  [[nodiscard]] static std::size_t tableau_cells(const LpModel& model);
 
  private:
   SolverOptions options_;

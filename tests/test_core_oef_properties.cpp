@@ -273,5 +273,14 @@ TEST(OefEdgeCases, SingleGpuTypeReducesToEqualSplit) {
   }
 }
 
+TEST(OefEdgeCases, OptimumThatFailsItsCertificateIsNeverServed) {
+  // Finite speedups whose efficiency sum overflows: the revised optimum fails
+  // its certificate, so the call fails instead of serving a point.
+  const SpeedupMatrix w({{1, 2, 3}, {1, 0x1p+1023, 2}});
+  const AllocationResult result = make_cooperative_oef().allocate(w, {4.0, 2.0, 2.0});
+  EXPECT_FALSE(result.served());
+  EXPECT_GT(result.certificate_failures, 0u);
+}
+
 }  // namespace
 }  // namespace oef::core

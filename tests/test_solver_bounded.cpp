@@ -271,6 +271,38 @@ TEST(BoundedSimplex, WarmStartSurvivesBoundWidenedToInfinity) {
   EXPECT_TRUE(second.is_feasible(b.values, 1e-6));
 }
 
+/// max 2y + x  s.t.  x + y <= 1, with y fixed in [0, 0]. y prices as the
+/// better column, but a column of zero width cannot move, so the optimum
+/// x = 1 is one pivot away.
+LpModel zero_width_lp() {
+  LpModel model(Sense::kMaximize);
+  const VarId x = model.add_variable("x", 0.0, kInf, 1.0);
+  const VarId y = model.add_variable("y", 0.0, 0.0, 2.0);
+  model.add_constraint(LinearExpr{}.add(x, 1.0).add(y, 1.0), Relation::kLessEqual, 1.0);
+  return model;
+}
+
+TEST(BoundedSimplex, ZeroWidthColumnNeverEntersColdSolve) {
+  LpSolver solver;
+  const LpSolution solution = solver.solve(zero_width_lp());
+  ASSERT_TRUE(solution.optimal());
+  EXPECT_NEAR(solution.objective, 1.0, kTol);
+  EXPECT_EQ(solver.stats().total_iterations, 1u);
+  EXPECT_TRUE(solver.has_basis());
+}
+
+TEST(BoundedSimplex, ZeroWidthColumnNeverEntersWarmResolve) {
+  LpSolver solver;
+  ASSERT_TRUE(solver.solve(zero_width_lp()).optimal());
+  // x <= 0.5 cuts the optimum off; one dual pivot moves x onto it.
+  solver.add_rows({Constraint{LinearExpr{}.add(0, 1.0), Relation::kLessEqual, 0.5, "cut"}});
+  const LpSolution resolved = solver.resolve();
+  ASSERT_TRUE(resolved.optimal());
+  EXPECT_TRUE(resolved.warm_started);
+  EXPECT_NEAR(resolved.objective, 0.5, kTol);
+  EXPECT_EQ(solver.stats().total_iterations, 2u);
+}
+
 /// Solves `model` with the revised engine and the tableau reference and
 /// requires matching status, matching objective and a feasible revised point.
 void expect_matches_tableau(const LpModel& model, const char* label, int trial) {

@@ -1,11 +1,10 @@
-// The optimality certificate (solver/certificate.h) and the ladder's bounded
-// tableau rung.
+// The optimality certificate (solver/certificate.h) and the revised
+// engine's final verdict.
 //
 // The certificate reads only the model and a solution's values and duals; it
 // must pass the optimum of a small LP in either sense and fail a wrong-sign
-// dual, a feasible but suboptimal point and an infeasible point. A model
-// whose tableau would exceed LpSolver::kTableauCellBudget keeps the revised
-// verdict instead of building the tableau.
+// dual, a feasible but suboptimal point and an infeasible point. A failed
+// cold solve returns the revised engine's own status.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -99,21 +98,10 @@ LpModel infeasible_lp(std::size_t loose) {
   return model;
 }
 
-TEST(TableauBudget, RevisedVerdictStandsPastTheBudget) {
-  const LpModel large = infeasible_lp(3000);
-  ASSERT_GT(SimplexSolver::tableau_cells(large), LpSolver::kTableauCellBudget);
+TEST(RevisedVerdict, InfeasibleLpReturnsInfeasibleWithoutBasis) {
   LpSolver solver;
-  EXPECT_EQ(solver.solve(large).status, SolveStatus::kInfeasible);
-  EXPECT_EQ(solver.stats().tableau_fallbacks, 0u);
+  EXPECT_EQ(solver.solve(infeasible_lp(3000)).status, SolveStatus::kInfeasible);
   EXPECT_FALSE(solver.has_basis());
-}
-
-TEST(TableauBudget, BelowTheBudgetTheTableauConfirms) {
-  const LpModel small = infeasible_lp(3);
-  ASSERT_LE(SimplexSolver::tableau_cells(small), LpSolver::kTableauCellBudget);
-  LpSolver solver;
-  EXPECT_EQ(solver.solve(small).status, SolveStatus::kInfeasible);
-  EXPECT_EQ(solver.stats().tableau_fallbacks, 1u);
 }
 
 }  // namespace

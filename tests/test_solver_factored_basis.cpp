@@ -270,7 +270,7 @@ TEST(FactoredBasis, SingularBasisReportsDeficiencyForRepair) {
   // Two positions holding the same structural column: the factorisation must
   // refuse and name exactly one (position, row) pair so the solver can patch
   // the position with a unit column — the basis-repair path that keeps large
-  // solves off the tableau fallback.
+  // solves from failing.
   SparseMatrix a;
   a.reset(3);
   for (std::size_t j = 0; j < 3; ++j) {
