@@ -15,7 +15,15 @@
 // rounds are flagged, never dropped), and the warm arm is >= 5x cheaper in
 // simplex pivots than cold-solving every event.
 //
-// Output: a table plus machine-readable BENCH_churn.json (one record per
+// A third, event arm drives one cooperative OefAllocator directly (k = 3,
+// capacities {0.3n, 0.4n, 0.22n}, speedup rows (1, 1 + a/2, 1 + 0.6ac) with
+// a, c ~ U[1, 4], stable ids): one cold call, then calls that cycle a mix
+// drift, a tenant arrival and a tenant departure, each also solved by a
+// fresh allocator. Gates: equal objectives, passing certificates, envy-free
+// and sharing-incentive warm allocations, and arrivals and departures each
+// >= 10x cheaper in pivots than the fresh allocator, at n = 100 and 300.
+//
+// Output: tables plus machine-readable BENCH_churn.json (one record per
 // arm; schema in docs/BENCHMARKS.md).
 //
 // Usage: bench_churn [--rounds=N] [--output=PATH]
@@ -25,11 +33,14 @@
 #include <cstdio>
 #include <cstring>
 #include <numeric>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "common/table.h"
+#include "core/oef.h"
+#include "core/properties.h"
 #include "sim/engine.h"
 #include "sim/events.h"
 #include "workload/trace.h"
@@ -96,7 +107,98 @@ ArmRecord run_arm(const char* name, const sim::SimOptions& options,
   return record;
 }
 
-void write_json(const std::vector<ArmRecord>& records, const std::string& path) {
+/// One event arm: pivot sums per event kind, for the persistent allocator
+/// and for a fresh allocator solving the same inputs.
+struct EventRecord {
+  enum Kind { kDrift, kArrival, kDeparture, kKinds };
+  std::size_t n = 0;
+  std::size_t calls = 0;
+  std::size_t cold_call_pivots = 0;
+  std::size_t pivots[kKinds] = {};
+  std::size_t fresh_pivots[kKinds] = {};
+  std::size_t objective_mismatches = 0;
+  std::size_t unfair_allocations = 0;  // envy-freeness or sharing incentive broken
+  std::size_t certificate_failures = 0;
+  double wall_seconds = 0.0;
+
+  [[nodiscard]] double ratio(Kind kind) const {
+    return static_cast<double>(fresh_pivots[kind]) /
+           std::max<double>(1.0, static_cast<double>(pivots[kind]));
+  }
+};
+
+EventRecord run_event_arm(std::size_t n, std::size_t calls) {
+  const auto start = std::chrono::steady_clock::now();
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> factor(1.0, 4.0);
+  std::uniform_real_distribution<double> drift(0.97, 1.03);
+  const auto pick = [&](std::size_t size) {
+    return std::uniform_int_distribution<std::size_t>(0, size - 1)(rng);
+  };
+  const auto draw_row = [&] {
+    const double a = factor(rng);
+    const double c = factor(rng);
+    return std::vector<double>{1.0, 1.0 + a / 2.0, 1.0 + 0.6 * a * c};
+  };
+  std::vector<std::vector<double>> rows;
+  std::vector<std::size_t> ids;
+  for (std::size_t l = 0; l < n; ++l) {
+    rows.push_back(draw_row());
+    ids.push_back(l);
+  }
+  std::size_t next_id = n;
+  const double users = static_cast<double>(n);
+  const std::vector<double> capacities = {0.3 * users, 0.4 * users, 0.22 * users};
+
+  EventRecord record;
+  record.n = n;
+  record.calls = calls;
+  const core::OefAllocator persistent = core::make_cooperative_oef();
+  for (std::size_t call = 0; call <= calls; ++call) {
+    const auto kind = static_cast<EventRecord::Kind>((call + 2) % 3);
+    if (call > 0 && kind == EventRecord::kDrift) {
+      std::vector<double>& row = rows[pick(rows.size())];
+      row[1] *= drift(rng);
+      row[2] *= drift(rng);
+    } else if (call > 0 && kind == EventRecord::kArrival) {
+      rows.push_back(draw_row());
+      ids.push_back(next_id++);
+    } else if (call > 0) {
+      const std::size_t leaving = pick(rows.size());
+      rows.erase(rows.begin() + static_cast<std::ptrdiff_t>(leaving));
+      ids.erase(ids.begin() + static_cast<std::ptrdiff_t>(leaving));
+    }
+    const core::SpeedupMatrix speedups(rows);
+    const std::vector<double> weights(rows.size(), 1.0);
+    const core::AllocationResult warm =
+        persistent.allocate_weighted(speedups, weights, capacities, ids);
+    const core::AllocationResult fresh =
+        core::make_cooperative_oef().allocate_weighted(speedups, weights, capacities, ids);
+    if (!warm.ok() || !fresh.ok() ||
+        std::abs(warm.total_efficiency - fresh.total_efficiency) >
+            1e-6 * (1.0 + std::abs(fresh.total_efficiency))) {
+      ++record.objective_mismatches;
+    }
+    if (call == 0) {
+      record.cold_call_pivots = warm.lp_iterations;
+      continue;
+    }
+    record.pivots[kind] += warm.lp_iterations;
+    record.fresh_pivots[kind] += fresh.lp_iterations;
+    if (!core::check_envy_freeness(speedups, warm.allocation, 1e-6).envy_free ||
+        !core::check_sharing_incentive(speedups, warm.allocation, capacities, 1e-6)
+             .sharing_incentive) {
+      ++record.unfair_allocations;
+    }
+  }
+  record.certificate_failures = persistent.solver_stats().certificate_failures;
+  record.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  return record;
+}
+
+void write_json(const std::vector<ArmRecord>& records, const std::vector<EventRecord>& events,
+                const std::string& path) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::printf("  (could not open %s for writing)\n", path.c_str());
@@ -123,9 +225,28 @@ void write_json(const std::vector<ArmRecord>& records, const std::string& path) 
                  r.solve_seconds, r.wall_seconds, r.total_actual,
                  i + 1 < records.size() ? "," : "");
   }
+  std::fprintf(out, "  ],\n  \"event_runs\": [\n");
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const EventRecord& e = events[i];
+    std::fprintf(out,
+                 "    {\"arm\": \"events\", \"n\": %zu, \"calls\": %zu, "
+                 "\"cold_call_pivots\": %zu, "
+                 "\"drift_pivots\": %zu, \"drift_fresh_pivots\": %zu, "
+                 "\"arrival_pivots\": %zu, \"arrival_fresh_pivots\": %zu, "
+                 "\"departure_pivots\": %zu, \"departure_fresh_pivots\": %zu, "
+                 "\"objective_mismatches\": %zu, \"unfair_allocations\": %zu, "
+                 "\"certificate_failures\": %zu, \"wall_seconds\": %.6f}%s\n",
+                 e.n, e.calls, e.cold_call_pivots, e.pivots[EventRecord::kDrift],
+                 e.fresh_pivots[EventRecord::kDrift], e.pivots[EventRecord::kArrival],
+                 e.fresh_pivots[EventRecord::kArrival], e.pivots[EventRecord::kDeparture],
+                 e.fresh_pivots[EventRecord::kDeparture], e.objective_mismatches,
+                 e.unfair_allocations, e.certificate_failures, e.wall_seconds,
+                 i + 1 < events.size() ? "," : "");
+  }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
-  std::printf("  wrote %s (%zu runs)\n", path.c_str(), records.size());
+  std::printf("  wrote %s (%zu runs, %zu event runs)\n", path.c_str(), records.size(),
+              events.size());
 }
 
 }  // namespace
@@ -240,6 +361,36 @@ int main(int argc, char** argv) {
               cold.lp_iterations, ratio);
   check("warm churn >= 5x cheaper in pivots than cold-solve-per-event", ratio >= 5.0);
 
-  write_json(records, output);
+  // Event arm: a persistent allocator across arrivals and departures against
+  // a fresh allocator per call.
+  std::vector<EventRecord> event_arms;
+  event_arms.push_back(run_event_arm(100, 60));
+  event_arms.push_back(run_event_arm(300, 12));
+  common::Table event_table({"n", "calls", "kind", "pivots", "fresh pivots", "ratio"});
+  const char* const kind_names[] = {"drift", "arrival", "departure"};
+  for (const EventRecord& e : event_arms) {
+    for (int kind = 0; kind < EventRecord::kKinds; ++kind) {
+      const auto k = static_cast<EventRecord::Kind>(kind);
+      event_table.add_row({std::to_string(e.n), std::to_string(e.calls), kind_names[kind],
+                           std::to_string(e.pivots[k]), std::to_string(e.fresh_pivots[k]),
+                           common::format_double(e.ratio(k), 1) + "x"});
+    }
+  }
+  event_table.print();
+  for (const EventRecord& e : event_arms) {
+    const std::string at = " (n = " + std::to_string(e.n) + ")";
+    std::printf("  events%s: cold call %zu pivots, %zu calls in %.2f s\n", at.c_str(),
+                e.cold_call_pivots, e.calls, e.wall_seconds);
+    check("event objectives equal a fresh allocator's to 1e-6" + at, e.objective_mismatches == 0);
+    check("no event optimum failed its certificate" + at, e.certificate_failures == 0);
+    check("every warm event allocation is envy-free and meets sharing incentive" + at,
+          e.unfair_allocations == 0);
+    check("arrivals >= 10x cheaper in pivots than a fresh allocator" + at,
+          e.ratio(EventRecord::kArrival) >= 10.0);
+    check("departures >= 10x cheaper in pivots than a fresh allocator" + at,
+          e.ratio(EventRecord::kDeparture) >= 10.0);
+  }
+
+  write_json(records, event_arms, output);
   return failures;
 }

@@ -157,6 +157,12 @@ AllocationResult OefAllocator::allocate_weighted(
                   "capacities must match the speedup matrix's type count");
   OEF_REQUIRE_MSG(user_ids.empty() || user_ids.size() == speedups.num_users(),
                   "user_ids must be empty or match the user count");
+  {
+    std::vector<std::size_t> sorted = user_ids;
+    std::sort(sorted.begin(), sorted.end());
+    OEF_REQUIRE_MSG(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
+                    "user_ids must be distinct");
+  }
   // Every LP this call solves goes through solver_, so its pivots, seconds
   // and ladder counters are the deltas of the solver's cumulative stats.
   const solver::LpSolverStats before = solver_.stats();
@@ -224,59 +230,67 @@ AllocationResult OefAllocator::solve_cooperative(
 
   // Recycle the previous call's final envy rows into the initial relaxation:
   // across simulator rounds the active set barely moves, so the first solve
-  // usually satisfies the oracle outright — and because the recycled model
-  // has the same shape as last round's final model, the solver also reuses
-  // the previous optimal basis. `added` marks every pair materialised as a
-  // row this call: it deduplicates the seeds and stops the oracle from
-  // re-emitting a row the solver already carries. `envy_pairs` is the
-  // working model's envy-row set: entry r is the (envier, envied) pair of
-  // model row base_rows + r.
+  // usually satisfies the oracle outright. `added` marks every pair
+  // materialised as a row this call: it deduplicates the seeds and stops the
+  // oracle from re-emitting a row the solver already carries. `envy_pairs`
+  // is the working model's envy-row set: entry r is the (envier, envied)
+  // pair of model row base_rows + r.
   const std::size_t base_rows = model.num_constraints();
   std::vector<char> added(n * n, 0);
   std::vector<std::pair<std::size_t, std::size_t>> envy_pairs;
   const auto seed_pair = [&](std::size_t l, std::size_t i) {
-    if (l != i && !added[l * n + i]) {
-      added[l * n + i] = 1;
-      envy_pairs.emplace_back(l, i);
-      model.add_constraint(envy_row(speedups, multiplicities, l, i));
-    }
+    if (l == i || added[l * n + i]) return false;
+    added[l * n + i] = 1;
+    envy_pairs.emplace_back(l, i);
+    model.add_constraint(envy_row(speedups, multiplicities, l, i));
+    return true;
   };
-  // The pool stores stable-id pairs, the row index standing in for an id the
-  // caller did not give. Pairs whose endpoints both survived churn are mapped
-  // back to current row indices; departed ids are skipped.
+  // The pool and the id order store stable ids, the row index standing in
+  // for an id the caller did not give. `map` names, per variable and row of
+  // this call's model, what it continues in the previous call's final
+  // relaxation, whose identity the solver holds: a surviving user's columns,
+  // the capacity rows, and each pooled pair whose endpoints both survived
+  // (reseeded in pool order); departed users' columns and rows are gone, and
+  // an arrival's are new. The solver translates that identity onto this
+  // model, so churn starts warm, and an unchanged user set maps every column
+  // and row onto itself, which is plain basis reuse.
   const auto id_of = [&](std::size_t l) { return user_ids.empty() ? l : user_ids[l]; };
+  solver::LpModelMap map;
+  // Users with no columns in the previous relaxation: every user of a cold
+  // call, the arrivals of a warm one.
+  std::vector<char> arrived(n, 1);
   if (options_.recycle_envy_rows) {
     std::unordered_map<std::size_t, std::size_t> index_of_id;
     index_of_id.reserve(n);
     for (std::size_t l = 0; l < n; ++l) index_of_id.emplace(id_of(l), l);
-    // When the user set is unchanged (same n, every pooled id still present)
-    // the full pool is reseeded in order: the model then has the shape of the
-    // previous call's final model and the solver reuses its optimal basis.
-    // Any churn in the user set makes this call a cold solve no matter what
-    // we seed, and there a big initial relaxation costs more phase-1 pivots
-    // than the skipped oracle rounds save — so seed only the binding rows.
-    bool same_user_set = n == envy_pool_users_;
-    for (const PooledEnvyRow& row : envy_pool_) {
-      if (!same_user_set) break;
-      same_user_set = index_of_id.count(row.envier) != 0 &&
-                      index_of_id.count(row.envied) != 0;
+    map.variables.assign(n * k, solver::LpModelMap::kNew);
+    for (std::size_t p = 0; p < previous_ids_.size(); ++p) {
+      const auto it = index_of_id.find(previous_ids_[p]);
+      if (it == index_of_id.end()) continue;
+      arrived[it->second] = 0;
+      for (std::size_t j = 0; j < k; ++j) map.variables[var_of(it->second, j, k)] = var_of(p, j, k);
     }
-    for (const PooledEnvyRow& row : envy_pool_) {
-      if (!same_user_set && !row.binding) continue;
-      const auto a = index_of_id.find(row.envier);
-      const auto b = index_of_id.find(row.envied);
-      if (a != index_of_id.end() && b != index_of_id.end()) {
-        seed_pair(a->second, b->second);
+    for (std::size_t j = 0; j < base_rows; ++j) map.constraints.push_back(j);
+    for (std::size_t q = 0; q < envy_pool_.size(); ++q) {
+      const auto a = index_of_id.find(envy_pool_[q].envier);
+      const auto b = index_of_id.find(envy_pool_[q].envied);
+      if (a != index_of_id.end() && b != index_of_id.end() && seed_pair(a->second, b->second)) {
+        map.constraints.push_back(base_rows + q);
       }
     }
   }
-  if (envy_pairs.empty() && options_.seed_adjacent_envy_rows) {
-    // Cold start: at the optimum envy binds densely between users adjacent
-    // in the dominance order (Thm 5.2's adjacency structure), so seeding
-    // both directions of every pair within distance 2 (~4n rows) skips most
-    // of the lazy journey that would otherwise rediscover them one round at
-    // a time. Depth 2 measured best: depth 1 leaves too much for the oracle,
-    // depth 3's larger initial LP costs more than it saves.
+  const bool cold = envy_pairs.empty();
+  if (options_.seed_adjacent_envy_rows &&
+      (cold || std::find(arrived.begin(), arrived.end(), 1) != arrived.end())) {
+    // At the optimum envy binds densely between users adjacent in the
+    // dominance order (Thm 5.2's adjacency structure), so seeding both
+    // directions of every pair within distance 2 (~4n rows on a cold start)
+    // skips most of the lazy journey that would otherwise rediscover them
+    // one round at a time. Depth 2 measured best: depth 1 leaves too much
+    // for the oracle, depth 3's larger initial LP costs more than it saves.
+    // A warm call seeds only the pairs of its arrivals: without them an
+    // arrival's bundle is unconstrained in round 1, so nearly every user
+    // envies it and the oracle adds ~n rows.
     std::vector<std::size_t> order(n);
     std::iota(order.begin(), order.end(), 0);
     std::vector<double> strength(n, 0.0);
@@ -290,14 +304,16 @@ AllocationResult OefAllocator::solve_cooperative(
     });
     for (std::size_t r = 0; r + 1 < n; ++r) {
       for (std::size_t d = 1; d <= 2 && r + d < n; ++d) {
+        if (!cold && !arrived[order[r]] && !arrived[order[r + d]]) continue;
         seed_pair(order[r], order[r + d]);
         seed_pair(order[r + d], order[r]);
       }
     }
   }
+  if (!map.empty()) map.constraints.resize(model.num_constraints(), solver::LpModelMap::kNew);
 
   // Lazy row generation, one round per relaxation optimum. Round 1 loads the
-  // model (reusing the previous call's basis when the shape matches); later
+  // model (starting from the previous call's basis through `map`); later
   // rounds reoptimise from the extended or compacted basis, or solve the
   // working model cold after a refused compaction. Each round's separation
   // scan emits, for every user in index order, the envy row of the pair it
@@ -308,6 +324,27 @@ AllocationResult OefAllocator::solve_cooperative(
   const std::size_t envy_budget = options_.max_envy_rows_total != 0
                                       ? options_.max_envy_rows_total
                                       : std::max<std::size_t>(16 * n, 512);
+  // Excises the envy rows loose at `point` from the working model. A loose
+  // row's slack is basic, so the solver drops the rows while the basic set,
+  // vertex and duals survive; a refused excision leaves the next resolve()
+  // to solve the shrunken model cold. Returns the rows dropped and whether
+  // the basis survived.
+  const auto excise_loose_rows = [&](const std::vector<double>& point) {
+    const std::vector<Constraint>& rows = solver_.model().constraints();
+    std::vector<std::size_t> drop;
+    std::size_t kept = 0;
+    for (std::size_t r = 0; r < envy_pairs.size(); ++r) {
+      const Constraint& row = rows[base_rows + r];
+      if (row.expr.evaluate(point) - row.rhs > kCompactionSlackTol) {
+        drop.push_back(base_rows + r);
+      } else {
+        envy_pairs[kept++] = envy_pairs[r];
+      }
+    }
+    envy_pairs.resize(kept);
+    const bool warm = drop.empty() || solver_.delete_rows(drop);
+    return std::make_pair(drop.size(), warm);
+  };
   AllocationResult result;
   solver::LpSolution solution;
   bool converged = false;
@@ -321,7 +358,7 @@ AllocationResult OefAllocator::solve_cooperative(
                         " lazy round(s); returning the last relaxation optimum");
       break;
     }
-    solution = round == 1 ? solver_.solve(std::move(model)) : solver_.resolve();
+    solution = round == 1 ? solver_.solve(std::move(model), map) : solver_.resolve();
     result.lazy_rounds = round;
     if (!solution.optimal()) break;
 
@@ -358,29 +395,14 @@ AllocationResult OefAllocator::solve_cooperative(
       // Compaction: a row that cut off an early relaxed optimum is usually
       // loose a few rounds later, yet it inflates every per-pivot operation
       // for the rest of the call. Drop every envy row loose at the current
-      // optimum. A loose row's slack is basic, so the solver excises the rows
-      // while the basic set, vertex and duals survive, and the new violations
-      // append onto the warm basis as usual; a refused excision leaves the
-      // next resolve() to solve the shrunken model cold.
-      const std::vector<Constraint>& rows = solver_.model().constraints();
-      std::vector<std::size_t> drop;
-      std::size_t kept = 0;
-      for (std::size_t r = 0; r < envy_pairs.size(); ++r) {
-        const Constraint& row = rows[base_rows + r];
-        if (row.expr.evaluate(point) - row.rhs > kCompactionSlackTol) {
-          drop.push_back(base_rows + r);
-        } else {
-          envy_pairs[kept++] = envy_pairs[r];
-        }
-      }
-      envy_pairs.resize(kept);
-      if (!drop.empty()) {
+      // optimum; the new violations append onto the warm basis as usual.
+      const auto [dropped, warm] = excise_loose_rows(point);
+      if (dropped != 0) {
         ++result.compactions;
-        const bool warm = solver_.delete_rows(drop);
         if (warm) ++result.warm_compactions;
-        result.envy_rows_dropped += drop.size();
+        result.envy_rows_dropped += dropped;
         common::log_debug("oef: lazy round " + std::to_string(round) + " dropped " +
-                          std::to_string(drop.size()) + " envy rows (" +
+                          std::to_string(dropped) + " envy rows (" +
                           (warm ? "warm" : "cold") + ")");
       }
     }
@@ -401,38 +423,30 @@ AllocationResult OefAllocator::solve_cooperative(
   result.allocation = extract_allocation(solution.values, n, k);
   result.total_efficiency = result.allocation.total_efficiency(speedups);
 
-  // Refresh the recycled pool from the final model's envy rows, in row
-  // order, keyed by stable id. Keeping the loose rows too — not just the
-  // binding set — preserves the invariant the warm start depends on: a quiet
-  // next round re-seeds exactly this call's final row set in the same order,
-  // so the model shapes match and the restored basis's slack columns attach
-  // to the same rows. The pool cannot grow without bound: the in-call
-  // compaction budget caps the final model's envy rows.
+  // Refresh the id order and the recycled pool from the final model, whose
+  // identity the solver holds: its users in row order and its envy rows in
+  // row order, keyed by stable id. A converged call first excises the rows
+  // loose at its optimum, so the pool is the binding set. Loose rows would
+  // otherwise pile up (a cold call at n ≈ 120 ends with ~1,500 envy rows,
+  // two thirds of them loose) and every later call pays for them: with
+  // them, a round without churn in the simulator cost ~20% more.
   if (options_.recycle_envy_rows) {
+    if (converged) (void)excise_loose_rows(solution.values);
+    previous_ids_.resize(n);
+    for (std::size_t l = 0; l < n; ++l) previous_ids_[l] = id_of(l);
     envy_pool_.clear();
-    for (const auto& [l, i] : envy_pairs) {
-      // Tight at the optimum (own efficiency == envied efficiency, up to the
-      // solver's feasibility tolerance) — the rows worth seeding into a
-      // differently-shaped next call.
-      const bool binding =
-          envied_efficiency(speedups, multiplicities, solution.values, l, i) -
-              scaled_efficiency(speedups, multiplicities, solution.values, l) >=
-          -1e-6;
-      envy_pool_.push_back({id_of(l), id_of(i), binding});
-    }
-    envy_pool_users_ = n;
+    for (const auto& [l, i] : envy_pairs) envy_pool_.push_back({id_of(l), id_of(i)});
   }
   return result;
 }
 
 void OefAllocator::save_warm_state(common::SerialWriter& out) const {
   out.u64(mode_ == Mode::kCooperative ? 1 : 0);
-  out.u64(envy_pool_users_);
+  out.size_vec(previous_ids_);
   out.u64(envy_pool_.size());
   for (const PooledEnvyRow& row : envy_pool_) {
     out.u64(row.envier);
     out.u64(row.envied);
-    out.u64(row.binding ? 1 : 0);
   }
   solver::write_warm_state(out, solver_);
 }
@@ -444,14 +458,17 @@ bool OefAllocator::load_warm_state(common::SerialReader& in) {
   OEF_REQUIRE_CODE((mode_tag == 1) == (mode_ == Mode::kCooperative),
                    common::ErrorCode::kInvalidArgument,
                    "checkpoint was taken under the other allocator mode");
-  envy_pool_users_ = static_cast<std::size_t>(in.u64());
+  previous_ids_ = in.size_vec();
+  std::vector<std::size_t> sorted = previous_ids_;
+  std::sort(sorted.begin(), sorted.end());
+  OEF_REQUIRE_CODE(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
+                   common::ErrorCode::kCorruptData, "repeated id in the allocator's id order");
   const std::uint64_t pool_size = in.count();
   envy_pool_.clear();
   for (std::uint64_t i = 0; i < pool_size; ++i) {
     PooledEnvyRow row;
     row.envier = static_cast<std::size_t>(in.u64());
     row.envied = static_cast<std::size_t>(in.u64());
-    row.binding = in.u64() != 0;
     envy_pool_.push_back(row);
   }
   return solver::read_warm_state(in, solver_);

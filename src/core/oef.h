@@ -48,13 +48,15 @@ struct OefOptions {
   /// SIZE_MAX disables compaction entirely.
   std::size_t max_envy_rows_total = 0;
   /// Cooperative mode: seed the next allocate() call's relaxation with the
-  /// envy rows of this call's final relaxation (see allocate_weighted), so
-  /// round-over-round calls in the simulator typically converge in one
-  /// warm-started lazy round.
+  /// binding envy rows of this call's final relaxation and start its first
+  /// solve from this call's basis, mapped by user id (see
+  /// allocate_weighted), so round-over-round calls in the simulator
+  /// typically converge in one warm-started lazy round, churn included.
   bool recycle_envy_rows = true;
-  /// Cooperative lazy mode, cold calls only: seed the relaxation with both
-  /// envy rows of every user pair within distance 2 of each other in the
-  /// dominance order (total scaled speedup). The optimum's binding set
+  /// Cooperative lazy mode: seed the relaxation with both envy rows of
+  /// every user pair within distance 2 of each other in the dominance order
+  /// (total scaled speedup) — every pair on a cold call, the pairs of
+  /// arriving users on a warm one. The optimum's binding set
   /// concentrates on neighbouring users (the paper's adjacency structure),
   /// so this skips most lazy rounds that would otherwise rediscover those
   /// rows one violation at a time (n = 300: 46 rounds / 10.4k rows down to
@@ -170,19 +172,21 @@ class OefAllocator {
   [[nodiscard]] double oracle_seconds() const { return oracle_seconds_total_; }
 
   /// Checkpoint hook: serializes the allocator's warm identity — its mode
-  /// tag, the recycled envy pool and the persistent solver's LpWarmState —
-  /// so a fresh process can resume churn on warm paths. The next allocate()
-  /// rebuilds its LP from its arguments and the pool, so no model is saved.
-  /// Counters (solver stats, oracle seconds) are telemetry, not warm state,
-  /// and are not saved.
+  /// tag, the previous call's id order, the recycled envy pool and the
+  /// persistent solver's LpWarmState — so a fresh process can resume churn
+  /// on warm paths. The next allocate() rebuilds its LP from its arguments
+  /// and the pool, and maps it onto the saved identity through the id order,
+  /// so no model is saved. Counters (solver stats, oracle seconds) are
+  /// telemetry, not warm state, and are not saved.
   void save_warm_state(common::SerialWriter& out) const;
 
   /// Restores what save_warm_state() wrote. Returns true when the solver
   /// holds the restored identity, which the next allocate()'s first solve
-  /// installs if its model has the same shape; false means that solve runs
-  /// cold (a degraded restart, not an error). Throws common::CheckError with
-  /// kCorruptData on a malformed record and kInvalidArgument when the
-  /// checkpoint was taken under the other Mode.
+  /// starts from exactly as the uninterrupted allocator would; false means
+  /// that solve runs cold (a degraded restart, not an error). Throws
+  /// common::CheckError with kCorruptData on a malformed record (a repeated
+  /// id included) and kInvalidArgument when the checkpoint was taken under
+  /// the other Mode.
   bool load_warm_state(common::SerialReader& in);
 
   /// Unweighted allocation: every user has multiplicity 1.
@@ -193,11 +197,12 @@ class OefAllocator {
   /// multiplicities[v] replicated users (§4.2.3). Multiplicities must be
   /// finite and > 0.
   ///
-  /// `user_ids` gives a stable identity per row (size n); empty (the default)
-  /// means ids 0..n-1, the row indices. The recycled envy-row pool is keyed
-  /// by identity, so it survives churn: when the user set is unchanged the
-  /// whole pool is reseeded, and when users arrive or depart between calls
-  /// the rows that were binding between surviving users still are.
+  /// `user_ids` gives a distinct stable identity per row (size n; a repeated
+  /// id throws CheckError); empty (the default) means ids 0..n-1, the row
+  /// indices. Cooperative lazy mode keys its warm state by identity, so it
+  /// survives churn: every pooled envy row between two surviving users is
+  /// reseeded, and the previous call's basis is translated onto this call's
+  /// LP by id, so a call where users arrived or departed starts warm too.
   [[nodiscard]] AllocationResult allocate_weighted(
       const SpeedupMatrix& speedups, const std::vector<double>& multiplicities,
       const std::vector<double>& capacities,
@@ -216,24 +221,22 @@ class OefAllocator {
   OefOptions options_;
   /// Persistent solver for this allocator's mode: kept alive across
   /// allocate() calls so the lazy envy loop dual-simplex-resolves within a
-  /// call and same-shaped models across calls reuse the previous optimal
+  /// call and each call's first solve starts from the previous optimal
   /// basis (see solver/lp_solver.h).
   mutable solver::LpSolver solver_;
-  /// One envy row (envier must not envy envied) of the previous cooperative
-  /// call's final relaxation, in row order and keyed by stable id (see
-  /// allocate_weighted). `binding` marks rows
-  /// tight at the previous optimum: when the next call has the same user set
-  /// the whole pool is reseeded in order (shape match → basis reuse), but
-  /// across a user-set change — where the shape can't match and the solve is
-  /// cold regardless — only the binding rows are worth the larger initial
-  /// relaxation they buy.
+  /// The previous cooperative call's final relaxation, which the solver's
+  /// warm identity belongs to, described by stable id (see
+  /// allocate_weighted): `previous_ids_` is its id order (user
+  /// previous_ids_[p] owns variables p·k..p·k+k−1), and `envy_pool_` its
+  /// envy rows in row order (row k + q is pool entry q: envier must not envy
+  /// envied). The next call reseeds every pooled row between surviving users
+  /// and maps its LP onto that relaxation through them.
   struct PooledEnvyRow {
     std::size_t envier = 0;
     std::size_t envied = 0;
-    bool binding = false;
   };
   mutable std::vector<PooledEnvyRow> envy_pool_;
-  mutable std::size_t envy_pool_users_ = 0;
+  mutable std::vector<std::size_t> previous_ids_;
   mutable double oracle_seconds_total_ = 0.0;
 };
 

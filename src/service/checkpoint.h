@@ -15,8 +15,8 @@
 //
 // The payload itself is a SerialWriter token stream owned by the service
 // layer (tenant registry, dedup ids, wire snapshot, and the allocator record:
-// mode tag, envy pool and one solver warm identity, with no LP model); this
-// container only guarantees it arrives intact or not at all.
+// mode tag, id order, envy pool and one solver warm identity, with no LP
+// model); this container only guarantees it arrives intact or not at all.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +29,7 @@ namespace oef::service {
 /// Current checkpoint format version. Bump on any payload schema change;
 /// load_checkpoint() rejects versions it does not know, so a file of an
 /// earlier version stops oefd with exit 1 instead of being read.
-inline constexpr std::uint64_t kCheckpointVersion = 2;
+inline constexpr std::uint64_t kCheckpointVersion = 3;
 
 /// Writes `payload` to `path` atomically (tmp + fsync + rename). Throws
 /// common::CheckError(kBadState) on I/O failure.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <unordered_set>
 #include <utility>
 
 #include "common/check.h"
@@ -496,9 +497,15 @@ void AllocatorService::restore_state(const std::string& payload) {
   next_tenant_id_ = in.u64();
   const std::uint64_t num_tenants = in.count();
   tenants_.clear();
+  std::unordered_set<std::uint64_t> tenant_ids;
   for (std::uint64_t i = 0; i < num_tenants; ++i) {
     Tenant tenant;
     tenant.id = in.u64();
+    // Ids are the allocator's stable user ids: distinct, and below the next
+    // one add_tenant hands out.
+    OEF_REQUIRE_CODE(tenant.id < next_tenant_id_ && tenant_ids.insert(tenant.id).second,
+                     common::ErrorCode::kCorruptData,
+                     "checkpoint tenant id repeated or not below the next tenant id");
     tenant.name = in.str();
     tenant.weight = in.f64();
     tenant.demand = in.f64_vec();

@@ -125,7 +125,7 @@ class AllocatorService {
 
   /// True when construction restored state from a checkpoint; warm means the
   /// allocator's solver holds the checkpointed warm identity too (the next
-  /// resolve installs it and pivots warm if its model has the same shape). A
+  /// resolve starts from it, as the uninterrupted service would have). A
   /// checkpoint that fails to parse, or whose tenants fail validation (name,
   /// demand arity against `capacities`, finite positive demand and weight),
   /// makes the constructor throw CheckError instead.

@@ -84,11 +84,23 @@ class LpSolver::Core {
   /// well-formed.
   [[nodiscard]] bool install(LpWarmState state);
 
+  /// Translates `previous`, the identity of the model `map` continues, onto
+  /// this freshly load()ed core's shape (see LpSolver::solve). Reads the
+  /// previous identity in Core::load's column layout, as install() does.
+  /// Returns nullopt, for a cold solve, when `previous` is not well-formed,
+  /// a variable has other than one standard column, or a map entry is past
+  /// the previous identity or repeated.
+  [[nodiscard]] std::optional<LpWarmState> translate(const LpWarmState& previous,
+                                                     const LpModelMap& map) const;
+
   /// The warm entry: refactorises the installed basic set, then reoptimises
   /// with primal pivots if it is primal-feasible, dual then primal pivots if
   /// it is dual-feasible (assumed, not tested, when `dual_feasible` is set),
-  /// and the cost-shifting dual phase 1 otherwise. kIterationLimit means the
-  /// basis could not be reused and the caller should solve cold.
+  /// and the cost-shifting dual phase 1 otherwise. On a freshly loaded core
+  /// a primal run that stalls (stall_limit pivots without progress) restarts
+  /// from the installed identity on the perturbed rhs a cold solve uses.
+  /// kIterationLimit means the basis could not be reused and the caller
+  /// should solve cold.
   [[nodiscard]] SolveStatus reoptimize(const SolverOptions& options, bool dual_feasible);
 
   /// Appends one inequality constraint (model index `index`) with a fresh
@@ -156,6 +168,8 @@ class LpSolver::Core {
   void update_dual_devex(const std::vector<double>& w, std::size_t leave);
   [[nodiscard]] SolveStatus run_primal(bool phase1, const SolverOptions& options);
   [[nodiscard]] SolveStatus run_dual(const SolverOptions& options);
+  /// reoptimize()'s pivots from the installed identity under the current rhs.
+  [[nodiscard]] SolveStatus reoptimize_installed(const SolverOptions& options, bool dual_feasible);
   void drive_out_artificials();
   /// Past phase 1 every artificial column is fixed at zero (upper bound 0),
   /// so one left basic at a positive value — a warm basis whose
@@ -188,6 +202,10 @@ class LpSolver::Core {
   bool any_artificial_ = false;
   bool perturbed_ = false;
   bool scaling_ = false;
+  // Set while a primal run should stop at a stall instead of switching to
+  // Bland's rule; `stalled_` records that it did.
+  bool exit_on_stall_ = false;
+  bool stalled_ = false;
 
   // Devex reference weights: per column for the primal entering choice, per
   // row for the dual leaving-row choice. Reset to 1 at each phase entry.
@@ -639,7 +657,13 @@ SolveStatus LpSolver::Core::run_primal(bool phase1, const SolverOptions& options
 
     const double objective = phase_objective(phase1);
     if (objective >= last_objective - tol) {
-      if (++stall >= options.stall_limit) bland = true;
+      if (++stall >= options.stall_limit) {
+        if (exit_on_stall_) {
+          stalled_ = true;
+          return SolveStatus::kIterationLimit;
+        }
+        bland = true;
+      }
     } else {
       stall = 0;
       bland = false;
@@ -897,13 +921,128 @@ bool LpSolver::Core::install(LpWarmState state) {
   return true;
 }
 
+std::optional<LpWarmState> LpSolver::Core::translate(const LpWarmState& previous,
+                                                    const LpModelMap& map) const {
+  if (!well_formed(previous) || map.variables.size() != n_struct_) return std::nullopt;
+  // from[c]: the previous column that new column c continues, or SIZE_MAX.
+  std::vector<std::size_t> from(num_cols_, SIZE_MAX);
+  std::vector<char> taken(previous.at_upper.size(), 0);
+  const auto link = [&](std::size_t col, std::size_t prev) {
+    if (taken[prev]) return false;
+    taken[prev] = 1;
+    from[col] = prev;
+    return true;
+  };
+  for (std::size_t v = 0; v < n_struct_; ++v) {
+    const std::size_t prev = map.variables[v];
+    if (prev == LpModelMap::kNew) continue;
+    if (prev >= previous.structural_columns || !link(v, prev)) return std::nullopt;
+  }
+  // The previous unit columns of each row, in Core::load's order (a slack or
+  // surplus per inequality row, then an artificial per >= or = row).
+  const std::vector<Relation>& prev_relations = previous.relations;
+  std::vector<std::vector<std::size_t>> prev_units(prev_relations.size());
+  std::size_t next_slack = previous.structural_columns;
+  std::size_t next_artificial = next_slack;
+  for (const Relation relation : prev_relations) {
+    if (relation != Relation::kEqual) ++next_artificial;
+  }
+  for (std::size_t i = 0; i < prev_relations.size(); ++i) {
+    if (prev_relations[i] != Relation::kEqual) prev_units[i].push_back(next_slack++);
+    if (prev_relations[i] != Relation::kLessEqual) prev_units[i].push_back(next_artificial++);
+  }
+  std::vector<char> row_taken(prev_relations.size(), 0);
+  std::vector<char> new_row(m_, 1);
+  for (std::size_t i = 0; i < m_; ++i) {
+    const std::size_t prev = map.constraints[i];
+    if (prev == LpModelMap::kNew) continue;
+    if (prev >= prev_relations.size() || row_taken[prev]) return std::nullopt;
+    row_taken[prev] = 1;
+    // A row whose normalised relation flipped (its rhs changed sign) keeps
+    // none of its old unit columns' statuses.
+    if (prev_relations[prev] != relations_[i]) continue;
+    new_row[i] = 0;
+    for (std::size_t u = 0; u < row_units_[i].size(); ++u) {
+      if (!link(row_units_[i][u], prev_units[prev][u])) return std::nullopt;
+    }
+  }
+
+  LpWarmState state{n_struct_, relations_, {}, std::vector<char>(num_cols_, 0)};
+  std::vector<std::size_t> to(previous.at_upper.size(), SIZE_MAX);
+  for (std::size_t c = 0; c < num_cols_; ++c) {
+    if (from[c] != SIZE_MAX) to[from[c]] = c;
+  }
+  std::vector<char> basic(num_cols_, 0);
+  const auto make_basic = [&](std::size_t col) {
+    state.basic.push_back(col);
+    basic[col] = 1;
+  };
+  // Surviving basic columns keep their basis order, so an identity map
+  // reproduces the previous identity exactly.
+  for (const std::size_t prev : previous.basic) {
+    if (to[prev] != SIZE_MAX) make_basic(to[prev]);
+  }
+  for (std::size_t c = 0; c < num_cols_; ++c) {
+    if (from[c] != SIZE_MAX && !basic[c]) state.at_upper[c] = previous.at_upper[from[c]];
+  }
+  for (std::size_t i = 0; i < m_; ++i) {
+    if (new_row[i]) make_basic(row_units_[i].front());
+  }
+  // One basic column per row: pad uncovered rows with their first unit
+  // column in row order, or demote surplus structural columns from the last
+  // basis position. A departed basic column can still leave the set
+  // singular; refactor() repairs that.
+  for (std::size_t i = 0; i < m_ && state.basic.size() < m_; ++i) {
+    const auto& units = row_units_[i];
+    if (std::none_of(units.begin(), units.end(), [&](std::size_t c) { return basic[c] != 0; })) {
+      make_basic(units.front());
+    }
+  }
+  for (std::size_t p = state.basic.size(); p-- > 0 && state.basic.size() > m_;) {
+    if (state.basic[p] < n_struct_) {
+      state.basic.erase(state.basic.begin() + static_cast<std::ptrdiff_t>(p));
+    }
+  }
+  // Rows carrying two basic unit columns (a >= row's surplus and
+  // artificial) can still leave a surplus.
+  if (state.basic.size() > m_) state.basic.resize(m_);
+  return state;
+}
+
 SolveStatus LpSolver::Core::reoptimize(const SolverOptions& options, bool dual_feasible) {
   iterations_ = dual_iterations_ = 0;
   // The perturbation exists to help cold starts through degenerate phase-1
-  // vertices; a warm start lands near the optimum, so reoptimise exactly.
+  // vertices; a warm start usually lands near the optimum, so reoptimise
+  // exactly. A freshly loaded core keeps its perturbed rhs and installed
+  // identity for a start that did not: a translated identity can leave a
+  // feasible vertex far from the optimum, where exact primal pivots stall on
+  // degenerate envy rows (a departure at n = 300 took ~90,000 pivots under
+  // Bland's rule, against ~7,000 for a cold solve).
+  std::vector<double> relaxed;
+  std::optional<LpWarmState> start;
+  if (perturbed_) {
+    relaxed = b_;
+    start = identity();
+  }
   b_ = b_exact_;
   perturbed_ = false;
   fix_artificials();
+  exit_on_stall_ = start.has_value();
+  stalled_ = false;
+  SolveStatus status = reoptimize_installed(options, dual_feasible);
+  exit_on_stall_ = false;
+  if (!stalled_) return status;
+  stalled_ = false;
+  if (!install(std::move(*start))) return SolveStatus::kIterationLimit;
+  b_ = std::move(relaxed);
+  perturbed_ = true;
+  status = reoptimize_installed(options, /*dual_feasible=*/false);
+  if (status != SolveStatus::kOptimal) return status;
+  return finish_perturbed(options);
+}
+
+SolveStatus LpSolver::Core::reoptimize_installed(const SolverOptions& options,
+                                                 bool dual_feasible) {
   // Always refactorise, even where an eta file could be extended: the
   // continuation is then a pure function of the model and the identity
   // (basic set, at-upper flags) — the caller's model and the checkpointed
@@ -1241,11 +1380,14 @@ LpSolution LpSolver::reoptimize_or_cold(std::unique_ptr<Core> core, bool dual_fe
   return solve_loaded_cold();
 }
 
-LpSolution LpSolver::solve(LpModel model) {
+LpSolution LpSolver::solve(LpModel model, const LpModelMap& map) {
+  OEF_REQUIRE_MSG(map.empty() || (map.variables.size() == model.num_variables() &&
+                                  map.constraints.size() == model.num_constraints()),
+                  "a model map must name every variable and constraint of the new model");
   const double start = common::monotonic_seconds();
-  // Basis reuse: a model of exactly the previous identity's shape (only
-  // coefficients moved) starts from its basic set and bound statuses. That
-  // identity is the last optimum's, or one import_warm_state() holds.
+  // Basis reuse: the previous identity (the last optimum's, or one
+  // import_warm_state() holds) starts this solve, as it is when the model has
+  // its shape, translated through `map` when the caller reshaped the model.
   std::optional<LpWarmState> previous = export_warm_state();
   core_.reset();
   imported_.reset();
@@ -1254,7 +1396,8 @@ LpSolution LpSolver::solve(LpModel model) {
   if (previous) {
     core = std::make_unique<Core>();
     core->load(model_, options_);
-    if (!core->install(std::move(*previous))) core.reset();
+    if (!map.empty()) previous = core->translate(*previous, map);
+    if (!previous || !core->install(std::move(*previous))) core.reset();
   }
   LpSolution solution = reoptimize_or_cold(std::move(core), /*dual_feasible=*/false);
   if (solution.warm_started) ++stats_.warm_start_hits;

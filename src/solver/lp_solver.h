@@ -11,16 +11,19 @@
 //   * solve() basis reuse: when a new model has exactly the same shape as the
 //     previous identity (same structural columns, rows and relations — the
 //     round-over-round case in the simulator, where only coefficients move),
-//     that identity is installed against the new coefficients.
+//     that identity is installed against the new coefficients. A caller whose
+//     model changed shape (tenants arrived or left) passes an LpModelMap
+//     naming the previous variable and constraint each new one continues;
+//     the previous identity is then translated onto the new shape first.
 //   * add_rows() + resolve(): newly separated constraints (the lazy
 //     envy-freeness rows of cooperative OEF) join the loaded problem with
 //     basic slacks; the previous optimum stays dual-feasible, so typically a
 //     handful of dual pivots replace a full two-phase re-solve.
 //
 // import_warm_state() holds a checkpointed identity without loading
-// anything; the next solve() of a same-shape model installs it exactly as it
-// would install the previous call's identity, so the restored solver
-// continues exactly like the exporting one.
+// anything; the next solve() installs (or translates) it exactly as it would
+// the previous call's identity, so the restored solver continues exactly
+// like the exporting one.
 //
 // delete_rows() excises rows loose at the current optimum (their slacks
 // basic) together with their slack columns while the basic set survives —
@@ -54,7 +57,7 @@
 namespace oef::solver {
 
 /// A warm identity detached from its solver: what solve()'s basis reuse
-/// compares and installs, and nothing else. The shape is the structural
+/// compares, translates and installs, and nothing else. The shape is the structural
 /// column count and the normalised relation of every standard row (which fix
 /// the row and column counts); the identity is the basic column set and the
 /// nonbasic at-upper flags. Neither the model nor the factorisation is kept:
@@ -66,6 +69,23 @@ struct LpWarmState {
   std::vector<Relation> relations;
   std::vector<std::size_t> basic;
   std::vector<char> at_upper;
+};
+
+/// How a reshaped model continues the previous one, for solve(). Entry v of
+/// `variables` is the index of the previous model's variable that the new
+/// model's variable v continues, entry i of `constraints` the index of the
+/// previous constraint that constraint i continues; kNew marks one with no
+/// predecessor. Both empty means no reshaping (the same-shape rule). The
+/// identity records standard-form columns, not variables, so a translation
+/// reads previous variable p as structural column p: it holds for models
+/// whose every variable has a finite bound (one standard column each), and a
+/// new model with a free variable solves cold.
+struct LpModelMap {
+  static constexpr std::size_t kNew = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> variables;
+  std::vector<std::size_t> constraints;
+
+  [[nodiscard]] bool empty() const { return variables.empty() && constraints.empty(); }
 };
 
 /// Cumulative counters across the lifetime of one LpSolver.
@@ -103,9 +123,21 @@ class LpSolver {
   LpSolver& operator=(LpSolver&&) noexcept;
 
   /// Loads `model` (moved in; a caller that keeps its model passes a copy)
-  /// and solves it. Reuses the previous optimal basis when the shape matches
-  /// (see header comment); otherwise solves cold.
-  [[nodiscard]] LpSolution solve(LpModel model);
+  /// and solves it from the previous identity (the last optimum's, or an
+  /// imported one) when there is one it can start from:
+  ///   * an empty `map`: the identity is installed if the model has its
+  ///     shape, else the solve runs cold;
+  ///   * a non-empty `map` (sizes must equal the model's variable and
+  ///     constraint counts, else CheckError): the identity is translated onto
+  ///     the new shape. A mapped column or row keeps its basic and at-upper
+  ///     status, a new column starts nonbasic at zero, a new row starts on
+  ///     its slack (surplus, or artificial for an equality), and the set is
+  ///     brought to one basic column per row: uncovered rows' unit columns
+  ///     pad it in row order, surplus structural columns are demoted from
+  ///     the last basis position. The reoptimisation repairs a start that is
+  ///     singular or infeasible. A map entry past the previous identity, a
+  ///     repeated entry or a new model with a free variable solves cold.
+  [[nodiscard]] LpSolution solve(LpModel model, const LpModelMap& map = {});
 
   /// Appends constraints to the loaded model. Only valid after a solve().
   /// Inequality rows are staged for dual-simplex reoptimisation; an equality
@@ -142,7 +174,7 @@ class LpSolver {
 
   /// Holds a warm identity exported by export_warm_state(), possibly in
   /// another process, in place of this solver's own, for the next solve() to
-  /// install if its model has the same shape (nothing is loaded, factorised
+  /// install or translate as it would its own (nothing is loaded, factorised
   /// or pivoted here). Returns false, holding no identity, in tableau mode or
   /// when the identity is not self-consistent; callers then degrade to a cold
   /// first solve, never to an error.

@@ -459,8 +459,163 @@ TEST(AllocatorService, BatchThatEmptiesTheRegistryKeepsTheRestoredIdentity) {
   std::remove(path.c_str());
 }
 
-TEST(AllocatorService, VersionOneCheckpointRefusesToStart) {
-  const std::string path = tests::temp_path("oef_ckpt_v1");
+TEST(AllocatorService, RestoreJustBeforeChurnContinuesIdentically) {
+  // The checkpoint written before a batch that holds one add and one remove
+  // carries the allocator's id order, so the restored service translates its
+  // identity onto the reshaped LP exactly as the uninterrupted one: the batch
+  // starts warm on both sides, with the same statuses and pivots and a
+  // bit-identical snapshot.
+  const std::string ckpt_a = tests::temp_path("oef_ckpt_churn_uninterrupted");
+  const std::string ckpt_b = tests::temp_path("oef_ckpt_churn_restored");
+  std::remove(ckpt_a.c_str());
+  std::remove(ckpt_b.c_str());
+  ServiceOptions options = base_options();
+  // A window wide enough that the two concurrent requests share one batch.
+  options.coalesce_window_seconds = 0.2;
+  const auto prefix = [](AllocatorService& service) {
+    for (const auto& [name, demand] : std::vector<std::pair<std::string, std::vector<double>>>{
+             {"a", {1.0, 1.9, 2.8}}, {"b", {1.0, 1.4, 1.5}}, {"c", {1.0, 2.5, 2.6}},
+             {"d", {1.0, 1.1, 3.9}}}) {
+      ASSERT_EQ(service.handle(add_tenant(name, demand)).status, StatusCode::kOk);
+    }
+  };
+  struct Outcome {
+    std::vector<StatusCode> statuses;
+    std::uint64_t pivots = 0;
+    std::uint64_t cold_pivots = 0;
+    std::uint64_t batches = 0;
+    WireSnapshot snapshot;
+  };
+  const auto churn = [](AllocatorService& service) {
+    Request remove;
+    remove.type = MessageType::kRemoveTenant;
+    remove.tenant = "b";
+    const std::vector<Request> batch = {add_tenant("e", {1.0, 2.0, 2.1}), remove};
+    const ServiceStats before = service.stats();
+    std::vector<Response> responses(batch.size());
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      threads.emplace_back([&, i] { responses[i] = service.handle(batch[i]); });
+    }
+    for (std::thread& thread : threads) thread.join();
+    const ServiceStats after = service.stats();
+    Outcome outcome;
+    for (const Response& response : responses) outcome.statuses.push_back(response.status);
+    outcome.pivots = after.lp_iterations - before.lp_iterations;
+    outcome.cold_pivots = after.cold_lp_iterations - before.cold_lp_iterations;
+    outcome.batches = after.batches - before.batches;
+    Request query;
+    query.type = MessageType::kQueryAllocation;
+    outcome.snapshot = service.handle(query).snapshot;
+    return outcome;
+  };
+
+  options.checkpoint_path = ckpt_a;
+  Outcome uninterrupted;
+  {
+    AllocatorService service(options);
+    prefix(service);
+    uninterrupted = churn(service);
+  }
+  options.checkpoint_path = ckpt_b;
+  {
+    AllocatorService service(options);
+    prefix(service);
+  }
+  Outcome restored;
+  {
+    AllocatorService service(options);
+    ASSERT_TRUE(service.restored_warm());
+    restored = churn(service);
+  }
+
+  ASSERT_EQ(uninterrupted.batches, 1u);
+  ASSERT_EQ(restored.batches, 1u);
+  EXPECT_EQ(restored.statuses, uninterrupted.statuses);
+  for (const StatusCode status : restored.statuses) EXPECT_EQ(status, StatusCode::kOk);
+  EXPECT_GT(restored.pivots, 0u);
+  EXPECT_EQ(restored.cold_pivots, 0u);
+  EXPECT_EQ(uninterrupted.cold_pivots, 0u);
+  EXPECT_EQ(restored.pivots, uninterrupted.pivots);
+  EXPECT_EQ(restored.snapshot.tenants, (std::vector<std::string>{"a", "c", "d", "e"}));
+  EXPECT_EQ(restored.snapshot.tenants, uninterrupted.snapshot.tenants);
+  ASSERT_EQ(restored.snapshot.shares.size(), uninterrupted.snapshot.shares.size());
+  for (std::size_t row = 0; row < restored.snapshot.shares.size(); ++row) {
+    ASSERT_EQ(restored.snapshot.shares[row].size(), uninterrupted.snapshot.shares[row].size());
+    for (std::size_t j = 0; j < restored.snapshot.shares[row].size(); ++j) {
+      EXPECT_EQ(0, std::memcmp(&restored.snapshot.shares[row][j],
+                               &uninterrupted.snapshot.shares[row][j], sizeof(double)))
+          << "row " << row << " type " << j;
+    }
+  }
+  EXPECT_EQ(0, std::memcmp(&restored.snapshot.total_efficiency,
+                           &uninterrupted.snapshot.total_efficiency, sizeof(double)));
+  std::remove(ckpt_a.c_str());
+  std::remove(ckpt_b.c_str());
+}
+
+TEST(AllocatorService, CheckpointWithRepeatedOrUnassignedTenantIdRefusesToStart) {
+  // Tenant ids are the allocator's stable user ids: a restored registry with
+  // two tenants on one id, or an id the service has not handed out yet
+  // (which the next add_tenant would hand out again), is corrupt.
+  const std::string path = tests::temp_path("oef_ckpt_tenant_ids");
+  std::remove(path.c_str());
+  ServiceOptions options = base_options();
+  options.checkpoint_path = path;
+  {
+    AllocatorService service(options);
+    ASSERT_EQ(service.handle(add_tenant("alice", {1.0, 2.0, 3.0})).status, StatusCode::kOk);
+    ASSERT_EQ(service.handle(add_tenant("bob", {1.0, 1.5, 2.0})).status, StatusCode::kOk);
+  }
+  const std::optional<std::string> payload = load_checkpoint(path);
+  ASSERT_TRUE(payload.has_value());
+  // Re-serialise the registry with the second tenant's id replaced; the
+  // rest of the payload follows unchanged.
+  const auto with_second_id = [&](bool repeat_first) {
+    common::SerialReader in(*payload);
+    common::SerialWriter original;
+    common::SerialWriter rewritten;
+    const std::uint64_t version = in.u64();
+    const std::uint64_t next_id = in.u64();
+    const std::uint64_t count = in.count();
+    for (common::SerialWriter* out : {&original, &rewritten}) {
+      out->u64(version);
+      out->u64(next_id);
+      out->u64(count);
+    }
+    std::uint64_t first_id = 0;
+    for (std::uint64_t t = 0; t < count; ++t) {
+      const std::uint64_t id = in.u64();
+      const std::string name = in.str();
+      const double weight = in.f64();
+      const std::vector<double> demand = in.f64_vec();
+      if (t == 0) first_id = id;
+      for (common::SerialWriter* out : {&original, &rewritten}) {
+        const bool replace = out == &rewritten && t == 1;
+        out->u64(replace ? (repeat_first ? first_id : next_id) : id);
+        out->str(name);
+        out->f64(weight);
+        out->f64_vec(demand);
+      }
+    }
+    EXPECT_EQ(payload->compare(0, original.data().size(), original.data()), 0);
+    return rewritten.data() + payload->substr(original.data().size());
+  };
+  for (const bool repeat_first : {true, false}) {
+    SCOPED_TRACE(repeat_first ? "repeated id" : "unassigned id");
+    write_checkpoint(path, with_second_id(repeat_first));
+    try {
+      AllocatorService service(options);
+      FAIL() << "the checkpoint's tenant ids must be refused";
+    } catch (const common::CheckError& error) {
+      EXPECT_EQ(error.code(), common::ErrorCode::kCorruptData);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(AllocatorService, VersionTwoCheckpointRefusesToStart) {
+  const std::string path = tests::temp_path("oef_ckpt_v2");
   std::remove(path.c_str());
   ServiceOptions options = base_options();
   options.checkpoint_path = path;
@@ -470,11 +625,11 @@ TEST(AllocatorService, VersionOneCheckpointRefusesToStart) {
   }
   const std::optional<std::string> payload = load_checkpoint(path);
   ASSERT_TRUE(payload.has_value());
-  // The same container around the same payload, with version 1 and a
-  // checksum that verifies.
-  ASSERT_EQ(kCheckpointVersion, 2u);
+  // The same container around the same payload, with version 2 (no id
+  // order in the allocator record) and a checksum that verifies.
+  ASSERT_EQ(kCheckpointVersion, 3u);
   common::SerialWriter header;
-  header.u64(1);
+  header.u64(2);
   header.u64(payload->size());
   header.u64(common::fnv1a64(*payload));
   {
@@ -486,13 +641,13 @@ TEST(AllocatorService, VersionOneCheckpointRefusesToStart) {
   }
   try {
     (void)load_checkpoint(path);
-    FAIL() << "a version 1 checkpoint was loaded";
+    FAIL() << "a version 2 checkpoint was loaded";
   } catch (const common::CheckError& error) {
     EXPECT_EQ(error.code(), common::ErrorCode::kCorruptData);
   }
   try {
     AllocatorService service(options);
-    FAIL() << "a version 1 checkpoint must not start the service";
+    FAIL() << "a version 2 checkpoint must not start the service";
   } catch (const common::CheckError& error) {
     EXPECT_EQ(error.code(), common::ErrorCode::kCorruptData);
   }

@@ -13,6 +13,7 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "core/oef.h"
+#include "core/properties.h"
 #include "sched/oef_scheduler.h"
 #include "sim/engine.h"
 #include "sim/events.h"
@@ -139,9 +140,12 @@ TEST(SimChurn, FailureHeavyRunServesEveryRoundWithinSurvivingCapacity) {
 
 TEST(SimChurn, WarmChurnObjectivesMatchColdSolves) {
   // One persistent allocator rides a churn sequence (departure, arrival,
-  // capacity loss, mix drift) with stable user ids; a fresh allocator cold-
-  // solves every step. Warm add/delete-row reuse is an optimisation only:
-  // the objectives must agree to 1e-6.
+  // capacity loss, mix drift, and a departure and an arrival in one call)
+  // with stable user ids; a fresh allocator cold-solves every step. Every
+  // step after the first starts from the previous basis, translated onto the
+  // reshaped LP by id, and takes no cold pivot. Warm reuse is an
+  // optimisation only: the objectives must agree to 1e-6, and every warm
+  // allocation must be envy-free and satisfy sharing incentive.
   const std::size_t k = 3;
   const core::SpeedupMatrix base = make_instance(12, k, 42);
   const core::OefAllocator persistent = core::make_cooperative_oef();
@@ -163,14 +167,20 @@ TEST(SimChurn, WarmChurnObjectivesMatchColdSolves) {
   steps.push_back({arrived, {30.0, 40.0, 22.0}, 1.0});
   steps.push_back({arrived, {30.0, 28.0, 22.0}, 1.0});   // host failure
   steps.push_back({arrived, {30.0, 28.0, 22.0}, 1.12});  // mix drift
+  std::vector<std::size_t> swapped = arrived;
+  swapped.erase(swapped.begin() + 5);  // tenant 5 leaves...
+  swapped.push_back(13);               // ...as tenant 13 joins: n stays 12
+  steps.push_back({swapped, {30.0, 28.0, 22.0}, 1.12});
 
-  const core::SpeedupMatrix extended = make_instance(13, k, 43);
-  for (const Step& step : steps) {
+  const core::SpeedupMatrix extended = make_instance(14, k, 43);
+  for (std::size_t s = 0; s < steps.size(); ++s) {
+    SCOPED_TRACE("step " + std::to_string(s));
+    const Step& step = steps[s];
     std::vector<std::vector<double>> rows;
     for (const std::size_t id : step.ids) {
       std::vector<double> row;
       for (std::size_t j = 0; j < k; ++j) {
-        const double w = id < 12 ? base.at(id, j) : extended.at(12, j);
+        const double w = id < 12 ? base.at(id, j) : extended.at(id, j);
         row.push_back(j + 1 == k ? w * step.drift : w);
       }
       rows.push_back(std::move(row));
@@ -178,6 +188,7 @@ TEST(SimChurn, WarmChurnObjectivesMatchColdSolves) {
     const core::SpeedupMatrix speedups(rows);
     const std::vector<double> mult(step.ids.size(), 1.0);
 
+    const std::size_t hits_before = persistent.solver_stats().warm_start_hits;
     const core::AllocationResult warm =
         persistent.allocate_weighted(speedups, mult, step.capacities, step.ids);
     const core::OefAllocator fresh = core::make_cooperative_oef();
@@ -189,6 +200,12 @@ TEST(SimChurn, WarmChurnObjectivesMatchColdSolves) {
     EXPECT_NEAR(warm.total_efficiency, cold.total_efficiency,
                 1e-6 * (1.0 + std::abs(cold.total_efficiency)));
     EXPECT_TRUE(warm.allocation.respects_capacity(step.capacities, 1e-6));
+    if (s == 0) continue;
+    EXPECT_EQ(persistent.solver_stats().warm_start_hits, hits_before + 1);
+    EXPECT_EQ(warm.cold_lp_iterations, 0u);
+    EXPECT_TRUE(core::check_envy_freeness(speedups, warm.allocation, 1e-6).envy_free);
+    EXPECT_TRUE(core::check_sharing_incentive(speedups, warm.allocation, step.capacities, 1e-6)
+                    .sharing_incentive);
   }
 }
 
@@ -223,7 +240,7 @@ TEST(SimChurn, PivotCountersAccountForFailedWarmAttempts) {
   // it, split into cold and warm work.
   solver::FaultInjectorConfig config;
   config.seed = 2024;
-  config.eta_corruption_rate = 0.02;
+  config.eta_corruption_rate = 0.06;
   config.basis_fault_rate = 0.1;
   solver::FaultInjector injector(config);
   core::OefOptions options;
@@ -334,6 +351,11 @@ TEST(SimChurn, BoundaryErrorsThrowCheckErrorInsteadOfAborting) {
   // Wrong capacity arity is caller error at a module boundary: catchable.
   EXPECT_THROW(
       { (void)allocator.allocate_weighted(speedups, mult, {8.0, 8.0}); },
+      common::CheckError);
+  // A repeated user id likewise: two users would share one identity, so the
+  // warm state keyed by id could not tell them apart.
+  EXPECT_THROW(
+      { (void)allocator.allocate_weighted(speedups, mult, {8.0, 8.0, 8.0}, {0, 1, 1, 3}); },
       common::CheckError);
   // Non-positive or infinite multiplicity likewise (an infinite one would
   // zero its user's envy-row coefficients).

@@ -2,16 +2,17 @@
 //
 // Seeded sequences over small random LPs (mixed relations, some finite upper
 // bounds) drive every warm path: solve() of a same-shape coefficient
-// perturbation (basis reuse), add_rows() of inequality cuts and now and then
-// an equality, resolve(), delete_rows() of rows loose at the optimum (warm
-// excision) and of binding rows (refused excision), and export_warm_state()
-// + import_warm_state() into a fresh twin that first solves the exporter's
-// model (warm, in zero pivots) and then receives the same operations. After
-// every solve or resolve the result must match the
-// reference tableau (SimplexSolver) on the solver's own model — status,
-// objective to 1e-6, a feasible point — and the twin must report a
-// bit-identical objective and the same iteration count. No revised optimum
-// may fail its optimality certificate.
+// perturbation (basis reuse), solve() of a reshaped model (a random subset of
+// variables and rows dropped, fresh ones appended) through an LpModelMap,
+// add_rows() of inequality cuts and now and then an equality, resolve(),
+// delete_rows() of rows loose at the optimum (warm excision) and of binding
+// rows (refused excision), and export_warm_state() + import_warm_state()
+// into a fresh twin that first solves the exporter's model (warm, in zero
+// pivots) and then receives the same operations. After every solve or
+// resolve the result must match the reference tableau (SimplexSolver) on the
+// solver's own model — status, objective to 1e-6, a feasible point — and the
+// twin must report a bit-identical objective and the same iteration count.
+// No revised optimum may fail its optimality certificate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "solver/lp_model.h"
 #include "solver/lp_solver.h"
@@ -157,8 +159,78 @@ std::vector<Constraint> random_cuts(common::Rng& rng, std::size_t nvars,
   return cuts;
 }
 
+/// A reshaped model, the map onto the model it continues, and its anchor
+/// (the surviving variables' anchor values, then the fresh ones').
+struct Reshape {
+  LpModel model;
+  LpModelMap map;
+  std::vector<double> anchor;
+};
+
+/// Drops each variable with probability 0.2 and each row but the budget (row
+/// 0) with probability 0.3, then appends up to two fresh variables and up to
+/// two fresh rows. A dropped variable's terms leave every row; each kept row
+/// keeps its signed margin at the new anchor and the budget row covers every
+/// variable, so the reshaped model is feasible and bounded too.
+Reshape reshaped(common::Rng& rng, const LpModel& model, const std::vector<double>& anchor) {
+  Reshape out{LpModel(model.sense()), {}, {}};
+  std::vector<std::size_t> index_of(model.num_variables(), LpModelMap::kNew);
+  for (std::size_t v = 0; v < model.num_variables(); ++v) {
+    if (rng.uniform() < 0.2) continue;
+    const Variable& var = model.variables()[v];
+    index_of[v] = out.model.add_variable(var.name, var.lower, var.upper, var.objective);
+    out.map.variables.push_back(v);
+    out.anchor.push_back(anchor[v]);
+  }
+  const std::size_t fresh_vars =
+      static_cast<std::size_t>(rng.uniform_int(out.anchor.empty() ? 1 : 0, 2));
+  for (std::size_t f = 0; f < fresh_vars; ++f) {
+    const double lower = rng.uniform() < 0.3 ? rng.uniform(-1.0, 1.0) : 0.0;
+    const double upper = rng.uniform() < 0.4 ? lower + rng.uniform(0.5, 4.0) : kInf;
+    out.model.add_variable("y", lower, upper, rng.uniform(-2.0, 3.0));
+    out.map.variables.push_back(LpModelMap::kNew);
+    const double range = std::isfinite(upper) ? upper - lower : 2.0;
+    out.anchor.push_back(lower + rng.uniform(0.0, 1.0) * range);
+  }
+  const auto keep_margin = [&](LinearExpr expr, const Constraint& old) {
+    const double margin =
+        old.relation == Relation::kEqual ? 0.0 : old.rhs - old.expr.evaluate(anchor);
+    const double rhs = expr.evaluate(out.anchor) + margin;
+    out.model.add_constraint(std::move(expr), old.relation, rhs);
+  };
+  for (std::size_t c = 0; c < model.num_constraints(); ++c) {
+    const Constraint& old = model.constraints()[c];
+    if (c == 0) {
+      LinearExpr budget;
+      for (std::size_t v = 0; v < out.anchor.size(); ++v) budget.add(v, 1.0);
+      keep_margin(std::move(budget), old);
+    } else if (rng.uniform() < 0.3) {
+      continue;
+    } else {
+      LinearExpr expr;
+      for (const LinearTerm& term : old.expr.terms()) {
+        if (index_of[term.var] != LpModelMap::kNew) expr.add(index_of[term.var], term.coeff);
+      }
+      keep_margin(std::move(expr), old);
+    }
+    out.map.constraints.push_back(c);
+  }
+  const std::size_t fresh_rows = static_cast<std::size_t>(rng.uniform_int(0, 2));
+  for (std::size_t r = 0; r < fresh_rows; ++r) {
+    LinearExpr expr = random_expr(rng, out.anchor.size());
+    const double at = expr.evaluate(out.anchor);
+    const Relation relation = rng.uniform() < 0.5 ? Relation::kLessEqual : Relation::kGreaterEqual;
+    const double rhs = relation == Relation::kLessEqual ? at + rng.uniform(0.0, 2.0)
+                                                        : at - rng.uniform(0.0, 2.0);
+    out.model.add_constraint(std::move(expr), relation, rhs);
+    out.map.constraints.push_back(LpModelMap::kNew);
+  }
+  return out;
+}
+
 struct Coverage {
   std::size_t warm_solves = 0;
+  std::size_t warm_reshapes = 0;
   std::size_t warm_resolves = 0;
   std::size_t equality_appends = 0;
   std::size_t warm_deletions = 0;
@@ -181,8 +253,10 @@ class SequenceRun {
       label_ = "step " + std::to_string(step);
       const double roll = rng_.uniform();
       const bool crowded = solver_.model().num_constraints() > kMaxRows;
-      if (roll < 0.2 && !crowded) {
+      if (roll < 0.15 && !crowded) {
         solve_perturbation();
+      } else if (roll < 0.25) {
+        solve_reshaped();
       } else if (roll < 0.5 && !crowded) {
         add_cuts();
       } else if (roll < 0.6) {
@@ -206,6 +280,16 @@ class SequenceRun {
     const LpSolution a = solver_.solve(model);
     if (a.warm_started) ++coverage_.warm_solves;
     check(a, twin_ ? std::optional(twin_->solve(model)) : std::nullopt, "solve");
+    fresh_core_ = true;
+  }
+
+  void solve_reshaped() {
+    Reshape next = reshaped(rng_, solver_.model(), anchor_);
+    anchor_ = std::move(next.anchor);
+    const LpSolution a = solver_.solve(next.model, next.map);
+    if (a.warm_started) ++coverage_.warm_reshapes;
+    check(a, twin_ ? std::optional(twin_->solve(next.model, next.map)) : std::nullopt,
+          "reshaped solve");
     fresh_core_ = true;
   }
 
@@ -335,13 +419,72 @@ TEST(SolverSequences, WarmPathsMatchTheTableauAndImportedTwins) {
     SequenceRun(seed, coverage).run();
   }
   // The generator must exercise every warm path, not only cold solves.
-  EXPECT_GT(coverage.warm_solves, 200u);
+  EXPECT_GT(coverage.warm_solves, 150u);
+  EXPECT_GT(coverage.warm_reshapes, 150u);
   EXPECT_GT(coverage.warm_resolves, 750u);
   EXPECT_GT(coverage.equality_appends, 80u);
   EXPECT_GT(coverage.warm_deletions, 200u);
   EXPECT_GT(coverage.refused_deletions, 100u);
   EXPECT_GT(coverage.imports, 100u);
   EXPECT_GT(coverage.twin_checks, 650u);
+}
+
+TEST(SolverSequences, MalformedModelMapsNeverAbort) {
+  // A map from a damaged checkpoint must degrade, not abort: a size that
+  // differs from the new model is a caller error, an entry past the previous
+  // identity or a repeated one solves cold, both from a live identity and
+  // from an imported one.
+  common::Rng rng(5);
+  std::vector<double> anchor;
+  const LpModel model = random_model(rng, anchor);
+  const std::size_t vars = model.num_variables();
+  const std::size_t rows = model.num_constraints();
+  const LpSolution reference = SimplexSolver().solve(model);
+  ASSERT_TRUE(reference.optimal());
+
+  LpModelMap identity;
+  for (std::size_t v = 0; v < vars; ++v) identity.variables.push_back(v);
+  for (std::size_t c = 0; c < rows; ++c) identity.constraints.push_back(c);
+  LpModelMap short_map = identity;
+  short_map.constraints.pop_back();
+  LpModelMap past_end = identity;
+  past_end.variables.back() = vars + 7;
+  LpModelMap repeated = identity;
+  repeated.constraints.back() = 0;
+
+  LpSolver exporter;
+  ASSERT_TRUE(exporter.solve(model).optimal());
+  const std::optional<LpWarmState> state = exporter.export_warm_state();
+  ASSERT_TRUE(state.has_value());
+  for (const bool imported : {false, true}) {
+    SCOPED_TRACE(imported ? "imported identity" : "live identity");
+    const auto start = [&] {
+      LpSolver solver;
+      if (imported) {
+        EXPECT_TRUE(solver.import_warm_state(*state));
+      } else {
+        EXPECT_TRUE(solver.solve(model).optimal());
+      }
+      return solver;
+    };
+    LpSolver refused = start();
+    EXPECT_THROW((void)refused.solve(model, short_map), common::CheckError);
+    // The refused call left the identity in place.
+    EXPECT_TRUE(refused.solve(model, identity).warm_started);
+    for (const LpModelMap* map : {&past_end, &repeated}) {
+      LpSolver solver = start();
+      const LpSolution solution = solver.solve(model, *map);
+      ASSERT_TRUE(solution.optimal());
+      EXPECT_FALSE(solution.warm_started);
+      EXPECT_NEAR(solution.objective, reference.objective,
+                  kTol * (1.0 + std::abs(reference.objective)));
+    }
+    // The identity map reproduces the same-shape rule: zero pivots.
+    LpSolver same = start();
+    const LpSolution resumed = same.solve(model, identity);
+    EXPECT_TRUE(resumed.warm_started);
+    EXPECT_EQ(resumed.iterations, 0u);
+  }
 }
 
 }  // namespace
