@@ -1,5 +1,7 @@
 #include "common/check.h"
 
+#include <algorithm>
+
 namespace oef::common {
 
 const char* to_string(ErrorCode code) {
@@ -16,6 +18,11 @@ const char* to_string(ErrorCode code) {
       return "corrupt_data";
   }
   return "unknown";
+}
+
+bool all_distinct(std::vector<std::size_t> ids) {
+  std::sort(ids.begin(), ids.end());
+  return std::adjacent_find(ids.begin(), ids.end()) == ids.end();
 }
 
 }  // namespace oef::common

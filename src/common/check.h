@@ -23,10 +23,12 @@
 // code() instead of string-matching what().
 #pragma once
 
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace oef::common {
 
@@ -49,6 +51,10 @@ enum class ErrorCode {
 };
 
 [[nodiscard]] const char* to_string(ErrorCode code);
+
+/// True when no id repeats in `ids`: the boundary check for stable user and
+/// tenant ids, which each caller reports under its own ErrorCode.
+[[nodiscard]] bool all_distinct(std::vector<std::size_t> ids);
 
 /// Thrown by OEF_REQUIRE at recoverable module boundaries. Derives from
 /// std::runtime_error so generic handlers (and tests) can catch it without

@@ -157,12 +157,7 @@ AllocationResult OefAllocator::allocate_weighted(
                   "capacities must match the speedup matrix's type count");
   OEF_REQUIRE_MSG(user_ids.empty() || user_ids.size() == speedups.num_users(),
                   "user_ids must be empty or match the user count");
-  {
-    std::vector<std::size_t> sorted = user_ids;
-    std::sort(sorted.begin(), sorted.end());
-    OEF_REQUIRE_MSG(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
-                    "user_ids must be distinct");
-  }
+  OEF_REQUIRE_MSG(common::all_distinct(user_ids), "user_ids must be distinct");
   // Every LP this call solves goes through solver_, so its pivots, seconds
   // and ladder counters are the deltas of the solver's cumulative stats.
   const solver::LpSolverStats before = solver_.stats();
@@ -459,10 +454,8 @@ bool OefAllocator::load_warm_state(common::SerialReader& in) {
                    common::ErrorCode::kInvalidArgument,
                    "checkpoint was taken under the other allocator mode");
   previous_ids_ = in.size_vec();
-  std::vector<std::size_t> sorted = previous_ids_;
-  std::sort(sorted.begin(), sorted.end());
-  OEF_REQUIRE_CODE(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
-                   common::ErrorCode::kCorruptData, "repeated id in the allocator's id order");
+  OEF_REQUIRE_CODE(common::all_distinct(previous_ids_), common::ErrorCode::kCorruptData,
+                   "repeated id in the allocator's id order");
   const std::uint64_t pool_size = in.count();
   envy_pool_.clear();
   for (std::uint64_t i = 0; i < pool_size; ++i) {

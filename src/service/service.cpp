@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <unordered_set>
 #include <utility>
 
 #include "common/check.h"
@@ -497,15 +496,15 @@ void AllocatorService::restore_state(const std::string& payload) {
   next_tenant_id_ = in.u64();
   const std::uint64_t num_tenants = in.count();
   tenants_.clear();
-  std::unordered_set<std::uint64_t> tenant_ids;
+  std::vector<std::size_t> tenant_ids;
   for (std::uint64_t i = 0; i < num_tenants; ++i) {
     Tenant tenant;
     tenant.id = in.u64();
-    // Ids are the allocator's stable user ids: distinct, and below the next
-    // one add_tenant hands out.
-    OEF_REQUIRE_CODE(tenant.id < next_tenant_id_ && tenant_ids.insert(tenant.id).second,
-                     common::ErrorCode::kCorruptData,
-                     "checkpoint tenant id repeated or not below the next tenant id");
+    // Ids are the allocator's stable user ids: distinct (checked below), and
+    // below the next one add_tenant hands out.
+    OEF_REQUIRE_CODE(tenant.id < next_tenant_id_, common::ErrorCode::kCorruptData,
+                     "checkpoint tenant id not below the next tenant id");
+    tenant_ids.push_back(tenant.id);
     tenant.name = in.str();
     tenant.weight = in.f64();
     tenant.demand = in.f64_vec();
@@ -515,6 +514,8 @@ void AllocatorService::restore_state(const std::string& payload) {
                      ("checkpoint tenant '" + tenant.name + "': " + invalid).c_str());
     tenants_.push_back(std::move(tenant));
   }
+  OEF_REQUIRE_CODE(common::all_distinct(std::move(tenant_ids)), common::ErrorCode::kCorruptData,
+                   "checkpoint tenant id repeated");
   applied_order_.clear();
   applied_ids_.clear();
   for (const std::uint64_t id : in.u64_vec()) {

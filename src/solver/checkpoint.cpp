@@ -28,6 +28,7 @@ void write_warm_state(common::SerialWriter& out, const LpSolver& solver) {
   out.byte_vec(relations);
   out.size_vec(state->basic);
   out.byte_vec(state->at_upper);
+  out.f64_vec(state->values);
 }
 
 bool read_warm_state(common::SerialReader& in, LpSolver& solver) {
@@ -45,6 +46,7 @@ bool read_warm_state(common::SerialReader& in, LpSolver& solver) {
   }
   state.basic = in.size_vec();
   state.at_upper = in.byte_vec();
+  state.values = in.f64_vec();
   return solver.import_warm_state(state);
 }
 

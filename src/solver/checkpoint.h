@@ -3,9 +3,11 @@
 // The allocator daemon checkpoints its warm solver state so a crash-restart
 // resumes with the previous optimal basis instead of a cold solve. The solver
 // layer owns the encoding of its LpWarmState (lp_solver.h): the structural
-// column count, one normalised relation per row, the basic set and the
-// at-upper flags. No LP model is written: the restarted caller rebuilds its
-// model, and the next same-shape solve() installs the identity. Container
+// column count, one normalised relation per row, the basic set, the
+// at-upper flags and the structural values at that vertex (hexfloats, so a
+// restored translation crosses over from bit-identical values). No LP model
+// is written: the restarted caller rebuilds its model, and the next solve()
+// installs or translates the identity. Container
 // framing (magic, version, checksum, atomic rename) is the caller's job; see
 // service/checkpoint.h.
 //

@@ -33,10 +33,15 @@ double seconds_since(double start) { return common::monotonic_seconds() - start;
 
 /// True when `state` is self-consistent: one basic column per row, one
 /// at-upper flag per column of Core::load's layout (the structural columns,
-/// a slack per inequality row, an artificial per >= or = row), and basic
-/// columns in range and distinct.
+/// a slack per inequality row, an artificial per >= or = row), basic
+/// columns in range and distinct, and no values or one finite nonnegative
+/// value per structural column.
 bool well_formed(const LpWarmState& state) {
   if (state.basic.size() != state.relations.size()) return false;
+  if (!state.values.empty() && state.values.size() != state.structural_columns) return false;
+  for (const double value : state.values) {
+    if (!(value >= 0.0 && std::isfinite(value))) return false;
+  }
   std::size_t columns = state.structural_columns;
   for (const Relation relation : state.relations) {
     columns += relation == Relation::kGreaterEqual ? 2 : 1;
@@ -47,6 +52,22 @@ bool well_formed(const LpWarmState& state) {
   for (const std::size_t col : state.basic) {
     if (col >= columns || seen[col]) return false;
     seen[col] = 1;
+  }
+  return true;
+}
+
+/// True when `map` sends every variable and constraint to its own index in a
+/// model of `previous`'s shape: the translation is then the identity.
+bool is_identity(const LpModelMap& map, const LpWarmState& previous) {
+  if (map.variables.size() != previous.structural_columns ||
+      map.constraints.size() != previous.relations.size()) {
+    return false;
+  }
+  for (std::size_t v = 0; v < map.variables.size(); ++v) {
+    if (map.variables[v] != v) return false;
+  }
+  for (std::size_t i = 0; i < map.constraints.size(); ++i) {
+    if (map.constraints[i] != i) return false;
   }
   return true;
 }
@@ -87,18 +108,19 @@ class LpSolver::Core {
   /// Translates `previous`, the identity of the model `map` continues, onto
   /// this freshly load()ed core's shape (see LpSolver::solve). Reads the
   /// previous identity in Core::load's column layout, as install() does.
-  /// Returns nullopt, for a cold solve, when `previous` is not well-formed,
-  /// a variable has other than one standard column, or a map entry is past
-  /// the previous identity or repeated.
+  /// Unless the map is the identity, it also keeps the previous vertex
+  /// (mapped structural values, new columns at zero) for reoptimize()'s
+  /// cross_over(). Returns nullopt, for a cold solve, when `previous` is not
+  /// well-formed, a variable has other than one standard column, or a map
+  /// entry is past the previous identity or repeated.
   [[nodiscard]] std::optional<LpWarmState> translate(const LpWarmState& previous,
-                                                     const LpModelMap& map) const;
+                                                     const LpModelMap& map);
 
-  /// The warm entry: refactorises the installed basic set, then reoptimises
-  /// with primal pivots if it is primal-feasible, dual then primal pivots if
-  /// it is dual-feasible (assumed, not tested, when `dual_feasible` is set),
-  /// and the cost-shifting dual phase 1 otherwise. On a freshly loaded core
-  /// a primal run that stalls (stall_limit pivots without progress) restarts
-  /// from the installed identity on the perturbed rhs a cold solve uses.
+  /// The warm entry: refactorises the installed basic set, moves a
+  /// translated start onto the previous vertex (cross_over), then
+  /// reoptimises with primal pivots if it is primal-feasible, dual then
+  /// primal pivots if it is dual-feasible (assumed, not tested, when
+  /// `dual_feasible` is set), and the cost-shifting dual phase 1 otherwise.
   /// kIterationLimit means the basis could not be reused and the caller
   /// should solve cold.
   [[nodiscard]] SolveStatus reoptimize(const SolverOptions& options, bool dual_feasible);
@@ -122,9 +144,39 @@ class LpSolver::Core {
   void extract(const LpModel& model, LpSolution& out) const;
 
   /// The warm identity: with the loaded model, the basic set and the at-upper
-  /// flags determine the next reoptimize() completely.
+  /// flags determine the next same-shape reoptimize() completely. Without
+  /// values; see vertex().
   [[nodiscard]] LpWarmState identity() const {
-    return LpWarmState{n_struct_, relations_, basis_.basic(), at_upper_};
+    return LpWarmState{n_struct_, relations_, basis_.basic(), at_upper_, {}};
+  }
+
+  /// The identity's structural values (unscaled, clamped to their bounds as
+  /// extract() does), which a translated start crosses over from. Solved
+  /// from a fresh factorisation of the basic set, not read from the running
+  /// basic solution, so they are a pure function of the loaded model and the
+  /// identity, as the continuation is: a twin that imported this identity and
+  /// reoptimised it computes the same bits. Empty if the set does not
+  /// factorise.
+  [[nodiscard]] std::vector<double> vertex() const {
+    Basis fresh;
+    fresh.set_basic(basis_.basic());
+    if (!fresh.refactor(cols_)) return {};
+    std::vector<double> rhs = b_exact_;
+    std::vector<double> values(n_struct_, 0.0);
+    for (std::size_t j = 0; j < num_cols_; ++j) {
+      if (!at_upper_[j]) continue;
+      cols_.axpy_column(j, -upper_[j], rhs);
+      if (j < n_struct_) values[j] = upper_[j];
+    }
+    const std::vector<double> xb = fresh.ftran(rhs);
+    const auto& basic = basis_.basic();
+    for (std::size_t i = 0; i < m_; ++i) {
+      if (basic[i] < n_struct_ && std::isfinite(xb[i])) {
+        values[basic[i]] = std::clamp(xb[i], 0.0, upper_[basic[i]]);
+      }
+    }
+    for (std::size_t j = 0; j < n_struct_; ++j) values[j] *= col_scale_[j];
+    return values;
   }
 
   [[nodiscard]] std::size_t iterations() const { return iterations_; }
@@ -168,8 +220,15 @@ class LpSolver::Core {
   void update_dual_devex(const std::vector<double>& w, std::size_t leave);
   [[nodiscard]] SolveStatus run_primal(bool phase1, const SolverOptions& options);
   [[nodiscard]] SolveStatus run_dual(const SolverOptions& options);
-  /// reoptimize()'s pivots from the installed identity under the current rhs.
-  [[nodiscard]] SolveStatus reoptimize_installed(const SolverOptions& options, bool dual_feasible);
+  /// Crossover from the previous vertex translate() kept: every nonbasic
+  /// column holding a value strictly above its lower bound there (a demoted
+  /// or repaired-away column, or the unit column of a row a departed column
+  /// held tight) starts at that value, so the basic solution is the previous
+  /// vertex; each such column then moves, in column order and in the
+  /// direction its reduced cost prefers, until it reaches a bound or a basic
+  /// column does and it pivots in. The result is a basis whose vertex is the
+  /// previous one moved along the freed directions only.
+  void cross_over();
   void drive_out_artificials();
   /// Past phase 1 every artificial column is fixed at zero (upper bound 0),
   /// so one left basic at a positive value — a warm basis whose
@@ -202,10 +261,10 @@ class LpSolver::Core {
   bool any_artificial_ = false;
   bool perturbed_ = false;
   bool scaling_ = false;
-  // Set while a primal run should stop at a stall instead of switching to
-  // Bland's rule; `stalled_` records that it did.
-  bool exit_on_stall_ = false;
-  bool stalled_ = false;
+  // The previous vertex's structural values (scaled to this core) that
+  // translate() keeps for the next reoptimize()'s cross_over(); empty
+  // otherwise.
+  std::vector<double> start_;
 
   // Devex reference weights: per column for the primal entering choice, per
   // row for the dual leaving-row choice. Reset to 1 at each phase entry.
@@ -657,13 +716,7 @@ SolveStatus LpSolver::Core::run_primal(bool phase1, const SolverOptions& options
 
     const double objective = phase_objective(phase1);
     if (objective >= last_objective - tol) {
-      if (++stall >= options.stall_limit) {
-        if (exit_on_stall_) {
-          stalled_ = true;
-          return SolveStatus::kIterationLimit;
-        }
-        bland = true;
-      }
+      if (++stall >= options.stall_limit) bland = true;
     } else {
       stall = 0;
       bland = false;
@@ -922,7 +975,7 @@ bool LpSolver::Core::install(LpWarmState state) {
 }
 
 std::optional<LpWarmState> LpSolver::Core::translate(const LpWarmState& previous,
-                                                    const LpModelMap& map) const {
+                                                    const LpModelMap& map) {
   if (!well_formed(previous) || map.variables.size() != n_struct_) return std::nullopt;
   // from[c]: the previous column that new column c continues, or SIZE_MAX.
   std::vector<std::size_t> from(num_cols_, SIZE_MAX);
@@ -967,7 +1020,7 @@ std::optional<LpWarmState> LpSolver::Core::translate(const LpWarmState& previous
     }
   }
 
-  LpWarmState state{n_struct_, relations_, {}, std::vector<char>(num_cols_, 0)};
+  LpWarmState state{n_struct_, relations_, {}, std::vector<char>(num_cols_, 0), {}};
   std::vector<std::size_t> to(previous.at_upper.size(), SIZE_MAX);
   for (std::size_t c = 0; c < num_cols_; ++c) {
     if (from[c] != SIZE_MAX) to[from[c]] = c;
@@ -1006,52 +1059,34 @@ std::optional<LpWarmState> LpSolver::Core::translate(const LpWarmState& previous
   // Rows carrying two basic unit columns (a >= row's surplus and
   // artificial) can still leave a surplus.
   if (state.basic.size() > m_) state.basic.resize(m_);
+  // Keep the previous vertex for cross_over(), unless the map is the identity
+  // (a same-shape start, which installs exactly as the empty map does).
+  if (!is_identity(map, previous) && !previous.values.empty()) {
+    start_.assign(n_struct_, 0.0);
+    for (std::size_t v = 0; v < n_struct_; ++v) {
+      if (from[v] != SIZE_MAX) start_[v] = previous.values[from[v]] / col_scale_[v];
+    }
+  }
   return state;
 }
 
 SolveStatus LpSolver::Core::reoptimize(const SolverOptions& options, bool dual_feasible) {
   iterations_ = dual_iterations_ = 0;
   // The perturbation exists to help cold starts through degenerate phase-1
-  // vertices; a warm start usually lands near the optimum, so reoptimise
-  // exactly. A freshly loaded core keeps its perturbed rhs and installed
-  // identity for a start that did not: a translated identity can leave a
-  // feasible vertex far from the optimum, where exact primal pivots stall on
-  // degenerate envy rows (a departure at n = 300 took ~90,000 pivots under
-  // Bland's rule, against ~7,000 for a cold solve).
-  std::vector<double> relaxed;
-  std::optional<LpWarmState> start;
-  if (perturbed_) {
-    relaxed = b_;
-    start = identity();
-  }
+  // vertices; a warm start lands near the optimum, so reoptimise exactly.
   b_ = b_exact_;
   perturbed_ = false;
   fix_artificials();
-  exit_on_stall_ = start.has_value();
-  stalled_ = false;
-  SolveStatus status = reoptimize_installed(options, dual_feasible);
-  exit_on_stall_ = false;
-  if (!stalled_) return status;
-  stalled_ = false;
-  if (!install(std::move(*start))) return SolveStatus::kIterationLimit;
-  b_ = std::move(relaxed);
-  perturbed_ = true;
-  status = reoptimize_installed(options, /*dual_feasible=*/false);
-  if (status != SolveStatus::kOptimal) return status;
-  return finish_perturbed(options);
-}
-
-SolveStatus LpSolver::Core::reoptimize_installed(const SolverOptions& options,
-                                                 bool dual_feasible) {
   // Always refactorise, even where an eta file could be extended: the
   // continuation is then a pure function of the model and the identity
-  // (basic set, at-upper flags) — the caller's model and the checkpointed
-  // identity — so a restored solver pivots bit-identically to the
-  // uninterrupted one. An accumulated eta file and a
-  // fresh factorisation of the same basis differ in low bits; one sparse LU
-  // per reoptimisation buys determinism across restarts.
+  // (basic set, at-upper flags, and the vertex a translated start keeps) —
+  // the caller's model and the checkpointed identity — so a restored solver
+  // pivots bit-identically to the uninterrupted one. An accumulated eta file
+  // and a fresh factorisation of the same basis differ in low bits; one
+  // sparse LU per reoptimisation buys determinism across restarts.
   if (!refactor()) return SolveStatus::kIterationLimit;
   refresh_xb();
+  if (!start_.empty()) cross_over();
   if (primal_feasible()) return run_primal(/*phase1=*/false, options);
 
   std::vector<std::pair<std::size_t, double>> shifts;
@@ -1084,6 +1119,98 @@ SolveStatus LpSolver::Core::reoptimize_installed(const SolverOptions& options,
   // costs (shifts, coefficient changes or tolerance drift can leave the
   // vertex slightly suboptimal).
   return run_primal(/*phase1=*/false, options);
+}
+
+void LpSolver::Core::cross_over() {
+  // The previous vertex on this model: structural values as translated, and
+  // each row's unit column at the value that satisfies the row (a >= row's
+  // artificial at zero).
+  std::vector<double> value(num_cols_, 0.0);
+  std::vector<double> activity(m_, 0.0);
+  for (std::size_t j = 0; j < n_struct_; ++j) {
+    value[j] = start_[j];
+    if (value[j] != 0.0) cols_.axpy_column(j, value[j], activity);
+  }
+  start_.clear();
+  for (std::size_t i = 0; i < m_; ++i) {
+    const double gap = b_[i] - activity[i];
+    value[row_units_[i].front()] = relations_[i] == Relation::kGreaterEqual ? -gap : gap;
+  }
+  // Nonbasic columns above their lower bound there start at their value.
+  std::vector<std::size_t> superbasic;
+  std::vector<double> rhs = b_;
+  for (std::size_t j = 0; j < num_cols_; ++j) {
+    if (in_basis_[j]) continue;
+    const double v = at_upper_[j] ? upper_[j] : std::min(value[j], upper_[j]);
+    if (!at_upper_[j] && !(v > kFeasTol)) continue;
+    cols_.axpy_column(j, -v, rhs);
+    if (!at_upper_[j]) {
+      superbasic.push_back(j);
+      value[j] = v;
+    }
+  }
+  if (superbasic.empty()) return;
+  xb_ = basis_.ftran(rhs);
+  price(/*phase1=*/false);
+  const auto& basic = basis_.basic();
+  for (const std::size_t s : superbasic) {
+    // Direction: up if that lowers the cost (d < 0), else down to zero; up
+    // without any bound in the way would be a ray, so go down then too.
+    // Basic columns already outside their bounds do not block; the dual
+    // pivots after this repair them.
+    const std::vector<double> w = ftran_column(s);
+    double dir = d_[s] < 0.0 ? 1.0 : -1.0;
+    std::size_t leave = SIZE_MAX;
+    bool leave_at_upper = false;
+    double step = 0.0;
+    const auto ratio_test = [&] {
+      leave = SIZE_MAX;
+      step = dir > 0.0 ? upper_[s] - value[s] : value[s];
+      for (std::size_t i = 0; i < m_; ++i) {
+        const double a = dir * w[i];
+        const double ub = upper_[basic[i]];
+        double ratio;
+        bool to_upper;
+        if (a > kPivotTol && xb_[i] >= -kFeasTol) {
+          ratio = std::max(0.0, xb_[i]) / a;
+          to_upper = false;
+        } else if (a < -kPivotTol && std::isfinite(ub) && xb_[i] <= ub + kFeasTol) {
+          ratio = std::max(0.0, ub - xb_[i]) / -a;
+          to_upper = true;
+        } else {
+          continue;
+        }
+        if (ratio < step) {
+          step = ratio;
+          leave = i;
+          leave_at_upper = to_upper;
+        }
+      }
+    };
+    ratio_test();
+    if (!std::isfinite(step)) {
+      dir = -1.0;
+      ratio_test();
+    }
+    for (std::size_t i = 0; i < m_; ++i) {
+      if (i != leave) xb_[i] -= step * dir * w[i];
+    }
+    if (leave == SIZE_MAX) {
+      // It reached its own bound first.
+      set_at_upper(s, dir > 0.0);
+      continue;
+    }
+    const std::size_t leaving_col = basic[leave];
+    xb_[leave] = value[s] + dir * step;
+    form_pivot_row(leave);
+    update_reduced_costs(s, leaving_col, w[leave]);
+    in_basis_[leaving_col] = 0;
+    in_basis_[s] = 1;
+    set_at_upper(leaving_col, leave_at_upper);
+    basis_.pivot(leave, s, w);
+    maybe_corrupt_eta();
+    ++iterations_;
+  }
 }
 
 void LpSolver::Core::append_row(const Constraint& constraint, std::size_t index) {
@@ -1306,8 +1433,10 @@ LpSolver& LpSolver::operator=(LpSolver&&) noexcept = default;
 bool LpSolver::has_basis() const { return core_ != nullptr; }
 
 std::optional<LpWarmState> LpSolver::export_warm_state() const {
-  if (core_) return core_->identity();
-  return imported_;
+  if (!core_) return imported_;
+  LpWarmState state = core_->identity();
+  state.values = core_->vertex();
+  return state;
 }
 
 bool LpSolver::import_warm_state(const LpWarmState& state) {
@@ -1388,7 +1517,13 @@ LpSolution LpSolver::solve(LpModel model, const LpModelMap& map) {
   // Basis reuse: the previous identity (the last optimum's, or one
   // import_warm_state() holds) starts this solve, as it is when the model has
   // its shape, translated through `map` when the caller reshaped the model.
-  std::optional<LpWarmState> previous = export_warm_state();
+  // Only a translation reads the vertex, so a same-shape call skips the
+  // factorisation vertex() costs.
+  std::optional<LpWarmState> previous = imported_;
+  if (core_) {
+    previous = core_->identity();
+    if (!map.empty() && !is_identity(map, *previous)) previous->values = core_->vertex();
+  }
   core_.reset();
   imported_.reset();
   model_ = std::move(model);

@@ -14,7 +14,8 @@
 //     that identity is installed against the new coefficients. A caller whose
 //     model changed shape (tenants arrived or left) passes an LpModelMap
 //     naming the previous variable and constraint each new one continues;
-//     the previous identity is then translated onto the new shape first.
+//     the previous identity is then translated onto the new shape first, and
+//     the start crosses over from the previous vertex.
 //   * add_rows() + resolve(): newly separated constraints (the lazy
 //     envy-freeness rows of cooperative OEF) join the loaded problem with
 //     basic slacks; the previous optimum stays dual-feasible, so typically a
@@ -60,15 +61,21 @@ namespace oef::solver {
 /// compares, translates and installs, and nothing else. The shape is the structural
 /// column count and the normalised relation of every standard row (which fix
 /// the row and column counts); the identity is the basic column set and the
-/// nonbasic at-upper flags. Neither the model nor the factorisation is kept:
-/// the next solve() loads its own model, and every warm call refactorises
-/// from the basic set, so a restore is pivot-identical to the uninterrupted
-/// run. Serialized by solver/checkpoint.h for the daemon's checkpoint.
+/// nonbasic at-upper flags, plus the structural columns' values at that
+/// vertex (unscaled standard-form values, so one per variable for the
+/// finite-bounded models a translation accepts), which a reshaped solve()
+/// starts from. Neither the model nor the factorisation is kept: the next
+/// solve() loads its own model, and every warm call refactorises from the
+/// basic set, so a restore is pivot-identical to the uninterrupted run.
+/// Serialized by solver/checkpoint.h for the daemon's checkpoint.
 struct LpWarmState {
   std::size_t structural_columns = 0;
   std::vector<Relation> relations;
   std::vector<std::size_t> basic;
   std::vector<char> at_upper;
+  /// Empty, or one finite nonnegative value per structural column; an
+  /// identity without values translates with no crossover.
+  std::vector<double> values;
 };
 
 /// How a reshaped model continues the previous one, for solve(). Entry v of
@@ -134,9 +141,15 @@ class LpSolver {
   ///     its slack (surplus, or artificial for an equality), and the set is
   ///     brought to one basic column per row: uncovered rows' unit columns
   ///     pad it in row order, surplus structural columns are demoted from
-  ///     the last basis position. The reoptimisation repairs a start that is
-  ///     singular or infeasible. A map entry past the previous identity, a
-  ///     repeated entry or a new model with a free variable solves cold.
+  ///     the last basis position. Unless the map is the identity, the start
+  ///     then keeps the previous vertex: mapped structural columns keep their
+  ///     values (new ones are zero), every nonbasic column left above its
+  ///     lower bound there (a demoted column, or the slack a departed
+  ///     column's row frees) starts at that value, and each moves to a bound
+  ///     or pivots in (a crossover) before the reoptimisation, which repairs
+  ///     a start that is singular or infeasible. A map entry past the
+  ///     previous identity, a repeated entry or a new model with a free
+  ///     variable solves cold.
   [[nodiscard]] LpSolution solve(LpModel model, const LpModelMap& map = {});
 
   /// Appends constraints to the loaded model. Only valid after a solve().

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -212,7 +213,16 @@ TEST(SolverCheckpoint, MalformedIdentityIsRefused) {
   short_flags.at_upper.pop_back();
   LpWarmState extra_row = *state;
   extra_row.relations.push_back(Relation::kLessEqual);
-  for (const LpWarmState& bad : {repeated, short_flags, extra_row}) {
+  // The vertex: one finite nonnegative value per structural column.
+  ASSERT_EQ(state->values.size(), state->structural_columns);
+  LpWarmState short_values = *state;
+  short_values.values.pop_back();
+  LpWarmState nan_value = *state;
+  nan_value.values[0] = std::numeric_limits<double>::quiet_NaN();
+  LpWarmState negative_value = *state;
+  negative_value.values[0] = -1.0;
+  for (const LpWarmState& bad :
+       {repeated, short_flags, extra_row, short_values, nan_value, negative_value}) {
     LpSolver importer((SolverOptions()));
     EXPECT_FALSE(importer.import_warm_state(bad));
     EXPECT_FALSE(importer.export_warm_state().has_value());

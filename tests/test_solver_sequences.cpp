@@ -253,10 +253,8 @@ class SequenceRun {
       label_ = "step " + std::to_string(step);
       const double roll = rng_.uniform();
       const bool crowded = solver_.model().num_constraints() > kMaxRows;
-      if (roll < 0.15 && !crowded) {
+      if (roll < 0.2 && !crowded) {
         solve_perturbation();
-      } else if (roll < 0.25) {
-        solve_reshaped();
       } else if (roll < 0.5 && !crowded) {
         add_cuts();
       } else if (roll < 0.6) {
@@ -265,6 +263,12 @@ class SequenceRun {
         delete_rows();
       } else {
         export_import();
+      }
+      // Every third step also reshapes the model, on top of the rolled
+      // operation, so the reshaped solves take no share of the others.
+      if (step % 3 == 2) {
+        label_ += " + reshape";
+        solve_reshaped();
       }
     }
     // No revised optimum of the sequence may fail its certificate.
@@ -419,8 +423,8 @@ TEST(SolverSequences, WarmPathsMatchTheTableauAndImportedTwins) {
     SequenceRun(seed, coverage).run();
   }
   // The generator must exercise every warm path, not only cold solves.
-  EXPECT_GT(coverage.warm_solves, 150u);
-  EXPECT_GT(coverage.warm_reshapes, 150u);
+  EXPECT_GT(coverage.warm_solves, 200u);
+  EXPECT_GT(coverage.warm_reshapes, 600u);
   EXPECT_GT(coverage.warm_resolves, 750u);
   EXPECT_GT(coverage.equality_appends, 80u);
   EXPECT_GT(coverage.warm_deletions, 200u);
