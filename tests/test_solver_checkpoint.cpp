@@ -7,6 +7,7 @@
 // silently wrong state.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <optional>
@@ -173,6 +174,79 @@ TEST(SolverCheckpoint, ImportHoldsTheIdentityForTheNextSameShapeSolve) {
   for (std::size_t v = 0; v < a.values.size(); ++v) {
     EXPECT_EQ(0, std::memcmp(&a.values[v], &b.values[v], sizeof(double))) << "var " << v;
   }
+  EXPECT_EQ(0, std::memcmp(&a.objective, &b.objective, sizeof(double)));
+}
+
+TEST(SolverCheckpoint, DepartureCrossesOverFromThePreviousVertex) {
+  // The full Eq. 10 LP for 10 users, then the user with the largest bundle
+  // leaves: its columns and every envy row naming it go, through a map. The
+  // previous optimum without that user is still feasible, so a start that
+  // keeps it needs no dual pivot (dropping the surplus basic columns to zero
+  // instead leaves rows infeasible). A solver that imported the identity
+  // translates the same way, pivot for pivot.
+  common::Rng rng(12);
+  const std::size_t n = 10;
+  const std::size_t k = 3;
+  const core::SpeedupMatrix w = random_matrix(rng, n, k);
+  const std::vector<double> caps = {3.0, 4.0, 2.2};
+  LpModel model = oef_base_model(w, caps);
+  for (std::size_t l = 0; l < n; ++l) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (l != i) model.add_constraint(envy_row(w, l, i));
+    }
+  }
+  LpSolver live((SolverOptions()));
+  const LpSolution before = live.solve(model);
+  ASSERT_TRUE(before.optimal());
+  std::size_t gone = 0;
+  double largest = -1.0;
+  for (std::size_t l = 0; l < n; ++l) {
+    double bundle = 0.0;
+    for (std::size_t j = 0; j < k; ++j) bundle += before.values[l * k + j];
+    if (bundle > largest) {
+      largest = bundle;
+      gone = l;
+    }
+  }
+
+  std::vector<std::vector<double>> rows;
+  std::vector<std::size_t> index_of(n, LpModelMap::kNew);
+  LpModelMap map;
+  for (std::size_t l = 0; l < n; ++l) {
+    if (l == gone) continue;
+    index_of[l] = rows.size();
+    rows.push_back({w.at(l, 0), w.at(l, 1), w.at(l, 2)});
+    for (std::size_t j = 0; j < k; ++j) map.variables.push_back(l * k + j);
+  }
+  const core::SpeedupMatrix rest(rows);
+  LpModel reshaped = oef_base_model(rest, caps);
+  for (std::size_t j = 0; j < k; ++j) map.constraints.push_back(j);
+  std::size_t row = k;
+  for (std::size_t l = 0; l < n; ++l) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (l == i) continue;
+      if (l != gone && i != gone) {
+        reshaped.add_constraint(envy_row(rest, index_of[l], index_of[i]));
+        map.constraints.push_back(row);
+      }
+      ++row;
+    }
+  }
+
+  const std::optional<LpWarmState> state = live.export_warm_state();
+  ASSERT_TRUE(state.has_value());
+  LpSolver restored((SolverOptions()));
+  ASSERT_TRUE(restored.import_warm_state(*state));
+  const LpSolution a = live.solve(reshaped, map);
+  const LpSolution b = restored.solve(reshaped, map);
+  const LpSolution cold = LpSolver(SolverOptions()).solve(reshaped);
+  ASSERT_TRUE(a.optimal());
+  ASSERT_TRUE(cold.optimal());
+  EXPECT_TRUE(a.warm_started);
+  EXPECT_EQ(a.dual_iterations, 0u);
+  EXPECT_NEAR(a.objective, cold.objective, 1e-6 * (1.0 + std::abs(cold.objective)));
+  EXPECT_TRUE(b.warm_started);
+  EXPECT_EQ(b.iterations, a.iterations);
   EXPECT_EQ(0, std::memcmp(&a.objective, &b.objective, sizeof(double)));
 }
 
