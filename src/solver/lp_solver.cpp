@@ -1136,6 +1136,10 @@ void LpSolver::Core::cross_over() {
     const double gap = b_[i] - activity[i];
     value[row_units_[i].front()] = relations_[i] == Relation::kGreaterEqual ? -gap : gap;
   }
+  // A damaged checkpoint can hold finite values whose activities overflow;
+  // such a point is no start, so the installed basis starts as it is.
+  const auto finite = [](double v) { return std::isfinite(v); };
+  if (!std::all_of(value.begin(), value.end(), finite)) return;
   // Nonbasic columns above their lower bound there start at their value.
   std::vector<std::size_t> superbasic;
   std::vector<double> rhs = b_;
@@ -1151,6 +1155,10 @@ void LpSolver::Core::cross_over() {
   }
   if (superbasic.empty()) return;
   xb_ = basis_.ftran(rhs);
+  if (!std::all_of(xb_.begin(), xb_.end(), finite)) {
+    refresh_xb();
+    return;
+  }
   price(/*phase1=*/false);
   const auto& basic = basis_.basic();
   for (const std::size_t s : superbasic) {

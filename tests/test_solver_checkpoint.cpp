@@ -248,6 +248,18 @@ TEST(SolverCheckpoint, DepartureCrossesOverFromThePreviousVertex) {
   EXPECT_TRUE(b.warm_started);
   EXPECT_EQ(b.iterations, a.iterations);
   EXPECT_EQ(0, std::memcmp(&a.objective, &b.objective, sizeof(double)));
+
+  // A damaged record can hold finite values whose row activities overflow;
+  // the translated solve must still answer with the optimum.
+  for (const double huge : {1e300, std::numeric_limits<double>::max()}) {
+    LpWarmState damaged = *state;
+    for (double& value : damaged.values) value = huge;
+    LpSolver solver((SolverOptions()));
+    ASSERT_TRUE(solver.import_warm_state(damaged));
+    const LpSolution solution = solver.solve(reshaped, map);
+    ASSERT_TRUE(solution.optimal());
+    EXPECT_NEAR(solution.objective, cold.objective, 1e-6 * (1.0 + std::abs(cold.objective)));
+  }
 }
 
 TEST(SolverCheckpoint, ImportedIdentityOfAnotherShapeSolvesCold) {
