@@ -55,7 +55,6 @@ std::vector<double> make_capacities() {
 core::OefOptions cold_options() {
   core::OefOptions options;
   options.solver.algorithm = solver::LpAlgorithm::kTableau;
-  options.recycle_envy_rows = false;
   return options;
 }
 

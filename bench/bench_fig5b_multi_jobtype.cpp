@@ -33,16 +33,13 @@ int main() {
   double after_u2 = 0.0;
   for (std::size_t round = 0; round < 18; ++round) {
     const bool second_type = round >= 8;  // minute 40
+    // Tenant t is user-(t+1); user-1 runs LSTM, and ResNet50 too from minute 40.
     std::vector<core::TenantProfile> tenants(4);
-    tenants[0].name = "user1";
-    tenants[0].job_types.push_back({"LSTM", profile_of("LSTM")});
-    if (second_type) tenants[0].job_types.push_back({"ResNet50", profile_of("ResNet50")});
-    tenants[1].name = "user2";
-    tenants[1].job_types.push_back({"VGG16", profile_of("VGG16")});
-    tenants[2].name = "user3";
-    tenants[2].job_types.push_back({"Transformer", profile_of("Transformer")});
-    tenants[3].name = "user4";
-    tenants[3].job_types.push_back({"DenseNet121", profile_of("DenseNet121")});
+    tenants[0].job_types.push_back({profile_of("LSTM")});
+    if (second_type) tenants[0].job_types.push_back({profile_of("ResNet50")});
+    tenants[1].job_types.push_back({profile_of("VGG16")});
+    tenants[2].job_types.push_back({profile_of("Transformer")});
+    tenants[3].job_types.push_back({profile_of("DenseNet121")});
 
     const core::VirtualUserMap map = core::expand_tenants(tenants);
     const core::AllocationResult result = allocator.allocate_weighted(

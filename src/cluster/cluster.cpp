@@ -25,22 +25,6 @@ std::vector<double> Cluster::capacities() const {
   return m;
 }
 
-std::size_t Cluster::device_count(GpuTypeId type) const {
-  std::size_t count = 0;
-  for (const Device& device : devices_) {
-    if (device.gpu_type == type) ++count;
-  }
-  return count;
-}
-
-std::vector<HostId> Cluster::hosts_of_type(GpuTypeId type) const {
-  std::vector<HostId> result;
-  for (const Host& host : hosts_) {
-    if (host.gpu_type == type) result.push_back(host.id);
-  }
-  return result;
-}
-
 GpuTypeId ClusterBuilder::add_gpu_type(std::string name) {
   cluster_.type_names_.push_back(std::move(name));
   return cluster_.type_names_.size() - 1;

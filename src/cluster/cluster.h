@@ -39,11 +39,7 @@ class Cluster {
 
   /// Devices per type, indexed by GpuTypeId — the capacity vector m of §2.3.
   [[nodiscard]] std::vector<double> capacities() const;
-  [[nodiscard]] std::size_t device_count(GpuTypeId type) const;
   [[nodiscard]] std::size_t total_devices() const { return devices_.size(); }
-
-  /// Hosts that carry the given type.
-  [[nodiscard]] std::vector<HostId> hosts_of_type(GpuTypeId type) const;
 
  private:
   friend class ClusterBuilder;

@@ -4,18 +4,10 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 namespace oef::cluster {
 
 /// Index into the cluster's ordered list of GPU types (0 = slowest).
 using GpuTypeId = std::size_t;
-
-/// Static description of one GPU type present in a cluster.
-struct GpuTypeInfo {
-  std::string name;
-  /// Devices of this type in the cluster.
-  std::size_t device_count = 0;
-};
 
 }  // namespace oef::cluster

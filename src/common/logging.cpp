@@ -1,38 +1,9 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 
 namespace oef::common {
 
-namespace {
-
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
-
-[[nodiscard]] const char* level_name(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug: return "DEBUG";
-    case LogLevel::kInfo: return "INFO";
-    case LogLevel::kWarn: return "WARN";
-    case LogLevel::kError: return "ERROR";
-  }
-  return "?";
-}
-
-}  // namespace
-
-void set_log_level(LogLevel level) { g_level.store(level, std::memory_order_relaxed); }
-
-LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
-
-void log(LogLevel level, const std::string& message) {
-  if (static_cast<int>(level) < static_cast<int>(log_level())) return;
-  std::fprintf(stderr, "[%s] %s\n", level_name(level), message.c_str());
-}
-
-void log_debug(const std::string& message) { log(LogLevel::kDebug, message); }
-void log_info(const std::string& message) { log(LogLevel::kInfo, message); }
-void log_warn(const std::string& message) { log(LogLevel::kWarn, message); }
-void log_error(const std::string& message) { log(LogLevel::kError, message); }
+void log_warn(const std::string& message) { std::fprintf(stderr, "[WARN] %s\n", message.c_str()); }
 
 }  // namespace oef::common

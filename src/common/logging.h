@@ -1,23 +1,14 @@
-// Leveled stderr logger. Simulation and solver internals log through this so
-// bench stdout stays clean (tables only).
+// Stderr warnings. Library code reports what an operator should see (a
+// degraded or failed allocation, a resolve that threw, a checkpoint write
+// that failed) through this, so bench stdout stays clean (tables only).
+// Routine events (lazy rounds, restores, dropped connections) are not logged.
 #pragma once
 
 #include <string>
 
 namespace oef::common {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
-
-/// Sets the global minimum level (default: kWarn, so library code is quiet).
-void set_log_level(LogLevel level);
-[[nodiscard]] LogLevel log_level();
-
-/// Emits `[LEVEL] message` on stderr when `level` passes the global filter.
-void log(LogLevel level, const std::string& message);
-
-void log_debug(const std::string& message);
-void log_info(const std::string& message);
+/// Emits `[WARN] message` on stderr.
 void log_warn(const std::string& message);
-void log_error(const std::string& message);
 
 }  // namespace oef::common

@@ -85,21 +85,4 @@ double Rng::exponential(double rate) {
   return -std::log(u) / rate;
 }
 
-std::size_t Rng::weighted_index(const std::vector<double>& weights) {
-  double total = 0.0;
-  for (const double w : weights) {
-    OEF_CHECK(w >= 0.0);
-    total += w;
-  }
-  OEF_CHECK_MSG(total > 0.0, "weighted_index needs a positive weight");
-  double draw = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    draw -= weights[i];
-    if (draw <= 0.0) return i;
-  }
-  return weights.size() - 1;  // numerical fallback
-}
-
-Rng Rng::fork() { return Rng(next_u64()); }
-
 }  // namespace oef::common

@@ -41,10 +41,6 @@ class Rng {
   /// Exponential with the given rate (mean 1/rate). Requires rate > 0.
   [[nodiscard]] double exponential(double rate);
 
-  /// Samples an index in [0, weights.size()) proportionally to weights.
-  /// Requires at least one strictly positive weight.
-  [[nodiscard]] std::size_t weighted_index(const std::vector<double>& weights);
-
   /// Fisher–Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& items) {
@@ -54,10 +50,6 @@ class Rng {
       swap(items[i - 1], items[j]);
     }
   }
-
-  /// Derives an independent child generator; used to give each simulation
-  /// component its own stream without correlation.
-  [[nodiscard]] Rng fork();
 
  private:
   std::uint64_t state_[4];

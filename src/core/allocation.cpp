@@ -61,12 +61,6 @@ std::vector<double> Allocation::used_per_type() const {
   return used;
 }
 
-double Allocation::user_total(std::size_t user) const {
-  double total = 0.0;
-  for (const double x : row(user)) total += x;
-  return total;
-}
-
 bool Allocation::respects_capacity(const std::vector<double>& capacities, double tol) const {
   OEF_CHECK(capacities.size() == num_types());
   const std::vector<double> used = used_per_type();

@@ -38,9 +38,6 @@ class Allocation {
   /// Devices of each type handed out (column sums).
   [[nodiscard]] std::vector<double> used_per_type() const;
 
-  /// Total devices granted to one user across all types.
-  [[nodiscard]] double user_total(std::size_t user) const;
-
   /// True when column sums do not exceed capacities (within tol).
   [[nodiscard]] bool respects_capacity(const std::vector<double>& capacities,
                                        double tol = 1e-7) const;

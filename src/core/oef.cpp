@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/logging.h"
 #include "solver/checkpoint.h"
 #include "solver/lp_model.h"
 
@@ -44,15 +43,13 @@ void build_base_model(LpModel& model, const SpeedupMatrix& w,
   OEF_CHECK(capacities.size() == k);
   for (std::size_t l = 0; l < n; ++l) {
     for (std::size_t j = 0; j < k; ++j) {
-      model.add_variable("x_" + std::to_string(l) + "_" + std::to_string(j),
-                         /*lower=*/0.0, solver::kInf, /*objective=*/w.at(l, j));
+      model.add_variable(/*lower=*/0.0, solver::kInf, /*objective=*/w.at(l, j));
     }
   }
   for (std::size_t j = 0; j < k; ++j) {
     LinearExpr expr;
     for (std::size_t l = 0; l < n; ++l) expr.add(var_of(l, j, k), 1.0);
-    model.add_constraint(std::move(expr), Relation::kLessEqual, capacities[j],
-                         "cap_" + std::to_string(j));
+    model.add_constraint(std::move(expr), Relation::kLessEqual, capacities[j]);
   }
 }
 
@@ -116,8 +113,7 @@ void build_base_model(LpModel& model, const SpeedupMatrix& w,
     expr.add(var_of(l, j, k), w.at(l, j) / multiplicities[l]);
     expr.add(var_of(i, j, k), -w.at(l, j) / multiplicities[i]);
   }
-  return Constraint{std::move(expr), Relation::kGreaterEqual, 0.0,
-                    "ef_" + std::to_string(l) + "_" + std::to_string(i)};
+  return Constraint{std::move(expr), Relation::kGreaterEqual, 0.0};
 }
 
 }  // namespace
@@ -191,8 +187,7 @@ AllocationResult OefAllocator::solve_non_cooperative(
       expr.add(var_of(l, j, k), speedups.at(l, j) / multiplicities[l]);
       expr.add(var_of(0, j, k), -speedups.at(0, j) / multiplicities[0]);
     }
-    model.add_constraint(std::move(expr), Relation::kEqual, 0.0,
-                         "eq_" + std::to_string(l));
+    model.add_constraint(std::move(expr), Relation::kEqual, 0.0);
   }
 
   // Persistent solver: across simulator rounds with a stable user population
@@ -254,24 +249,22 @@ AllocationResult OefAllocator::solve_cooperative(
   // Users with no columns in the previous relaxation: every user of a cold
   // call, the arrivals of a warm one.
   std::vector<char> arrived(n, 1);
-  if (options_.recycle_envy_rows) {
-    std::unordered_map<std::size_t, std::size_t> index_of_id;
-    index_of_id.reserve(n);
-    for (std::size_t l = 0; l < n; ++l) index_of_id.emplace(id_of(l), l);
-    map.variables.assign(n * k, solver::LpModelMap::kNew);
-    for (std::size_t p = 0; p < previous_ids_.size(); ++p) {
-      const auto it = index_of_id.find(previous_ids_[p]);
-      if (it == index_of_id.end()) continue;
-      arrived[it->second] = 0;
-      for (std::size_t j = 0; j < k; ++j) map.variables[var_of(it->second, j, k)] = var_of(p, j, k);
-    }
-    for (std::size_t j = 0; j < base_rows; ++j) map.constraints.push_back(j);
-    for (std::size_t q = 0; q < envy_pool_.size(); ++q) {
-      const auto a = index_of_id.find(envy_pool_[q].envier);
-      const auto b = index_of_id.find(envy_pool_[q].envied);
-      if (a != index_of_id.end() && b != index_of_id.end() && seed_pair(a->second, b->second)) {
-        map.constraints.push_back(base_rows + q);
-      }
+  std::unordered_map<std::size_t, std::size_t> index_of_id;
+  index_of_id.reserve(n);
+  for (std::size_t l = 0; l < n; ++l) index_of_id.emplace(id_of(l), l);
+  map.variables.assign(n * k, solver::LpModelMap::kNew);
+  for (std::size_t p = 0; p < previous_ids_.size(); ++p) {
+    const auto it = index_of_id.find(previous_ids_[p]);
+    if (it == index_of_id.end()) continue;
+    arrived[it->second] = 0;
+    for (std::size_t j = 0; j < k; ++j) map.variables[var_of(it->second, j, k)] = var_of(p, j, k);
+  }
+  for (std::size_t j = 0; j < base_rows; ++j) map.constraints.push_back(j);
+  for (std::size_t q = 0; q < envy_pool_.size(); ++q) {
+    const auto a = index_of_id.find(envy_pool_[q].envier);
+    const auto b = index_of_id.find(envy_pool_[q].envied);
+    if (a != index_of_id.end() && b != index_of_id.end() && seed_pair(a->second, b->second)) {
+      map.constraints.push_back(base_rows + q);
     }
   }
   const bool cold = envy_pairs.empty();
@@ -305,7 +298,7 @@ AllocationResult OefAllocator::solve_cooperative(
       }
     }
   }
-  if (!map.empty()) map.constraints.resize(model.num_constraints(), solver::LpModelMap::kNew);
+  map.constraints.resize(model.num_constraints(), solver::LpModelMap::kNew);
 
   // Lazy row generation, one round per relaxation optimum. Round 1 loads the
   // model (starting from the previous call's basis through `map`); later
@@ -349,8 +342,6 @@ AllocationResult OefAllocator::solve_cooperative(
     // runs — without it there is nothing feasible to return at all.
     if (round > 1 && options_.deadline.expired()) {
       result.deadline_expired = true;
-      common::log_debug("oef: deadline expired after " + std::to_string(result.lazy_rounds) +
-                        " lazy round(s); returning the last relaxation optimum");
       break;
     }
     solution = round == 1 ? solver_.solve(std::move(model), map) : solver_.resolve();
@@ -396,9 +387,6 @@ AllocationResult OefAllocator::solve_cooperative(
         ++result.compactions;
         if (warm) ++result.warm_compactions;
         result.envy_rows_dropped += dropped;
-        common::log_debug("oef: lazy round " + std::to_string(round) + " dropped " +
-                          std::to_string(dropped) + " envy rows (" +
-                          (warm ? "warm" : "cold") + ")");
       }
     }
     solver_.add_rows(violated);
@@ -425,13 +413,11 @@ AllocationResult OefAllocator::solve_cooperative(
   // otherwise pile up (a cold call at n ≈ 120 ends with ~1,500 envy rows,
   // two thirds of them loose) and every later call pays for them: with
   // them, a round without churn in the simulator cost ~20% more.
-  if (options_.recycle_envy_rows) {
-    if (converged) (void)excise_loose_rows(solution.values);
-    previous_ids_.resize(n);
-    for (std::size_t l = 0; l < n; ++l) previous_ids_[l] = id_of(l);
-    envy_pool_.clear();
-    for (const auto& [l, i] : envy_pairs) envy_pool_.push_back({id_of(l), id_of(i)});
-  }
+  if (converged) (void)excise_loose_rows(solution.values);
+  previous_ids_.resize(n);
+  for (std::size_t l = 0; l < n; ++l) previous_ids_[l] = id_of(l);
+  envy_pool_.clear();
+  for (const auto& [l, i] : envy_pairs) envy_pool_.push_back({id_of(l), id_of(i)});
   return result;
 }
 

@@ -47,12 +47,6 @@ struct OefOptions {
   /// re-violated and must be rediscovered). 0 = automatic (max(16n, 512));
   /// SIZE_MAX disables compaction entirely.
   std::size_t max_envy_rows_total = 0;
-  /// Cooperative mode: seed the next allocate() call's relaxation with the
-  /// binding envy rows of this call's final relaxation and start its first
-  /// solve from this call's basis, mapped by user id (see
-  /// allocate_weighted), so round-over-round calls in the simulator
-  /// typically converge in one warm-started lazy round, churn included.
-  bool recycle_envy_rows = true;
   /// Cooperative lazy mode: seed the relaxation with both envy rows of
   /// every user pair within distance 2 of each other in the dominance order
   /// (total scaled speedup) — every pair on a cold call, the pairs of

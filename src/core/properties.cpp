@@ -65,7 +65,7 @@ ParetoReport pareto_check_impl(const SpeedupMatrix& speedups, const Allocation& 
   solver::LpModel model(solver::Sense::kMaximize);
   for (std::size_t l = 0; l < n; ++l) {
     for (std::size_t j = 0; j < k; ++j) {
-      model.add_variable("x", 0.0, solver::kInf, speedups.at(l, j));
+      model.add_variable(0.0, solver::kInf, speedups.at(l, j));
     }
   }
   for (std::size_t j = 0; j < k; ++j) {
@@ -137,13 +137,6 @@ double max_total_efficiency(const SpeedupMatrix& speedups,
     total += best * capacities[j];
   }
   return total;
-}
-
-double efficiency_ratio(const SpeedupMatrix& speedups, const Allocation& allocation,
-                        const std::vector<double>& capacities) {
-  const double best = max_total_efficiency(speedups, capacities);
-  if (best == 0.0) return 1.0;
-  return allocation.total_efficiency(speedups) / best;
 }
 
 StrategyProofnessReport check_strategy_proofness(const SpeedupMatrix& speedups,

@@ -76,11 +76,6 @@ struct ParetoReport {
 [[nodiscard]] double max_total_efficiency(const SpeedupMatrix& speedups,
                                           const std::vector<double>& capacities);
 
-/// allocation_total / max_total (1.0 = optimal efficiency).
-[[nodiscard]] double efficiency_ratio(const SpeedupMatrix& speedups,
-                                      const Allocation& allocation,
-                                      const std::vector<double>& capacities);
-
 /// An allocator under attack: maps a (possibly misreported) speedup matrix to
 /// an allocation.
 using AllocatorFn =

@@ -37,28 +37,10 @@ const std::vector<double>& SpeedupMatrix::row(std::size_t user) const {
   return rows_[user];
 }
 
-bool SpeedupMatrix::is_normalized(double tol) const {
-  for (const auto& row : rows_) {
-    if (std::abs(row.front() - 1.0) > tol) return false;
-  }
-  return true;
-}
-
 void SpeedupMatrix::set_row(std::size_t user, std::vector<double> row) {
   OEF_CHECK(user < rows_.size());
   OEF_CHECK(row.size() == num_types());
   rows_[user] = normalize_row(std::move(row));
-}
-
-std::size_t SpeedupMatrix::add_row(std::vector<double> row) {
-  if (!rows_.empty()) OEF_CHECK(row.size() == num_types());
-  rows_.push_back(normalize_row(std::move(row)));
-  return rows_.size() - 1;
-}
-
-void SpeedupMatrix::remove_row(std::size_t user) {
-  OEF_CHECK(user < rows_.size());
-  rows_.erase(rows_.begin() + static_cast<std::ptrdiff_t>(user));
 }
 
 double SpeedupMatrix::dot(std::size_t user, const std::vector<double>& allocation) const {

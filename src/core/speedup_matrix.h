@@ -25,18 +25,9 @@ class SpeedupMatrix {
   [[nodiscard]] double at(std::size_t user, std::size_t type) const;
   [[nodiscard]] const std::vector<double>& row(std::size_t user) const;
 
-  /// True when w[l][0] == 1 for all l (within tol).
-  [[nodiscard]] bool is_normalized(double tol = 1e-9) const;
-
   /// Replaces one user's row (used to model misreporting). The row is
   /// re-normalised to its first entry.
   void set_row(std::size_t user, std::vector<double> row);
-
-  /// Appends a user row (re-normalised); returns the new user index.
-  std::size_t add_row(std::vector<double> row);
-
-  /// Removes a user row.
-  void remove_row(std::size_t user);
 
   /// w_l · x for an arbitrary per-type allocation vector x.
   [[nodiscard]] double dot(std::size_t user, const std::vector<double>& allocation) const;

@@ -7,46 +7,19 @@ namespace oef::core {
 VirtualUserMap expand_tenants(const std::vector<TenantProfile>& tenants) {
   OEF_CHECK_MSG(!tenants.empty(), "need at least one tenant");
   VirtualUserMap map;
-  map.num_tenants = tenants.size();
   std::vector<std::vector<double>> rows;
-  for (std::size_t t = 0; t < tenants.size(); ++t) {
-    const TenantProfile& tenant = tenants[t];
+  for (const TenantProfile& tenant : tenants) {
     OEF_CHECK_MSG(tenant.weight > 0.0, "tenant weight must be positive");
     OEF_CHECK_MSG(!tenant.job_types.empty(), "tenant needs at least one job type");
     const double multiplicity =
         tenant.weight / static_cast<double>(tenant.job_types.size());
-    for (std::size_t jt = 0; jt < tenant.job_types.size(); ++jt) {
-      rows.push_back(tenant.job_types[jt].speedups);
+    for (const JobTypeProfile& job_type : tenant.job_types) {
+      rows.push_back(job_type.speedups);
       map.multiplicities.push_back(multiplicity);
-      map.tenant_of_row.push_back(t);
-      map.job_type_of_row.push_back(jt);
     }
   }
   map.matrix = SpeedupMatrix(std::move(rows));
   return map;
-}
-
-Allocation collapse_to_tenants(const Allocation& virtual_allocation,
-                               const VirtualUserMap& map) {
-  OEF_CHECK(virtual_allocation.num_users() == map.tenant_of_row.size());
-  Allocation result(map.num_tenants, virtual_allocation.num_types());
-  for (std::size_t v = 0; v < map.tenant_of_row.size(); ++v) {
-    const std::size_t tenant = map.tenant_of_row[v];
-    for (std::size_t j = 0; j < virtual_allocation.num_types(); ++j) {
-      result.at(tenant, j) += virtual_allocation.at(v, j);
-    }
-  }
-  return result;
-}
-
-std::vector<double> tenant_efficiencies(const Allocation& virtual_allocation,
-                                        const VirtualUserMap& map) {
-  OEF_CHECK(virtual_allocation.num_users() == map.tenant_of_row.size());
-  std::vector<double> result(map.num_tenants, 0.0);
-  for (std::size_t v = 0; v < map.tenant_of_row.size(); ++v) {
-    result[map.tenant_of_row[v]] += virtual_allocation.efficiency(v, map.matrix);
-  }
-  return result;
 }
 
 }  // namespace oef::core

@@ -1,28 +1,24 @@
 // Tenant → virtual-user expansion (§4.2.3–4.2.4).
 //
 // A tenant with weight π running T job types is expanded into T virtual
-// users, one per job type, each with multiplicity π/T. Virtual allocations
-// are collapsed back to per-tenant allocations after solving. This is the
-// multiplicity formulation of the paper's replication construction (see
-// core/oef.h for the equivalence).
+// users, one per job type, each with multiplicity π/T. Callers read the
+// allocation per virtual row (one job type of one tenant); nothing sums it
+// back per tenant. This is the multiplicity formulation of the paper's
+// replication construction (see core/oef.h for the equivalence).
 #pragma once
 
-#include <string>
 #include <vector>
 
-#include "core/allocation.h"
 #include "core/speedup_matrix.h"
 
 namespace oef::core {
 
 /// One job type's profiled speedup vector within a tenant.
 struct JobTypeProfile {
-  std::string label;
   std::vector<double> speedups;  // slowest type first; will be normalised
 };
 
 struct TenantProfile {
-  std::string name;
   double weight = 1.0;
   std::vector<JobTypeProfile> job_types;
 };
@@ -32,23 +28,10 @@ struct VirtualUserMap {
   SpeedupMatrix matrix;
   /// Multiplicity of each virtual row (tenant weight / #job types).
   std::vector<double> multiplicities;
-  /// Owning tenant of each virtual row.
-  std::vector<std::size_t> tenant_of_row;
-  /// Job-type index (within the tenant) of each virtual row.
-  std::vector<std::size_t> job_type_of_row;
-  std::size_t num_tenants = 0;
 };
 
 /// Expands tenants into virtual users. Every tenant needs weight > 0 and at
 /// least one job type.
 [[nodiscard]] VirtualUserMap expand_tenants(const std::vector<TenantProfile>& tenants);
-
-/// Sums virtual rows back into per-tenant allocations.
-[[nodiscard]] Allocation collapse_to_tenants(const Allocation& virtual_allocation,
-                                             const VirtualUserMap& map);
-
-/// Per-tenant efficiency: Σ over the tenant's virtual rows of w_v · x_v.
-[[nodiscard]] std::vector<double> tenant_efficiencies(const Allocation& virtual_allocation,
-                                                      const VirtualUserMap& map);
 
 }  // namespace oef::core

@@ -38,9 +38,9 @@ core::Allocation GavelScheduler::allocate(const core::SpeedupMatrix& speedups,
 
   LpModel model(Sense::kMaximize);
   for (std::size_t l = 0; l < n; ++l) {
-    for (std::size_t j = 0; j < k; ++j) model.add_variable("x", 0.0, solver::kInf, 0.0);
+    for (std::size_t j = 0; j < k; ++j) model.add_variable(0.0, solver::kInf, 0.0);
   }
-  const VarId t = model.add_variable("t", 0.0, solver::kInf, 1.0);
+  const VarId t = model.add_variable(0.0, solver::kInf, 1.0);
   for (std::size_t j = 0; j < k; ++j) {
     LinearExpr cap;
     for (std::size_t l = 0; l < n; ++l) cap.add(l * k + j, 1.0);

@@ -15,7 +15,6 @@
 
 #include "common/check.h"
 #include "common/clock.h"
-#include "common/logging.h"
 #include "service/protocol.h"
 
 namespace oef::service {
@@ -73,7 +72,6 @@ void Daemon::start() {
   }
   stopping_.store(false);
   accept_thread_ = std::thread([this] { accept_loop(); });
-  common::log_info("oefd listening on " + options_.socket_path);
 }
 
 void Daemon::wait() {
@@ -223,7 +221,6 @@ void Daemon::serve_connection(int fd) {
       if (partial_since < 0.0) {
         partial_since = now;
       } else if (now - partial_since > options_.io_timeout_seconds) {
-        common::log_debug("oefd: dropping connection stalled mid-frame");
         break;
       }
     } else {
@@ -241,10 +238,6 @@ void run_daemon(const ServiceOptions& service_options, const DaemonOptions& daem
   pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
 
   AllocatorService service(service_options);
-  if (service.restored_from_checkpoint()) {
-    common::log_info(std::string("restored from checkpoint (") +
-                     (service.restored_warm() ? "warm" : "cold") + ")");
-  }
   Daemon daemon(service, daemon_options);
   daemon.start();
   std::thread stopper([&] {

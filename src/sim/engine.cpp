@@ -8,7 +8,6 @@
 
 #include "common/check.h"
 #include "common/clock.h"
-#include "common/logging.h"
 #include "core/oef.h"
 #include "core/speedup_matrix.h"
 #include "placement/rounding.h"
@@ -308,7 +307,6 @@ SimResult SimulationEngine::run() {
     record.cross_type_jobs = plan.cross_type_jobs;
     record.cross_host_jobs = plan.cross_host_jobs;
     record.straggler_workers = plan.straggler_workers;
-    record.running_jobs = plan.placements.size();
 
     std::map<workload::TenantId, TenantRound> tenant_rounds;
     for (std::size_t v = 0; v < keys.size(); ++v) {

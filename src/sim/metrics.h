@@ -30,7 +30,6 @@ struct RoundRecord {
   std::size_t cross_host_jobs = 0;
   std::size_t straggler_workers = 0;
   std::size_t migrated_jobs = 0;
-  std::size_t running_jobs = 0;
   /// Wall-clock seconds the scheduler spent computing this round's shares
   /// (the Fig. 10a overhead quantity, measured in-situ).
   double solve_seconds = 0.0;

@@ -7,9 +7,8 @@
 // at-upper flags and the structural values at that vertex (hexfloats, so a
 // restored translation crosses over from bit-identical values). No LP model
 // is written: the restarted caller rebuilds its model, and the next solve()
-// installs or translates the identity. Container
-// framing (magic, version, checksum, atomic rename) is the caller's job; see
-// service/checkpoint.h.
+// translates the identity. Container framing (magic, version, checksum,
+// atomic rename) is the caller's job; see service/checkpoint.h.
 //
 // The reader throws common::CheckError(kCorruptData) on malformed input,
 // matching the serial layer's contract; that includes a relation tag past

@@ -20,10 +20,9 @@ double LinearExpr::evaluate(const std::vector<double>& values) const {
   return acc;
 }
 
-VarId LpModel::add_variable(std::string name, double lower, double upper,
-                            double objective) {
+VarId LpModel::add_variable(double lower, double upper, double objective) {
   OEF_CHECK_MSG(lower <= upper, "variable bounds crossed");
-  variables_.push_back(Variable{std::move(name), lower, upper, objective});
+  variables_.push_back(Variable{lower, upper, objective});
   return variables_.size() - 1;
 }
 
@@ -35,9 +34,8 @@ std::size_t LpModel::add_constraint(Constraint constraint) {
   return constraints_.size() - 1;
 }
 
-std::size_t LpModel::add_constraint(LinearExpr expr, Relation relation, double rhs,
-                                    std::string name) {
-  return add_constraint(Constraint{std::move(expr), relation, rhs, std::move(name)});
+std::size_t LpModel::add_constraint(LinearExpr expr, Relation relation, double rhs) {
+  return add_constraint(Constraint{std::move(expr), relation, rhs});
 }
 
 void LpModel::remove_constraints(const std::vector<std::size_t>& sorted_indices) {

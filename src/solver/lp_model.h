@@ -2,12 +2,13 @@
 //
 // The allocators in src/core and src/sched express their optimisation
 // problems against this API (variables with bounds, linear constraints, a
-// linear objective) and hand the model to SimplexSolver. The builder mirrors
-// the role cvxpy played in the paper's prototype.
+// linear objective) and hand the model to LpSolver; tests and the benches'
+// reference arms hand it to SimplexSolver. The builder mirrors the role
+// cvxpy played in the paper's prototype.
 #pragma once
 
+#include <cstddef>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace oef::solver {
@@ -45,14 +46,12 @@ struct Constraint {
   LinearExpr expr;
   Relation relation = Relation::kLessEqual;
   double rhs = 0.0;
-  std::string name;
 };
 
 /// Infinity bound marker.
 inline constexpr double kInf = std::numeric_limits<double>::infinity();
 
 struct Variable {
-  std::string name;
   double lower = 0.0;
   double upper = kInf;
   double objective = 0.0;
@@ -67,13 +66,11 @@ class LpModel {
   [[nodiscard]] Sense sense() const { return sense_; }
 
   /// Adds a variable; `objective` is its coefficient in the objective.
-  VarId add_variable(std::string name, double lower = 0.0, double upper = kInf,
-                     double objective = 0.0);
+  VarId add_variable(double lower = 0.0, double upper = kInf, double objective = 0.0);
 
   /// Adds a constraint and returns its index.
   std::size_t add_constraint(Constraint constraint);
-  std::size_t add_constraint(LinearExpr expr, Relation relation, double rhs,
-                             std::string name = {});
+  std::size_t add_constraint(LinearExpr expr, Relation relation, double rhs);
 
   /// Removes the constraints at `sorted_indices` (ascending, unique);
   /// surviving constraints keep their relative order and renumber down.

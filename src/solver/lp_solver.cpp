@@ -4,11 +4,11 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <type_traits>
 
 #include "common/check.h"
 #include "common/clock.h"
-#include "common/logging.h"
 #include "solver/basis.h"
 #include "solver/certificate.h"
 #include "solver/fault_injector.h"
@@ -56,9 +56,40 @@ bool well_formed(const LpWarmState& state) {
   return true;
 }
 
-/// True when `map` sends every variable and constraint to its own index in a
-/// model of `previous`'s shape: the translation is then the identity.
+/// The unit (slack, surplus or artificial) columns of each row in Core::load's
+/// column layout: after the `structural` columns, a slack or surplus per
+/// inequality row in row order, then an artificial per >= or = row in row
+/// order. A >= row lists its surplus before its artificial.
+std::vector<std::vector<std::size_t>> unit_columns(std::size_t structural,
+                                                   const std::vector<Relation>& relations) {
+  std::size_t next_slack = structural;
+  std::size_t next_artificial = structural;
+  for (const Relation relation : relations) {
+    if (relation != Relation::kEqual) ++next_artificial;
+  }
+  std::vector<std::vector<std::size_t>> units(relations.size());
+  for (std::size_t i = 0; i < relations.size(); ++i) {
+    if (relations[i] != Relation::kEqual) units[i].push_back(next_slack++);
+    if (relations[i] != Relation::kLessEqual) units[i].push_back(next_artificial++);
+  }
+  return units;
+}
+
+/// The map that continues every standard column and row of `previous` at its
+/// own index: what an empty LpModelMap means.
+LpModelMap identity_map(const LpWarmState& previous) {
+  LpModelMap map;
+  map.variables.resize(previous.structural_columns);
+  std::iota(map.variables.begin(), map.variables.end(), std::size_t{0});
+  map.constraints.resize(previous.relations.size());
+  std::iota(map.constraints.begin(), map.constraints.end(), std::size_t{0});
+  return map;
+}
+
+/// True when `map` continues every variable and constraint of `previous` at
+/// its own index, as an empty map does: the translation keeps no vertex.
 bool is_identity(const LpModelMap& map, const LpWarmState& previous) {
+  if (map.empty()) return true;
   if (map.variables.size() != previous.structural_columns ||
       map.constraints.size() != previous.relations.size()) {
     return false;
@@ -76,7 +107,7 @@ bool is_identity(const LpModelMap& map, const LpWarmState& previous) {
 
 // Revised-simplex state: standard form (scaled, column-sparse), Basis, and
 // the current basic solution. One Core corresponds to one loaded model; a
-// warm identity (basic set + nonbasic bound statuses) installed on it is
+// warm identity (basic set + nonbasic bound statuses) translated onto it is
 // reoptimised by reoptimize(), the one warm entry.
 //
 // Variable upper bounds are handled natively (bounded-variable simplex): a
@@ -99,22 +130,17 @@ class LpSolver::Core {
   /// Two-phase cold solve from the all-slack/artificial basis.
   [[nodiscard]] SolveStatus run_cold(const SolverOptions& options);
 
-  /// Installs a warm identity (another core's or a checkpoint's) onto this
-  /// freshly load()ed core. Returns false when its shape (structural column
-  /// count and normalised relations) differs from this core's or it is not
-  /// well-formed.
-  [[nodiscard]] bool install(LpWarmState state);
-
-  /// Translates `previous`, the identity of the model `map` continues, onto
-  /// this freshly load()ed core's shape (see LpSolver::solve). Reads the
-  /// previous identity in Core::load's column layout, as install() does.
-  /// Unless the map is the identity, it also keeps the previous vertex
-  /// (mapped structural values, new columns at zero) for reoptimize()'s
-  /// cross_over(). Returns nullopt, for a cold solve, when `previous` is not
-  /// well-formed, a variable has other than one standard column, or a map
-  /// entry is past the previous identity or repeated.
-  [[nodiscard]] std::optional<LpWarmState> translate(const LpWarmState& previous,
-                                                     const LpModelMap& map);
+  /// Installs `previous`, the identity (another core's or a checkpoint's) of
+  /// the model `map` continues, on this freshly load()ed core, translated
+  /// onto its shape (see LpSolver::solve); an empty map is the identity over
+  /// the previous standard columns and rows. Reads the previous identity in
+  /// Core::load's column layout. Unless the map is the identity, it also
+  /// keeps the previous vertex (mapped structural values, new columns at
+  /// zero) for reoptimize()'s cross_over(). Returns false, for a cold solve,
+  /// when `previous` is not well-formed, the map's sizes differ from this
+  /// core's standard columns and rows (an empty map: the previous counts do),
+  /// or a map entry is past the previous identity or repeated.
+  [[nodiscard]] bool translate(const LpWarmState& previous, const LpModelMap& map);
 
   /// The warm entry: refactorises the installed basic set, moves a
   /// translated start onto the previous vertex (cross_over), then
@@ -144,8 +170,8 @@ class LpSolver::Core {
   void extract(const LpModel& model, LpSolution& out) const;
 
   /// The warm identity: with the loaded model, the basic set and the at-upper
-  /// flags determine the next same-shape reoptimize() completely. Without
-  /// values; see vertex().
+  /// flags determine the next reoptimize() of an identity translation
+  /// completely. Without values; see vertex().
   [[nodiscard]] LpWarmState identity() const {
     return LpWarmState{n_struct_, relations_, basis_.basic(), at_upper_, {}};
   }
@@ -209,11 +235,19 @@ class LpSolver::Core {
   /// alpha_ = ρᵀA for ρ = row `pos` of B^-1, formed row-wise over ρ's
   /// nonzero rows.
   void form_pivot_row(std::size_t pos);
-  /// The basis change `enter` replaces `leaving_col` with pivot element
-  /// `pivot`: d_j −= θ·α_j over the pivot row alpha_, θ = d_enter / pivot,
-  /// then d_enter = 0 and d_leaving = −θ. Basic entries of d_ drift
-  /// unread; a column's entry is set when it leaves the basis.
-  void update_reduced_costs(std::size_t enter, std::size_t leaving_col, double pivot);
+  /// The basis change in which `enter` (ftran'd column `w`) replaces the
+  /// basic column of row `leave`: every other basic value moves by
+  /// −step·w_i and the entering one becomes `entering_value`; the reduced
+  /// costs update from the pivot row alpha_ (formed by the caller) with
+  /// pivot element `pivot`: d_j −= θ·α_j, θ = d_enter / pivot, then
+  /// d_enter = 0 and d_leaving = −θ (basic entries of d_ drift unread; a
+  /// column's entry is set when it leaves the basis). The leaving column
+  /// rests at its upper bound when `leave_at_upper`, else at its lower; the
+  /// basis takes one eta, which the fault injector may corrupt, and the
+  /// pivot counts. Returns the leaving column.
+  std::size_t change_basis(std::size_t leave, std::size_t enter, const std::vector<double>& w,
+                           double step, double entering_value, double pivot,
+                           bool leave_at_upper);
   [[nodiscard]] double phase_objective(bool phase1) const;
   /// Primal devex weights from the pivot row alpha_.
   void update_primal_devex(std::size_t enter, std::size_t leaving_col, double pivot_alpha);
@@ -271,7 +305,7 @@ class LpSolver::Core {
   std::vector<double> primal_weights_;
   std::vector<double> dual_weights_;
 
-  // Reduced costs of the running phase (see price / update_reduced_costs)
+  // Reduced costs of the running phase (see price / change_basis)
   // and the current pivot row (form_pivot_row), one entry per column.
   std::vector<double> d_;
   std::vector<double> alpha_;
@@ -293,17 +327,14 @@ void LpSolver::Core::load(const LpModel& model, const SolverOptions& options) {
 
   m_ = sf.rows.size();
   n_struct_ = sf.columns.size();
-  std::size_t num_slack = 0;
-  std::size_t num_artificial = 0;
   for (const internal::StandardRow& row : sf.rows) {
     relations_.push_back(row.relation);
     row_refs_.push_back(row.ref);
     b_.push_back(row.rhs);
-    if (row.relation != Relation::kEqual) ++num_slack;
-    if (row.relation != Relation::kLessEqual) ++num_artificial;
   }
-  num_cols_ = n_struct_ + num_slack + num_artificial;
-  any_artificial_ = num_artificial > 0;
+  row_units_ = unit_columns(n_struct_, relations_);
+  num_cols_ = n_struct_;
+  for (const auto& units : row_units_) num_cols_ += units.size();
 
   cost_.assign(num_cols_, 0.0);
   std::copy(sf.cost.begin(), sf.cost.end(), cost_.begin());
@@ -317,41 +348,25 @@ void LpSolver::Core::load(const LpModel& model, const SolverOptions& options) {
   cols_.reset(m_);
   for (std::size_t j = 0; j < num_cols_; ++j) cols_.add_column();
 
+  // The initial basis is each row's last unit column: a <= row's slack, a
+  // >= row's artificial (beside its surplus, coefficient −1) or an = row's.
   std::vector<std::size_t> initial_basis(m_);
-  row_units_.assign(m_, {});
-  std::size_t next_slack = n_struct_;
-  std::size_t next_artificial = n_struct_ + num_slack;
+  any_artificial_ = false;
   for (std::size_t i = 0; i < m_; ++i) {
     // Rows are visited in order, so every column's entries stay row-sorted.
     for (const internal::RowEntry& entry : sf.rows[i].entries) {
       cols_.add_entry(entry.col, i, entry.value);
     }
-    const auto set_unit = [&](std::size_t col, double value) {
-      cols_.add_entry(col, i, value);
-      row_units_[i].push_back(col);
-    };
-    switch (relations_[i]) {
-      case Relation::kLessEqual:
-        set_unit(next_slack, 1.0);
-        initial_basis[i] = next_slack;
-        ++next_slack;
-        break;
-      case Relation::kGreaterEqual:
-        set_unit(next_slack, -1.0);
-        ++next_slack;
-        set_unit(next_artificial, 1.0);
-        initial_basis[i] = next_artificial;
-        ++next_artificial;
-        break;
-      case Relation::kEqual:
-        set_unit(next_artificial, 1.0);
-        initial_basis[i] = next_artificial;
-        ++next_artificial;
-        break;
+    const std::vector<std::size_t>& units = row_units_[i];
+    cols_.add_entry(units.front(), i, relations_[i] == Relation::kGreaterEqual ? -1.0 : 1.0);
+    if (units.size() == 2) cols_.add_entry(units.back(), i, 1.0);
+    initial_basis[i] = units.back();
+    if (relations_[i] != Relation::kLessEqual) {
+      artificial_[units.back()] = 1;
+      any_artificial_ = true;
     }
   }
   cols_.index_rows();
-  for (std::size_t j = n_struct_ + num_slack; j < num_cols_; ++j) artificial_[j] = 1;
 
   // Anti-degeneracy rhs perturbation, mirroring the tableau path but applied
   // only to <= rows: relaxing them strictly enlarges the feasible region, so
@@ -439,8 +454,6 @@ bool LpSolver::Core::refactor() {
       return false;
     }
     basis_repairs_ += repairs;
-    common::log_debug("lp_solver: repaired " + std::to_string(repairs) +
-                      " deficient basis position(s) with unit columns");
     basis_.set_basic(std::move(patched));
     rebuild_basis_flags();
     if (basis_.refactor(cols_)) return true;
@@ -505,12 +518,27 @@ void LpSolver::Core::form_pivot_row(std::size_t pos) {
   cols_.transpose_product(basis_.btran_unit(pos), alpha_);
 }
 
-void LpSolver::Core::update_reduced_costs(std::size_t enter, std::size_t leaving_col,
-                                          double pivot) {
+std::size_t LpSolver::Core::change_basis(std::size_t leave, std::size_t enter,
+                                         const std::vector<double>& w, double step,
+                                         double entering_value, double pivot,
+                                         bool leave_at_upper) {
+  for (std::size_t i = 0; i < m_; ++i) {
+    if (i != leave) xb_[i] -= step * w[i];
+  }
+  const std::size_t leaving_col = basis_.basic()[leave];
+  xb_[leave] = entering_value;
   const double theta = d_[enter] / pivot;
   for (std::size_t j = 0; j < num_cols_; ++j) d_[j] -= theta * alpha_[j];
   d_[enter] = 0.0;
   d_[leaving_col] = -theta;
+  in_basis_[leaving_col] = 0;
+  in_basis_[enter] = 1;
+  set_at_upper(enter, false);
+  set_at_upper(leaving_col, leave_at_upper);
+  basis_.pivot(leave, enter, w);
+  maybe_corrupt_eta();
+  ++iterations_;
+  return leaving_col;
 }
 
 double LpSolver::Core::phase_objective(bool phase1) const {
@@ -697,20 +725,10 @@ SolveStatus LpSolver::Core::run_primal(bool phase1, const SolverOptions& options
     } else {
       form_pivot_row(leave);  // pre-pivot row
       const double t = best_ratio;
-      for (std::size_t i = 0; i < m_; ++i) {
-        if (i != leave) xb_[i] -= t * dir * w[i];
-      }
-      const std::size_t leaving_col = basic[leave];
-      xb_[leave] = dir > 0.0 ? t : upper_[enter] - t;
-      update_reduced_costs(enter, leaving_col, w[leave]);
+      const std::size_t leaving_col =
+          change_basis(leave, enter, w, t * dir, dir > 0.0 ? t : upper_[enter] - t, w[leave],
+                       leave_at_upper);
       fresh = false;
-      in_basis_[leaving_col] = 0;
-      in_basis_[enter] = 1;
-      set_at_upper(enter, false);
-      set_at_upper(leaving_col, leave_at_upper);
-      basis_.pivot(leave, enter, w);
-      maybe_corrupt_eta();
-      ++iterations_;
       if (!bland) update_primal_devex(enter, leaving_col, w[leave]);
     }
 
@@ -849,20 +867,9 @@ SolveStatus LpSolver::Core::run_dual(const SolverOptions& options) {
     // absorbs the displacement from whichever bound it rested at.
     const double target = above ? upper_[basic[leave]] : 0.0;
     const double step = (xb_[leave] - target) / w[leave];
-    for (std::size_t i = 0; i < m_; ++i) {
-      if (i != leave) xb_[i] -= step * w[i];
-    }
-    const std::size_t leaving_col = basic[leave];
-    xb_[leave] = (at_upper_[enter] ? upper_[enter] : 0.0) + step;
-    update_reduced_costs(enter, leaving_col, alpha_[enter]);
-    in_basis_[leaving_col] = 0;
-    in_basis_[enter] = 1;
-    set_at_upper(enter, false);
-    set_at_upper(leaving_col, above);
     if (!bland) update_dual_devex(w, leave);
-    basis_.pivot(leave, enter, w);
-    maybe_corrupt_eta();
-    ++iterations_;
+    change_basis(leave, enter, w, step, (at_upper_[enter] ? upper_[enter] : 0.0) + step,
+                 alpha_[enter], above);
     ++dual_iterations_;
 
     if (infeasibility >= last_infeasibility - tol) {
@@ -951,32 +958,10 @@ SolveStatus LpSolver::Core::run_cold(const SolverOptions& options) {
   return finish_perturbed(options);
 }
 
-bool LpSolver::Core::install(LpWarmState state) {
-  if (state.structural_columns != n_struct_ || state.relations != relations_ ||
-      !well_formed(state)) {
-    return false;
-  }
-  // Every core's columns follow well_formed's layout, so the sizes agree.
-  OEF_CHECK(state.at_upper.size() == num_cols_);
-  basis_.set_basic(std::move(state.basic));
-  rebuild_basis_flags();
-  // The nonbasic bound statuses are part of the vertex; restore them and
-  // re-establish the invariants that basic columns carry no at-upper flag
-  // and that at-upper columns still have a finite bound (a same-shaped model
-  // may have widened a bound to infinity — resting there would poison xb
-  // with non-finite values).
-  at_upper_ = std::move(state.at_upper);
-  num_at_upper_ = 0;
-  for (std::size_t j = 0; j < num_cols_; ++j) {
-    if (in_basis_[j] || !std::isfinite(upper_[j])) at_upper_[j] = 0;
-    if (at_upper_[j]) ++num_at_upper_;
-  }
-  return true;
-}
-
-std::optional<LpWarmState> LpSolver::Core::translate(const LpWarmState& previous,
-                                                    const LpModelMap& map) {
-  if (!well_formed(previous) || map.variables.size() != n_struct_) return std::nullopt;
+bool LpSolver::Core::translate(const LpWarmState& previous, const LpModelMap& map) {
+  if (!well_formed(previous)) return false;
+  if (map.empty()) return translate(previous, identity_map(previous));
+  if (map.variables.size() != n_struct_ || map.constraints.size() != m_) return false;
   // from[c]: the previous column that new column c continues, or SIZE_MAX.
   std::vector<std::size_t> from(num_cols_, SIZE_MAX);
   std::vector<char> taken(previous.at_upper.size(), 0);
@@ -989,54 +974,41 @@ std::optional<LpWarmState> LpSolver::Core::translate(const LpWarmState& previous
   for (std::size_t v = 0; v < n_struct_; ++v) {
     const std::size_t prev = map.variables[v];
     if (prev == LpModelMap::kNew) continue;
-    if (prev >= previous.structural_columns || !link(v, prev)) return std::nullopt;
+    if (prev >= previous.structural_columns || !link(v, prev)) return false;
   }
-  // The previous unit columns of each row, in Core::load's order (a slack or
-  // surplus per inequality row, then an artificial per >= or = row).
   const std::vector<Relation>& prev_relations = previous.relations;
-  std::vector<std::vector<std::size_t>> prev_units(prev_relations.size());
-  std::size_t next_slack = previous.structural_columns;
-  std::size_t next_artificial = next_slack;
-  for (const Relation relation : prev_relations) {
-    if (relation != Relation::kEqual) ++next_artificial;
-  }
-  for (std::size_t i = 0; i < prev_relations.size(); ++i) {
-    if (prev_relations[i] != Relation::kEqual) prev_units[i].push_back(next_slack++);
-    if (prev_relations[i] != Relation::kLessEqual) prev_units[i].push_back(next_artificial++);
-  }
+  const std::vector<std::vector<std::size_t>> prev_units =
+      unit_columns(previous.structural_columns, prev_relations);
   std::vector<char> row_taken(prev_relations.size(), 0);
   std::vector<char> new_row(m_, 1);
   for (std::size_t i = 0; i < m_; ++i) {
     const std::size_t prev = map.constraints[i];
     if (prev == LpModelMap::kNew) continue;
-    if (prev >= prev_relations.size() || row_taken[prev]) return std::nullopt;
+    if (prev >= prev_relations.size() || row_taken[prev]) return false;
     row_taken[prev] = 1;
     // A row whose normalised relation flipped (its rhs changed sign) keeps
     // none of its old unit columns' statuses.
     if (prev_relations[prev] != relations_[i]) continue;
     new_row[i] = 0;
     for (std::size_t u = 0; u < row_units_[i].size(); ++u) {
-      if (!link(row_units_[i][u], prev_units[prev][u])) return std::nullopt;
+      if (!link(row_units_[i][u], prev_units[prev][u])) return false;
     }
   }
 
-  LpWarmState state{n_struct_, relations_, {}, std::vector<char>(num_cols_, 0), {}};
   std::vector<std::size_t> to(previous.at_upper.size(), SIZE_MAX);
   for (std::size_t c = 0; c < num_cols_; ++c) {
     if (from[c] != SIZE_MAX) to[from[c]] = c;
   }
+  std::vector<std::size_t> basic_set;
   std::vector<char> basic(num_cols_, 0);
   const auto make_basic = [&](std::size_t col) {
-    state.basic.push_back(col);
+    basic_set.push_back(col);
     basic[col] = 1;
   };
   // Surviving basic columns keep their basis order, so an identity map
-  // reproduces the previous identity exactly.
+  // reproduces the previous basic set exactly.
   for (const std::size_t prev : previous.basic) {
     if (to[prev] != SIZE_MAX) make_basic(to[prev]);
-  }
-  for (std::size_t c = 0; c < num_cols_; ++c) {
-    if (from[c] != SIZE_MAX && !basic[c]) state.at_upper[c] = previous.at_upper[from[c]];
   }
   for (std::size_t i = 0; i < m_; ++i) {
     if (new_row[i]) make_basic(row_units_[i].front());
@@ -1045,29 +1017,40 @@ std::optional<LpWarmState> LpSolver::Core::translate(const LpWarmState& previous
   // column in row order, or demote surplus structural columns from the last
   // basis position. A departed basic column can still leave the set
   // singular; refactor() repairs that.
-  for (std::size_t i = 0; i < m_ && state.basic.size() < m_; ++i) {
+  for (std::size_t i = 0; i < m_ && basic_set.size() < m_; ++i) {
     const auto& units = row_units_[i];
     if (std::none_of(units.begin(), units.end(), [&](std::size_t c) { return basic[c] != 0; })) {
       make_basic(units.front());
     }
   }
-  for (std::size_t p = state.basic.size(); p-- > 0 && state.basic.size() > m_;) {
-    if (state.basic[p] < n_struct_) {
-      state.basic.erase(state.basic.begin() + static_cast<std::ptrdiff_t>(p));
+  for (std::size_t p = basic_set.size(); p-- > 0 && basic_set.size() > m_;) {
+    if (basic_set[p] < n_struct_) {
+      basic_set.erase(basic_set.begin() + static_cast<std::ptrdiff_t>(p));
     }
   }
   // Rows carrying two basic unit columns (a >= row's surplus and
   // artificial) can still leave a surplus.
-  if (state.basic.size() > m_) state.basic.resize(m_);
-  // Keep the previous vertex for cross_over(), unless the map is the identity
-  // (a same-shape start, which installs exactly as the empty map does).
+  if (basic_set.size() > m_) basic_set.resize(m_);
+  basis_.set_basic(std::move(basic_set));
+  rebuild_basis_flags();
+  // The nonbasic bound statuses are part of the vertex. A column basic in
+  // either identity (demoted ones included), or whose bound is now infinite
+  // (resting there would poison xb with non-finite values), rests at its
+  // lower bound.
+  num_at_upper_ = 0;
+  for (std::size_t c = 0; c < num_cols_; ++c) {
+    at_upper_[c] = from[c] != SIZE_MAX && !basic[c] && std::isfinite(upper_[c]) &&
+                   previous.at_upper[from[c]];
+    if (at_upper_[c]) ++num_at_upper_;
+  }
+  // Keep the previous vertex for cross_over(), unless the map is the identity.
   if (!is_identity(map, previous) && !previous.values.empty()) {
     start_.assign(n_struct_, 0.0);
     for (std::size_t v = 0; v < n_struct_; ++v) {
       if (from[v] != SIZE_MAX) start_[v] = previous.values[from[v]] / col_scale_[v];
     }
   }
-  return state;
+  return true;
 }
 
 SolveStatus LpSolver::Core::reoptimize(const SolverOptions& options, bool dual_feasible) {
@@ -1200,24 +1183,14 @@ void LpSolver::Core::cross_over() {
       dir = -1.0;
       ratio_test();
     }
-    for (std::size_t i = 0; i < m_; ++i) {
-      if (i != leave) xb_[i] -= step * dir * w[i];
-    }
     if (leave == SIZE_MAX) {
       // It reached its own bound first.
+      for (std::size_t i = 0; i < m_; ++i) xb_[i] -= step * dir * w[i];
       set_at_upper(s, dir > 0.0);
       continue;
     }
-    const std::size_t leaving_col = basic[leave];
-    xb_[leave] = value[s] + dir * step;
     form_pivot_row(leave);
-    update_reduced_costs(s, leaving_col, w[leave]);
-    in_basis_[leaving_col] = 0;
-    in_basis_[s] = 1;
-    set_at_upper(leaving_col, leave_at_upper);
-    basis_.pivot(leave, s, w);
-    maybe_corrupt_eta();
-    ++iterations_;
+    change_basis(leave, s, w, step * dir, value[s] + dir * step, w[leave], leave_at_upper);
   }
 }
 
@@ -1523,14 +1496,13 @@ LpSolution LpSolver::solve(LpModel model, const LpModelMap& map) {
                   "a model map must name every variable and constraint of the new model");
   const double start = common::monotonic_seconds();
   // Basis reuse: the previous identity (the last optimum's, or one
-  // import_warm_state() holds) starts this solve, as it is when the model has
-  // its shape, translated through `map` when the caller reshaped the model.
-  // Only a translation reads the vertex, so a same-shape call skips the
-  // factorisation vertex() costs.
+  // import_warm_state() holds) starts this solve, translated through `map`.
+  // Only a map other than the identity reads the vertex, so a call that
+  // keeps the shape skips the factorisation vertex() costs.
   std::optional<LpWarmState> previous = imported_;
   if (core_) {
     previous = core_->identity();
-    if (!map.empty() && !is_identity(map, *previous)) previous->values = core_->vertex();
+    if (!is_identity(map, *previous)) previous->values = core_->vertex();
   }
   core_.reset();
   imported_.reset();
@@ -1539,8 +1511,7 @@ LpSolution LpSolver::solve(LpModel model, const LpModelMap& map) {
   if (previous) {
     core = std::make_unique<Core>();
     core->load(model_, options_);
-    if (!map.empty()) previous = core->translate(*previous, map);
-    if (!previous || !core->install(std::move(*previous))) core.reset();
+    if (!core->translate(*previous, map)) core.reset();
   }
   LpSolution solution = reoptimize_or_cold(std::move(core), /*dual_feasible=*/false);
   if (solution.warm_started) ++stats_.warm_start_hits;

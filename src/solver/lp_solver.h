@@ -8,23 +8,22 @@
 // primal pivots if it is dual-feasible, a cost-shifting dual phase 1
 // otherwise). It has two callers:
 //
-//   * solve() basis reuse: when a new model has exactly the same shape as the
-//     previous identity (same structural columns, rows and relations — the
-//     round-over-round case in the simulator, where only coefficients move),
-//     that identity is installed against the new coefficients. A caller whose
-//     model changed shape (tenants arrived or left) passes an LpModelMap
-//     naming the previous variable and constraint each new one continues;
-//     the previous identity is then translated onto the new shape first, and
-//     the start crosses over from the previous vertex.
+//   * solve() basis reuse: the previous identity is translated onto the new
+//     model through an LpModelMap naming the previous variable and
+//     constraint each new one continues. The default, empty map continues
+//     every column and row at its own index (the round-over-round case in
+//     the simulator, where only coefficients move). A caller whose model
+//     changed shape (tenants arrived or left) passes the map, and unless it
+//     is the identity the start crosses over from the previous vertex.
 //   * add_rows() + resolve(): newly separated constraints (the lazy
 //     envy-freeness rows of cooperative OEF) join the loaded problem with
 //     basic slacks; the previous optimum stays dual-feasible, so typically a
 //     handful of dual pivots replace a full two-phase re-solve.
 //
 // import_warm_state() holds a checkpointed identity without loading
-// anything; the next solve() installs (or translates) it exactly as it would
-// the previous call's identity, so the restored solver continues exactly
-// like the exporting one.
+// anything; the next solve() translates it exactly as it would the previous
+// call's identity, so the restored solver continues exactly like the
+// exporting one.
 //
 // delete_rows() excises rows loose at the current optimum (their slacks
 // basic) together with their slack columns while the basic set survives —
@@ -58,13 +57,13 @@
 namespace oef::solver {
 
 /// A warm identity detached from its solver: what solve()'s basis reuse
-/// compares, translates and installs, and nothing else. The shape is the structural
-/// column count and the normalised relation of every standard row (which fix
-/// the row and column counts); the identity is the basic column set and the
-/// nonbasic at-upper flags, plus the structural columns' values at that
-/// vertex (unscaled standard-form values, so one per variable for the
-/// finite-bounded models a translation accepts), which a reshaped solve()
-/// starts from. Neither the model nor the factorisation is kept: the next
+/// translates, and nothing else. The shape is the structural column count
+/// and the normalised relation of every standard row (which fix the row and
+/// column counts and the column layout); the identity is the basic column
+/// set and the nonbasic at-upper flags, plus the structural columns' values
+/// at that vertex (unscaled standard-form values, so one per variable for
+/// the finite-bounded models a reshaping map accepts), which a reshaped
+/// solve() starts from. Neither the model nor the factorisation is kept: the next
 /// solve() loads its own model, and every warm call refactorises from the
 /// basic set, so a restore is pivot-identical to the uninterrupted run.
 /// Serialized by solver/checkpoint.h for the daemon's checkpoint.
@@ -78,15 +77,17 @@ struct LpWarmState {
   std::vector<double> values;
 };
 
-/// How a reshaped model continues the previous one, for solve(). Entry v of
+/// How a model continues the previous one, for solve(). Entry v of
 /// `variables` is the index of the previous model's variable that the new
 /// model's variable v continues, entry i of `constraints` the index of the
 /// previous constraint that constraint i continues; kNew marks one with no
-/// predecessor. Both empty means no reshaping (the same-shape rule). The
-/// identity records standard-form columns, not variables, so a translation
-/// reads previous variable p as structural column p: it holds for models
-/// whose every variable has a finite bound (one standard column each), and a
-/// new model with a free variable solves cold.
+/// predecessor. Both empty is the identity over the previous identity's
+/// standard columns and rows, which needs the new model to have the same
+/// counts of both. The identity records standard-form columns, not
+/// variables, so a non-empty map reads previous variable p as structural
+/// column p: it holds for models whose every variable has a finite bound
+/// (one standard column each), and a new model with a free variable solves
+/// cold under one.
 struct LpModelMap {
   static constexpr std::size_t kNew = static_cast<std::size_t>(-1);
   std::vector<std::size_t> variables;
@@ -131,25 +132,25 @@ class LpSolver {
 
   /// Loads `model` (moved in; a caller that keeps its model passes a copy)
   /// and solves it from the previous identity (the last optimum's, or an
-  /// imported one) when there is one it can start from:
-  ///   * an empty `map`: the identity is installed if the model has its
-  ///     shape, else the solve runs cold;
-  ///   * a non-empty `map` (sizes must equal the model's variable and
-  ///     constraint counts, else CheckError): the identity is translated onto
-  ///     the new shape. A mapped column or row keeps its basic and at-upper
-  ///     status, a new column starts nonbasic at zero, a new row starts on
-  ///     its slack (surplus, or artificial for an equality), and the set is
-  ///     brought to one basic column per row: uncovered rows' unit columns
-  ///     pad it in row order, surplus structural columns are demoted from
-  ///     the last basis position. Unless the map is the identity, the start
-  ///     then keeps the previous vertex: mapped structural columns keep their
-  ///     values (new ones are zero), every nonbasic column left above its
-  ///     lower bound there (a demoted column, or the slack a departed
-  ///     column's row frees) starts at that value, and each moves to a bound
-  ///     or pivots in (a crossover) before the reoptimisation, which repairs
-  ///     a start that is singular or infeasible. A map entry past the
-  ///     previous identity, a repeated entry or a new model with a free
-  ///     variable solves cold.
+  /// imported one), translated onto the new model through `map`. A non-empty
+  /// map's sizes must equal the model's variable and constraint counts, else
+  /// CheckError; an empty map is the identity over the previous standard
+  /// columns and rows, and the solve runs cold when the model has other
+  /// counts. A mapped column or row keeps its basic and at-upper status
+  /// (none for a row whose normalised relation flipped), a new column starts
+  /// nonbasic at zero, a new row starts on its slack (surplus, or artificial
+  /// for an equality), and the set is brought to one basic column per row:
+  /// uncovered rows' unit columns pad it in row order, surplus structural
+  /// columns are demoted from the last basis position. A column basic in
+  /// either identity, or whose bound is now infinite, rests at its lower
+  /// bound. Unless the map is the identity, the start then keeps the
+  /// previous vertex: mapped structural columns keep their values (new ones
+  /// are zero), every nonbasic column left above its lower bound there (a
+  /// demoted column, or the slack a departed column's row frees) starts at
+  /// that value, and each moves to a bound or pivots in (a crossover) before
+  /// the reoptimisation, which repairs a start that is singular or
+  /// infeasible. A map entry past the previous identity, a repeated entry or
+  /// a free variable under a non-empty map solves cold.
   [[nodiscard]] LpSolution solve(LpModel model, const LpModelMap& map = {});
 
   /// Appends constraints to the loaded model. Only valid after a solve().
@@ -187,8 +188,8 @@ class LpSolver {
 
   /// Holds a warm identity exported by export_warm_state(), possibly in
   /// another process, in place of this solver's own, for the next solve() to
-  /// install or translate as it would its own (nothing is loaded, factorised
-  /// or pivoted here). Returns false, holding no identity, in tableau mode or
+  /// translate as it would its own (nothing is loaded, factorised or pivoted
+  /// here). Returns false, holding no identity, in tableau mode or
   /// when the identity is not self-consistent; callers then degrade to a cold
   /// first solve, never to an error.
   bool import_warm_state(const LpWarmState& state);

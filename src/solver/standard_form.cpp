@@ -71,7 +71,7 @@ StandardForm build_standard_form(const LpModel& model, bool native_upper_bounds)
   };
   for (std::size_t c = 0; c < constraints.size(); ++c) add_row(constraints[c], c);
   for (const auto& [var, bound] : upper_rows) {
-    add_row(Constraint{LinearExpr{}.add(var, 1.0), Relation::kLessEqual, bound, {}}, SIZE_MAX);
+    add_row(Constraint{LinearExpr{}.add(var, 1.0), Relation::kLessEqual, bound}, SIZE_MAX);
   }
   return sf;
 }

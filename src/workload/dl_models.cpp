@@ -35,19 +35,13 @@ ModelZoo::ModelZoo() {
   // (VGG 1.39× / LSTM 2.15× on the 3090) and give a diverse spread for the
   // remaining models. See tests/test_workload_models.cpp for the calibration
   // assertions.
-  models_.push_back({"VGG16", TaskDomain::kImageClassification,
-                     /*compute=*/74.0, /*memory=*/9.0, /*launch=*/10.0, /*host=*/55.0,
-                     /*reference_batch=*/64});
-  models_.push_back({"ResNet50", TaskDomain::kImageClassification,
-                     60.0, 30.0, 40.0, 20.0, 64});
-  models_.push_back({"DenseNet121", TaskDomain::kImageClassification,
-                     40.0, 70.0, 45.0, 10.0, 64});
-  models_.push_back({"LSTM", TaskDomain::kLanguageModeling,
-                     14.0, 8.0, 175.0, 3.0, 32});
-  models_.push_back({"RNN", TaskDomain::kLanguageModeling,
-                     10.0, 8.0, 120.0, 12.0, 32});
-  models_.push_back({"Transformer", TaskDomain::kLanguageModeling,
-                     90.0, 25.0, 20.0, 25.0, 32});
+  models_.push_back({"VGG16", /*compute=*/74.0, /*memory=*/9.0, /*launch=*/10.0,
+                     /*host=*/55.0, /*reference_batch=*/64});
+  models_.push_back({"ResNet50", 60.0, 30.0, 40.0, 20.0, 64});
+  models_.push_back({"DenseNet121", 40.0, 70.0, 45.0, 10.0, 64});
+  models_.push_back({"LSTM", 14.0, 8.0, 175.0, 3.0, 32});
+  models_.push_back({"RNN", 10.0, 8.0, 120.0, 12.0, 32});
+  models_.push_back({"Transformer", 90.0, 25.0, 20.0, 25.0, 32});
 }
 
 const DlModelSpec& ModelZoo::get(const std::string& name) const {

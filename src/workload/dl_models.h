@@ -21,11 +21,8 @@
 
 namespace oef::workload {
 
-enum class TaskDomain { kImageClassification, kLanguageModeling };
-
 struct DlModelSpec {
   std::string name;
-  TaskDomain domain = TaskDomain::kImageClassification;
   /// Per-iteration time components on the reference GPU at reference_batch.
   double compute_ms = 0.0;
   double memory_ms = 0.0;

@@ -34,21 +34,4 @@ GpuCatalog make_paper_catalog() {
   return catalog;
 }
 
-GpuCatalog make_wide_catalog() {
-  GpuCatalog catalog;
-  // Approximate generational scaling K80 → A100-class. Only the relative
-  // ordering and spread matter for the scheduling experiments.
-  catalog.add({"K80", 1.00, 1.00, 1.00});
-  catalog.add({"P4", 1.30, 1.05, 1.30});
-  catalog.add({"M60", 1.65, 1.25, 1.45});
-  catalog.add({"P100", 2.20, 3.00, 1.70});
-  catalog.add({"T4", 2.00, 1.35, 2.10});
-  catalog.add({"V100", 3.60, 3.75, 2.60});
-  catalog.add({"RTX6000", 3.90, 2.80, 2.90});
-  catalog.add({"A40", 4.40, 2.90, 3.30});
-  catalog.add({"A100", 5.00, 6.50, 3.60});
-  catalog.add({"A100-80G", 5.20, 8.50, 3.80});
-  return catalog;
-}
-
 }  // namespace oef::workload

@@ -39,8 +39,4 @@ class GpuCatalog {
 /// 448/760/936 GB/s).
 [[nodiscard]] GpuCatalog make_paper_catalog();
 
-/// Ten GPU generations, K80 → A100-class, monotonically faster; used by the
-/// scalability experiments (Fig. 10a uses 10 GPU types).
-[[nodiscard]] GpuCatalog make_wide_catalog();
-
 }  // namespace oef::workload

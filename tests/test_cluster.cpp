@@ -28,12 +28,11 @@ TEST(Cluster, DevicesBelongToTheirHost) {
   }
 }
 
-TEST(Cluster, HostsOfTypeFindsAll) {
+TEST(Cluster, EveryTypeHasTwoHosts) {
   const Cluster cluster = make_paper_cluster();
-  for (GpuTypeId t = 0; t < 3; ++t) {
-    EXPECT_EQ(cluster.hosts_of_type(t).size(), 2u);
-  }
-  EXPECT_EQ(cluster.device_count(1), 8u);
+  std::vector<std::size_t> hosts_per_type(cluster.num_gpu_types(), 0);
+  for (const Host& host : cluster.hosts()) ++hosts_per_type[host.gpu_type];
+  EXPECT_EQ(hosts_per_type, (std::vector<std::size_t>{2, 2, 2}));
 }
 
 TEST(Cluster, ScaleClusterHandlesRemainders) {
@@ -41,7 +40,11 @@ TEST(Cluster, ScaleClusterHandlesRemainders) {
   EXPECT_EQ(cluster.num_gpu_types(), 10u);
   EXPECT_EQ(cluster.total_devices(), 60u);
   // 6 devices per type = one full host of 4 + one remainder host of 2.
-  EXPECT_EQ(cluster.hosts_of_type(0).size(), 2u);
+  std::vector<std::size_t> type0_hosts;
+  for (const Host& host : cluster.hosts()) {
+    if (host.gpu_type == 0) type0_hosts.push_back(host.devices.size());
+  }
+  EXPECT_EQ(type0_hosts, (std::vector<std::size_t>{4, 2}));
 }
 
 TEST(ClusterBuilder, IncrementalConstruction) {

@@ -288,7 +288,6 @@ TEST(SimChurn, DeadlineExpiryServesDegradedButFeasible) {
   core::OefOptions options;
   options.deadline = common::Deadline::after(1e-6);  // expires after the first relaxation
   options.seed_adjacent_envy_rows = false;
-  options.recycle_envy_rows = false;
   const core::OefAllocator allocator = core::make_cooperative_oef(options);
   const core::SpeedupMatrix speedups = make_instance(24, 3, 21);
   const std::vector<double> capacities = {30.0, 40.0, 22.0};

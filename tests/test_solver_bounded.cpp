@@ -34,7 +34,7 @@ LpModel random_bounded_lp(common::Rng& rng, int trial) {
     const double lower = rng.uniform() < 0.3 ? rng.uniform(-2.0, 2.0) : 0.0;
     const double upper =
         rng.uniform() < 0.6 ? lower + rng.uniform(0.5, 8.0) : kInf;
-    model.add_variable("v", lower, upper, rng.uniform(-3.0, 3.0));
+    model.add_variable(lower, upper, rng.uniform(-3.0, 3.0));
   }
   const std::size_t nrows = static_cast<std::size_t>(rng.uniform_int(1, 7));
   for (std::size_t r = 0; r < nrows; ++r) {
@@ -159,8 +159,8 @@ TEST(BoundedSimplex, KnownBoundFlipInstance) {
   // max 3x + 2y with x <= 1, y <= 2 and x + y <= 2.5: the optimum sits at
   // x = 1 (its upper bound — a nonbasic-at-upper column) and y = 1.5.
   LpModel model(Sense::kMaximize);
-  const VarId x = model.add_variable("x", 0.0, 1.0, 3.0);
-  const VarId y = model.add_variable("y", 0.0, 2.0, 2.0);
+  const VarId x = model.add_variable(0.0, 1.0, 3.0);
+  const VarId y = model.add_variable(0.0, 2.0, 2.0);
   model.add_constraint(LinearExpr{}.add(x, 1.0).add(y, 1.0), Relation::kLessEqual, 2.5);
 
   LpSolver solver;
@@ -175,8 +175,8 @@ TEST(BoundedSimplex, UnconstrainedBoundedVariablesRestAtPreferredBound) {
   // No rows at all: every negative-reduced-cost column must land on its
   // finite upper bound rather than reporting unbounded.
   LpModel model(Sense::kMaximize);
-  const VarId x = model.add_variable("x", 0.0, 4.0, 2.0);
-  const VarId y = model.add_variable("y", -1.0, 3.0, -5.0);
+  const VarId x = model.add_variable(0.0, 4.0, 2.0);
+  const VarId y = model.add_variable(-1.0, 3.0, -5.0);
   LpSolver solver;
   const LpSolution solution = solver.solve(model);
   ASSERT_TRUE(solution.optimal());
@@ -213,7 +213,7 @@ TEST(BoundedSimplex, WarmResolveWithUpperBoundsMatchesColdSolve) {
     LpModel model(Sense::kMaximize);
     const std::size_t nvars = static_cast<std::size_t>(rng.uniform_int(3, 7));
     for (std::size_t v = 0; v < nvars; ++v) {
-      model.add_variable("v", 0.0, rng.uniform(1.0, 6.0), rng.uniform(0.5, 3.0));
+      model.add_variable(0.0, rng.uniform(1.0, 6.0), rng.uniform(0.5, 3.0));
     }
     LinearExpr total;
     for (std::size_t v = 0; v < nvars; ++v) total.add(v, 1.0);
@@ -227,8 +227,7 @@ TEST(BoundedSimplex, WarmResolveWithUpperBoundsMatchesColdSolve) {
     std::vector<Constraint> cuts;
     LinearExpr cut;
     for (std::size_t v = 0; v < nvars; ++v) cut.add(v, rng.uniform(0.5, 1.5));
-    cuts.push_back(Constraint{std::move(cut), Relation::kLessEqual,
-                              rng.uniform(1.0, 3.0), "cut"});
+    cuts.push_back(Constraint{std::move(cut), Relation::kLessEqual, rng.uniform(1.0, 3.0)});
     warm.add_rows(cuts);
     const LpSolution resolved = warm.resolve();
     ASSERT_TRUE(resolved.optimal()) << "trial " << trial;
@@ -243,32 +242,38 @@ TEST(BoundedSimplex, WarmResolveWithUpperBoundsMatchesColdSolve) {
   }
 }
 
-TEST(BoundedSimplex, WarmStartSurvivesBoundWidenedToInfinity) {
-  // Same-shaped second model whose variable lost its finite upper bound: the
-  // recycled nonbasic-at-upper status must be dropped (resting at an
-  // infinite bound would poison the basic values), and the solve must still
-  // verify against the tableau.
-  LpModel first(Sense::kMaximize);
-  const VarId x = first.add_variable("x", 0.0, 1.0, 3.0);
-  const VarId y = first.add_variable("y", 0.0, 2.0, 2.0);
-  first.add_constraint(LinearExpr{}.add(x, 1.0).add(y, 1.0), Relation::kLessEqual, 2.5);
+TEST(BoundedSimplex, SameCountSuccessorsStartWarm) {
+  // Two successors of one solved model with its variable and row counts,
+  // each solved through the empty map from the first optimum: one whose
+  // variable lost its finite upper bound (the recycled nonbasic-at-upper
+  // status must be dropped, since resting at an infinite bound would poison
+  // the basic values), and one whose row's rhs turned negative, so that its
+  // normalised relation flipped (<= to >=; the row starts on its new unit
+  // columns). Both must start warm and verify against the tableau.
+  const auto build = [](double x_upper, double split_rhs) {
+    LpModel model(Sense::kMaximize);
+    const VarId x = model.add_variable(0.0, x_upper, 3.0);
+    const VarId y = model.add_variable(0.0, 2.0, 2.0);
+    model.add_constraint(LinearExpr{}.add(x, 1.0).add(y, 1.0), Relation::kLessEqual, 2.5);
+    model.add_constraint(LinearExpr{}.add(x, 1.0).add(y, -1.0), Relation::kLessEqual,
+                         split_rhs);
+    return model;
+  };
+  const LpModel first = build(1.0, 0.5);
+  for (const LpModel& second : {build(kInf, 0.5), build(1.0, -1.0)}) {
+    LpSolver solver;
+    const LpSolution a = solver.solve(first);
+    ASSERT_TRUE(a.optimal());
+    EXPECT_NEAR(a.values[0], 1.0, kTol);  // x is nonbasic at its upper bound
 
-  LpSolver solver;
-  const LpSolution a = solver.solve(first);
-  ASSERT_TRUE(a.optimal());
-  EXPECT_NEAR(a.values[x], 1.0, kTol);  // x is nonbasic at its upper bound
-
-  LpModel second(Sense::kMaximize);
-  second.add_variable("x", 0.0, kInf, 3.0);
-  second.add_variable("y", 0.0, 2.0, 2.0);
-  second.add_constraint(LinearExpr{}.add(x, 1.0).add(y, 1.0), Relation::kLessEqual, 2.5);
-
-  const LpSolution b = solver.solve(second);
-  ASSERT_TRUE(b.optimal());
-  const LpSolution reference = SimplexSolver().solve(second);
-  ASSERT_TRUE(reference.optimal());
-  EXPECT_NEAR(b.objective, reference.objective, kTol * (1.0 + std::abs(reference.objective)));
-  EXPECT_TRUE(second.is_feasible(b.values, 1e-6));
+    const LpSolution b = solver.solve(second);
+    ASSERT_TRUE(b.optimal());
+    EXPECT_TRUE(b.warm_started);
+    const LpSolution reference = SimplexSolver().solve(second);
+    ASSERT_TRUE(reference.optimal());
+    EXPECT_NEAR(b.objective, reference.objective, kTol * (1.0 + std::abs(reference.objective)));
+    EXPECT_TRUE(second.is_feasible(b.values, 1e-6));
+  }
 }
 
 /// max 2y + x  s.t.  x + y <= 1, with y fixed in [0, 0]. y prices as the
@@ -276,8 +281,8 @@ TEST(BoundedSimplex, WarmStartSurvivesBoundWidenedToInfinity) {
 /// x = 1 is one pivot away.
 LpModel zero_width_lp() {
   LpModel model(Sense::kMaximize);
-  const VarId x = model.add_variable("x", 0.0, kInf, 1.0);
-  const VarId y = model.add_variable("y", 0.0, 0.0, 2.0);
+  const VarId x = model.add_variable(0.0, kInf, 1.0);
+  const VarId y = model.add_variable(0.0, 0.0, 2.0);
   model.add_constraint(LinearExpr{}.add(x, 1.0).add(y, 1.0), Relation::kLessEqual, 1.0);
   return model;
 }
@@ -295,7 +300,7 @@ TEST(BoundedSimplex, ZeroWidthColumnNeverEntersWarmResolve) {
   LpSolver solver;
   ASSERT_TRUE(solver.solve(zero_width_lp()).optimal());
   // x <= 0.5 cuts the optimum off; one dual pivot moves x onto it.
-  solver.add_rows({Constraint{LinearExpr{}.add(0, 1.0), Relation::kLessEqual, 0.5, "cut"}});
+  solver.add_rows({Constraint{LinearExpr{}.add(0, 1.0), Relation::kLessEqual, 0.5}});
   const LpSolution resolved = solver.resolve();
   ASSERT_TRUE(resolved.optimal());
   EXPECT_TRUE(resolved.warm_started);
@@ -326,7 +331,7 @@ TEST(TableauReference, AgreesOnMixedRelationLps) {
     LpModel model(trial % 2 == 0 ? Sense::kMaximize : Sense::kMinimize);
     for (std::size_t v = 0; v < nvars; ++v) {
       const double upper = rng.uniform() < 0.3 ? rng.uniform(1.0, 10.0) : kInf;
-      model.add_variable("v", 0.0, upper, rng.uniform(-2.0, 3.0));
+      model.add_variable(0.0, upper, rng.uniform(-2.0, 3.0));
     }
     const std::size_t nrows = static_cast<std::size_t>(rng.uniform_int(1, 6));
     for (std::size_t r = 0; r < nrows; ++r) {

@@ -26,8 +26,8 @@ constexpr double kTol = 1e-6;
 LpModel small_lp(Sense sense) {
   const double sign = sense == Sense::kMaximize ? 1.0 : -1.0;
   LpModel model(sense);
-  const VarId x = model.add_variable("x", 0.0, 3.0, 3.0 * sign);
-  const VarId y = model.add_variable("y", 0.0, kInf, 2.0 * sign);
+  const VarId x = model.add_variable(0.0, 3.0, 3.0 * sign);
+  const VarId y = model.add_variable(0.0, kInf, 2.0 * sign);
   model.add_constraint(LinearExpr{}.add(x, 1.0).add(y, 1.0), Relation::kLessEqual, 4.0);
   model.add_constraint(LinearExpr{}.add(x, 1.0).add(y, 3.0), Relation::kLessEqual, 9.0);
   model.add_constraint(LinearExpr{}.add(y, 1.0), Relation::kGreaterEqual, 0.5);
@@ -86,11 +86,11 @@ TEST(Certificate, FailsWrongSignDualSuboptimalAndInfeasiblePoints) {
 /// `loose` more columns: infeasible whatever the loose part's size.
 LpModel infeasible_lp(std::size_t loose) {
   LpModel model(Sense::kMaximize);
-  const VarId x = model.add_variable("x", 0.0, kInf, 1.0);
+  const VarId x = model.add_variable(0.0, kInf, 1.0);
   model.add_constraint(LinearExpr{}.add(x, 1.0), Relation::kGreaterEqual, 1.0);
   model.add_constraint(LinearExpr{}.add(x, 1.0), Relation::kLessEqual, 0.0);
   std::vector<VarId> v;
-  for (std::size_t k = 0; k < loose; ++k) v.push_back(model.add_variable("v", 0.0, kInf, 1.0));
+  for (std::size_t k = 0; k < loose; ++k) v.push_back(model.add_variable(0.0, kInf, 1.0));
   for (std::size_t k = 0; k < loose; ++k) {
     model.add_constraint(LinearExpr{}.add(v[k], 1.0).add(v[(k + 1) % loose], 1.0),
                          Relation::kLessEqual, 10.0);

@@ -32,7 +32,7 @@ LpModel oef_base_model(const core::SpeedupMatrix& w, const std::vector<double>& 
   const std::size_t k = w.num_types();
   LpModel model(Sense::kMaximize);
   for (std::size_t l = 0; l < n; ++l) {
-    for (std::size_t j = 0; j < k; ++j) model.add_variable("x", 0.0, kInf, w.at(l, j));
+    for (std::size_t j = 0; j < k; ++j) model.add_variable(0.0, kInf, w.at(l, j));
   }
   for (std::size_t j = 0; j < k; ++j) {
     LinearExpr expr;
@@ -59,7 +59,7 @@ Constraint envy_row(const core::SpeedupMatrix& w, std::size_t l, std::size_t i) 
     expr.add(l * k + j, w.at(l, j));
     expr.add(i * k + j, -w.at(l, j));
   }
-  return Constraint{std::move(expr), Relation::kGreaterEqual, 0.0, "ef"};
+  return Constraint{std::move(expr), Relation::kGreaterEqual, 0.0};
 }
 
 std::vector<Constraint> violated_envy_rows(const core::SpeedupMatrix& w,

@@ -363,7 +363,7 @@ TEST(FactoredBasis, LpSolverWarmDeleteMatchesColdSolve) {
     const std::size_t nvars = static_cast<std::size_t>(rng.uniform_int(3, 8));
     LpModel model(Sense::kMaximize);
     for (std::size_t v = 0; v < nvars; ++v) {
-      model.add_variable("v", 0.0, kInf, rng.uniform(0.5, 3.0));
+      model.add_variable(0.0, kInf, rng.uniform(0.5, 3.0));
     }
     LinearExpr total;
     for (std::size_t v = 0; v < nvars; ++v) total.add(v, 1.0);
@@ -470,7 +470,7 @@ TEST(FactoredBasis, SolverAgreesWithTableau) {
     for (std::size_t v = 0; v < nvars; ++v) {
       const double lower = rng.uniform() < 0.3 ? rng.uniform(-2.0, 2.0) : 0.0;
       const double upper = rng.uniform() < 0.5 ? lower + rng.uniform(0.5, 8.0) : kInf;
-      model.add_variable("v", lower, upper, rng.uniform(-3.0, 3.0));
+      model.add_variable(lower, upper, rng.uniform(-3.0, 3.0));
     }
     const std::size_t nrows = static_cast<std::size_t>(rng.uniform_int(1, 7));
     for (std::size_t r = 0; r < nrows; ++r) {

@@ -101,7 +101,7 @@ TEST(SimplexProperty, MatchesBruteForceOnRandomLps) {
     for (double& v : c) v = rng.uniform(0.1, 5.0);
 
     LpModel model(Sense::kMaximize);
-    for (std::size_t j = 0; j < n; ++j) model.add_variable("x", 0.0, kInf, c[j]);
+    for (std::size_t j = 0; j < n; ++j) model.add_variable(0.0, kInf, c[j]);
     bool bounded_rows = true;
     for (std::size_t i = 0; i < m; ++i) {
       LinearExpr expr;
@@ -136,7 +136,7 @@ TEST(SimplexProperty, RandomEqualityLpsStayFeasible) {
     const std::size_t n = static_cast<std::size_t>(rng.uniform_int(3, 6));
     LpModel model(Sense::kMaximize);
     for (std::size_t j = 0; j < n; ++j) {
-      model.add_variable("x", 0.0, kInf, rng.uniform(0.5, 2.0));
+      model.add_variable(0.0, kInf, rng.uniform(0.5, 2.0));
     }
     // One equality through a known feasible point plus capacity rows, so the
     // instance is always feasible.

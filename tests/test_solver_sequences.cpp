@@ -88,7 +88,7 @@ LpModel random_model(common::Rng& rng, std::vector<double>& anchor) {
   for (std::size_t v = 0; v < nvars; ++v) {
     const double lower = rng.uniform() < 0.3 ? rng.uniform(-1.0, 1.0) : 0.0;
     const double upper = rng.uniform() < 0.4 ? lower + rng.uniform(0.5, 4.0) : kInf;
-    model.add_variable("x", lower, upper, rng.uniform(-2.0, 3.0));
+    model.add_variable(lower, upper, rng.uniform(-2.0, 3.0));
     const double range = std::isfinite(upper) ? upper - lower : 2.0;
     anchor[v] = lower + rng.uniform(0.0, 1.0) * range;
     budget.add(v, 1.0);
@@ -117,7 +117,7 @@ LpModel random_model(common::Rng& rng, std::vector<double>& anchor) {
 LpModel perturbed(common::Rng& rng, const LpModel& model, const std::vector<double>& anchor) {
   LpModel out(model.sense());
   for (const Variable& var : model.variables()) {
-    out.add_variable(var.name, var.lower, var.upper, var.objective * rng.uniform(0.7, 1.3));
+    out.add_variable(var.lower, var.upper, var.objective * rng.uniform(0.7, 1.3));
   }
   for (const Constraint& c : model.constraints()) {
     LinearExpr expr;
@@ -146,14 +146,14 @@ std::vector<Constraint> random_cuts(common::Rng& rng, std::size_t nvars,
     const double at_optimum = optimum.empty() ? at_anchor : expr.evaluate(optimum);
     const double between = at_anchor + rng.uniform(0.1, 0.9) * (at_optimum - at_anchor);
     if (rng.uniform() < 0.1) {
-      cuts.push_back(Constraint{std::move(expr), Relation::kEqual, at_anchor, "eq"});
+      cuts.push_back(Constraint{std::move(expr), Relation::kEqual, at_anchor});
     } else if (at_optimum > at_anchor + 1e-6) {
-      cuts.push_back(Constraint{std::move(expr), Relation::kLessEqual, between, "cut"});
+      cuts.push_back(Constraint{std::move(expr), Relation::kLessEqual, between});
     } else if (at_optimum < at_anchor - 1e-6) {
-      cuts.push_back(Constraint{std::move(expr), Relation::kGreaterEqual, between, "cut"});
+      cuts.push_back(Constraint{std::move(expr), Relation::kGreaterEqual, between});
     } else {
       cuts.push_back(Constraint{std::move(expr), Relation::kLessEqual,
-                                at_anchor + rng.uniform(0.0, 1.0), "loose"});
+                                at_anchor + rng.uniform(0.0, 1.0)});
     }
   }
   return cuts;
@@ -178,7 +178,7 @@ Reshape reshaped(common::Rng& rng, const LpModel& model, const std::vector<doubl
   for (std::size_t v = 0; v < model.num_variables(); ++v) {
     if (rng.uniform() < 0.2) continue;
     const Variable& var = model.variables()[v];
-    index_of[v] = out.model.add_variable(var.name, var.lower, var.upper, var.objective);
+    index_of[v] = out.model.add_variable(var.lower, var.upper, var.objective);
     out.map.variables.push_back(v);
     out.anchor.push_back(anchor[v]);
   }
@@ -187,7 +187,7 @@ Reshape reshaped(common::Rng& rng, const LpModel& model, const std::vector<doubl
   for (std::size_t f = 0; f < fresh_vars; ++f) {
     const double lower = rng.uniform() < 0.3 ? rng.uniform(-1.0, 1.0) : 0.0;
     const double upper = rng.uniform() < 0.4 ? lower + rng.uniform(0.5, 4.0) : kInf;
-    out.model.add_variable("y", lower, upper, rng.uniform(-2.0, 3.0));
+    out.model.add_variable(lower, upper, rng.uniform(-2.0, 3.0));
     out.map.variables.push_back(LpModelMap::kNew);
     const double range = std::isfinite(upper) ? upper - lower : 2.0;
     out.anchor.push_back(lower + rng.uniform(0.0, 1.0) * range);
@@ -437,10 +437,14 @@ TEST(SolverSequences, MalformedModelMapsNeverAbort) {
   // A map from a damaged checkpoint must degrade, not abort: a size that
   // differs from the new model is a caller error, an entry past the previous
   // identity or a repeated one solves cold, both from a live identity and
-  // from an imported one.
+  // from an imported one. From either, the identity map is what the empty
+  // map means: the same pivots to the same bits.
   common::Rng rng(5);
   std::vector<double> anchor;
   const LpModel model = random_model(rng, anchor);
+  // Perturbations that compound, so the later ones move the optimal basis.
+  std::vector<LpModel> moved = {perturbed(rng, model, anchor)};
+  while (moved.size() < 8) moved.push_back(perturbed(rng, moved.back(), anchor));
   const std::size_t vars = model.num_variables();
   const std::size_t rows = model.num_constraints();
   const LpSolution reference = SimplexSolver().solve(model);
@@ -483,11 +487,26 @@ TEST(SolverSequences, MalformedModelMapsNeverAbort) {
       EXPECT_NEAR(solution.objective, reference.objective,
                   kTol * (1.0 + std::abs(reference.objective)));
     }
-    // The identity map reproduces the same-shape rule: zero pivots.
+    // The identity map resumes the optimum in zero pivots, and on perturbed
+    // models it takes the empty map's pivots to the same objective.
     LpSolver same = start();
     const LpSolution resumed = same.solve(model, identity);
     EXPECT_TRUE(resumed.warm_started);
     EXPECT_EQ(resumed.iterations, 0u);
+    std::size_t pivots = 0;
+    for (const LpModel& next : moved) {
+      LpSolver by_map = start();
+      LpSolver by_default = start();
+      const LpSolution mapped = by_map.solve(next, identity);
+      const LpSolution plain = by_default.solve(next);
+      ASSERT_TRUE(plain.optimal());
+      EXPECT_TRUE(plain.warm_started);
+      EXPECT_TRUE(mapped.warm_started);
+      EXPECT_EQ(mapped.iterations, plain.iterations);
+      EXPECT_EQ(mapped.objective, plain.objective);
+      pivots += plain.iterations;
+    }
+    EXPECT_GT(pivots, 0u);  // some perturbation moved the optimal basis
   }
 }
 

@@ -13,7 +13,7 @@ constexpr double kTol = 1e-7;
 
 TEST(Simplex, TrivialSingleVariable) {
   LpModel model(Sense::kMaximize);
-  const VarId x = model.add_variable("x", 0.0, kInf, 1.0);
+  const VarId x = model.add_variable(0.0, kInf, 1.0);
   model.add_constraint(LinearExpr{}.add(x, 1.0), Relation::kLessEqual, 5.0);
   const LpSolution solution = SimplexSolver().solve(model);
   ASSERT_TRUE(solution.optimal());
@@ -24,8 +24,8 @@ TEST(Simplex, TrivialSingleVariable) {
 TEST(Simplex, ClassicTwoVariableMax) {
   // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 -> x=2, y=6, obj=36.
   LpModel model(Sense::kMaximize);
-  const VarId x = model.add_variable("x", 0.0, kInf, 3.0);
-  const VarId y = model.add_variable("y", 0.0, kInf, 5.0);
+  const VarId x = model.add_variable(0.0, kInf, 3.0);
+  const VarId y = model.add_variable(0.0, kInf, 5.0);
   model.add_constraint(LinearExpr{}.add(x, 1.0), Relation::kLessEqual, 4.0);
   model.add_constraint(LinearExpr{}.add(y, 2.0), Relation::kLessEqual, 12.0);
   model.add_constraint(LinearExpr{}.add(x, 3.0).add(y, 2.0), Relation::kLessEqual, 18.0);
@@ -40,8 +40,8 @@ TEST(Simplex, MinimizationWithGreaterEqual) {
   // min 2x + 3y s.t. x + y >= 10, x >= 2 -> x=10 (cheaper), y=0? cost 20? No:
   // coefficient of x is 2 < 3, so x=10, y=0, but x >= 2 already satisfied.
   LpModel model(Sense::kMinimize);
-  const VarId x = model.add_variable("x", 0.0, kInf, 2.0);
-  const VarId y = model.add_variable("y", 0.0, kInf, 3.0);
+  const VarId x = model.add_variable(0.0, kInf, 2.0);
+  const VarId y = model.add_variable(0.0, kInf, 3.0);
   model.add_constraint(LinearExpr{}.add(x, 1.0).add(y, 1.0), Relation::kGreaterEqual, 10.0);
   model.add_constraint(LinearExpr{}.add(x, 1.0), Relation::kGreaterEqual, 2.0);
   const LpSolution solution = SimplexSolver().solve(model);
@@ -55,8 +55,8 @@ TEST(Simplex, EqualityConstraint) {
   // max x + 2y s.t. x + y = 4, x - y <= 2 -> x=3,y=1 gives 5; but y as big as
   // possible: y=4,x=0 satisfies x-y=-4<=2, obj=8.
   LpModel model(Sense::kMaximize);
-  const VarId x = model.add_variable("x", 0.0, kInf, 1.0);
-  const VarId y = model.add_variable("y", 0.0, kInf, 2.0);
+  const VarId x = model.add_variable(0.0, kInf, 1.0);
+  const VarId y = model.add_variable(0.0, kInf, 2.0);
   model.add_constraint(LinearExpr{}.add(x, 1.0).add(y, 1.0), Relation::kEqual, 4.0);
   model.add_constraint(LinearExpr{}.add(x, 1.0).add(y, -1.0), Relation::kLessEqual, 2.0);
   const LpSolution solution = SimplexSolver().solve(model);
@@ -68,7 +68,7 @@ TEST(Simplex, EqualityConstraint) {
 
 TEST(Simplex, DetectsInfeasible) {
   LpModel model(Sense::kMaximize);
-  const VarId x = model.add_variable("x", 0.0, kInf, 1.0);
+  const VarId x = model.add_variable(0.0, kInf, 1.0);
   model.add_constraint(LinearExpr{}.add(x, 1.0), Relation::kLessEqual, 1.0);
   model.add_constraint(LinearExpr{}.add(x, 1.0), Relation::kGreaterEqual, 2.0);
   const LpSolution solution = SimplexSolver().solve(model);
@@ -77,8 +77,8 @@ TEST(Simplex, DetectsInfeasible) {
 
 TEST(Simplex, DetectsUnbounded) {
   LpModel model(Sense::kMaximize);
-  const VarId x = model.add_variable("x", 0.0, kInf, 1.0);
-  const VarId y = model.add_variable("y", 0.0, kInf, 0.0);
+  const VarId x = model.add_variable(0.0, kInf, 1.0);
+  const VarId y = model.add_variable(0.0, kInf, 0.0);
   model.add_constraint(LinearExpr{}.add(x, 1.0).add(y, -1.0), Relation::kLessEqual, 1.0);
   const LpSolution solution = SimplexSolver().solve(model);
   EXPECT_EQ(solution.status, SolveStatus::kUnbounded);
@@ -86,8 +86,8 @@ TEST(Simplex, DetectsUnbounded) {
 
 TEST(Simplex, HandlesVariableUpperBounds) {
   LpModel model(Sense::kMaximize);
-  const VarId x = model.add_variable("x", 0.0, 3.0, 1.0);
-  const VarId y = model.add_variable("y", 0.0, 10.0, 1.0);
+  const VarId x = model.add_variable(0.0, 3.0, 1.0);
+  const VarId y = model.add_variable(0.0, 10.0, 1.0);
   model.add_constraint(LinearExpr{}.add(x, 1.0).add(y, 1.0), Relation::kLessEqual, 7.0);
   const LpSolution solution = SimplexSolver().solve(model);
   ASSERT_TRUE(solution.optimal());
@@ -98,8 +98,8 @@ TEST(Simplex, HandlesVariableUpperBounds) {
 TEST(Simplex, HandlesNonzeroLowerBounds) {
   // min x + y with x >= 2, y >= 3, x + y >= 6 -> obj 6 (e.g. x=3,y=3 or x=2,y=4).
   LpModel model(Sense::kMinimize);
-  const VarId x = model.add_variable("x", 2.0, kInf, 1.0);
-  const VarId y = model.add_variable("y", 3.0, kInf, 1.0);
+  const VarId x = model.add_variable(2.0, kInf, 1.0);
+  const VarId y = model.add_variable(3.0, kInf, 1.0);
   model.add_constraint(LinearExpr{}.add(x, 1.0).add(y, 1.0), Relation::kGreaterEqual, 6.0);
   const LpSolution solution = SimplexSolver().solve(model);
   ASSERT_TRUE(solution.optimal());
@@ -112,7 +112,7 @@ TEST(Simplex, HandlesFreeVariables) {
   // max -|x - 3| style: min x' with free x: min x s.t. x >= -5 via constraint.
   // Use: min x (free) s.t. x >= -5 -> x = -5.
   LpModel model(Sense::kMinimize);
-  const VarId x = model.add_variable("x", -kInf, kInf, 1.0);
+  const VarId x = model.add_variable(-kInf, kInf, 1.0);
   model.add_constraint(LinearExpr{}.add(x, 1.0), Relation::kGreaterEqual, -5.0);
   const LpSolution solution = SimplexSolver().solve(model);
   ASSERT_TRUE(solution.optimal());
@@ -123,7 +123,7 @@ TEST(Simplex, HandlesFreeVariables) {
 TEST(Simplex, NegativeRhsRowsAreNormalized) {
   // max x s.t. -x >= -4  (i.e. x <= 4).
   LpModel model(Sense::kMaximize);
-  const VarId x = model.add_variable("x", 0.0, kInf, 1.0);
+  const VarId x = model.add_variable(0.0, kInf, 1.0);
   model.add_constraint(LinearExpr{}.add(x, -1.0), Relation::kGreaterEqual, -4.0);
   const LpSolution solution = SimplexSolver().solve(model);
   ASSERT_TRUE(solution.optimal());
@@ -133,10 +133,10 @@ TEST(Simplex, NegativeRhsRowsAreNormalized) {
 TEST(Simplex, DegenerateLpTerminates) {
   // Classic degenerate LP (multiple constraints through one vertex).
   LpModel model(Sense::kMaximize);
-  const VarId x = model.add_variable("x", 0.0, kInf, 10.0);
-  const VarId y = model.add_variable("y", 0.0, kInf, -57.0);
-  const VarId z = model.add_variable("z", 0.0, kInf, -9.0);
-  const VarId w = model.add_variable("w", 0.0, kInf, -24.0);
+  const VarId x = model.add_variable(0.0, kInf, 10.0);
+  const VarId y = model.add_variable(0.0, kInf, -57.0);
+  const VarId z = model.add_variable(0.0, kInf, -9.0);
+  const VarId w = model.add_variable(0.0, kInf, -24.0);
   model.add_constraint(
       LinearExpr{}.add(x, 0.5).add(y, -5.5).add(z, -2.5).add(w, 9.0),
       Relation::kLessEqual, 0.0);
@@ -151,8 +151,8 @@ TEST(Simplex, DegenerateLpTerminates) {
 
 TEST(Simplex, RedundantEqualityRows) {
   LpModel model(Sense::kMaximize);
-  const VarId x = model.add_variable("x", 0.0, kInf, 1.0);
-  const VarId y = model.add_variable("y", 0.0, kInf, 1.0);
+  const VarId x = model.add_variable(0.0, kInf, 1.0);
+  const VarId y = model.add_variable(0.0, kInf, 1.0);
   model.add_constraint(LinearExpr{}.add(x, 1.0).add(y, 1.0), Relation::kEqual, 4.0);
   model.add_constraint(LinearExpr{}.add(x, 2.0).add(y, 2.0), Relation::kEqual, 8.0);
   const LpSolution solution = SimplexSolver().solve(model);
@@ -164,8 +164,8 @@ TEST(Simplex, DualsOfCapacityConstraints) {
   // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18.
   // Known duals: y1 = 0, y2 = 3/2, y3 = 1.
   LpModel model(Sense::kMaximize);
-  const VarId x = model.add_variable("x", 0.0, kInf, 3.0);
-  const VarId y = model.add_variable("y", 0.0, kInf, 5.0);
+  const VarId x = model.add_variable(0.0, kInf, 3.0);
+  const VarId y = model.add_variable(0.0, kInf, 5.0);
   model.add_constraint(LinearExpr{}.add(x, 1.0), Relation::kLessEqual, 4.0);
   model.add_constraint(LinearExpr{}.add(y, 2.0), Relation::kLessEqual, 12.0);
   model.add_constraint(LinearExpr{}.add(x, 3.0).add(y, 2.0), Relation::kLessEqual, 18.0);
@@ -179,8 +179,8 @@ TEST(Simplex, DualsOfCapacityConstraints) {
 
 TEST(Simplex, StrongDualityHolds) {
   LpModel model(Sense::kMaximize);
-  const VarId x = model.add_variable("x", 0.0, kInf, 4.0);
-  const VarId y = model.add_variable("y", 0.0, kInf, 3.0);
+  const VarId x = model.add_variable(0.0, kInf, 4.0);
+  const VarId y = model.add_variable(0.0, kInf, 3.0);
   model.add_constraint(LinearExpr{}.add(x, 2.0).add(y, 1.0), Relation::kLessEqual, 10.0);
   model.add_constraint(LinearExpr{}.add(x, 1.0).add(y, 3.0), Relation::kLessEqual, 15.0);
   const LpSolution solution = SimplexSolver().solve(model);
@@ -191,8 +191,8 @@ TEST(Simplex, StrongDualityHolds) {
 
 TEST(Simplex, ScalingOnAndOffAgree) {
   LpModel model(Sense::kMaximize);
-  const VarId x = model.add_variable("x", 0.0, kInf, 1e-3);
-  const VarId y = model.add_variable("y", 0.0, kInf, 1e3);
+  const VarId x = model.add_variable(0.0, kInf, 1e-3);
+  const VarId y = model.add_variable(0.0, kInf, 1e3);
   model.add_constraint(LinearExpr{}.add(x, 1e-4).add(y, 1e4), Relation::kLessEqual, 100.0);
   model.add_constraint(LinearExpr{}.add(x, 1.0), Relation::kLessEqual, 1e6);
 
@@ -210,7 +210,7 @@ TEST(Simplex, ScalingOnAndOffAgree) {
 TEST(Simplex, SolutionSatisfiesModelFeasibility) {
   LpModel model(Sense::kMaximize);
   for (int i = 0; i < 6; ++i) {
-    model.add_variable("v" + std::to_string(i), 0.0, kInf, 1.0 + i * 0.3);
+    model.add_variable(0.0, kInf, 1.0 + i * 0.3);
   }
   for (int c = 0; c < 4; ++c) {
     LinearExpr expr;
@@ -224,7 +224,7 @@ TEST(Simplex, SolutionSatisfiesModelFeasibility) {
 
 TEST(Simplex, ZeroConstraintModel) {
   LpModel model(Sense::kMinimize);
-  const VarId x = model.add_variable("x", 0.0, kInf, 1.0);
+  const VarId x = model.add_variable(0.0, kInf, 1.0);
   const LpSolution solution = SimplexSolver().solve(model);
   ASSERT_TRUE(solution.optimal());
   EXPECT_NEAR(solution.values[x], 0.0, kTol);
@@ -232,7 +232,7 @@ TEST(Simplex, ZeroConstraintModel) {
 
 TEST(LpModel, FeasibilityChecker) {
   LpModel model(Sense::kMaximize);
-  const VarId x = model.add_variable("x", 0.0, 2.0, 1.0);
+  const VarId x = model.add_variable(0.0, 2.0, 1.0);
   model.add_constraint(LinearExpr{}.add(x, 1.0), Relation::kGreaterEqual, 1.0);
   EXPECT_TRUE(model.is_feasible({1.5}));
   EXPECT_FALSE(model.is_feasible({0.5}));   // violates >= 1

@@ -28,7 +28,7 @@ LpModel oef_base_model(const core::SpeedupMatrix& w, const std::vector<double>& 
   LpModel model(Sense::kMaximize);
   for (std::size_t l = 0; l < n; ++l) {
     for (std::size_t j = 0; j < k; ++j) {
-      model.add_variable("x", 0.0, kInf, w.at(l, j));
+      model.add_variable(0.0, kInf, w.at(l, j));
     }
   }
   for (std::size_t j = 0; j < k; ++j) {
@@ -57,7 +57,7 @@ Constraint envy_row(const core::SpeedupMatrix& w, std::size_t l, std::size_t i) 
     expr.add(l * k + j, w.at(l, j));
     expr.add(i * k + j, -w.at(l, j));
   }
-  return Constraint{std::move(expr), Relation::kGreaterEqual, 0.0, "ef"};
+  return Constraint{std::move(expr), Relation::kGreaterEqual, 0.0};
 }
 
 /// All envy rows violated at `point` beyond 1e-7.
@@ -186,10 +186,10 @@ TEST(WarmStart, DegenerateStallingInstanceSwitchesToBland) {
   SolverOptions options;
   options.stall_limit = 1;
   LpModel model(Sense::kMaximize);
-  const VarId x = model.add_variable("x", 0.0, kInf, 10.0);
-  const VarId y = model.add_variable("y", 0.0, kInf, -57.0);
-  const VarId z = model.add_variable("z", 0.0, kInf, -9.0);
-  const VarId u = model.add_variable("u", 0.0, kInf, -24.0);
+  const VarId x = model.add_variable(0.0, kInf, 10.0);
+  const VarId y = model.add_variable(0.0, kInf, -57.0);
+  const VarId z = model.add_variable(0.0, kInf, -9.0);
+  const VarId u = model.add_variable(0.0, kInf, -24.0);
   model.add_constraint(LinearExpr{}.add(x, 0.5).add(y, -5.5).add(z, -2.5).add(u, 9.0),
                        Relation::kLessEqual, 0.0);
   model.add_constraint(LinearExpr{}.add(x, 0.5).add(y, -1.5).add(z, -0.5).add(u, 1.0),
@@ -209,8 +209,7 @@ TEST(WarmStart, DegenerateStallingInstanceSwitchesToBland) {
 
   // Cut the optimum off with a degenerate-ish row and warm-resolve.
   std::vector<Constraint> cut;
-  cut.push_back(Constraint{LinearExpr{}.add(x, 1.0).add(y, 1.0), Relation::kLessEqual,
-                           0.5, "cut"});
+  cut.push_back(Constraint{LinearExpr{}.add(x, 1.0).add(y, 1.0), Relation::kLessEqual, 0.5});
   solver.add_rows(cut);
   const LpSolution resolved = solver.resolve();
   ASSERT_TRUE(resolved.optimal());
@@ -221,15 +220,14 @@ TEST(WarmStart, DegenerateStallingInstanceSwitchesToBland) {
 
 TEST(WarmStart, EqualityRowDegradesToColdResolve) {
   LpModel model(Sense::kMaximize);
-  const VarId x = model.add_variable("x", 0.0, kInf, 1.0);
-  const VarId y = model.add_variable("y", 0.0, kInf, 1.0);
+  const VarId x = model.add_variable(0.0, kInf, 1.0);
+  const VarId y = model.add_variable(0.0, kInf, 1.0);
   model.add_constraint(LinearExpr{}.add(x, 1.0).add(y, 1.0), Relation::kLessEqual, 10.0);
 
   LpSolver solver;
   ASSERT_TRUE(solver.solve(model).optimal());
   std::vector<Constraint> rows;
-  rows.push_back(Constraint{LinearExpr{}.add(x, 1.0).add(y, -1.0), Relation::kEqual, 0.0,
-                            "balance"});
+  rows.push_back(Constraint{LinearExpr{}.add(x, 1.0).add(y, -1.0), Relation::kEqual, 0.0});
   solver.add_rows(rows);
   const LpSolution resolved = solver.resolve();
   ASSERT_TRUE(resolved.optimal());
@@ -270,7 +268,7 @@ TEST(WarmStart, RevisedMatchesTableauOnMixedRelationLps) {
     LpModel model(trial % 2 == 0 ? Sense::kMaximize : Sense::kMinimize);
     for (std::size_t v = 0; v < nvars; ++v) {
       const double upper = rng.uniform() < 0.3 ? rng.uniform(1.0, 10.0) : kInf;
-      model.add_variable("v", 0.0, upper, rng.uniform(-2.0, 3.0));
+      model.add_variable(0.0, upper, rng.uniform(-2.0, 3.0));
     }
     const std::size_t nrows = static_cast<std::size_t>(rng.uniform_int(1, 6));
     for (std::size_t r = 0; r < nrows; ++r) {
@@ -320,7 +318,6 @@ TEST(WarmStart, CooperativeLazyLoopWarmStartsRoundTwoOnwards) {
   // warm-started loop must spend fewer total pivots on the same instance.
   core::OefOptions cold_opts = lazy_opts;
   cold_opts.solver.algorithm = solver::LpAlgorithm::kTableau;
-  cold_opts.recycle_envy_rows = false;
   const core::AllocationResult cold =
       core::make_cooperative_oef(cold_opts).allocate(w, caps);
   ASSERT_TRUE(cold.ok());

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Fail on broken intra-repo markdown links and on doc paths cited in code.
+"""Fail on broken intra-repo markdown links, doc paths cited in code, and
+code names in docs that the code no longer has.
 
 Scans every tracked *.md file for inline links/images `[text](target)` and
 reference definitions `[label]: target`, resolves relative targets against
@@ -11,6 +12,14 @@ is missing from the working tree (deleted locally) is reported and skipped.
 Every `*.md` path cited in a tracked *.h or *.cpp file (in a comment or in a
 printed note) must exist too. Such paths resolve from the repository root,
 so a bare name means a file at the root.
+
+Docs name code too, and a name outlives the code it names unless something
+checks it. In every tracked *.md file except the logs (CHANGES.md,
+ROADMAP.md, ISSUE.md, REVIEW.md), each inline code span holding a qualified
+name such as `Type::member` must name identifiers that all occur in the code
+(comments stripped) of src/, bench/, examples/ or perfbench/. And under a
+heading that names a struct of that code (such as `OefOptions`), each row
+of a table must name one of the struct's fields in its first cell.
 
 Used by the CI docs job; run locally as `python3 tools/check_markdown_links.py`.
 Exit code: 1 when any link or citation is broken (the count is printed), 0
@@ -26,6 +35,15 @@ INLINE_LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 REFERENCE_DEF = re.compile(r"^\s*\[[^\]]+\]:\s+(\S+)", re.MULTILINE)
 EXTERNAL = re.compile(r"^[a-zA-Z][a-zA-Z0-9+.-]*:")  # http:, https:, mailto:, ...
 CODE_DOC_PATH = re.compile(r"(?<![\w./-])((?:[\w.-]+/)*[\w.-]+\.md)(?![\w/-])")
+CODE_DIRS = ("src/", "bench/", "examples/", "perfbench/")
+LOG_DOCS = {"CHANGES.md", "ROADMAP.md", "ISSUE.md", "REVIEW.md"}
+FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+CODE_SPAN = re.compile(r"`([^`\n]+)`")
+QUALIFIED = re.compile(r"\b[A-Za-z_]\w*(?:::~?[A-Za-z_]\w*)+")
+COMMENT = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+STRUCT = re.compile(r"\bstruct\s+([A-Za-z_]\w*)\s*\{")
+HEADING = re.compile(r"^#+\s")
 
 
 def repo_root() -> str:
@@ -84,6 +102,72 @@ def check_code_file(root: str, relpath: str) -> list[str]:
     return broken
 
 
+def code_text(root: str, code: list[str]) -> str:
+    """The source of src/, bench/, examples/ and perfbench/, comments stripped."""
+    texts = []
+    for relpath in code:
+        if relpath.startswith(CODE_DIRS):
+            with open(os.path.join(root, relpath), encoding="utf-8") as handle:
+                texts.append(COMMENT.sub(" ", handle.read()))
+    return "\n".join(texts)
+
+
+def struct_fields(code: str) -> dict[str, set[str]]:
+    """Data members of each struct: declarations at the struct's own brace
+    depth with no parameter list before their initialiser."""
+    fields: dict[str, set[str]] = {}
+    for match in STRUCT.finditer(code):
+        members = fields.setdefault(match.group(1), set())
+        depth, statement = 1, ""
+        for char in code[match.end():]:
+            if char == "{":
+                depth += 1
+            elif char == "}":
+                depth -= 1
+                if depth == 0:
+                    break
+                if depth == 1 and "(" in statement:
+                    statement = ""  # a member function's body ended
+            elif depth == 1 and char == ";":
+                declarator = statement.split("=", 1)[0]
+                names = IDENTIFIER.findall(declarator)
+                if names and "(" not in declarator:
+                    members.add(names[-1])
+                statement = ""
+            elif depth == 1:
+                statement += char
+    return fields
+
+
+def check_code_names(relpath: str, text: str, identifiers: set[str],
+                     fields: dict[str, set[str]]) -> list[str]:
+    """Qualified names in inline code spans, and table rows under a heading
+    that names a struct. Fenced blocks are blanked, keeping line numbers."""
+    broken = []
+    prose = FENCE.sub(lambda block: "\n" * block.group(0).count("\n"), text)
+    for span in CODE_SPAN.findall(prose):
+        for name in QUALIFIED.findall(span):
+            if not all(part.lstrip("~") in identifiers for part in name.split("::")):
+                broken.append(f"{relpath}: names code that does not exist -> {name}")
+    struct, in_table = None, False
+    for number, line in enumerate(prose.splitlines(), start=1):
+        if HEADING.match(line):
+            named = [span for span in CODE_SPAN.findall(line) if span in fields]
+            struct, in_table = (named[0] if named else None), False
+            continue
+        is_row = line.startswith("|")
+        header, in_table = is_row and not in_table, is_row
+        if struct is None or not is_row or header:
+            continue
+        first = line.strip().strip("|").split("|")[0].strip()
+        if set(first) <= set("-: "):
+            continue  # the separator row
+        named = CODE_SPAN.findall(first)
+        if not named or named[0] not in fields[struct]:
+            broken.append(f"{relpath}:{number}: {first} is not a field of {struct}")
+    return broken
+
+
 def present_files(root: str, files: list[str]) -> list[str]:
     present = [f for f in files if os.path.isfile(os.path.join(root, f))]
     for relpath in sorted(set(files) - set(present)):
@@ -105,10 +189,18 @@ def main() -> int:
         broken.extend(check_file(root, relpath))
     for relpath in code:
         broken.extend(check_code_file(root, relpath))
+    source = code_text(root, code)
+    identifiers = set(IDENTIFIER.findall(source))
+    fields = struct_fields(source)
+    for relpath in markdown:
+        if relpath in LOG_DOCS:
+            continue
+        with open(os.path.join(root, relpath), encoding="utf-8") as handle:
+            broken.extend(check_code_names(relpath, handle.read(), identifiers, fields))
     for line in broken:
         print(line)
     print(f"checked {len(markdown)} markdown files and {len(code)} code files, "
-          f"{len(broken)} broken links")
+          f"{len(broken)} broken links or names")
     return 1 if broken else 0
 
 
