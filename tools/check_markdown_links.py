@@ -14,8 +14,9 @@ printed note) must exist too. Such paths resolve from the repository root,
 so a bare name means a file at the root.
 
 Docs name code too, and a name outlives the code it names unless something
-checks it. In every tracked *.md file except the logs (CHANGES.md,
-ROADMAP.md, ISSUE.md, REVIEW.md), each inline code span holding a qualified
+checks it. In README.md and every tracked *.md file below the root (the
+other root-level files are notes: the change log, the roadmap, plans, and
+papers and snippets of other code), each inline code span holding a qualified
 name such as `Type::member` must name identifiers that all occur in the code
 (comments stripped) of src/, bench/, examples/ or perfbench/. And under a
 heading that names a struct of that code (such as `OefOptions`), each row
@@ -36,7 +37,6 @@ REFERENCE_DEF = re.compile(r"^\s*\[[^\]]+\]:\s+(\S+)", re.MULTILINE)
 EXTERNAL = re.compile(r"^[a-zA-Z][a-zA-Z0-9+.-]*:")  # http:, https:, mailto:, ...
 CODE_DOC_PATH = re.compile(r"(?<![\w./-])((?:[\w.-]+/)*[\w.-]+\.md)(?![\w/-])")
 CODE_DIRS = ("src/", "bench/", "examples/", "perfbench/")
-LOG_DOCS = {"CHANGES.md", "ROADMAP.md", "ISSUE.md", "REVIEW.md"}
 FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
 CODE_SPAN = re.compile(r"`([^`\n]+)`")
 QUALIFIED = re.compile(r"\b[A-Za-z_]\w*(?:::~?[A-Za-z_]\w*)+")
@@ -168,6 +168,11 @@ def check_code_names(relpath: str, text: str, identifiers: set[str],
     return broken
 
 
+def is_root_note(relpath: str) -> bool:
+    """A root-level doc other than README.md: a note whose names go unchecked."""
+    return "/" not in relpath and relpath != "README.md"
+
+
 def present_files(root: str, files: list[str]) -> list[str]:
     present = [f for f in files if os.path.isfile(os.path.join(root, f))]
     for relpath in sorted(set(files) - set(present)):
@@ -193,7 +198,7 @@ def main() -> int:
     identifiers = set(IDENTIFIER.findall(source))
     fields = struct_fields(source)
     for relpath in markdown:
-        if relpath in LOG_DOCS:
+        if is_root_note(relpath):
             continue
         with open(os.path.join(root, relpath), encoding="utf-8") as handle:
             broken.extend(check_code_names(relpath, handle.read(), identifiers, fields))
