@@ -1,6 +1,6 @@
 // Robustness benchmark: the dynamic-cluster engine under a failure-heavy
 // seeded event schedule (tenant churn, demand bursts, GPU/host failures,
-// mix drift) with solver fault injection (corrupted eta updates, forced
+// mix drift) with solver fault injection (corrupted basis updates, forced
 // basis deficiencies) layered on top.
 //
 // Two arms run the SAME trace and event schedule:

@@ -2,11 +2,12 @@
 //
 // This is the perf trajectory the paper's Fig. 8 / Fig. 10a evaluation
 // needs: the cooperative sweep runs to n = 1000 users on the revised simplex
-// (sparse LU + eta file basis, devex pricing). Two arms run: the product and
-// the independent full-tableau reference at small n. All arms must agree on
-// the objective to 1e-6, and every allocation must fit capacity and be
-// envy-free and sharing-incentive to 1e-6 (core/properties.h), with no
-// revised optimum failing its optimality certificate (solver/certificate.h).
+// (sparse LU basis with Forrest–Tomlin updates, devex pricing). Two arms
+// run: the product and the independent full-tableau reference at small n.
+// All arms must agree on the objective to 1e-6, and every allocation must
+// fit capacity and be envy-free and sharing-incentive to 1e-6
+// (core/properties.h), with no revised optimum failing its optimality
+// certificate (solver/certificate.h).
 //
 // Output: a human-readable table plus machine-readable BENCH_scaling.json
 // (one record per n x arm; schema in docs/BENCHMARKS.md) so the perf
@@ -62,6 +63,7 @@ struct RunRecord {
   std::size_t envy_rows_dropped = 0;
   std::size_t warm_compactions = 0;
   std::size_t lp_iterations = 0;
+  std::size_t refactorisations = 0;
   std::size_t certificate_failures = 0;
   bool fits_capacity = false;
   bool envy_free = false;
@@ -113,6 +115,7 @@ RunRecord run_arm(std::size_t n, const ArmSpec& arm) {
   record.envy_rows_dropped = result.envy_rows_dropped;
   record.warm_compactions = result.warm_compactions;
   record.lp_iterations = result.lp_iterations;
+  record.refactorisations = result.refactorisations;
   record.certificate_failures = result.certificate_failures;
   record.fits_capacity = result.allocation.respects_capacity(caps, kPropertyTol);
   record.envy_free = core::check_envy_freeness(w, result.allocation, kPropertyTol).envy_free;
@@ -136,12 +139,13 @@ void write_json(const std::vector<RunRecord>& records, const std::string& path) 
                  "\"solver_seconds\": %.6f, \"oracle_seconds\": %.6f, "
                  "\"lazy_rounds\": %zu, \"envy_rows_added\": %zu, "
                  "\"envy_rows_dropped\": %zu, \"warm_compactions\": %zu, "
-                 "\"lp_iterations\": %zu, \"certificate_failures\": %zu, "
+                 "\"lp_iterations\": %zu, \"refactorisations\": %zu, "
+                 "\"certificate_failures\": %zu, "
                  "\"fits_capacity\": %s, \"envy_free\": %s, \"sharing_incentive\": %s}%s\n",
                  r.n, r.arm.c_str(), r.basis.c_str(), r.ok ? "true" : "false",
                  r.objective, r.wall_seconds, r.solver_seconds, r.oracle_seconds,
                  r.lazy_rounds, r.envy_rows_added, r.envy_rows_dropped,
-                 r.warm_compactions, r.lp_iterations, r.certificate_failures,
+                 r.warm_compactions, r.lp_iterations, r.refactorisations, r.certificate_failures,
                  r.fits_capacity ? "true" : "false",
                  r.envy_free ? "true" : "false", r.sharing_incentive ? "true" : "false",
                  i + 1 < records.size() ? "," : "");
@@ -174,7 +178,7 @@ int main(int argc, char** argv) {
   const std::size_t sweep[] = {40, 80, 150, 300, 600, 1000};
   std::vector<RunRecord> records;
   common::Table table({"n", "arm", "wall (s)", "solver (s)", "oracle (s)", "rounds",
-                       "rows", "pivots", "objective"});
+                       "rows", "pivots", "refactors", "objective"});
   for (const std::size_t n : sweep) {
     if (n > max_n) continue;
     for (const ArmSpec& arm : kArms) {
@@ -184,7 +188,7 @@ int main(int argc, char** argv) {
                      common::format_double(r.solver_seconds, 3),
                      common::format_double(r.oracle_seconds, 3),
                      std::to_string(r.lazy_rounds), std::to_string(r.envy_rows_added),
-                     std::to_string(r.lp_iterations),
+                     std::to_string(r.lp_iterations), std::to_string(r.refactorisations),
                      common::format_double(r.objective, 6)});
       records.push_back(r);
     }

@@ -168,6 +168,7 @@ AllocationResult OefAllocator::allocate_weighted(
   result.warm_rounds = after.warm_resolves - before.warm_resolves;
   result.solve_seconds = after.solve_seconds - before.solve_seconds;
   result.basis_repairs = after.basis_repairs - before.basis_repairs;
+  result.refactorisations = after.refactorisations - before.refactorisations;
   result.certificate_failures = after.certificate_failures - before.certificate_failures;
   return result;
 }

@@ -131,6 +131,9 @@ struct AllocationResult {
   /// optima whose certificate failed.
   std::size_t basis_repairs = 0;
   std::size_t certificate_failures = 0;
+  /// Basis factorisations from scratch during this call (a delta of
+  /// LpSolverStats::refactorisations, warm entries included).
+  std::size_t refactorisations = 0;
 
   /// True only for a converged optimum.
   [[nodiscard]] bool ok() const { return outcome == AllocationStatus::kOptimal; }

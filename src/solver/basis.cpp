@@ -15,6 +15,24 @@ constexpr double kSingularTol = 1e-12;
 /// Threshold partial pivoting: rows within this factor of the largest
 /// eligible magnitude compete on sparsity (static Markowitz tie-break).
 constexpr double kPivotThreshold = 0.1;
+/// A Forrest–Tomlin update's new U diagonal must equal the old one times the
+/// ftran pivot to this relative tolerance; a larger gap is drift.
+constexpr double kUpdateTol = 1e-8;
+/// order_ entry of a slot whose factor index an update moved to the end.
+constexpr std::size_t kMoved = SIZE_MAX;
+
+/// Removes the entry of index `idx` from `entries`. Their order is free:
+/// every solve applies one list's entries to distinct indices.
+template <typename EntryT>
+void erase_index(std::vector<EntryT>& entries, std::size_t idx) {
+  for (EntryT& e : entries) {
+    if (e.idx == idx) {
+      e = entries.back();
+      entries.pop_back();
+      return;
+    }
+  }
+}
 }  // namespace
 
 // Refactorisation is a left-looking Gilbert–Peierls elimination: columns are
@@ -22,23 +40,22 @@ constexpr double kPivotThreshold = 0.1;
 // columns factor with zero fill — the dominant case in the row-generation
 // LPs), each column's fill pattern is discovered by a DFS over the partially
 // built L, and the pivot row is the sparsest original row among those within
-// kPivotThreshold of the largest eligible magnitude. Pivots append sparse
-// etas; ftran applies LU solves then etas in order, btran applies eta
-// transposes in reverse order then the transposed LU solves. All four
-// triangular sweeps are in scatter form, so zero intermediates are skipped —
-// a sparse right-hand side (one constraint column in ftran, the
-// mostly-structural c_B in btran) costs O(reachable nonzeros), not O(m^2).
+// kPivotThreshold of the largest eligible magnitude. Pivots update U in place
+// (Forrest–Tomlin, see pivot()); ftran applies L, the row etas in order, then
+// U in its triangular order; btran applies U^T, the row-eta transposes in
+// reverse order, then L^T. All triangular sweeps are in scatter form, so
+// zero intermediates are skipped — a sparse right-hand side (one constraint
+// column in ftran, the mostly-structural c_B in btran) costs O(reachable
+// nonzeros), not O(m^2).
 
 void Basis::set_basic(std::vector<std::size_t> basic) {
   basic_ = std::move(basic);
   install_identity();
-  pivots_since_refactor_ = 0;
 }
 
 bool Basis::refactor_due() const {
-  if (etas_.size() >= kMaxEtas) return true;
-  const double fresh = static_cast<double>(lu_nnz_ + basic_.size());
-  return static_cast<double>(eta_nnz_) > kMaxFillGrowth * fresh;
+  if (drifted_ || pivots_since_refactor_ >= kMaxUpdates) return true;
+  return static_cast<double>(factor_nnz_) > kMaxFillGrowth * static_cast<double>(fresh_nnz_);
 }
 
 void Basis::check_factored() const {
@@ -79,26 +96,79 @@ std::vector<double> Basis::btran_unit(std::size_t pos) const {
 }
 
 void Basis::pivot(std::size_t leave_row, std::size_t enter_col,
-                  const std::vector<double>& ftran_col) {
+                  const std::vector<SparseEntry>& column, double ftran_pivot) {
   const std::size_t m = basic_.size();
   OEF_CHECK(leave_row < m);
-  OEF_CHECK(ftran_col.size() == m);
-  Eta eta;
-  eta.pos = leave_row;
-  eta.pivot = ftran_col[leave_row];
-  for (std::size_t i = 0; i < m; ++i) {
-    if (i == leave_row || ftran_col[i] == 0.0) continue;
-    eta.others.push_back({i, ftran_col[i]});
+  check_factored();
+  const std::size_t r = factor_of_pos_[leave_row];
+  // The spike: the entering column through the row permutation, L and the
+  // row etas so far. It replaces column r of U.
+  std::vector<double> spike(m, 0.0);
+  for (const SparseEntry& entry : column) spike[factor_of_row_[entry.row]] += entry.value;
+  lower_solve(spike);
+  for (const Entry& e : ucols_[r]) erase_index(urows_[e.idx], r);
+  factor_nnz_ -= ucols_[r].size();
+  ucols_[r].clear();
+
+  // Row and column r move to the end of the triangular order, which leaves
+  // row r's off-diagonal entries below the diagonal. One row eta eliminates
+  // them with multiples of the later rows, in order; fill lands only further
+  // along, so one scan that stops when no nonzero is left sees each entry
+  // once. The eliminated rows' spike entries fold into the new diagonal.
+  std::vector<double> row(m, 0.0);
+  std::size_t pending = urows_[r].size();
+  for (const Entry& e : urows_[r]) {
+    row[e.idx] = e.value;
+    erase_index(ucols_[e.idx], r);
   }
-  eta_nnz_ += eta.others.size() + 1;
-  etas_.push_back(std::move(eta));
+  factor_nnz_ -= urows_[r].size();
+  urows_[r].clear();
+  RowEta eta{r, {}};
+  double diag = spike[r];
+  for (std::size_t slot = slot_of_[r] + 1; pending > 0 && slot < order_.size(); ++slot) {
+    const std::size_t j = order_[slot];
+    if (j == kMoved || row[j] == 0.0) continue;
+    const double mult = row[j] / udiag_[j];
+    row[j] = 0.0;
+    --pending;
+    eta.entries.push_back({j, mult});
+    diag -= mult * spike[j];
+    for (const Entry& e : urows_[j]) {
+      const double before = row[e.idx];
+      const double after = before - mult * e.value;
+      row[e.idx] = after;
+      if (before == 0.0 && after != 0.0) ++pending;
+      if (before != 0.0 && after == 0.0) --pending;
+    }
+  }
+
+  for (std::size_t i = 0; i < m; ++i) {
+    if (i == r || spike[i] == 0.0) continue;
+    ucols_[r].push_back({i, spike[i]});
+    urows_[i].push_back({r, spike[i]});
+  }
+  factor_nnz_ += ucols_[r].size() + eta.entries.size();
+  if (!eta.entries.empty()) row_etas_.push_back(std::move(eta));
+  order_[slot_of_[r]] = kMoved;
+  slot_of_[r] = order_.size();
+  order_.push_back(r);
+
+  // The update scales det U by the ftran pivot and changes only diagonal r,
+  // so the new diagonal must be the old one times that pivot.
+  const double expected = udiag_[r] * ftran_pivot;
+  if (!(std::abs(diag - expected) <= kUpdateTol * std::abs(expected)) ||
+      std::abs(diag) < kSingularTol) {
+    drifted_ = true;
+  }
+  udiag_[r] = diag;
+  last_update_ = r;
   basic_[leave_row] = enter_col;
   ++pivots_since_refactor_;
 }
 
 bool Basis::corrupt_last_eta(double factor) {
-  if (etas_.empty()) return false;
-  etas_.back().pivot *= factor;
+  if (last_update_ == SIZE_MAX) return false;
+  udiag_[last_update_] *= factor;
   return true;
 }
 
@@ -115,12 +185,25 @@ void Basis::install_identity() {
   std::iota(row_of_.begin(), row_of_.end(), std::size_t{0});
   std::iota(col_order_.begin(), col_order_.end(), std::size_t{0});
   std::iota(factor_of_row_.begin(), factor_of_row_.end(), std::size_t{0});
-  etas_.clear();
-  eta_nnz_ = 0;
-  lu_nnz_ = m;
+  factor_of_pos_ = col_order_;
+  fresh_nnz_ = m;
+  reset_updates();
 }
 
-std::vector<double> Basis::ftran_factor_space(std::vector<double> z) const {
+void Basis::reset_updates() {
+  const std::size_t m = basic_.size();
+  order_.resize(m);
+  slot_of_.resize(m);
+  std::iota(order_.begin(), order_.end(), std::size_t{0});
+  std::iota(slot_of_.begin(), slot_of_.end(), std::size_t{0});
+  row_etas_.clear();
+  factor_nnz_ = fresh_nnz_;
+  last_update_ = SIZE_MAX;
+  drifted_ = false;
+  pivots_since_refactor_ = 0;
+}
+
+void Basis::lower_solve(std::vector<double>& z) const {
   const std::size_t m = basic_.size();
   // L z' = z, forward scatter: zero intermediates skip their column.
   for (std::size_t k = 0; k < m; ++k) {
@@ -128,43 +211,48 @@ std::vector<double> Basis::ftran_factor_space(std::vector<double> z) const {
     if (zk == 0.0) continue;
     for (const Entry& e : lcols_[k]) z[e.idx] -= e.value * zk;
   }
-  // U y = z', backward scatter.
-  for (std::size_t k = m; k-- > 0;) {
-    if (z[k] == 0.0) continue;
+  for (const RowEta& eta : row_etas_) {
+    double acc = z[eta.row];
+    for (const Entry& e : eta.entries) acc -= e.value * z[e.idx];
+    z[eta.row] = acc;
+  }
+}
+
+std::vector<double> Basis::ftran_factor_space(std::vector<double> z) const {
+  const std::size_t m = basic_.size();
+  lower_solve(z);
+  // U y = z', backward scatter in reverse triangular order.
+  for (std::size_t slot = order_.size(); slot-- > 0;) {
+    const std::size_t k = order_[slot];
+    if (k == kMoved || z[k] == 0.0) continue;
     const double yk = z[k] / udiag_[k];
     z[k] = yk;
     for (const Entry& e : ucols_[k]) z[e.idx] -= e.value * yk;
   }
-  // Back to basis positions, then the eta file in chronological order.
   std::vector<double> w(m, 0.0);
   for (std::size_t k = 0; k < m; ++k) w[col_order_[k]] = z[k];
-  for (const Eta& eta : etas_) {
-    // (E^-1 w)_pos = w_pos / pivot; the off-pivot entries shed that much.
-    const double wp = w[eta.pos] / eta.pivot;
-    w[eta.pos] = wp;
-    if (wp == 0.0) continue;
-    for (const Entry& e : eta.others) w[e.idx] -= e.value * wp;
-  }
   return w;
 }
 
 std::vector<double> Basis::btran_position_space(std::vector<double> c) const {
   const std::size_t m = basic_.size();
   check_factored();
-  // Eta transposes in reverse order: c <- E^-T c.
-  for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
-    double acc = c[it->pos];
-    for (const Entry& e : it->others) acc -= e.value * c[e.idx];
-    c[it->pos] = acc / it->pivot;
-  }
   std::vector<double> g(m, 0.0);
   for (std::size_t k = 0; k < m; ++k) g[k] = c[col_order_[k]];
-  // U^T z = g, forward scatter over U rows; zero intermediates skip their row.
-  for (std::size_t j = 0; j < m; ++j) {
+  // U^T z = g, forward scatter over U rows in triangular order; zero
+  // intermediates skip their row.
+  for (const std::size_t j : order_) {
+    if (j == kMoved) continue;
     const double zj = g[j] / udiag_[j];
     g[j] = zj;
     if (zj == 0.0) continue;
     for (const Entry& e : urows_[j]) g[e.idx] -= e.value * zj;
+  }
+  // Row-eta transposes, newest first.
+  for (auto it = row_etas_.rbegin(); it != row_etas_.rend(); ++it) {
+    const double v = g[it->row];
+    if (v == 0.0) continue;
+    for (const Entry& e : it->entries) g[e.idx] -= e.value * v;
   }
   // L^T v = z, backward scatter over L rows.
   for (std::size_t i = m; i-- > 0;) {
@@ -181,7 +269,6 @@ bool Basis::refactor(const SparseMatrix& columns) {
   const std::size_t m = basic_.size();
   if (m == 0) {
     install_identity();
-    pivots_since_refactor_ = 0;
     return true;
   }
 
@@ -330,21 +417,21 @@ bool Basis::refactor(const SparseMatrix& columns) {
   lrows_.assign(m, {});
   ucols_ = std::move(ucols);
   urows_.assign(m, {});
-  lu_nnz_ = m;
+  factor_of_pos_.resize(m);
+  fresh_nnz_ = m;
   for (std::size_t k = 0; k < m; ++k) {
+    factor_of_pos_[col_order_[k]] = k;
     lcols_[k].reserve(lcols_orig[k].size());
     for (const Entry& e : lcols_orig[k]) {
       lcols_[k].push_back({factor_of_row_[e.idx], e.value});
     }
-    lu_nnz_ += lcols_[k].size() + ucols_[k].size();
+    fresh_nnz_ += lcols_[k].size() + ucols_[k].size();
   }
   for (std::size_t k = 0; k < m; ++k) {
     for (const Entry& e : lcols_[k]) lrows_[e.idx].push_back({k, e.value});
     for (const Entry& e : ucols_[k]) urows_[e.idx].push_back({k, e.value});
   }
-  etas_.clear();
-  eta_nnz_ = 0;
-  pivots_since_refactor_ = 0;
+  reset_updates();
   return true;
 }
 

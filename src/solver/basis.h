@@ -1,5 +1,5 @@
 // Simplex basis: the set of basic columns plus a sparse LU factorisation of
-// the basis matrix B with a product-form eta file.
+// the basis matrix B, kept current across pivots by Forrest–Tomlin updates.
 //
 // The revised simplex in lp_solver.cpp keeps the constraint matrix A fixed
 // and represents the current vertex entirely through this object: solves with
@@ -11,14 +11,20 @@
 //
 // The factorisation is a left-looking Gilbert–Peierls elimination with
 // threshold partial pivoting and a static Markowitz-style sparsest-row
-// tie-break; each pivot appends one eta. ftran/btran are sparse triangular +
-// eta solves that skip zero intermediates, so the per-pivot cost is O(nnz)
-// rather than O(m^2). Refactorisation is triggered by eta-file length / fill
-// growth rather than a fixed pivot count. This is what carries the
-// cooperative sweep to n ~ 1000 (m ~ 16k envy rows).
+// tie-break. A pivot updates the factors in place (J. Forrest and J. Tomlin,
+// 1972): the entering column's spike L^-1 a_q replaces the leaving column of
+// U, that column moves to the end of U's triangular order, and one sparse
+// row eta eliminates the row it left behind. L never changes between
+// refactorisations. ftran applies L, the row etas in order, then U in its
+// kept order; btran runs the reverse. The solves skip zero intermediates, so
+// the per-pivot cost is O(nnz) rather than O(m^2). Refactorisation fires at
+// an update cap, on factor growth, or when an update's new diagonal
+// disagrees with the ftran pivot. This is what carries the cooperative
+// sweep to n ~ 1000 (m ~ 16k envy rows).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -28,9 +34,10 @@ namespace oef::solver {
 
 class Basis {
  public:
-  /// Refactorisation policy (see refactor_due): the eta file may hold at most
-  /// kMaxEtas etas, and its nonzeros at most kMaxFillGrowth x (LU nonzeros + m).
-  static constexpr std::size_t kMaxEtas = 64;
+  /// Refactorisation policy (see refactor_due): at most kMaxUpdates
+  /// Forrest–Tomlin updates, and factor nonzeros (L, U and row etas) at most
+  /// kMaxFillGrowth x the fresh factor's.
+  static constexpr std::size_t kMaxUpdates = 150;
   static constexpr double kMaxFillGrowth = 2.0;
 
   /// Number of rows (== number of basic columns).
@@ -42,7 +49,7 @@ class Basis {
   /// Installs a basic set and an identity factorisation; valid as-is only
   /// when the basis matrix actually is the identity (the all-slack /
   /// all-artificial start), otherwise call refactor() before any solve.
-  /// Resets the pivot counter and the eta file.
+  /// Resets the update count.
   void set_basic(std::vector<std::size_t> basic);
 
   /// Factorises the basis matrix from scratch against `columns` (the full
@@ -51,9 +58,9 @@ class Basis {
   /// positions to repair and the previous factorisation is unusable.
   [[nodiscard]] bool refactor(const SparseMatrix& columns);
 
-  /// True when the eta file is due for a refactorisation: it holds kMaxEtas
-  /// etas (each is an extra pass in every solve), or its nonzeros exceed
-  /// kMaxFillGrowth x (LU nonzeros + m) (the sparse-solve advantage erodes).
+  /// True when the factor is due for a refactorisation: it holds kMaxUpdates
+  /// updates, its nonzeros exceed kMaxFillGrowth x the fresh factor's, or an
+  /// update's new diagonal disagreed with its ftran pivot (drift).
   [[nodiscard]] bool refactor_due() const;
 
   /// w = B^-1 a (a indexed by constraint row, w by basis position).
@@ -69,11 +76,13 @@ class Basis {
   /// and the devex reference updates.
   [[nodiscard]] std::vector<double> btran_unit(std::size_t pos) const;
 
-  /// Applies the pivot (leave_row, enter_col) by appending one eta to the
-  /// product-form file. `ftran_col` must be B^-1 A_enter as returned by
-  /// ftran().
+  /// Replaces the basic column of position `leave_row` with `enter_col`,
+  /// whose constraint-matrix entries are `column`, by one Forrest–Tomlin
+  /// update. `ftran_pivot` is entry `leave_row` of ftran(column); the update
+  /// checks its new U diagonal against it and makes refactor_due() true when
+  /// they disagree.
   void pivot(std::size_t leave_row, std::size_t enter_col,
-             const std::vector<double>& ftran_col);
+             const std::vector<SparseEntry>& column, double ftran_pivot);
 
   /// Extends the basic set for one appended constraint row whose slack column
   /// (index `slack_col`) becomes basic in the new row. The factorisation is
@@ -94,9 +103,9 @@ class Basis {
     return deficiency_;
   }
 
-  /// Fault injection: scales the newest eta's pivot element by `factor`,
-  /// emulating accumulated update drift. Returns false (nothing corrupted)
-  /// when the eta file is empty.
+  /// Fault injection: scales the U diagonal that the newest update set by
+  /// `factor`, emulating accumulated update drift. Returns false (nothing
+  /// corrupted) when no update happened since the last factorisation.
   bool corrupt_last_eta(double factor);
 
  private:
@@ -104,42 +113,56 @@ class Basis {
     std::size_t idx = 0;
     double value = 0.0;
   };
-  /// One product-form update: B_new = B_old * E with column `pos` of E equal
-  /// to the pivot's ftran column (stored split into the pivot element and the
-  /// off-pivot nonzeros, basis-position indexed).
-  struct Eta {
-    std::size_t pos = 0;
-    double pivot = 1.0;
-    std::vector<Entry> others;
+  /// One Forrest–Tomlin row eta, in factor space: z_row −= Σ value · z_idx.
+  struct RowEta {
+    std::size_t row = 0;
+    std::vector<Entry> entries;
   };
 
   void install_identity();
+  /// Resets the update state (order, row etas, counters) over fresh factors.
+  void reset_updates();
   /// Fails the check when append_row() grew the basic set since the last
   /// factorisation (solving then would read past the factor).
   void check_factored() const;
-  /// L then U solve plus the eta file, input/output in factor/position space.
+  /// L, then the row etas in order: z <- R_k..R_1 L^-1 z, in factor space.
+  void lower_solve(std::vector<double>& z) const;
+  /// L solve, row etas and U solve; input in factor space, output in basis
+  /// position space.
   [[nodiscard]] std::vector<double> ftran_factor_space(std::vector<double> z) const;
-  /// Eta transposes (reverse order) then U^T, L^T solves; input in basis
-  /// position space, output in constraint-row space.
+  /// U^T solve, row-eta transposes in reverse order, then L^T; input in
+  /// basis position space, output in constraint-row space.
   [[nodiscard]] std::vector<double> btran_position_space(std::vector<double> c) const;
 
   std::vector<std::size_t> basic_;
   std::size_t pivots_since_refactor_ = 0;
 
   // LU factors in factor space: position k of the factorisation eliminates
-  // original constraint row row_of_[k] using basis position col_order_[k].
-  // lcols_[k] holds the below-diagonal column k of L (unit diagonal implied),
-  // ucols_[k] the above-diagonal column k of U, udiag_[k] its diagonal;
-  // lrows_/urows_ are the row-major mirrors used by the transposed solves.
+  // original constraint row row_of_[k] using basis position col_order_[k],
+  // and an update keeps that pairing (the entering column takes the leaving
+  // column's factor index). lcols_[k] holds the below-diagonal column k of L
+  // (unit diagonal implied), ucols_[k] the off-diagonal column k of U,
+  // udiag_[k] its diagonal; lrows_/urows_ are the row-major mirrors used by
+  // the transposed solves. U is triangular in order_, the factor indices in
+  // elimination order: an update marks its index's slot kMoved and appends
+  // it, and slot_of_ maps each index to its live slot.
   std::vector<std::vector<Entry>> lcols_, lrows_, ucols_, urows_;
   std::vector<double> udiag_;
   std::vector<std::size_t> row_of_;         // factor index -> original row
   std::vector<std::size_t> factor_of_row_;  // original row -> factor index
   std::vector<std::size_t> col_order_;      // factor index -> basis position
-  std::vector<Eta> etas_;
+  std::vector<std::size_t> factor_of_pos_;  // basis position -> factor index
+  std::vector<std::size_t> order_;
+  std::vector<std::size_t> slot_of_;
+  std::vector<RowEta> row_etas_;
   std::vector<std::pair<std::size_t, std::size_t>> deficiency_;
-  std::size_t eta_nnz_ = 0;
-  std::size_t lu_nnz_ = 0;
+  // Nonzeros of L, U (diagonal included) and the row etas, now and at the
+  // last factorisation (the growth trigger).
+  std::size_t factor_nnz_ = 0;
+  std::size_t fresh_nnz_ = 0;
+  // Factor index of the newest update (SIZE_MAX: none since the factor).
+  std::size_t last_update_ = SIZE_MAX;
+  bool drifted_ = false;
 };
 
 }  // namespace oef::solver

@@ -6,13 +6,14 @@
 // untestable at unit scale. A FaultInjector manufactures the breakdowns
 // on demand, from a seeded stream so every run is reproducible:
 //
-//   * eta corruption — after a pivot, the newest product-form eta's pivot
-//     element is scaled by 1e3 (lp_solver.cpp's kEtaCorruptionFactor),
-//     mimicking the accumulated update drift that makes ftran/btran disagree
-//     with the true basis. The solver's refactor-and-retry logic and the
-//     optimality certificate of every kept optimum are what catch it; an
+//   * eta corruption — after a pivot, the U diagonal that the newest
+//     Forrest–Tomlin update set is scaled by 1e3 (lp_solver.cpp's
+//     kEtaCorruptionFactor), mimicking the accumulated update drift that
+//     makes ftran/btran disagree with the true basis. The corrupted factor
+//     stays consistent with itself until the next refactorisation, so the
+//     optimality certificate of every kept optimum is what catches it; an
 //     optimum that fails the certificate is first reoptimised from its own
-//     basis, whose refactorisation drops the corrupted eta.
+//     basis, whose refactorisation drops the corrupted update.
 //   * basis faults — at a refactorisation, one basic column is duplicated,
 //     making the basis structurally singular. This drives the exact
 //     deficiency-repair path (patching with unit columns) that real drift
@@ -32,7 +33,7 @@ namespace oef::solver {
 
 struct FaultInjectorConfig {
   std::uint64_t seed = 0x5eedULL;
-  /// Per-pivot probability of corrupting the newest eta.
+  /// Per-pivot probability of corrupting the newest basis update.
   double eta_corruption_rate = 0.0;
   /// Per-refactorisation probability of duplicating a basic column.
   double basis_fault_rate = 0.0;
@@ -48,7 +49,8 @@ class FaultInjector {
  public:
   explicit FaultInjector(FaultInjectorConfig config = {});
 
-  /// True when this pivot should corrupt the newest eta. Advances the stream.
+  /// True when this pivot should corrupt the newest basis update. Advances
+  /// the stream.
   [[nodiscard]] bool roll_eta_corruption();
   /// True when this refactorisation should duplicate a basic column.
   [[nodiscard]] bool roll_basis_fault();

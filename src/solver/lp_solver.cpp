@@ -6,6 +6,7 @@
 #include <limits>
 #include <numeric>
 #include <type_traits>
+#include <utility>
 
 #include "common/check.h"
 #include "common/clock.h"
@@ -24,7 +25,8 @@ constexpr double kFeasTol = 1e-9;
 // Devex reference-framework restart threshold: when the largest weight grows
 // past this, the frame is stale and all weights reset to 1.
 constexpr double kDevexReset = 1e7;
-// Scale the fault injector applies to a corrupted eta's pivot element.
+// Scale the fault injector applies to the U diagonal a corrupted
+// Forrest–Tomlin update set.
 constexpr double kEtaCorruptionFactor = 1e3;
 // Every residual of a kept result's optimality certificate must be within it.
 constexpr double kCertificateTol = 1e-6;
@@ -207,12 +209,11 @@ class LpSolver::Core {
 
   [[nodiscard]] std::size_t iterations() const { return iterations_; }
 
-  /// Deficient basis positions repaired since the last harvest; resets the
-  /// counter so LpSolver can accumulate deltas into its stats.
-  [[nodiscard]] std::size_t take_basis_repairs() {
-    const std::size_t repairs = basis_repairs_;
-    basis_repairs_ = 0;
-    return repairs;
+  /// Adds the deficient basis positions repaired and the refactorisations
+  /// since the last harvest to `stats`, and resets both counters.
+  void harvest(LpSolverStats& stats) {
+    stats.basis_repairs += std::exchange(basis_repairs_, 0);
+    stats.refactorisations += std::exchange(refactorisations_, 0);
   }
 
  private:
@@ -243,8 +244,8 @@ class LpSolver::Core {
   /// d_enter = 0 and d_leaving = −θ (basic entries of d_ drift unread; a
   /// column's entry is set when it leaves the basis). The leaving column
   /// rests at its upper bound when `leave_at_upper`, else at its lower; the
-  /// basis takes one eta, which the fault injector may corrupt, and the
-  /// pivot counts. Returns the leaving column.
+  /// basis takes one Forrest–Tomlin update, which the fault injector may
+  /// corrupt, and the pivot counts. Returns the leaving column.
   std::size_t change_basis(std::size_t leave, std::size_t enter, const std::vector<double>& w,
                            double step, double entering_value, double pivot,
                            bool leave_at_upper);
@@ -261,9 +262,15 @@ class LpSolver::Core {
   /// vertex; each such column then moves, in column order and in the
   /// direction its reduced cost prefers, until it reaches a bound or a basic
   /// column does and it pivots in. The result is a basis whose vertex is the
-  /// previous one moved along the freed directions only.
-  void cross_over();
-  void drive_out_artificials();
+  /// previous one moved along the freed directions only. A due
+  /// refactorisation between moves keeps the basic values, which hold the
+  /// remaining columns' starts. Returns false when that refactorisation
+  /// fails.
+  [[nodiscard]] bool cross_over();
+  /// Pivots each artificial left basic after phase 1 out for a structural
+  /// column where one has a usable pivot. Returns false when a due
+  /// refactorisation fails.
+  [[nodiscard]] bool drive_out_artificials();
   /// Past phase 1 every artificial column is fixed at zero (upper bound 0),
   /// so one left basic at a positive value — a warm basis whose
   /// coefficients moved, or a pivot that would grow it — is primal
@@ -316,6 +323,7 @@ class LpSolver::Core {
   std::size_t iterations_ = 0;
   std::size_t dual_iterations_ = 0;
   std::size_t basis_repairs_ = 0;
+  std::size_t refactorisations_ = 0;
   FaultInjector* injector_ = nullptr;  // non-owning; from SolverOptions
 };
 
@@ -396,7 +404,7 @@ void LpSolver::Core::load(const LpModel& model, const SolverOptions& options) {
   dual_weights_.assign(m_, 1.0);
 
   iterations_ = dual_iterations_ = 0;
-  basis_repairs_ = 0;
+  basis_repairs_ = refactorisations_ = 0;
   injector_ = options.fault_injector;
 }
 
@@ -425,6 +433,7 @@ void LpSolver::Core::maybe_corrupt_eta() {
 }
 
 bool LpSolver::Core::refactor() {
+  ++refactorisations_;
   if (injector_ != nullptr && injector_->roll_basis_fault()) inject_basis_fault();
   if (basis_.refactor(cols_)) return true;
   // Basis repair. A refactorisation can come up deficient when accumulated
@@ -535,7 +544,7 @@ std::size_t LpSolver::Core::change_basis(std::size_t leave, std::size_t enter,
   in_basis_[enter] = 1;
   set_at_upper(enter, false);
   set_at_upper(leaving_col, leave_at_upper);
-  basis_.pivot(leave, enter, w);
+  basis_.pivot(leave, enter, cols_.column(enter), w[leave]);
   maybe_corrupt_eta();
   ++iterations_;
   return leaving_col;
@@ -882,10 +891,15 @@ SolveStatus LpSolver::Core::run_dual(const SolverOptions& options) {
   }
 }
 
-void LpSolver::Core::drive_out_artificials() {
+bool LpSolver::Core::drive_out_artificials() {
   const auto& basic = basis_.basic();
   for (std::size_t i = 0; i < m_; ++i) {
     if (!artificial_[basic[i]]) continue;
+    if (basis_.refactor_due()) {
+      if (!refactor()) return false;
+      refresh_xb();
+      if (!artificial_[basic[i]]) continue;  // a repair replaced it
+    }
     form_pivot_row(i);
     // Pick the largest structural |alpha| among at-lower nonbasic columns.
     std::size_t enter = SIZE_MAX;
@@ -907,8 +921,9 @@ void LpSolver::Core::drive_out_artificials() {
     xb_[i] = t;
     in_basis_[basis_.basic()[i]] = 0;
     in_basis_[enter] = 1;
-    basis_.pivot(i, enter, w);
+    basis_.pivot(i, enter, cols_.column(enter), w[i]);
   }
+  return true;
 }
 
 void LpSolver::Core::fix_artificials() {
@@ -950,7 +965,7 @@ SolveStatus LpSolver::Core::run_cold(const SolverOptions& options) {
     const SolveStatus phase1 = run_primal(/*phase1=*/true, options);
     if (phase1 != SolveStatus::kOptimal) return phase1;
     if (phase_objective(/*phase1=*/true) > 1e-6) return SolveStatus::kInfeasible;
-    drive_out_artificials();
+    if (!drive_out_artificials()) return SolveStatus::kIterationLimit;
     fix_artificials();
   }
   const SolveStatus phase2 = run_primal(/*phase1=*/false, options);
@@ -1060,16 +1075,16 @@ SolveStatus LpSolver::Core::reoptimize(const SolverOptions& options, bool dual_f
   b_ = b_exact_;
   perturbed_ = false;
   fix_artificials();
-  // Always refactorise, even where an eta file could be extended: the
+  // Always refactorise, even where the updated factor could be kept: the
   // continuation is then a pure function of the model and the identity
   // (basic set, at-upper flags, and the vertex a translated start keeps) —
   // the caller's model and the checkpointed identity — so a restored solver
-  // pivots bit-identically to the uninterrupted one. An accumulated eta file
-  // and a fresh factorisation of the same basis differ in low bits; one
-  // sparse LU per reoptimisation buys determinism across restarts.
+  // pivots bit-identically to the uninterrupted one. An updated factor and a
+  // fresh factorisation of the same basis differ in low bits; one sparse LU
+  // per reoptimisation buys determinism across restarts.
   if (!refactor()) return SolveStatus::kIterationLimit;
   refresh_xb();
-  if (!start_.empty()) cross_over();
+  if (!start_.empty() && !cross_over()) return SolveStatus::kIterationLimit;
   if (primal_feasible()) return run_primal(/*phase1=*/false, options);
 
   std::vector<std::pair<std::size_t, double>> shifts;
@@ -1104,7 +1119,7 @@ SolveStatus LpSolver::Core::reoptimize(const SolverOptions& options, bool dual_f
   return run_primal(/*phase1=*/false, options);
 }
 
-void LpSolver::Core::cross_over() {
+bool LpSolver::Core::cross_over() {
   // The previous vertex on this model: structural values as translated, and
   // each row's unit column at the value that satisfies the row (a >= row's
   // artificial at zero).
@@ -1122,7 +1137,7 @@ void LpSolver::Core::cross_over() {
   // A damaged checkpoint can hold finite values whose activities overflow;
   // such a point is no start, so the installed basis starts as it is.
   const auto finite = [](double v) { return std::isfinite(v); };
-  if (!std::all_of(value.begin(), value.end(), finite)) return;
+  if (!std::all_of(value.begin(), value.end(), finite)) return true;
   // Nonbasic columns above their lower bound there start at their value.
   std::vector<std::size_t> superbasic;
   std::vector<double> rhs = b_;
@@ -1136,15 +1151,26 @@ void LpSolver::Core::cross_over() {
       value[j] = v;
     }
   }
-  if (superbasic.empty()) return;
+  if (superbasic.empty()) return true;
   xb_ = basis_.ftran(rhs);
   if (!std::all_of(xb_.begin(), xb_.end(), finite)) {
     refresh_xb();
-    return;
+    return true;
   }
   price(/*phase1=*/false);
   const auto& basic = basis_.basic();
   for (const std::size_t s : superbasic) {
+    if (basis_.refactor_due()) {
+      // Not refresh_xb(): the superbasic columns not yet moved hold their
+      // starts only in xb_. A repair changes the basic set, so xb_ no longer
+      // matches it; the rest of the start is then dropped.
+      const std::size_t repairs = basis_repairs_;
+      if (!refactor()) return false;
+      if (basis_repairs_ != repairs) {
+        refresh_xb();
+        return true;
+      }
+    }
     // Direction: up if that lowers the cost (d < 0), else down to zero; up
     // without any bound in the way would be a ray, so go down then too.
     // Basic columns already outside their bounds do not block; the dual
@@ -1192,6 +1218,7 @@ void LpSolver::Core::cross_over() {
     form_pivot_row(leave);
     change_basis(leave, s, w, step * dir, value[s] + dir * step, w[leave], leave_at_upper);
   }
+  return true;
 }
 
 void LpSolver::Core::append_row(const Constraint& constraint, std::size_t index) {
@@ -1434,7 +1461,7 @@ bool LpSolver::keep_if_optimal(std::unique_ptr<Core> core, SolveStatus status,
   std::size_t dual_pivots = 0;
   for (bool recovery = false;; recovery = true) {
     stats_.total_iterations += core->iterations();
-    stats_.basis_repairs += core->take_basis_repairs();
+    core->harvest(stats_);
     solution.status = status;
     if (status != SolveStatus::kOptimal) return false;
     core->extract(model_, solution);
@@ -1445,9 +1472,9 @@ bool LpSolver::keep_if_optimal(std::unique_ptr<Core> core, SolveStatus status,
     if (check_certificate(model_, solution.values, solution.duals).passes(kCertificateTol)) break;
     ++stats_.certificate_failures;
     if (recovery) return false;
-    // A corrupted eta file leaves x and y inconsistent at a basis that is
+    // A corrupted update leaves x and y inconsistent at a basis that is
     // usually optimal itself. Reoptimising the same basic set refactorises
-    // it (the eta file goes), re-prices and pivots only if it must; a second
+    // it (the updates go), re-prices and pivots only if it must; a second
     // failure discards the point.
     status = core->reoptimize(options_, /*dual_feasible=*/false);
   }
@@ -1535,7 +1562,7 @@ bool LpSolver::delete_rows(const std::vector<std::size_t>& row_indices) {
 
   if (core_) {
     const bool warm = core_->delete_rows(sorted);
-    stats_.basis_repairs += core_->take_basis_repairs();
+    core_->harvest(stats_);
     // Either some row had no basic unit column (so the excision would leave
     // a singular basis) or the reduced refactorisation failed; the core may
     // be part-mutated, so drop it and let the next solve/resolve rebuild

@@ -30,8 +30,8 @@
 // which lets relaxation compaction shrink the working LP without a cold
 // re-solve.
 //
-// The engine is a bounded-variable revised simplex on a sparse LU basis with
-// a product-form eta file (basis.h) — O(nnz) solves/updates, which carries
+// The engine is a bounded-variable revised simplex on a sparse LU basis kept
+// by Forrest–Tomlin updates (basis.h) — O(nnz) solves/updates, which carries
 // the cooperative sweep to n ~ 1000. Reduced costs are kept across pivots
 // and updated from the pivot row, which is formed row-wise from a row-major
 // copy of the sparse constraint matrix (sparse_matrix.h). Finite variable
@@ -107,6 +107,10 @@ struct LpSolverStats {
   /// Deficient basis positions patched with unit columns during
   /// refactorisation (the singular-basis repair path; see Core::refactor).
   std::size_t basis_repairs = 0;
+  /// Factorisations of the basis from scratch, one per Core::refactor call:
+  /// every warm entry, a due refactor_due(), the dual's α/ftran retry and a
+  /// warm row deletion (a call's repair attempts count once).
+  std::size_t refactorisations = 0;
   /// Revised-simplex "optimal" results whose optimality certificate
   /// (certificate.h) failed. The first failure of a run is reoptimised from
   /// its own basis and checked again; a second one fails the run (a warm

@@ -14,7 +14,7 @@
 // fresh slack column.
 //
 // This structure covers the constraint matrix A only; B^-1 is represented by
-// the sparse LU + eta file in basis.h.
+// the sparse LU with Forrest–Tomlin updates in basis.h.
 #pragma once
 
 #include <cstddef>

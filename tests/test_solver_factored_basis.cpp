@@ -1,17 +1,22 @@
-// Factored (sparse LU + eta file) basis, checked against B itself.
+// Factored (sparse LU + Forrest–Tomlin updates) basis, checked against B
+// itself.
 //
 // Every ftran/btran/btran_unit result is multiplied back by the basis matrix
 // (B·ftran(b) = b, btran(c)ᵀ·B = cᵀ, btran_unit(p)ᵀ·B = e_pᵀ), which needs no
-// second representation of B^-1: on a fresh factor, across eta-accumulating
-// pivots, after a row append and refactor, across the refactor trigger, and
-// for the renumbered basic set left by warm row deletion. On top of the unit-level checks, whole solves must reach
-// the independent tableau's optimum, and the lazy-loop relaxation compaction
-// must take the warm-deletion path.
+// second representation of B^-1: on a fresh factor, across updates (a long
+// sequence on an Eq. 10-shaped basis included), after a row append and
+// refactor, across the refactor trigger, and for the renumbered basic set
+// left by warm row deletion. An update whose ftran pivot disagrees with the
+// factor must make the basis due for refactorisation. On top of the
+// unit-level checks, whole solves must reach the independent tableau's
+// optimum, the lazy-loop relaxation compaction must take the warm-deletion
+// path, and a cooperative allocation must refactorise rarely.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <numeric>
 #include <vector>
 
 #include "common/rng.h"
@@ -52,6 +57,40 @@ SparseMatrix random_matrix(common::Rng& rng, std::size_t m, std::size_t extra) {
       double v = rng.uniform(-3.0, 3.0);
       if (std::abs(v) < 0.1) v = v < 0.0 ? -0.1 : 0.1;
       a.add_entry(col, row, v);
+    }
+  }
+  return a;
+}
+
+/// Constraint matrix shaped like the cooperative LP of Eq. 10: m unit
+/// columns (one slack per row, the basis a solve starts from), then n·k
+/// structural columns x_{l,j} (column m + l·k + j). Rows 0..k-1 are the
+/// capacity rows Σ_l x_{l,j}; every further row is an envy row between a
+/// random pair of users l ≠ l': Σ_j w_{l,j} x_{l,j} − Σ_j w_{l,j} x_{l',j},
+/// with monotone speedup rows w as bench_scaling draws them.
+SparseMatrix eq10_matrix(common::Rng& rng, std::size_t n, std::size_t k, std::size_t m) {
+  std::vector<std::vector<double>> w(n, std::vector<double>(k, 1.0));
+  for (auto& row : w) {
+    for (std::size_t j = 1; j < k; ++j) row[j] = row[j - 1] * rng.uniform(1.05, 2.0);
+  }
+  SparseMatrix a;
+  a.reset(m);
+  for (std::size_t i = 0; i < m; ++i) a.add_entry(a.add_column(), i, 1.0);
+  for (std::size_t c = 0; c < n * k; ++c) a.add_column();
+  // Row by row, so every column's entries stay row-sorted.
+  for (std::size_t j = 0; j < k; ++j) {
+    for (std::size_t l = 0; l < n; ++l) a.add_entry(m + l * k + j, j, 1.0);
+  }
+  const auto user = [&](std::int64_t last) {
+    return static_cast<std::size_t>(rng.uniform_int(0, last));
+  };
+  for (std::size_t i = k; i < m; ++i) {
+    const std::size_t l = user(static_cast<std::int64_t>(n) - 1);
+    std::size_t other = user(static_cast<std::int64_t>(n) - 2);
+    if (other >= l) ++other;
+    for (std::size_t j = 0; j < k; ++j) {
+      a.add_entry(m + l * k + j, i, w[l][j]);
+      a.add_entry(m + other * k + j, i, -w[l][j]);
     }
   }
   return a;
@@ -143,10 +182,9 @@ void expect_residuals_vanish(const Basis& basis, const SparseMatrix& a, common::
   }
 }
 
-/// One eta-accumulating pivot on a random nonbasic column with a comfortably
-/// nonsingular pivot element, as lp_solver.cpp performs it (the basis
-/// computes its own ftran column). Returns false when the drawn column has
-/// no usable pivot.
+/// One update on a random nonbasic column with a comfortably nonsingular
+/// pivot element, as lp_solver.cpp performs it (the basis computes its own
+/// ftran column). Returns false when the drawn column has no usable pivot.
 bool random_pivot(Basis& basis, const SparseMatrix& a, std::vector<char>& in_basis,
                   common::Rng& rng) {
   const std::size_t enter = static_cast<std::size_t>(
@@ -164,7 +202,7 @@ bool random_pivot(Basis& basis, const SparseMatrix& a, std::vector<char>& in_bas
   if (leave == SIZE_MAX) return false;
   in_basis[basis.basic()[leave]] = 0;
   in_basis[enter] = 1;
-  basis.pivot(leave, enter, w);
+  basis.pivot(leave, enter, a.column(enter), w[leave]);
   return true;
 }
 
@@ -184,7 +222,7 @@ TEST(FactoredBasis, FreshFactorisationsSolveAgainstB) {
   EXPECT_GE(checked, 25);  // the generator must produce real work
 }
 
-TEST(FactoredBasis, EtaUpdatesAndRowAppendsSolveAgainstB) {
+TEST(FactoredBasis, UpdatesAndRowAppendsSolveAgainstB) {
   common::Rng rng(411);
   int pivots_done = 0;
   for (int trial = 0; trial < 20; ++trial) {
@@ -205,7 +243,7 @@ TEST(FactoredBasis, EtaUpdatesAndRowAppendsSolveAgainstB) {
       expect_residuals_vanish(basis, a, rng, "after pivots");
     }
 
-    // Row append on top of the eta file, as add_rows() + resolve() perform
+    // Row append on top of the updates, as add_rows() + resolve() perform
     // it: the matrix gains the new row (on basic and nonbasic columns alike)
     // and a slack column that joins the basic set, then the basis is
     // refactorised against the extended matrix.
@@ -233,7 +271,166 @@ TEST(FactoredBasis, EtaUpdatesAndRowAppendsSolveAgainstB) {
   EXPECT_GE(pivots_done, 40);
 }
 
-TEST(FactoredBasis, RefactorTriggerTracksEtaFileAndResetsIt) {
+/// The position refactor() puts first in U's triangular order: it orders
+/// the basic columns sparsest-first, stable on position.
+std::size_t first_in_order(const Basis& basis, const SparseMatrix& a) {
+  std::size_t first = 0;
+  for (std::size_t p = 1; p < basis.size(); ++p) {
+    if (a.column(basis.basic()[p]).size() < a.column(basis.basic()[first]).size()) first = p;
+  }
+  return first;
+}
+
+/// A nonbasic column whose pivot element in position `pos` is comfortably
+/// nonsingular, drawn at random among those (from row `pos` of B^-1), or
+/// SIZE_MAX when there is none.
+std::size_t entering_for(const Basis& basis, const SparseMatrix& a,
+                         const std::vector<char>& in_basis, std::size_t pos,
+                         common::Rng& rng) {
+  const std::vector<double> rho = basis.btran_unit(pos);
+  std::vector<std::size_t> candidates;
+  for (std::size_t j = 0; j < a.cols(); ++j) {
+    if (!in_basis[j] && std::abs(a.dot_column(j, rho)) > 0.2) candidates.push_back(j);
+  }
+  if (candidates.empty()) return SIZE_MAX;
+  return candidates[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(candidates.size()) - 1))];
+}
+
+TEST(FactoredBasis, LongUpdateSequenceOnEq10BasisSolvesAgainstB) {
+  // An Eq. 10-shaped basis (3 capacity rows and 317 envy rows over 40 users)
+  // starts on its unit columns and takes 2.5 update caps' worth of updates,
+  // refactorising whenever one is due. Each solve is checked against B after
+  // every update. Three moves recur on purpose: the first update after each
+  // factorisation leaves the position first in U's order, every third
+  // update leaves the position the previous one entered (last in the order),
+  // and every fifth update re-enters the column the previous one evicted.
+  common::Rng rng(1972);
+  const std::size_t m = 320;
+  const SparseMatrix a = eq10_matrix(rng, 40, 3, m);
+  std::vector<std::size_t> basic(m);
+  std::iota(basic.begin(), basic.end(), std::size_t{0});
+  Basis basis;
+  basis.set_basic(basic);
+  ASSERT_TRUE(basis.refactor(a));
+  std::vector<char> in_basis(a.cols(), 0);
+  for (const std::size_t j : basic) in_basis[j] = 1;
+
+  std::size_t last_pos = SIZE_MAX;
+  std::size_t last_left = SIZE_MAX;
+  bool fresh = true;
+  std::size_t updates = 0;
+  std::size_t refactors = 0;
+  std::size_t first_moves = 0;
+  std::size_t last_moves = 0;
+  std::size_t reentries = 0;
+  for (std::size_t step = 1; updates < 5 * Basis::kMaxUpdates / 2; ++step) {
+    ASSERT_LT(step, 20 * Basis::kMaxUpdates) << "too few usable pivots";
+    if (basis.refactor_due()) {
+      ASSERT_TRUE(basis.refactor(a));
+      ++refactors;
+      fresh = true;
+    }
+    std::size_t leave = SIZE_MAX;
+    std::size_t enter = SIZE_MAX;
+    enum { kRandom, kFirst, kLast, kReentry } move = kRandom;
+    if (fresh) {
+      leave = first_in_order(basis, a);
+      move = kFirst;
+    } else if (step % 3 == 0) {
+      leave = last_pos;
+      move = kLast;
+    } else if (step % 5 == 0 && !in_basis[last_left]) {
+      enter = last_left;
+      move = kReentry;
+    }
+    if (leave != SIZE_MAX) {
+      enter = entering_for(basis, a, in_basis, leave, rng);
+      if (enter == SIZE_MAX) continue;
+    } else {
+      if (enter == SIZE_MAX) {
+        // Mostly structural columns, so the bump grows.
+        enter = rng.uniform() < 0.8 ? static_cast<std::size_t>(rng.uniform_int(
+                                          static_cast<std::int64_t>(m),
+                                          static_cast<std::int64_t>(a.cols()) - 1))
+                                    : static_cast<std::size_t>(rng.uniform_int(
+                                          0, static_cast<std::int64_t>(m) - 1));
+        if (in_basis[enter]) continue;
+      }
+      const std::vector<double> w = basis.ftran(a.column(enter));
+      double best = 0.2;
+      for (std::size_t i = 0; i < m; ++i) {
+        if (std::abs(w[i]) > best) {
+          best = std::abs(w[i]);
+          leave = i;
+        }
+      }
+      if (leave == SIZE_MAX) continue;
+    }
+    const std::vector<double> w = basis.ftran(a.column(enter));
+    last_left = basis.basic()[leave];
+    in_basis[last_left] = 0;
+    in_basis[enter] = 1;
+    basis.pivot(leave, enter, a.column(enter), w[leave]);
+    last_pos = leave;
+    fresh = false;
+    ++updates;
+    first_moves += move == kFirst;
+    last_moves += move == kLast;
+    reentries += move == kReentry;
+    expect_residuals_vanish(basis, a, rng, "long update sequence");
+    if (HasFailure()) FAIL() << "after update " << updates;
+  }
+  EXPECT_GE(refactors, 2u);
+  EXPECT_GE(first_moves, 3u);
+  EXPECT_GE(last_moves, 20u);
+  EXPECT_GE(reentries, 10u);
+}
+
+TEST(FactoredBasis, UpdateWhosePivotDisagreesWithTheFactorIsDue) {
+  // An update's new U diagonal must equal the old one times its ftran pivot.
+  // The second update below leaves the position the first one entered, so
+  // it works on the first update's diagonal, and its pivot comes from an
+  // ftran taken before that diagonal was corrupted: the two disagree, and
+  // the basis is due. Without the corruption the same updates are not.
+  common::Rng rng(31);
+  const std::size_t m = 40;
+  const SparseMatrix a = eq10_matrix(rng, 8, 3, m);
+  for (const bool corrupt : {false, true}) {
+    std::vector<std::size_t> basic(m);
+    std::iota(basic.begin(), basic.end(), std::size_t{0});
+    Basis basis;
+    basis.set_basic(basic);
+    ASSERT_TRUE(basis.refactor(a));
+    EXPECT_FALSE(basis.corrupt_last_eta(1e3));  // no update to corrupt yet
+
+    const std::size_t enter = m + 4;  // a structural column
+    const std::vector<double> w = basis.ftran(a.column(enter));
+    const std::size_t leave = static_cast<std::size_t>(
+        std::max_element(w.begin(), w.end(), [](double x, double y) {
+          return std::abs(x) < std::abs(y);
+        }) -
+        w.begin());
+    ASSERT_GT(std::abs(w[leave]), 0.2);
+    const std::size_t left = basis.basic()[leave];
+    basis.pivot(leave, enter, a.column(enter), w[leave]);
+    EXPECT_FALSE(basis.refactor_due());
+
+    // The evicted column re-enters at the same position.
+    const std::vector<double> back = basis.ftran(a.column(left));
+    if (corrupt) {
+      ASSERT_TRUE(basis.corrupt_last_eta(1e3));
+    }
+    basis.pivot(leave, left, a.column(left), back[leave]);
+    EXPECT_EQ(basis.refactor_due(), corrupt);
+
+    ASSERT_TRUE(basis.refactor(a));
+    EXPECT_FALSE(basis.refactor_due());
+    expect_residuals_vanish(basis, a, rng, corrupt ? "refactor after drift" : "clean updates");
+  }
+}
+
+TEST(FactoredBasis, RefactorTriggerTracksUpdateCapAndResetsIt) {
   common::Rng rng(555);
   const std::size_t m = 12;
   const std::size_t extra = 10;
@@ -245,8 +442,8 @@ TEST(FactoredBasis, RefactorTriggerTracksEtaFileAndResetsIt) {
   ASSERT_TRUE(basis.refactor(a));
   EXPECT_FALSE(basis.refactor_due());  // a fresh factor is never due
 
-  // Accumulate etas until the trigger fires: by fill growth or, at the
-  // latest, at the eta-file length cap.
+  // Update until the trigger fires: by factor growth or, at the latest, at
+  // the update cap.
   std::vector<char> in_basis(a.cols(), 0);
   for (const std::size_t j : basic) in_basis[j] = 1;
   std::size_t pivots = 0;
@@ -255,15 +452,33 @@ TEST(FactoredBasis, RefactorTriggerTracksEtaFileAndResetsIt) {
   }
   ASSERT_TRUE(basis.refactor_due());
   EXPECT_GE(pivots, 1u);
-  EXPECT_LE(pivots, Basis::kMaxEtas);
+  EXPECT_LE(pivots, Basis::kMaxUpdates);
   EXPECT_EQ(basis.pivots_since_refactor(), pivots);
 
   // Refactorising only changes the representation: the new factor solves
-  // against the same B, with an empty eta file.
+  // against the same B, with no updates.
   ASSERT_TRUE(basis.refactor(a));
   EXPECT_EQ(basis.pivots_since_refactor(), 0u);
   EXPECT_FALSE(basis.refactor_due());
   expect_residuals_vanish(basis, a, rng, "across refactor");
+
+  // Updates that add no nonzero reach the cap exactly: each row has two
+  // unit columns, e_i and 2·e_i, and every update swaps one for the other.
+  SparseMatrix units;
+  units.reset(m);
+  for (std::size_t i = 0; i < m; ++i) units.add_entry(units.add_column(), i, 1.0);
+  for (std::size_t i = 0; i < m; ++i) units.add_entry(units.add_column(), i, 2.0);
+  basis.set_basic(basic);
+  ASSERT_TRUE(basis.refactor(units));
+  for (std::size_t u = 0; u < Basis::kMaxUpdates; ++u) {
+    EXPECT_FALSE(basis.refactor_due()) << "after " << u << " updates";
+    const std::size_t pos = u % m;
+    const std::size_t enter = basis.basic()[pos] < m ? pos + m : pos;
+    const std::vector<double> w = basis.ftran(units.column(enter));
+    basis.pivot(pos, enter, units.column(enter), w[pos]);
+  }
+  EXPECT_TRUE(basis.refactor_due());
+  expect_residuals_vanish(basis, units, rng, "at the update cap");
 }
 
 TEST(FactoredBasis, SingularBasisReportsDeficiencyForRepair) {
@@ -459,6 +674,32 @@ TEST(FactoredBasis, LazyCompactionTakesTheWarmPath) {
   EXPECT_EQ(allocator.solver_stats().warm_start_hits, hits + 1);
   EXPECT_NEAR(again.total_efficiency, compacted.total_efficiency,
               1e-9 * (1.0 + compacted.total_efficiency));
+}
+
+TEST(FactoredBasis, CooperativeAllocateRefactorisesRarely) {
+  // Regression guard for the update policy on a real Eq. 10 solve: one cold
+  // cooperative allocate() at n = 150 on bench_scaling's instance shape.
+  // With Forrest–Tomlin updates it refactorises about 18 times per 1,000
+  // pivots, warm entries included; the product-form eta file it replaced,
+  // rebuilt whenever its dense etas filled up, needed about 60.
+  const std::size_t n = 150;
+  const std::size_t k = 3;
+  common::Rng rng(42);
+  std::vector<std::vector<double>> rows(n);
+  for (auto& row : rows) {
+    row.resize(k);
+    row[0] = 1.0;
+    for (std::size_t j = 1; j < k; ++j) row[j] = row[j - 1] * rng.uniform(1.05, 2.0);
+  }
+  const core::AllocationResult result = core::make_cooperative_oef().allocate(
+      core::SpeedupMatrix(std::move(rows)), {30.0, 40.0, 22.0});
+  ASSERT_TRUE(result.ok());
+  ASSERT_GT(result.lp_iterations, 1000u);
+  EXPECT_GE(result.refactorisations, result.lazy_rounds);  // one per warm entry at least
+  const double per_thousand = 1000.0 * static_cast<double>(result.refactorisations) /
+                              static_cast<double>(result.lp_iterations);
+  EXPECT_LT(per_thousand, 30.0) << result.refactorisations << " refactorisations in "
+                                << result.lp_iterations << " pivots";
 }
 
 TEST(FactoredBasis, SolverAgreesWithTableau) {
