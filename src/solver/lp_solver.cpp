@@ -30,6 +30,11 @@ constexpr double kDevexReset = 1e7;
 constexpr double kEtaCorruptionFactor = 1e3;
 // Every residual of a kept result's optimality certificate must be within it.
 constexpr double kCertificateTol = 1e-6;
+// The phases check the basic values against the true basis matrix every
+// kResidualInterval basis changes; a row residual past kResidualTol (relative
+// to 1 + |rhs|) forces a refactorisation.
+constexpr std::size_t kResidualInterval = 10;
+constexpr double kResidualTol = 1e-6;
 
 double seconds_since(double start) { return common::monotonic_seconds() - start; }
 
@@ -146,11 +151,11 @@ class LpSolver::Core {
 
   /// The warm entry: refactorises the installed basic set, moves a
   /// translated start onto the previous vertex (cross_over), then
-  /// reoptimises with primal pivots if it is primal-feasible, dual then
-  /// primal pivots if it is dual-feasible (assumed, not tested, when
-  /// `dual_feasible` is set), and the cost-shifting dual phase 1 otherwise.
-  /// kIterationLimit means the basis could not be reused and the caller
-  /// should solve cold.
+  /// reoptimises with run_phase2(): primal pivots if it is primal-feasible,
+  /// dual then primal pivots if it is dual-feasible (assumed, not tested,
+  /// when `dual_feasible` is set), and the cost-shifting dual phase 1
+  /// otherwise. kIterationLimit means the basis could not be reused and the
+  /// caller should solve cold.
   [[nodiscard]] SolveStatus reoptimize(const SolverOptions& options, bool dual_feasible);
 
   /// Appends one inequality constraint (model index `index`) with a fresh
@@ -253,8 +258,25 @@ class LpSolver::Core {
   /// Primal devex weights from the pivot row alpha_.
   void update_primal_devex(std::size_t enter, std::size_t leaving_col, double pivot_alpha);
   void update_dual_devex(const std::vector<double>& w, std::size_t leave);
+  /// Primal simplex under the phase's costs. Phase 2 stops with kInfeasible
+  /// when a refactorisation's repair left the vertex primal infeasible.
   [[nodiscard]] SolveStatus run_primal(bool phase1, const SolverOptions& options);
   [[nodiscard]] SolveStatus run_dual(const SolverOptions& options);
+  /// Phase 2 from the installed basis: restore_feasibility() first when the
+  /// vertex is primal infeasible, then primal pivots; again from the
+  /// restored part whenever a repair inside the primal pivots leaves the
+  /// vertex infeasible.
+  [[nodiscard]] SolveStatus run_phase2(const SolverOptions& options, bool dual_feasible);
+  /// Dual pivots to a primal-feasible vertex: plain when the basis is dual
+  /// feasible (assumed, not tested, when `dual_feasible` is set), under
+  /// shifted costs (a dual phase 1) otherwise.
+  [[nodiscard]] SolveStatus restore_feasibility(const SolverOptions& options, bool dual_feasible);
+  /// Every kResidualInterval basis changes: true when the basic values no
+  /// longer solve B·x_B = b − Σ u_j A_j (over the columns at upper) to
+  /// kResidualTol. The check reads the true basis matrix, so it sees a
+  /// factor that is wrong but consistent with itself, which the update's
+  /// diagonal check cannot.
+  [[nodiscard]] bool basic_values_drifted();
   /// Crossover from the previous vertex translate() kept: every nonbasic
   /// column holding a value strictly above its lower bound there (a demoted
   /// or repaired-away column, or the unit column of a row a departed column
@@ -324,6 +346,8 @@ class LpSolver::Core {
   std::size_t dual_iterations_ = 0;
   std::size_t basis_repairs_ = 0;
   std::size_t refactorisations_ = 0;
+  // Basis changes since the last residual check or refactorisation.
+  std::size_t unchecked_changes_ = 0;
   FaultInjector* injector_ = nullptr;  // non-owning; from SolverOptions
 };
 
@@ -434,6 +458,7 @@ void LpSolver::Core::maybe_corrupt_eta() {
 
 bool LpSolver::Core::refactor() {
   ++refactorisations_;
+  unchecked_changes_ = 0;
   if (injector_ != nullptr && injector_->roll_basis_fault()) inject_basis_fault();
   if (basis_.refactor(cols_)) return true;
   // Basis repair. A refactorisation can come up deficient when accumulated
@@ -547,7 +572,27 @@ std::size_t LpSolver::Core::change_basis(std::size_t leave, std::size_t enter,
   basis_.pivot(leave, enter, cols_.column(enter), w[leave]);
   maybe_corrupt_eta();
   ++iterations_;
+  ++unchecked_changes_;
   return leaving_col;
+}
+
+bool LpSolver::Core::basic_values_drifted() {
+  if (unchecked_changes_ < kResidualInterval) return false;
+  unchecked_changes_ = 0;
+  std::vector<double> residual = b_;
+  if (num_at_upper_ != 0) {
+    for (std::size_t j = 0; j < num_cols_; ++j) {
+      if (at_upper_[j]) cols_.axpy_column(j, -upper_[j], residual);
+    }
+  }
+  const auto& basic = basis_.basic();
+  for (std::size_t i = 0; i < m_; ++i) {
+    if (xb_[i] != 0.0) cols_.axpy_column(basic[i], -xb_[i], residual);
+  }
+  for (std::size_t i = 0; i < m_; ++i) {
+    if (!(std::abs(residual[i]) <= kResidualTol * (1.0 + std::abs(b_[i])))) return true;
+  }
+  return false;
 }
 
 double LpSolver::Core::phase_objective(bool phase1) const {
@@ -613,10 +658,16 @@ SolveStatus LpSolver::Core::run_primal(bool phase1, const SolverOptions& options
   bool fresh = false;  // priced, and no basis change has updated d_ since
   while (true) {
     if (iterations_ >= internal::iteration_cap(m_, num_cols_)) return SolveStatus::kIterationLimit;
-    if (basis_.refactor_due()) {
+    if (basis_.refactor_due() || basic_values_drifted()) {
+      const std::size_t repairs = basis_repairs_;
       if (!refactor()) return SolveStatus::kIterationLimit;
       refresh_xb();
       priced = false;
+      // A repaired basis can put basic values out of bounds; phase 2 pivots
+      // only between feasible vertices, so it hands such a vertex back.
+      if (!phase1 && basis_repairs_ != repairs && !primal_feasible()) {
+        return SolveStatus::kInfeasible;
+      }
     }
     if (!priced) {
       price(phase1);
@@ -763,7 +814,7 @@ SolveStatus LpSolver::Core::run_dual(const SolverOptions& options) {
   bool priced = false;
   while (true) {
     if (iterations_ >= internal::iteration_cap(m_, num_cols_)) return SolveStatus::kIterationLimit;
-    if (basis_.refactor_due()) {
+    if (basis_.refactor_due() || basic_values_drifted()) {
       if (!refactor()) return SolveStatus::kIterationLimit;
       refresh_xb();
       priced = false;
@@ -944,9 +995,7 @@ SolveStatus LpSolver::Core::finish_perturbed(const SolverOptions& options) {
   // Restoring the exact rhs tightened the relaxed <= rows: the basis stays
   // dual-feasible, so a few dual pivots repair primal feasibility. The
   // repaired vertex then passes the primal pricing check, as in reoptimize().
-  const SolveStatus status = run_dual(options);
-  if (status != SolveStatus::kOptimal) return status;
-  return run_primal(/*phase1=*/false, options);
+  return run_phase2(options, /*dual_feasible=*/true);
 }
 
 SolveStatus LpSolver::Core::run_cold(const SolverOptions& options) {
@@ -968,7 +1017,7 @@ SolveStatus LpSolver::Core::run_cold(const SolverOptions& options) {
     if (!drive_out_artificials()) return SolveStatus::kIterationLimit;
     fix_artificials();
   }
-  const SolveStatus phase2 = run_primal(/*phase1=*/false, options);
+  const SolveStatus phase2 = run_phase2(options, /*dual_feasible=*/false);
   if (phase2 != SolveStatus::kOptimal) return phase2;
   return finish_perturbed(options);
 }
@@ -1085,8 +1134,27 @@ SolveStatus LpSolver::Core::reoptimize(const SolverOptions& options, bool dual_f
   if (!refactor()) return SolveStatus::kIterationLimit;
   refresh_xb();
   if (!start_.empty() && !cross_over()) return SolveStatus::kIterationLimit;
-  if (primal_feasible()) return run_primal(/*phase1=*/false, options);
+  return run_phase2(options, dual_feasible);
+}
 
+SolveStatus LpSolver::Core::run_phase2(const SolverOptions& options, bool dual_feasible) {
+  while (true) {
+    if (!primal_feasible()) {
+      const SolveStatus status = restore_feasibility(options, dual_feasible);
+      if (status != SolveStatus::kOptimal) return status;
+    }
+    // Primal pivots polish what the dual pivots left (shifts, coefficient
+    // changes or tolerance drift can leave the vertex slightly suboptimal).
+    // They answer kInfeasible only when a repair left their vertex out of
+    // bounds; nothing says the basis is still dual feasible then.
+    const SolveStatus status = run_primal(/*phase1=*/false, options);
+    if (status != SolveStatus::kInfeasible) return status;
+    dual_feasible = false;
+  }
+}
+
+SolveStatus LpSolver::Core::restore_feasibility(const SolverOptions& options,
+                                                bool dual_feasible) {
   std::vector<std::pair<std::size_t, double>> shifts;
   if (!dual_feasible) {
     // A basis that is neither primal- nor dual-feasible comes from
@@ -1113,10 +1181,7 @@ SolveStatus LpSolver::Core::reoptimize(const SolverOptions& options, bool dual_f
     // the true problem; report iteration-limit so the caller cold-solves.
     return shifts.empty() ? status : SolveStatus::kIterationLimit;
   }
-  // Dual pivots restored primal feasibility; polish any remaining reduced
-  // costs (shifts, coefficient changes or tolerance drift can leave the
-  // vertex slightly suboptimal).
-  return run_primal(/*phase1=*/false, options);
+  return SolveStatus::kOptimal;
 }
 
 bool LpSolver::Core::cross_over() {

@@ -213,10 +213,7 @@ TEST(SimChurn, InjectedFaultsEngageTheLadderWithoutAborting) {
   solver::FaultInjectorConfig config;
   config.seed = 1234;
   config.basis_fault_rate = 0.6;
-  // A corrupted update lives until the next refactorisation, up to
-  // Basis::kMaxUpdates pivots later. At rates from 0.17 up the first cold
-  // solve of this instance stops converging, so the rate stays below that.
-  config.eta_corruption_rate = 0.1;
+  config.eta_corruption_rate = 0.25;
   solver::FaultInjector injector(config);
 
   core::OefOptions options;
