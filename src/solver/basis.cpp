@@ -36,17 +36,17 @@ void erase_index(std::vector<EntryT>& entries, std::size_t idx) {
 }  // namespace
 
 // Refactorisation is a left-looking Gilbert–Peierls elimination: columns are
-// processed sparsest-first (which makes the basic slack/artificial unit
-// columns factor with zero fill — the dominant case in the row-generation
-// LPs), each column's fill pattern is discovered by a DFS over the partially
-// built L, and the pivot row is the sparsest original row among those within
-// kPivotThreshold of the largest eligible magnitude. Pivots update U in place
-// (Forrest–Tomlin, see pivot()); ftran applies L, the row etas in order, then
-// U in its triangular order; btran applies U^T, the row-eta transposes in
-// reverse order, then L^T. All triangular sweeps are in scatter form, so
-// zero intermediates are skipped — a sparse right-hand side (one constraint
-// column in ftran, the mostly-structural c_B in btran) costs O(reachable
-// nonzeros), not O(m^2).
+// processed sparsest-first (which makes the basic unit columns, slacks and
+// equalities' artificials, factor with zero fill — the dominant case in the
+// row-generation LPs), each column's fill pattern is discovered by a DFS over
+// the partially built L, and the pivot row is the sparsest original row
+// among those within kPivotThreshold of the largest eligible magnitude.
+// Pivots update U in place (Forrest–Tomlin, see pivot()); ftran applies L,
+// the row etas in order, then U in its triangular order; btran applies U^T,
+// the row-eta transposes in reverse order, then L^T. All triangular sweeps
+// are in scatter form, so zero intermediates are skipped — a sparse
+// right-hand side (one constraint column in ftran, the mostly-structural c_B
+// in btran) costs O(reachable nonzeros), not O(m^2).
 
 void Basis::set_basic(std::vector<std::size_t> basic) {
   basic_ = std::move(basic);
@@ -272,9 +272,9 @@ bool Basis::refactor(const SparseMatrix& columns) {
     return true;
   }
 
-  // Column order: sparsest first (stable on position). All unit slack /
-  // artificial columns factor first with zero fill; only the structural
-  // "bump" columns can generate elimination work.
+  // Column order: sparsest first (stable on position). All unit columns
+  // (slacks, equalities' artificials) factor first with zero fill; only the
+  // structural "bump" columns can generate elimination work.
   std::vector<std::size_t> order(m);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -396,7 +396,7 @@ bool Basis::refactor(const SparseMatrix& columns) {
   }
   if (!deferred.empty()) {
     // Pair each deferred basis position with one still-unpivoted row; the
-    // caller patches the position with a unit column of that row.
+    // caller patches the position with the unit column of that row.
     std::vector<std::size_t> unpivoted;
     for (std::size_t r = 0; r < m; ++r) {
       if (factor_of_row[r] == SIZE_MAX) unpivoted.push_back(r);

@@ -47,9 +47,9 @@ class Basis {
   [[nodiscard]] const std::vector<std::size_t>& basic() const { return basic_; }
 
   /// Installs a basic set and an identity factorisation; valid as-is only
-  /// when the basis matrix actually is the identity (the all-slack /
-  /// all-artificial start), otherwise call refactor() before any solve.
-  /// Resets the update count.
+  /// when the basis matrix actually is the identity (a cold solve's start,
+  /// every row's unit column basic), otherwise call refactor() before any
+  /// solve. Resets the update count.
   void set_basic(std::vector<std::size_t> basic);
 
   /// Factorises the basis matrix from scratch against `columns` (the full
@@ -96,7 +96,7 @@ class Basis {
   /// the factorisation could not pivot. Accumulated update drift can let the
   /// simplex adopt an entering column the true basis does not admit; the
   /// solver repairs such deficiencies by patching each listed position with
-  /// a unit column of the listed row and refactorising again, instead of
+  /// the unit column of the listed row and refactorising again, instead of
   /// abandoning the solve.
   [[nodiscard]] const std::vector<std::pair<std::size_t, std::size_t>>& deficiency()
       const {

@@ -40,19 +40,15 @@ double seconds_since(double start) { return common::monotonic_seconds() - start;
 
 /// True when `state` is self-consistent: one basic column per row, one
 /// at-upper flag per column of Core::load's layout (the structural columns,
-/// a slack per inequality row, an artificial per >= or = row), basic
-/// columns in range and distinct, and no values or one finite nonnegative
-/// value per structural column.
+/// then one unit column per row), basic columns in range and distinct, and
+/// no values or one finite nonnegative value per structural column.
 bool well_formed(const LpWarmState& state) {
   if (state.basic.size() != state.relations.size()) return false;
   if (!state.values.empty() && state.values.size() != state.structural_columns) return false;
   for (const double value : state.values) {
     if (!(value >= 0.0 && std::isfinite(value))) return false;
   }
-  std::size_t columns = state.structural_columns;
-  for (const Relation relation : state.relations) {
-    columns += relation == Relation::kGreaterEqual ? 2 : 1;
-  }
+  const std::size_t columns = state.structural_columns + state.relations.size();
   // The first test catches a wrapped sum (a corrupt structural count).
   if (columns < state.structural_columns || columns != state.at_upper.size()) return false;
   std::vector<char> seen(columns, 0);
@@ -61,25 +57,6 @@ bool well_formed(const LpWarmState& state) {
     seen[col] = 1;
   }
   return true;
-}
-
-/// The unit (slack, surplus or artificial) columns of each row in Core::load's
-/// column layout: after the `structural` columns, a slack or surplus per
-/// inequality row in row order, then an artificial per >= or = row in row
-/// order. A >= row lists its surplus before its artificial.
-std::vector<std::vector<std::size_t>> unit_columns(std::size_t structural,
-                                                   const std::vector<Relation>& relations) {
-  std::size_t next_slack = structural;
-  std::size_t next_artificial = structural;
-  for (const Relation relation : relations) {
-    if (relation != Relation::kEqual) ++next_artificial;
-  }
-  std::vector<std::vector<std::size_t>> units(relations.size());
-  for (std::size_t i = 0; i < relations.size(); ++i) {
-    if (relations[i] != Relation::kEqual) units[i].push_back(next_slack++);
-    if (relations[i] != Relation::kLessEqual) units[i].push_back(next_artificial++);
-  }
-  return units;
 }
 
 /// The map that continues every standard column and row of `previous` at its
@@ -117,6 +94,13 @@ bool is_identity(const LpModelMap& map, const LpWarmState& previous) {
 // warm identity (basic set + nonbasic bound statuses) translated onto it is
 // reoptimised by reoptimize(), the one warm entry.
 //
+// Column layout: the structural columns, then one unit column per row, row
+// i's at unit_column(i): a slack for a <= row (every inequality is loaded in
+// <= form), or for an equality an artificial fixed at zero (upper bound 0),
+// so that a vertex needing it nonzero is primal infeasible. A cold solve
+// starts with every unit column basic; the rows that start out of bounds go
+// through the same cost-shifting dual as a warm start (run_phase2).
+//
 // Variable upper bounds are handled natively (bounded-variable simplex): a
 // nonbasic column rests at its lower bound (value 0) or, when at_upper_ is
 // set, at its finite upper bound; the primal ratio test lets basics leave at
@@ -134,7 +118,7 @@ class LpSolver::Core {
   /// Loads `model` into this fresh Core (each Core loads exactly once).
   void load(const LpModel& model, const SolverOptions& options);
 
-  /// Two-phase cold solve from the all-slack/artificial basis.
+  /// Cold solve from the all-slack basis (see the column layout above).
   [[nodiscard]] SolveStatus run_cold(const SolverOptions& options);
 
   /// Installs `previous`, the identity (another core's or a checkpoint's) of
@@ -163,7 +147,7 @@ class LpSolver::Core {
   void append_row(const Constraint& constraint, std::size_t index);
 
   /// Warm row deletion: excises the given standard rows (== model constraint
-  /// indices, sorted ascending) together with their slack/artificial columns
+  /// indices, sorted ascending) together with their unit columns
   /// while keeping the basic set — the dropped rows' unit columns must be
   /// basic (true for rows strictly loose at the current vertex), so the
   /// remaining basis stays nonsingular, the surviving basic values are
@@ -222,6 +206,8 @@ class LpSolver::Core {
   }
 
  private:
+  /// Row `row`'s slack or artificial (see the column layout above).
+  [[nodiscard]] std::size_t unit_column(std::size_t row) const { return n_struct_ + row; }
   /// B^-1 A_col via the sparse ftran.
   [[nodiscard]] std::vector<double> ftran_column(std::size_t col) const {
     return basis_.ftran(cols_.column(col));
@@ -234,10 +220,9 @@ class LpSolver::Core {
   [[nodiscard]] bool primal_feasible() const;
   void rebuild_basis_flags();
   void set_at_upper(std::size_t col, bool value);
-  [[nodiscard]] std::vector<double> basic_costs(bool phase1) const;
-  /// d_ = c - Aᵀy with y = B^-T c_B under the phase's costs: one btran and
-  /// one row-wise Aᵀ pass.
-  void price(bool phase1);
+  [[nodiscard]] std::vector<double> basic_costs() const;
+  /// d_ = c - Aᵀy with y = B^-T c_B: one btran and one row-wise Aᵀ pass.
+  void price();
   /// alpha_ = ρᵀA for ρ = row `pos` of B^-1, formed row-wise over ρ's
   /// nonzero rows.
   void form_pivot_row(std::size_t pos);
@@ -254,13 +239,13 @@ class LpSolver::Core {
   std::size_t change_basis(std::size_t leave, std::size_t enter, const std::vector<double>& w,
                            double step, double entering_value, double pivot,
                            bool leave_at_upper);
-  [[nodiscard]] double phase_objective(bool phase1) const;
+  [[nodiscard]] double objective() const;
   /// Primal devex weights from the pivot row alpha_.
   void update_primal_devex(std::size_t enter, std::size_t leaving_col, double pivot_alpha);
   void update_dual_devex(const std::vector<double>& w, std::size_t leave);
-  /// Primal simplex under the phase's costs. Phase 2 stops with kInfeasible
+  /// Primal simplex from a primal-feasible vertex. Stops with kInfeasible
   /// when a refactorisation's repair left the vertex primal infeasible.
-  [[nodiscard]] SolveStatus run_primal(bool phase1, const SolverOptions& options);
+  [[nodiscard]] SolveStatus run_primal(const SolverOptions& options);
   [[nodiscard]] SolveStatus run_dual(const SolverOptions& options);
   /// Phase 2 from the installed basis: restore_feasibility() first when the
   /// vertex is primal infeasible, then primal pivots; again from the
@@ -269,14 +254,17 @@ class LpSolver::Core {
   [[nodiscard]] SolveStatus run_phase2(const SolverOptions& options, bool dual_feasible);
   /// Dual pivots to a primal-feasible vertex: plain when the basis is dual
   /// feasible (assumed, not tested, when `dual_feasible` is set), under
-  /// shifted costs (a dual phase 1) otherwise.
+  /// shifted costs (a dual phase 1) otherwise. kInfeasible holds under
+  /// shifted costs too: whether a column may enter never depends on them.
   [[nodiscard]] SolveStatus restore_feasibility(const SolverOptions& options, bool dual_feasible);
-  /// Every kResidualInterval basis changes: true when the basic values no
-  /// longer solve B·x_B = b − Σ u_j A_j (over the columns at upper) to
-  /// kResidualTol. The check reads the true basis matrix, so it sees a
-  /// factor that is wrong but consistent with itself, which the update's
-  /// diagonal check cannot.
-  [[nodiscard]] bool basic_values_drifted();
+  /// True when the basic values no longer solve B·x_B = b − Σ u_j A_j
+  /// (over the columns at upper) to kResidualTol. The check reads the true
+  /// basis matrix, so it sees a factor that is wrong but consistent with
+  /// itself, which the update's diagonal check cannot.
+  [[nodiscard]] bool basic_values_drifted() const;
+  /// basic_values_drifted() every kResidualInterval basis changes, false in
+  /// between.
+  [[nodiscard]] bool periodic_drift_check();
   /// Crossover from the previous vertex translate() kept: every nonbasic
   /// column holding a value strictly above its lower bound there (a demoted
   /// or repaired-away column, or the unit column of a row a departed column
@@ -289,39 +277,25 @@ class LpSolver::Core {
   /// remaining columns' starts. Returns false when that refactorisation
   /// fails.
   [[nodiscard]] bool cross_over();
-  /// Pivots each artificial left basic after phase 1 out for a structural
-  /// column where one has a usable pivot. Returns false when a due
-  /// refactorisation fails.
-  [[nodiscard]] bool drive_out_artificials();
-  /// Past phase 1 every artificial column is fixed at zero (upper bound 0),
-  /// so one left basic at a positive value — a warm basis whose
-  /// coefficients moved, or a pivot that would grow it — is primal
-  /// infeasible instead of silently breaking its row.
-  void fix_artificials();
   [[nodiscard]] SolveStatus finish_perturbed(const SolverOptions& options);
 
   // Structural-column metadata (a StandardForm with rows cleared).
   internal::StandardForm skel_;
   SparseMatrix cols_;               // constraint matrix, one sparse column per variable
-  std::vector<Relation> relations_;  // normalised, per row
+  std::vector<Relation> relations_;  // per row: <= or =
   std::vector<internal::RowRef> row_refs_;
-  // Per row: the unit (slack/surplus/artificial) column ids created for it —
-  // the columns that must go with the row on warm deletion.
-  std::vector<std::vector<std::size_t>> row_units_;
   std::vector<double> b_;        // working rhs (scaled, possibly perturbed)
   std::vector<double> b_exact_;  // exact scaled rhs
   std::vector<double> row_scale_;
   std::vector<double> col_scale_;  // structural columns
-  std::vector<double> cost_;       // phase-2 cost per column (scaled, min sense)
+  std::vector<double> cost_;       // cost per column (scaled, min sense)
   std::vector<double> upper_;      // scaled upper bound per column (kInf if none)
-  std::vector<char> artificial_;   // per column
   std::vector<char> in_basis_;     // per column
   std::vector<char> at_upper_;     // per column; only ever set while nonbasic
   std::size_t n_struct_ = 0;
   std::size_t num_cols_ = 0;
   std::size_t m_ = 0;
   std::size_t num_at_upper_ = 0;
-  bool any_artificial_ = false;
   bool perturbed_ = false;
   bool scaling_ = false;
   // The previous vertex's structural values (scaled to this core) that
@@ -346,7 +320,7 @@ class LpSolver::Core {
   std::size_t dual_iterations_ = 0;
   std::size_t basis_repairs_ = 0;
   std::size_t refactorisations_ = 0;
-  // Basis changes since the last residual check or refactorisation.
+  // Basis changes since the last periodic residual check or refactorisation.
   std::size_t unchecked_changes_ = 0;
   FaultInjector* injector_ = nullptr;  // non-owning; from SolverOptions
 };
@@ -354,25 +328,25 @@ class LpSolver::Core {
 void LpSolver::Core::load(const LpModel& model, const SolverOptions& options) {
   internal::StandardForm sf =
       internal::build_standard_form(model, /*native_upper_bounds=*/true);
+  for (internal::StandardRow& row : sf.rows) {
+    if (row.relation == Relation::kGreaterEqual) row.negate();
+  }
   scaling_ = options.enable_scaling;
   internal::equilibrate(sf, scaling_, row_scale_, col_scale_);
 
   m_ = sf.rows.size();
   n_struct_ = sf.columns.size();
+  num_cols_ = n_struct_ + m_;
   for (const internal::StandardRow& row : sf.rows) {
     relations_.push_back(row.relation);
     row_refs_.push_back(row.ref);
     b_.push_back(row.rhs);
   }
-  row_units_ = unit_columns(n_struct_, relations_);
-  num_cols_ = n_struct_;
-  for (const auto& units : row_units_) num_cols_ += units.size();
 
   cost_.assign(num_cols_, 0.0);
   std::copy(sf.cost.begin(), sf.cost.end(), cost_.begin());
   upper_.assign(num_cols_, kInf);
   std::copy(sf.col_upper.begin(), sf.col_upper.end(), upper_.begin());
-  artificial_.assign(num_cols_, 0);
   in_basis_.assign(num_cols_, 0);
   at_upper_.assign(num_cols_, 0);
   num_at_upper_ = 0;
@@ -380,31 +354,24 @@ void LpSolver::Core::load(const LpModel& model, const SolverOptions& options) {
   cols_.reset(m_);
   for (std::size_t j = 0; j < num_cols_; ++j) cols_.add_column();
 
-  // The initial basis is each row's last unit column: a <= row's slack, a
-  // >= row's artificial (beside its surplus, coefficient −1) or an = row's.
+  // The initial basis is every row's unit column.
   std::vector<std::size_t> initial_basis(m_);
-  any_artificial_ = false;
   for (std::size_t i = 0; i < m_; ++i) {
     // Rows are visited in order, so every column's entries stay row-sorted.
     for (const internal::RowEntry& entry : sf.rows[i].entries) {
       cols_.add_entry(entry.col, i, entry.value);
     }
-    const std::vector<std::size_t>& units = row_units_[i];
-    cols_.add_entry(units.front(), i, relations_[i] == Relation::kGreaterEqual ? -1.0 : 1.0);
-    if (units.size() == 2) cols_.add_entry(units.back(), i, 1.0);
-    initial_basis[i] = units.back();
-    if (relations_[i] != Relation::kLessEqual) {
-      artificial_[units.back()] = 1;
-      any_artificial_ = true;
-    }
+    cols_.add_entry(unit_column(i), i, 1.0);
+    if (relations_[i] == Relation::kEqual) upper_[unit_column(i)] = 0.0;
+    initial_basis[i] = unit_column(i);
   }
   cols_.index_rows();
 
   // Anti-degeneracy rhs perturbation, mirroring the tableau path but applied
-  // only to <= rows: relaxing them strictly enlarges the feasible region, so
-  // it can neither manufacture infeasibility nor hide it. Equality and >=
-  // rows stay exact. The exact rhs is restored (and the optimum repaired by
-  // dual pivots) in finish_perturbed().
+  // only to <= rows, a negative rhs included: relaxing them strictly enlarges
+  // the feasible region, so it can neither manufacture infeasibility nor
+  // hide it. Equality rows stay exact. The exact rhs is restored (and the optimum repaired by dual
+  // pivots) in finish_perturbed().
   b_exact_ = b_;
   std::uint64_t mix = 0x9e3779b97f4a7c15ULL;
   for (std::size_t i = 0; i < m_; ++i) {
@@ -413,7 +380,7 @@ void LpSolver::Core::load(const LpModel& model, const SolverOptions& options) {
     mix ^= mix << 17;
     if (relations_[i] != Relation::kLessEqual) continue;
     const double frac = 0.5 + 0.5 * static_cast<double>(mix >> 11) * 0x1.0p-53;
-    b_[i] += 1e-7 * (1.0 + b_[i]) * frac;
+    b_[i] += 1e-7 * (1.0 + std::abs(b_[i])) * frac;
     perturbed_ = true;
   }
 
@@ -464,23 +431,21 @@ bool LpSolver::Core::refactor() {
   // Basis repair. A refactorisation can come up deficient when accumulated
   // update drift let a pivot adopt a column the true basis does not admit
   // (the computed pivot element was noise). Patch every deficient position
-  // with a unit (slack/artificial) column of its uncovered row — which
-  // restores structural nonsingularity — and refactorise again; the evicted
-  // columns become nonbasic at lower bound and the caller's refresh/phase
-  // logic re-establishes the vertex.
+  // with the unit column of its uncovered row — which restores structural
+  // nonsingularity — and refactorise again; the evicted columns become
+  // nonbasic at lower bound and the caller's refresh/phase logic
+  // re-establishes the vertex.
   for (int attempt = 0; attempt < 3; ++attempt) {
     const auto& deficiency = basis_.deficiency();
     if (deficiency.empty()) return false;
     std::vector<std::size_t> patched = basis_.basic();
     std::size_t repairs = 0;
     for (const auto& [pos, row] : deficiency) {
-      for (const std::size_t c : row_units_[row]) {
-        if (!in_basis_[c]) {
-          patched[pos] = c;
-          in_basis_[c] = 1;  // consumed; rebuilt below either way
-          ++repairs;
-          break;
-        }
+      const std::size_t c = unit_column(row);
+      if (!in_basis_[c]) {
+        patched[pos] = c;
+        in_basis_[c] = 1;  // consumed; rebuilt below either way
+        ++repairs;
       }
     }
     if (repairs == 0) {
@@ -523,7 +488,7 @@ void LpSolver::Core::rebuild_basis_flags() {
 }
 
 void LpSolver::Core::set_at_upper(std::size_t col, bool value) {
-  // A column of zero width (an artificial past phase 1, or a structural
+  // A column of zero width (an equality's artificial, or a structural
   // column with lower = upper) rests at lower.
   if (value && upper_[col] == 0.0) value = false;
   if (static_cast<bool>(at_upper_[col]) == value) return;
@@ -531,21 +496,16 @@ void LpSolver::Core::set_at_upper(std::size_t col, bool value) {
   num_at_upper_ += value ? 1 : static_cast<std::size_t>(-1);
 }
 
-std::vector<double> LpSolver::Core::basic_costs(bool phase1) const {
+std::vector<double> LpSolver::Core::basic_costs() const {
   std::vector<double> cb(m_, 0.0);
   const auto& basic = basis_.basic();
-  for (std::size_t i = 0; i < m_; ++i) {
-    cb[i] = phase1 ? (artificial_[basic[i]] ? 1.0 : 0.0) : cost_[basic[i]];
-  }
+  for (std::size_t i = 0; i < m_; ++i) cb[i] = cost_[basic[i]];
   return cb;
 }
 
-void LpSolver::Core::price(bool phase1) {
-  cols_.transpose_product(basis_.btran(basic_costs(phase1)), d_);
-  for (std::size_t j = 0; j < num_cols_; ++j) {
-    const double cost = phase1 ? (artificial_[j] ? 1.0 : 0.0) : cost_[j];
-    d_[j] = cost - d_[j];
-  }
+void LpSolver::Core::price() {
+  cols_.transpose_product(basis_.btran(basic_costs()), d_);
+  for (std::size_t j = 0; j < num_cols_; ++j) d_[j] = cost_[j] - d_[j];
 }
 
 void LpSolver::Core::form_pivot_row(std::size_t pos) {
@@ -576,9 +536,13 @@ std::size_t LpSolver::Core::change_basis(std::size_t leave, std::size_t enter,
   return leaving_col;
 }
 
-bool LpSolver::Core::basic_values_drifted() {
+bool LpSolver::Core::periodic_drift_check() {
   if (unchecked_changes_ < kResidualInterval) return false;
   unchecked_changes_ = 0;
+  return basic_values_drifted();
+}
+
+bool LpSolver::Core::basic_values_drifted() const {
   std::vector<double> residual = b_;
   if (num_at_upper_ != 0) {
     for (std::size_t j = 0; j < num_cols_; ++j) {
@@ -595,11 +559,11 @@ bool LpSolver::Core::basic_values_drifted() {
   return false;
 }
 
-double LpSolver::Core::phase_objective(bool phase1) const {
-  const std::vector<double> cb = basic_costs(phase1);
+double LpSolver::Core::objective() const {
+  const auto& basic = basis_.basic();
   double acc = 0.0;
-  for (std::size_t i = 0; i < m_; ++i) acc += cb[i] * xb_[i];
-  if (!phase1 && num_at_upper_ != 0) {
+  for (std::size_t i = 0; i < m_; ++i) acc += cost_[basic[i]] * xb_[i];
+  if (num_at_upper_ != 0) {
     for (std::size_t j = 0; j < num_cols_; ++j) {
       if (at_upper_[j]) acc += cost_[j] * upper_[j];
     }
@@ -646,38 +610,37 @@ void LpSolver::Core::update_dual_devex(const std::vector<double>& w, std::size_t
   }
 }
 
-SolveStatus LpSolver::Core::run_primal(bool phase1, const SolverOptions& options) {
+SolveStatus LpSolver::Core::run_primal(const SolverOptions& options) {
   constexpr double tol = internal::kPricingTol;
   std::size_t stall = 0;
   bool bland = false;
-  double last_objective = phase_objective(phase1);
+  double last_objective = objective();
   std::fill(primal_weights_.begin(), primal_weights_.end(), 1.0);
   // d_ is priced at entry, after every refactorisation and before an optimal
   // exit; every basis change in between updates it from the pivot row.
   bool priced = false;
-  bool fresh = false;  // priced, and no basis change has updated d_ since
+  bool fresh = false;    // priced, and no basis change has updated d_ since
+  bool drifted = false;  // the basic values failed their check at an optimal exit
   while (true) {
     if (iterations_ >= internal::iteration_cap(m_, num_cols_)) return SolveStatus::kIterationLimit;
-    if (basis_.refactor_due() || basic_values_drifted()) {
+    if (std::exchange(drifted, false) || basis_.refactor_due() || periodic_drift_check()) {
       const std::size_t repairs = basis_repairs_;
       if (!refactor()) return SolveStatus::kIterationLimit;
       refresh_xb();
       priced = false;
-      // A repaired basis can put basic values out of bounds; phase 2 pivots
-      // only between feasible vertices, so it hands such a vertex back.
-      if (!phase1 && basis_repairs_ != repairs && !primal_feasible()) {
-        return SolveStatus::kInfeasible;
-      }
+      // A repaired basis can put basic values out of bounds; the primal
+      // pivots only between feasible vertices, so it hands such a vertex back.
+      if (basis_repairs_ != repairs && !primal_feasible()) return SolveStatus::kInfeasible;
     }
     if (!priced) {
-      price(phase1);
+      price();
       priced = fresh = true;
     }
 
     // Entering column and direction: a column at its lower bound enters
     // upward on d < 0, a column at its upper bound enters downward on d > 0.
     // Devex scores d^2 / weight; under Bland the first eligible enters.
-    // A column of zero width (an artificial past phase 1, or a structural
+    // A column of zero width (an equality's artificial, or a structural
     // column with lower = upper) cannot move, so it never enters.
     std::size_t enter = SIZE_MAX;
     double dir = 1.0;
@@ -702,8 +665,14 @@ SolveStatus LpSolver::Core::run_primal(bool phase1, const SolverOptions& options
       }
     }
     if (enter == SIZE_MAX) {
-      if (fresh) return SolveStatus::kOptimal;
-      // The updated d prices out; only a fresh one may declare the optimum.
+      // The updated d prices out; only a fresh one may declare the optimum,
+      // and only over basic values that still solve the basis, however few
+      // changes since the last periodic check (a corrupted update there
+      // would otherwise reach the certificate). A miss refactorises.
+      if (fresh) {
+        drifted = unchecked_changes_ != 0 && basic_values_drifted();
+        if (!drifted) return SolveStatus::kOptimal;
+      }
       priced = false;
       continue;
     }
@@ -771,9 +740,7 @@ SolveStatus LpSolver::Core::run_primal(bool phase1, const SolverOptions& options
         }
       }
     }
-    if (leave == SIZE_MAX && !std::isfinite(t_bound)) {
-      return phase1 ? SolveStatus::kInfeasible : SolveStatus::kUnbounded;
-    }
+    if (leave == SIZE_MAX && !std::isfinite(t_bound)) return SolveStatus::kUnbounded;
 
     if (std::isfinite(t_bound) && (leave == SIZE_MAX || t_bound <= best_ratio)) {
       // Bound flip: the entering variable crosses its whole range without any
@@ -792,14 +759,14 @@ SolveStatus LpSolver::Core::run_primal(bool phase1, const SolverOptions& options
       if (!bland) update_primal_devex(enter, leaving_col, w[leave]);
     }
 
-    const double objective = phase_objective(phase1);
-    if (objective >= last_objective - tol) {
+    const double current = objective();
+    if (current >= last_objective - tol) {
       if (++stall >= options.stall_limit) bland = true;
     } else {
       stall = 0;
       bland = false;
     }
-    last_objective = objective;
+    last_objective = current;
   }
 }
 
@@ -814,7 +781,7 @@ SolveStatus LpSolver::Core::run_dual(const SolverOptions& options) {
   bool priced = false;
   while (true) {
     if (iterations_ >= internal::iteration_cap(m_, num_cols_)) return SolveStatus::kIterationLimit;
-    if (basis_.refactor_due() || basic_values_drifted()) {
+    if (basis_.refactor_due() || periodic_drift_check()) {
       if (!refactor()) return SolveStatus::kIterationLimit;
       refresh_xb();
       priced = false;
@@ -864,7 +831,7 @@ SolveStatus LpSolver::Core::run_dual(const SolverOptions& options) {
     if (leave == SIZE_MAX) return SolveStatus::kOptimal;
 
     if (!priced) {
-      price(/*phase1=*/false);
+      price();
       priced = true;
     }
     form_pivot_row(leave);
@@ -942,47 +909,6 @@ SolveStatus LpSolver::Core::run_dual(const SolverOptions& options) {
   }
 }
 
-bool LpSolver::Core::drive_out_artificials() {
-  const auto& basic = basis_.basic();
-  for (std::size_t i = 0; i < m_; ++i) {
-    if (!artificial_[basic[i]]) continue;
-    if (basis_.refactor_due()) {
-      if (!refactor()) return false;
-      refresh_xb();
-      if (!artificial_[basic[i]]) continue;  // a repair replaced it
-    }
-    form_pivot_row(i);
-    // Pick the largest structural |alpha| among at-lower nonbasic columns.
-    std::size_t enter = SIZE_MAX;
-    double best = 1e-8;
-    for (std::size_t j = 0; j < num_cols_; ++j) {
-      if (in_basis_[j] || artificial_[j] || at_upper_[j]) continue;
-      if (std::abs(alpha_[j]) > best) {
-        best = std::abs(alpha_[j]);
-        enter = j;
-      }
-    }
-    if (enter == SIZE_MAX) continue;  // redundant row; artificial stays ~0
-    const std::vector<double> w = ftran_column(enter);
-    if (std::abs(w[i]) < 1e-10) continue;
-    const double t = xb_[i] / w[i];
-    for (std::size_t r = 0; r < m_; ++r) {
-      if (r != i) xb_[r] -= t * w[r];
-    }
-    xb_[i] = t;
-    in_basis_[basis_.basic()[i]] = 0;
-    in_basis_[enter] = 1;
-    basis_.pivot(i, enter, cols_.column(enter), w[i]);
-  }
-  return true;
-}
-
-void LpSolver::Core::fix_artificials() {
-  for (std::size_t j = 0; j < num_cols_; ++j) {
-    if (artificial_[j]) upper_[j] = 0.0;
-  }
-}
-
 SolveStatus LpSolver::Core::finish_perturbed(const SolverOptions& options) {
   if (!perturbed_) return SolveStatus::kOptimal;
   b_ = b_exact_;
@@ -1010,15 +936,10 @@ SolveStatus LpSolver::Core::run_cold(const SolverOptions& options) {
     }
     return SolveStatus::kOptimal;
   }
-  if (any_artificial_) {
-    const SolveStatus phase1 = run_primal(/*phase1=*/true, options);
-    if (phase1 != SolveStatus::kOptimal) return phase1;
-    if (phase_objective(/*phase1=*/true) > 1e-6) return SolveStatus::kInfeasible;
-    if (!drive_out_artificials()) return SolveStatus::kIterationLimit;
-    fix_artificials();
-  }
-  const SolveStatus phase2 = run_phase2(options, /*dual_feasible=*/false);
-  if (phase2 != SolveStatus::kOptimal) return phase2;
+  // A row whose unit column starts out of bounds (a negative rhs, or an
+  // equality's nonzero one) sends the start through the cost-shifting dual.
+  const SolveStatus status = run_phase2(options, /*dual_feasible=*/false);
+  if (status != SolveStatus::kOptimal) return status;
   return finish_perturbed(options);
 }
 
@@ -1041,8 +962,6 @@ bool LpSolver::Core::translate(const LpWarmState& previous, const LpModelMap& ma
     if (prev >= previous.structural_columns || !link(v, prev)) return false;
   }
   const std::vector<Relation>& prev_relations = previous.relations;
-  const std::vector<std::vector<std::size_t>> prev_units =
-      unit_columns(previous.structural_columns, prev_relations);
   std::vector<char> row_taken(prev_relations.size(), 0);
   std::vector<char> new_row(m_, 1);
   for (std::size_t i = 0; i < m_; ++i) {
@@ -1050,13 +969,11 @@ bool LpSolver::Core::translate(const LpWarmState& previous, const LpModelMap& ma
     if (prev == LpModelMap::kNew) continue;
     if (prev >= prev_relations.size() || row_taken[prev]) return false;
     row_taken[prev] = 1;
-    // A row whose normalised relation flipped (its rhs changed sign) keeps
-    // none of its old unit columns' statuses.
+    // A row that turned from an inequality into an equality or back keeps
+    // none of its old unit column's status.
     if (prev_relations[prev] != relations_[i]) continue;
     new_row[i] = 0;
-    for (std::size_t u = 0; u < row_units_[i].size(); ++u) {
-      if (!link(row_units_[i][u], prev_units[prev][u])) return false;
-    }
+    if (!link(unit_column(i), previous.structural_columns + prev)) return false;
   }
 
   std::vector<std::size_t> to(previous.at_upper.size(), SIZE_MAX);
@@ -1075,26 +992,21 @@ bool LpSolver::Core::translate(const LpWarmState& previous, const LpModelMap& ma
     if (to[prev] != SIZE_MAX) make_basic(to[prev]);
   }
   for (std::size_t i = 0; i < m_; ++i) {
-    if (new_row[i]) make_basic(row_units_[i].front());
+    if (new_row[i]) make_basic(unit_column(i));
   }
-  // One basic column per row: pad uncovered rows with their first unit
-  // column in row order, or demote surplus structural columns from the last
-  // basis position. A departed basic column can still leave the set
-  // singular; refactor() repairs that.
+  // One basic column per row: pad uncovered rows with their unit column in
+  // row order, or demote structural columns from the last basis position
+  // until m remain (the unit columns are one per row, so that always
+  // suffices). A departed basic column can still leave the set singular;
+  // refactor() repairs that.
   for (std::size_t i = 0; i < m_ && basic_set.size() < m_; ++i) {
-    const auto& units = row_units_[i];
-    if (std::none_of(units.begin(), units.end(), [&](std::size_t c) { return basic[c] != 0; })) {
-      make_basic(units.front());
-    }
+    if (!basic[unit_column(i)]) make_basic(unit_column(i));
   }
   for (std::size_t p = basic_set.size(); p-- > 0 && basic_set.size() > m_;) {
     if (basic_set[p] < n_struct_) {
       basic_set.erase(basic_set.begin() + static_cast<std::ptrdiff_t>(p));
     }
   }
-  // Rows carrying two basic unit columns (a >= row's surplus and
-  // artificial) can still leave a surplus.
-  if (basic_set.size() > m_) basic_set.resize(m_);
   basis_.set_basic(std::move(basic_set));
   rebuild_basis_flags();
   // The nonbasic bound statuses are part of the vertex. A column basic in
@@ -1123,7 +1035,6 @@ SolveStatus LpSolver::Core::reoptimize(const SolverOptions& options, bool dual_f
   // vertices; a warm start lands near the optimum, so reoptimise exactly.
   b_ = b_exact_;
   perturbed_ = false;
-  fix_artificials();
   // Always refactorise, even where the updated factor could be kept: the
   // continuation is then a pure function of the model and the identity
   // (basic set, at-upper flags, and the vertex a translated start keeps) —
@@ -1147,7 +1058,7 @@ SolveStatus LpSolver::Core::run_phase2(const SolverOptions& options, bool dual_f
     // changes or tolerance drift can leave the vertex slightly suboptimal).
     // They answer kInfeasible only when a repair left their vertex out of
     // bounds; nothing says the basis is still dual feasible then.
-    const SolveStatus status = run_primal(/*phase1=*/false, options);
+    const SolveStatus status = run_primal(options);
     if (status != SolveStatus::kInfeasible) return status;
     dual_feasible = false;
   }
@@ -1165,7 +1076,7 @@ SolveStatus LpSolver::Core::restore_feasibility(const SolverOptions& options,
     // primal feasibility, then drop the shifts and polish with primal pivots
     // from the now-feasible vertex. Far cheaper than discarding the basis:
     // the vertex is near-optimal already.
-    price(/*phase1=*/false);
+    price();
     for (std::size_t j = 0; j < num_cols_; ++j) {
       if (in_basis_[j] || upper_[j] == 0.0) continue;
       if (at_upper_[j] ? d_[j] > 1e-7 : d_[j] < -1e-7) {
@@ -1176,18 +1087,12 @@ SolveStatus LpSolver::Core::restore_feasibility(const SolverOptions& options,
   }
   const SolveStatus status = run_dual(options);
   for (const auto& [j, delta] : shifts) cost_[j] += delta;
-  if (status != SolveStatus::kOptimal) {
-    // Under shifted costs a non-optimal outcome says nothing definite about
-    // the true problem; report iteration-limit so the caller cold-solves.
-    return shifts.empty() ? status : SolveStatus::kIterationLimit;
-  }
-  return SolveStatus::kOptimal;
+  return status;
 }
 
 bool LpSolver::Core::cross_over() {
   // The previous vertex on this model: structural values as translated, and
-  // each row's unit column at the value that satisfies the row (a >= row's
-  // artificial at zero).
+  // each row's unit column at the value that satisfies the row.
   std::vector<double> value(num_cols_, 0.0);
   std::vector<double> activity(m_, 0.0);
   for (std::size_t j = 0; j < n_struct_; ++j) {
@@ -1195,10 +1100,7 @@ bool LpSolver::Core::cross_over() {
     if (value[j] != 0.0) cols_.axpy_column(j, value[j], activity);
   }
   start_.clear();
-  for (std::size_t i = 0; i < m_; ++i) {
-    const double gap = b_[i] - activity[i];
-    value[row_units_[i].front()] = relations_[i] == Relation::kGreaterEqual ? -gap : gap;
-  }
+  for (std::size_t i = 0; i < m_; ++i) value[unit_column(i)] = b_[i] - activity[i];
   // A damaged checkpoint can hold finite values whose activities overflow;
   // such a point is no start, so the installed basis starts as it is.
   const auto finite = [](double v) { return std::isfinite(v); };
@@ -1222,7 +1124,7 @@ bool LpSolver::Core::cross_over() {
     refresh_xb();
     return true;
   }
-  price(/*phase1=*/false);
+  price();
   const auto& basic = basis_.basic();
   for (const std::size_t s : superbasic) {
     if (basis_.refactor_due()) {
@@ -1299,7 +1201,7 @@ void LpSolver::Core::append_row(const Constraint& constraint, std::size_t index)
   const double rscale = (scaling_ && biggest > 0.0) ? 1.0 / biggest : 1.0;
   const double rhs = row.rhs * rscale;
 
-  // New slack column, basic in the new row.
+  // New slack column (the new row's unit column), basic in the new row.
   cols_.set_rows(m_ + 1);
   for (const internal::RowEntry& entry : row.entries) {
     cols_.add_entry(entry.col, m_, entry.value * col_scale_[entry.col] * rscale);
@@ -1308,7 +1210,6 @@ void LpSolver::Core::append_row(const Constraint& constraint, std::size_t index)
   cols_.add_entry(slack_col, m_, 1.0);
   cost_.push_back(0.0);
   upper_.push_back(kInf);
-  artificial_.push_back(0);
   in_basis_.push_back(1);
   at_upper_.push_back(0);
   primal_weights_.push_back(1.0);
@@ -1318,7 +1219,6 @@ void LpSolver::Core::append_row(const Constraint& constraint, std::size_t index)
 
   relations_.push_back(Relation::kLessEqual);
   row_refs_.push_back(row.ref);
-  row_units_.push_back({slack_col});
   b_.push_back(rhs);
   b_exact_.push_back(rhs);
   row_scale_.push_back(rscale);
@@ -1329,8 +1229,8 @@ void LpSolver::Core::append_row(const Constraint& constraint, std::size_t index)
 bool LpSolver::Core::delete_rows(const std::vector<std::size_t>& rows) {
   if (rows.empty()) return true;
 
-  // Every deleted row must be covered by a basic unit column of its own
-  // (slack, surplus or artificial): that is what keeps the reduced basis
+  // Every deleted row must be covered by its basic unit column: that is
+  // what keeps the reduced basis
   // nonsingular and the surviving basic values untouched. A loose row always
   // qualifies — its positive slack is basic — so the compaction path never
   // fails here; checked up front so failure leaves the core unmodified.
@@ -1344,17 +1244,11 @@ bool LpSolver::Core::delete_rows(const std::vector<std::size_t>& rows) {
   std::vector<char> drop_pos(m_, 0);
   for (const std::size_t r : rows) {
     OEF_CHECK(r < m_);
-    std::size_t covering = SIZE_MAX;
-    for (const std::size_t c : row_units_[r]) {
-      if (pos_of_col[c] != SIZE_MAX) {
-        covering = pos_of_col[c];
-        break;
-      }
-    }
+    const std::size_t covering = pos_of_col[unit_column(r)];
     if (covering == SIZE_MAX) return false;
     drop_pos[covering] = 1;
     drop_row[r] = 1;
-    for (const std::size_t c : row_units_[r]) drop_col[c] = 1;
+    drop_col[unit_column(r)] = 1;
   }
 
   std::vector<std::size_t> col_remap(num_cols_, SIZE_MAX);
@@ -1423,16 +1317,11 @@ bool LpSolver::Core::delete_rows(const std::vector<std::size_t>& rows) {
   }
   filter_rows(relations_);
   filter_rows(row_refs_);
-  filter_rows(row_units_);
-  for (auto& units : row_units_) {
-    for (std::size_t& c : units) c = col_remap[c];
-  }
   filter_rows(b_);
   filter_rows(b_exact_);
   filter_rows(row_scale_);
   filter_cols(cost_);
   filter_cols(upper_);
-  filter_cols(artificial_);
   filter_cols(at_upper_);
   filter_cols(primal_weights_);
   filter_cols(in_basis_);  // size must track num_cols_: append_row pushes onto it
@@ -1442,10 +1331,6 @@ bool LpSolver::Core::delete_rows(const std::vector<std::size_t>& rows) {
   num_at_upper_ = 0;
   for (std::size_t j = 0; j < num_cols_; ++j) {
     if (at_upper_[j]) ++num_at_upper_;
-  }
-  any_artificial_ = false;
-  for (std::size_t j = 0; j < num_cols_; ++j) {
-    if (artificial_[j]) any_artificial_ = true;
   }
 
   // A fresh (cheap, sparse) factorisation of the reduced basis, so one that
@@ -1482,7 +1367,7 @@ void LpSolver::Core::extract(const LpModel& model, LpSolution& out) const {
   }
   out.objective = model.objective_value(out.values);
 
-  const std::vector<double> y = basis_.btran(basic_costs(/*phase1=*/false));
+  const std::vector<double> y = basis_.btran(basic_costs());
   out.duals.assign(model.num_constraints(), 0.0);
   for (std::size_t i = 0; i < m_; ++i) {
     const internal::RowRef& ref = row_refs_[i];

@@ -6,7 +6,9 @@
 // call goes through one entry, which refactorises the installed basic set
 // and reoptimises from it (primal pivots if it is primal-feasible, dual then
 // primal pivots if it is dual-feasible, a cost-shifting dual phase 1
-// otherwise). It has two callers:
+// otherwise). A cold solve reaches feasibility the same way: it starts from
+// the all-slack basis, and the rows that start out of bounds go through the
+// cost-shifting dual. Warm calls have two callers:
 //
 //   * solve() basis reuse: the previous identity is translated onto the new
 //     model through an LpModelMap naming the previous variable and
@@ -18,7 +20,7 @@
 //   * add_rows() + resolve(): newly separated constraints (the lazy
 //     envy-freeness rows of cooperative OEF) join the loaded problem with
 //     basic slacks; the previous optimum stays dual-feasible, so typically a
-//     handful of dual pivots replace a full two-phase re-solve.
+//     handful of dual pivots replace a cold re-solve.
 //
 // import_warm_state() holds a checkpointed identity without loading
 // anything; the next solve() translates it exactly as it would the previous
@@ -58,12 +60,13 @@ namespace oef::solver {
 
 /// A warm identity detached from its solver: what solve()'s basis reuse
 /// translates, and nothing else. The shape is the structural column count
-/// and the normalised relation of every standard row (which fix the row and
-/// column counts and the column layout); the identity is the basic column
-/// set and the nonbasic at-upper flags, plus the structural columns' values
-/// at that vertex (unscaled standard-form values, so one per variable for
-/// the finite-bounded models a reshaping map accepts), which a reshaped
-/// solve() starts from. Neither the model nor the factorisation is kept: the next
+/// and the relation of every standard row (<= or =: inequalities are loaded
+/// in <= form), which fix the row and column counts: the structural columns,
+/// then one unit column per row. The identity is the basic column set and
+/// the nonbasic at-upper flags, plus the structural columns' values at that
+/// vertex (unscaled standard-form values, so one per variable for the
+/// finite-bounded models a reshaping map accepts), which a reshaped solve()
+/// starts from. Neither the model nor the factorisation is kept: the next
 /// solve() loads its own model, and every warm call refactorises from the
 /// basic set, so a restore is pivot-identical to the uninterrupted run.
 /// Serialized by solver/checkpoint.h for the daemon's checkpoint.
@@ -98,7 +101,8 @@ struct LpModelMap {
 
 /// Cumulative counters across the lifetime of one LpSolver.
 struct LpSolverStats {
-  /// Two-phase solves from scratch (including fallbacks inside warm calls).
+  /// Solves from scratch, from the all-slack basis (including fallbacks
+  /// inside warm calls).
   std::size_t cold_solves = 0;
   /// add_rows() + resolve() calls completed by warm dual-simplex pivots.
   std::size_t warm_resolves = 0;
@@ -141,20 +145,20 @@ class LpSolver {
   /// CheckError; an empty map is the identity over the previous standard
   /// columns and rows, and the solve runs cold when the model has other
   /// counts. A mapped column or row keeps its basic and at-upper status
-  /// (none for a row whose normalised relation flipped), a new column starts
-  /// nonbasic at zero, a new row starts on its slack (surplus, or artificial
-  /// for an equality), and the set is brought to one basic column per row:
-  /// uncovered rows' unit columns pad it in row order, surplus structural
-  /// columns are demoted from the last basis position. A column basic in
-  /// either identity, or whose bound is now infinite, rests at its lower
-  /// bound. Unless the map is the identity, the start then keeps the
-  /// previous vertex: mapped structural columns keep their values (new ones
-  /// are zero), every nonbasic column left above its lower bound there (a
-  /// demoted column, or the slack a departed column's row frees) starts at
-  /// that value, and each moves to a bound or pivots in (a crossover) before
-  /// the reoptimisation, which repairs a start that is singular or
-  /// infeasible. A map entry past the previous identity, a repeated entry or
-  /// a free variable under a non-empty map solves cold.
+  /// (none for a row that turned from an inequality into an equality or
+  /// back), a new column starts nonbasic at zero, a new row starts on its
+  /// slack (an equality on its artificial), and the set is brought to one
+  /// basic column per row: uncovered rows' unit columns pad it in row order,
+  /// surplus structural columns are demoted from the last basis position. A
+  /// column basic in either identity, or whose bound is now infinite, rests
+  /// at its lower bound. Unless the map is the identity, the start then
+  /// keeps the previous vertex: mapped structural columns keep their values
+  /// (new ones are zero), every nonbasic column left above its lower bound
+  /// there (a demoted column, or the slack a departed column's row frees)
+  /// starts at that value, and each moves to a bound or pivots in (a
+  /// crossover) before the reoptimisation, which repairs a start that is
+  /// singular or infeasible. A map entry past the previous identity, a
+  /// repeated entry or a free variable under a non-empty map solves cold.
   [[nodiscard]] LpSolution solve(LpModel model, const LpModelMap& map = {});
 
   /// Appends constraints to the loaded model. Only valid after a solve().
@@ -170,11 +174,11 @@ class LpSolver {
   [[nodiscard]] LpSolution resolve();
 
   /// Removes constraints (by model index) from the loaded model. When the
-  /// solver holds an optimal basis and every removed row carries a basic
-  /// slack/artificial of its own — always true for rows strictly loose at
-  /// the optimum, the relaxation-compaction case — the rows are excised in
-  /// place: the basis, vertex and duals survive and the next resolve() stays
-  /// warm. Returns true on that warm path; false means the basis was
+  /// solver holds an optimal basis and every removed row's unit column (its
+  /// slack, or an equality's artificial) is basic — always true for rows
+  /// strictly loose at the optimum, the relaxation-compaction case — the
+  /// rows are excised in place: the basis, vertex and duals survive and the
+  /// next resolve() stays warm. Returns true on that warm path; false means the basis was
   /// discarded and the next solve()/resolve() runs cold on the shrunken
   /// model. Only valid after a solve().
   bool delete_rows(const std::vector<std::size_t>& row_indices);

@@ -406,6 +406,14 @@ LpSolution SimplexSolver::solve(const LpModel& model) const {
 
   for (int attempt = 0; attempt < 2; ++attempt) {
     StandardForm sf = build_standard_form(model);
+    // The tableau starts every row on a slack or an artificial, which needs
+    // a non-negative rhs; zero-rhs >= rows flip too, so that they start on a
+    // slack and the perturbation can relax them.
+    for (StandardRow& row : sf.rows) {
+      if (row.rhs < 0.0 || (row.rhs == 0.0 && row.relation == Relation::kGreaterEqual)) {
+        row.negate();
+      }
+    }
     std::vector<double> row_scale;
     std::vector<double> col_scale;
     equilibrate(sf, options_.enable_scaling, row_scale, col_scale);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "common/check.h"
 
@@ -59,19 +58,12 @@ StandardForm build_standard_form(const LpModel& model, bool native_upper_bounds)
   }
 
   const auto& constraints = model.constraints();
-  const auto add_row = [&](const Constraint& constraint, std::size_t constraint_index) {
-    StandardRow row = build_standard_row(sf, constraint, constraint_index);
-    // Zero-rhs >= rows are flipped into <= form: they then start on a slack
-    // basis (no artificial) and can be relaxed by the anti-degeneracy
-    // perturbation without ever shrinking the feasible region.
-    if (row.rhs < 0.0 || (row.rhs == 0.0 && row.relation == Relation::kGreaterEqual)) {
-      row.negate();
-    }
-    sf.rows.push_back(std::move(row));
-  };
-  for (std::size_t c = 0; c < constraints.size(); ++c) add_row(constraints[c], c);
+  for (std::size_t c = 0; c < constraints.size(); ++c) {
+    sf.rows.push_back(build_standard_row(sf, constraints[c], c));
+  }
   for (const auto& [var, bound] : upper_rows) {
-    add_row(Constraint{LinearExpr{}.add(var, 1.0), Relation::kLessEqual, bound}, SIZE_MAX);
+    sf.rows.push_back(build_standard_row(
+        sf, Constraint{LinearExpr{}.add(var, 1.0), Relation::kLessEqual, bound}, SIZE_MAX));
   }
   return sf;
 }

@@ -11,12 +11,12 @@
 //     col_upper handled natively by the bounded-variable simplex
 //     (native_upper_bounds = true — no synthetic row, so the basis stays at
 //     O(rows) instead of O(columns-with-bounds + rows)),
-//   * free variables are split (x = y+ - y-),
-//   * rows with negative rhs (and zero-rhs >= rows) are negated so every
-//     right-hand side is non-negative and zero-rhs rows start on a slack
-//     basis.
-// Rows are sparse, column-sorted lists of nonzeros, built by one row builder
-// for loaded and appended rows alike; only the tableau writes them out dense.
+//   * free variables are split (x = y+ - y-).
+// Rows keep the model's relation and sign; each engine negates the rows it
+// loads to its own form (StandardRow::negate): the revised core every >= row
+// to <=, the tableau every row to a non-negative rhs. Rows are sparse,
+// column-sorted lists of nonzeros, built by one row builder for loaded and
+// appended rows alike; only the tableau writes them out dense.
 // This header is internal to src/solver; consumers use LpModel + a solver.
 #pragma once
 
@@ -50,7 +50,7 @@ struct ColumnRef {
 struct RowRef {
   // Index of the model constraint, or npos for synthetic upper-bound rows.
   std::size_t constraint = SIZE_MAX;
-  // -1 when the row was negated to make the rhs non-negative.
+  // -1 when an engine negated the row (StandardRow::negate).
   double sign = 1.0;
 };
 
@@ -90,9 +90,8 @@ struct StandardForm {
 /// The one row builder: maps `constraint` onto the columns of `sf` (only
 /// variables that existed when `sf` was built), variable shifts moved into
 /// the rhs. A repeated variable's terms are summed in term order and exact
-/// zeros dropped. The relation is left as it is: build_standard_form negates
-/// rows to a non-negative rhs, while an appended row goes to <= form so it
-/// starts on a basic (possibly primal-infeasible) slack for the dual simplex.
+/// zeros dropped. The relation and sign are the constraint's; the engine
+/// that loads or appends the row negates it to its own form.
 [[nodiscard]] StandardRow build_standard_row(const StandardForm& sf,
                                              const Constraint& constraint,
                                              std::size_t constraint_index);

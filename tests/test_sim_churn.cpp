@@ -235,13 +235,15 @@ TEST(SimChurn, InjectedFaultsEngageTheLadderWithoutAborting) {
 
 TEST(SimChurn, PivotCountersAccountForFailedWarmAttempts) {
   // Drifting round-over-round calls under injected faults, so some warm
-  // attempts fail and fall back. The pivots of a failed attempt count too:
-  // every pivot the solver takes must reach the result of the call that took
-  // it, split into cold and warm work.
+  // attempts fail and fall back (the rates are high because the primal
+  // checks its basic values at every optimal exit, which catches most
+  // corruptions first). The pivots of a failed attempt count too: every
+  // pivot the solver takes must reach the result of the call that took it,
+  // split into cold and warm work.
   solver::FaultInjectorConfig config;
   config.seed = 2024;
-  config.eta_corruption_rate = 0.06;
-  config.basis_fault_rate = 0.1;
+  config.eta_corruption_rate = 0.1;
+  config.basis_fault_rate = 0.3;
   solver::FaultInjector injector(config);
   core::OefOptions options;
   options.solver.fault_injector = &injector;

@@ -247,9 +247,9 @@ TEST(BoundedSimplex, SameCountSuccessorsStartWarm) {
   // each solved through the empty map from the first optimum: one whose
   // variable lost its finite upper bound (the recycled nonbasic-at-upper
   // status must be dropped, since resting at an infinite bound would poison
-  // the basic values), and one whose row's rhs turned negative, so that its
-  // normalised relation flipped (<= to >=; the row starts on its new unit
-  // columns). Both must start warm and verify against the tableau.
+  // the basic values), and one whose row's rhs turned negative (the row
+  // stays a <= row and keeps its basic slack, which now starts negative).
+  // Both must start warm and verify against the tableau.
   const auto build = [](double x_upper, double split_rhs) {
     LpModel model(Sense::kMaximize);
     const VarId x = model.add_variable(0.0, x_upper, 3.0);

@@ -262,6 +262,64 @@ TEST(SolverCheckpoint, DepartureCrossesOverFromThePreviousVertex) {
   }
 }
 
+/// An LP whose all-slack start is infeasible in every way the one-unit-column
+/// layout allows: an equality with a nonzero rhs ahead of the inequalities,
+/// a >= row with a positive rhs and a <= row with a negative one (both loaded
+/// as <= rows whose slack starts negative), plus a plain <= row.
+LpModel infeasible_start_lp(double cost_y, double cover) {
+  LpModel model(Sense::kMinimize);
+  const VarId x = model.add_variable(0.0, kInf, 3.0);
+  const VarId y = model.add_variable(0.0, 2.5, cost_y);
+  const VarId z = model.add_variable(0.0, kInf, 1.0);
+  model.add_constraint(LinearExpr{}.add(x, 1.0).add(y, 1.0).add(z, 1.0), Relation::kEqual, 4.0);
+  model.add_constraint(LinearExpr{}.add(x, 1.0).add(y, 2.0), Relation::kGreaterEqual, cover);
+  model.add_constraint(LinearExpr{}.add(x, -1.0).add(z, 1.0), Relation::kLessEqual, -1.0);
+  model.add_constraint(LinearExpr{}.add(x, 1.0).add(y, 1.0), Relation::kLessEqual, 3.0);
+  return model;
+}
+
+TEST(SolverCheckpoint, OneUnitColumnPerRowFromAnInfeasibleSlackStart) {
+  const LpModel model = infeasible_start_lp(2.0, 2.0);
+  LpSolver original((SolverOptions()));
+  const LpSolution solved = original.solve(model);
+  const LpSolution reference = SimplexSolver().solve(model);
+  ASSERT_TRUE(solved.optimal());
+  ASSERT_TRUE(reference.optimal());
+  EXPECT_NEAR(solved.objective, reference.objective, 1e-9 * (1.0 + std::abs(reference.objective)));
+  EXPECT_TRUE(model.is_feasible(solved.values, 1e-6));
+  EXPECT_GT(solved.dual_iterations, 0u);  // the dual repairs the start
+
+  // One unit column per row: a slack per inequality (a >= row is loaded as
+  // <=), an artificial for the equality; so one at-upper flag per
+  // structural column and per row.
+  const std::optional<LpWarmState> state = original.export_warm_state();
+  ASSERT_TRUE(state.has_value());
+  EXPECT_EQ(state->structural_columns, 3u);
+  EXPECT_EQ(state->relations, (std::vector<Relation>{Relation::kEqual, Relation::kLessEqual,
+                                                      Relation::kLessEqual,
+                                                      Relation::kLessEqual}));
+  EXPECT_EQ(state->at_upper.size(), state->structural_columns + state->relations.size());
+
+  // A twin that imports the identity continues like the original: the same
+  // pivots to a bit-identical objective on a successor of the same shape.
+  LpSolver twin((SolverOptions()));
+  ASSERT_TRUE(twin.import_warm_state(*state));
+  const LpModel next = infeasible_start_lp(0.5, 3.0);
+  const LpSolution a = original.solve(next);
+  const LpSolution b = twin.solve(next);
+  ASSERT_TRUE(a.optimal());
+  ASSERT_TRUE(b.optimal());
+  EXPECT_TRUE(a.warm_started);
+  EXPECT_TRUE(b.warm_started);
+  EXPECT_GT(a.iterations, 0u);
+  EXPECT_EQ(b.iterations, a.iterations);
+  EXPECT_EQ(0, std::memcmp(&a.objective, &b.objective, sizeof(double)));
+  const LpSolution next_reference = SimplexSolver().solve(next);
+  ASSERT_TRUE(next_reference.optimal());
+  EXPECT_NEAR(a.objective, next_reference.objective,
+              1e-9 * (1.0 + std::abs(next_reference.objective)));
+}
+
 TEST(SolverCheckpoint, ImportedIdentityOfAnotherShapeSolvesCold) {
   common::Rng rng(6);
   const core::SpeedupMatrix w = random_matrix(rng, 5, 3);
